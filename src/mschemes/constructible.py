@@ -23,7 +23,6 @@ from .errors import (
 )
 from .gf_linalg import (
     LinMap,
-    coords_in_basis,
     enumerate_linmaps,
     linmap,
     span_basis,
@@ -200,16 +199,6 @@ def boolean_difference(sch: Scheme, a: Certificate, b: Certificate) -> Certifica
 # ---------------------------------------------------------------------------
 # subspace extension
 # ---------------------------------------------------------------------------
-
-
-def _cone_points(sch: Scheme):
-    """F·S as point codes (all scalar multiples of carrier points)."""
-    f = sch.field
-    out = {0}
-    for c in sch.s_codes:
-        for lam in range(1, f.ell):
-            out.add(f.smul(lam, c))
-    return out
 
 
 def _sum_decomposition(sch: Scheme, target: int, t: int):

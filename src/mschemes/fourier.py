@@ -4,21 +4,40 @@ The ambient group is the span of a point set, with the canonical basis given
 by the reduced-row-echelon rows of its generators; characters are labelled by
 dual vectors over that basis.  Coefficients use complex doubles; every
 threshold comparison applies a 1e-9 guard band.
+
+Summation contract.  `coeff` is the defining sum and the reference for every
+coefficient.  `all_coeffs` vectorises it over the duals but keeps its order:
+one conjugated root of unity per member of the subset, added in sorted-code
+order to real and imaginary accumulators that start at zero, each divided by
+|G| at the end.  So its coefficients, and the CSV and heavy lists built from
+them, equal `coeff` bit for bit.  A pairwise or FFT summation would change the
+last bits (for ell = 2 it turns imaginary parts of about 1e-16 into exact
+zeros).  `np.fft.ifftn` is used only for the inversion residual, which is
+compared against the guard band and never reported to full precision.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import CapExceeded, EmptyReference, FieldMismatch
+from .errors import ArityMismatch, CapExceeded, EmptyReference, FieldMismatch
 from .gf_linalg import Field, rref_mod, span_basis
 
 GUARD = 1e-9
 CAP_GROUP_ORDER = 2 ** 16
+
+
+def _digit_rows(ell: int, r: int) -> np.ndarray:
+    """Base-ell digits of 0..ell^r - 1, most significant first: the rows of
+    itertools.product(range(ell), repeat=r), in its order."""
+    weights = ell ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    return (np.arange(ell ** r, dtype=np.int64)[:, None] // weights) % ell
 
 
 @dataclass
@@ -29,7 +48,7 @@ class FourierContext:
     basis: np.ndarray          # rref rows, shape (r, dim)
     pivots: tuple
     elements: list             # sorted point codes of the subgroup
-    _coords: dict = dc_field(default_factory=dict, repr=False)
+    coord_rows: np.ndarray = dc_field(repr=False)  # (|G|, r): coords of elements[i]
 
     @staticmethod
     def for_generators(field: Field, codes) -> "FourierContext":
@@ -42,18 +61,12 @@ class FourierContext:
         order = field.ell ** r
         if order > CAP_GROUP_ORDER:
             raise CapExceeded("fourier group order", order, CAP_GROUP_ORDER)
-        # enumerate the subgroup and record coordinates (= digits at pivots)
-        import itertools
-
-        elements = []
-        coords = {}
-        for combo in itertools.product(range(field.ell), repeat=r):
-            vec = (np.array(combo, dtype=np.int64) @ basis) % field.ell if r else np.zeros(field.dim, dtype=np.int64)
-            code = int(field.encode_batch(vec.reshape(1, -1))[0])
-            elements.append(code)
-            coords[code] = tuple(combo)
-        elements.sort()
-        return FourierContext(field, basis, tuple(pivots), elements, coords)
+        # every coordinate row times the basis (encode_batch reduces mod ell),
+        # then sorted by point code
+        combos = _digit_rows(field.ell, r)
+        group = field.encode_batch(combos @ basis)
+        perm = np.argsort(group)
+        return FourierContext(field, basis, tuple(pivots), group[perm].tolist(), combos[perm])
 
     @property
     def rank(self) -> int:
@@ -63,35 +76,45 @@ class FourierContext:
     def order(self) -> int:
         return len(self.elements)
 
+    def _row(self, code):
+        """Index of code in elements, or None when it is not in the group."""
+        i = bisect.bisect_left(self.elements, code)
+        return i if i < len(self.elements) and self.elements[i] == code else None
+
+    def _member_rows(self, subset):
+        """Sorted indices into elements of the codes of subset in the group."""
+        return sorted(i for i in map(self._row, set(subset)) if i is not None)
+
+    def _check_dual(self, dual):
+        if len(dual) != self.rank:
+            raise ArityMismatch(f"dual vector length {len(dual)} != rank {self.rank}")
+
     def coords(self, code: int):
-        try:
-            return self._coords[code]
-        except KeyError:
-            raise FieldMismatch(f"point {code} not in the Fourier group") from None
+        i = self._row(code)
+        if i is None:
+            raise FieldMismatch(f"point {code} not in the Fourier group")
+        return tuple(self.coord_rows[i].tolist())
 
     def dual_vectors(self):
-        import itertools
-
         return itertools.product(range(self.field.ell), repeat=self.rank)
 
     def char_value(self, dual, code: int) -> complex:
+        self._check_dual(dual)
         c = self.coords(code)
         phase = sum(a * x for a, x in zip(dual, c)) % self.field.ell
         return cmath.exp(2j * cmath.pi * phase / self.field.ell)
 
     def kernel(self, dual):
         """Sorted codes of {x in G : <dual, coords(x)> = 0}."""
-        ell = self.field.ell
-        return sorted(
-            code
-            for code in self.elements
-            if sum(a * x for a, x in zip(dual, self._coords[code])) % ell == 0
-        )
+        self._check_dual(dual)
+        mask = (self.coord_rows @ np.asarray(dual, dtype=np.int64)) % self.field.ell == 0
+        return np.asarray(self.elements, dtype=np.int64)[mask].tolist()
 
     # ---- transforms ---------------------------------------------------
 
     def coeff(self, subset, dual) -> complex:
         """hat{1_A}(chi) = (1/|G|) sum_{x in G} 1_A(x) conj(chi(x))."""
+        self._check_dual(dual)
         sub = set(subset)
         total = 0j
         for code in self.elements:
@@ -100,8 +123,25 @@ class FourierContext:
         return total / self.order
 
     def all_coeffs(self, subset):
-        """dict dual vector -> coefficient, for the indicator of subset."""
-        return {tuple(d): self.coeff(subset, d) for d in self.dual_vectors()}
+        """dict dual vector -> coefficient, for the indicator of subset.
+
+        Equal bit for bit to `coeff` at every dual (see the module docstring)."""
+        ell = self.field.ell
+        table = np.array([cmath.exp(2j * cmath.pi * k / ell).conjugate() for k in range(ell)])
+        table_re, table_im = table.real, table.imag
+        duals = _digit_rows(ell, self.rank)
+        re = np.zeros(self.order)
+        im = np.zeros(self.order)
+        for i in self._member_rows(subset):
+            phase = (duals @ self.coord_rows[i]) % ell
+            re += table_re[phase]
+            im += table_im[phase]
+        # coeff's `total / order` divides each part by float(order); a complex
+        # numpy division would multiply by a reciprocal instead
+        re /= self.order
+        im /= self.order
+        return {tuple(d): complex(x, y)
+                for d, x, y in zip(duals.tolist(), re.tolist(), im.tolist())}
 
     def parseval_check(self, subset):
         """(sum |coeff|^2, E[1_A], abs error) — Parseval for an indicator."""
@@ -112,13 +152,14 @@ class FourierContext:
 
     def inversion_check(self, subset):
         """Max pointwise error of f(x) = sum_chi hat f(chi) chi(x)."""
-        coeffs = self.all_coeffs(subset)
-        sub = set(subset)
-        worst = 0.0
-        for code in self.elements:
-            val = sum(c * self.char_value(d, code) for d, c in coeffs.items())
-            worst = max(worst, abs(val - (1.0 if code in sub else 0.0)))
-        return worst
+        coeffs = np.fromiter(self.all_coeffs(subset).values(), complex, self.order)
+        # the duals run over the (ell,)*r grid in C order, so the inverse
+        # transform is indexed by coordinates
+        grid = self.order * np.fft.ifftn(coeffs.reshape((self.field.ell,) * self.rank))
+        values = grid[tuple(self.coord_rows.T)]  # f at each of elements
+        indicator = np.zeros(self.order)
+        indicator[self._member_rows(subset)] = 1.0
+        return float(np.max(np.abs(values - indicator)))
 
     def heavy_characters(self, subset, eps: float, include_trivial: bool = False):
         """Characters with |coeff| >= eps (1e-9 guard band), sorted by dual vector."""

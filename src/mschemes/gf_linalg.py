@@ -322,22 +322,3 @@ def in_span(field: Field, basis: np.ndarray, code: int) -> bool:
     aug = np.vstack([basis, vec])
     return rank_mod(aug, field.ell) == basis.shape[0]
 
-
-def coords_in_basis(field: Field, basis: np.ndarray, code: int):
-    """Coordinates of a point in the given rref row basis, or None."""
-    r = basis.shape[0]
-    vec = field.decode_batch([code])[0]
-    if r == 0:
-        return () if code == 0 else None
-    # solve c @ basis = vec via rref of [basis^T | vec]
-    aug = np.concatenate([basis.T, vec.reshape(-1, 1)], axis=1)
-    red, pivots = rref_mod(aug, field.ell)
-    if r in pivots:  # pivot in augmented column -> inconsistent
-        return None
-    sol = [0] * r
-    for row, p in enumerate(pivots):
-        sol[p] = int(red[row, -1])
-    # verify (non-pivot free vars set to 0 must still reproduce vec exactly)
-    if not np.array_equal((np.array(sol) @ basis) % field.ell, vec % field.ell):
-        return None
-    return tuple(sol)

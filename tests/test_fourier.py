@@ -1,11 +1,20 @@
 """Character sums on subgroups of F_ell^d: Parseval, inversion, heavy sets."""
+import csv
+import io
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mschemes.errors import CapExceeded, EmptyReference, FieldMismatch
-from mschemes.fourier import GUARD, FourierContext
+from mschemes.errors import (
+    ArityMismatch,
+    CapExceeded,
+    EmptyReference,
+    FieldMismatch,
+    InputError,
+)
+from mschemes.fourier import CAP_GROUP_ORDER, GUARD, FourierContext
 from mschemes.gf_linalg import Field
 
 CASES = [(2, 4), (3, 3), (5, 2)]
@@ -16,6 +25,73 @@ def ctx_for(ell, dim):
     f = Field(ell, dim)
     # basis vectors e_i have codes ell^i under the positional encoding
     return FourierContext.for_generators(f, [ell ** i for i in range(dim)])
+
+
+# (ell, dim, generators): the full groups of CASES and a proper subgroup
+ORACLE_CONTEXTS = [(ell, dim, [ell ** i for i in range(dim)]) for ell, dim in CASES]
+ORACLE_CONTEXTS.append((2, 4, [3, 5]))
+oracle_ix = st.integers(0, len(ORACLE_CONTEXTS) - 1)
+
+
+def same_float(x, y):
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+@given(oracle_ix, st.data())
+@settings(max_examples=40, deadline=None)
+def test_all_coeffs_equal_defining_sum_bit_for_bit(ix, data):
+    ell, dim, gens = ORACLE_CONTEXTS[ix]
+    ctx = FourierContext.for_generators(Field(ell, dim), gens)
+    # codes outside the group (and outside the code range) must be ignored
+    subset = data.draw(st.sets(st.integers(-2, ell ** dim + 2)))
+    coeffs = ctx.all_coeffs(subset)
+    assert list(coeffs) == [tuple(d) for d in ctx.dual_vectors()]
+    rows = [["dual_vector", "re", "im", "abs"]]
+    for dual, c in coeffs.items():
+        want = ctx.coeff(subset, dual)
+        assert same_float(c.real, want.real) and same_float(c.imag, want.imag), dual
+        rows.append([" ".join(map(str, dual)), f"{want.real:.12e}",
+                     f"{want.imag:.12e}", f"{abs(want):.12e}"])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert ctx.coeffs_csv(subset) == buf.getvalue()
+
+
+@pytest.mark.parametrize("ell, dim, gens", ORACLE_CONTEXTS)
+def test_kernel_matches_brute_force(ell, dim, gens):
+    ctx = FourierContext.for_generators(Field(ell, dim), gens)
+    for dual in ctx.dual_vectors():
+        want = [code for code in ctx.elements
+                if sum(a * x for a, x in zip(dual, ctx.coords(code))) % ell == 0]
+        assert ctx.kernel(dual) == want
+
+
+def test_dual_of_wrong_length_is_rejected():
+    ctx = ctx_for(3, 3)
+    assert issubclass(ArityMismatch, InputError)  # exit code 2
+    for dual in [(1,), (1, 0, 0, 5), ()]:
+        with pytest.raises(ArityMismatch):
+            ctx.kernel(dual)
+        with pytest.raises(ArityMismatch):
+            ctx.coeff({1, 2}, dual)
+        with pytest.raises(ArityMismatch):
+            ctx.coeff(set(), dual)
+        with pytest.raises(ArityMismatch):
+            ctx.char_value(dual, 1)
+
+
+def test_group_at_the_order_cap():
+    ell, dim = 2, 16
+    assert ell ** dim == CAP_GROUP_ORDER
+    ctx = ctx_for(ell, dim)
+    assert ctx.order == CAP_GROUP_ORDER and ctx.elements == list(range(CAP_GROUP_ORDER))
+    subset = random.Random(16).sample(ctx.elements, 64)
+    assert ctx.parseval_check(subset)[2] <= 1e-9
+    assert ctx.inversion_check(subset) <= 1e-9
+    eps = 64 / CAP_GROUP_ORDER  # the trivial coefficient, |A|/|G|
+    heavy = ctx.heavy_characters(subset, eps, include_trivial=True)
+    assert heavy[0] == ((0,) * dim, eps)
+    assert all(abs(c) >= eps - GUARD for _, c in heavy)
 
 
 @given(case_ix, st.data())
