@@ -6,6 +6,7 @@ nothing here touches floating point.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -26,9 +27,9 @@ class PointSet:
     @staticmethod
     def from_codes(field: Field, codes: Iterable[int]) -> "PointSet":
         cs = sorted(set(int(c) for c in codes))
-        for c in cs:
-            if not (0 <= c < field.q):
-                raise InputError(f"point code {c} outside field")
+        if cs and (cs[0] < 0 or cs[-1] >= field.q):
+            bad = cs[0] if cs[0] < 0 else cs[bisect_left(cs, field.q)]
+            raise InputError(f"point code {bad} outside field")
         return PointSet(field, tuple(cs))
 
     @staticmethod
@@ -39,7 +40,8 @@ class PointSet:
         return len(self.codes)
 
     def __contains__(self, code):
-        return code in set(self.codes)
+        i = bisect_left(self.codes, code)
+        return i < len(self.codes) and self.codes[i] == code
 
     def vectors(self):
         return [self.field.decode(c) for c in self.codes]
@@ -72,20 +74,21 @@ def _require_same_field(*sets: PointSet):
     return f
 
 
+def _pair_sums(field: Field, a: PointSet, b: PointSet) -> np.ndarray:
+    """Flat array of x + y over (x, y) in A x B, x-major."""
+    xs = np.asarray(a.codes, dtype=np.int64)
+    ys = np.asarray(b.codes, dtype=np.int64)
+    return field.add_codes(xs[:, None], ys[None, :]).reshape(-1)
+
+
 def sumset(a: PointSet, b: PointSet) -> PointSet:
     field = _require_same_field(a, b)
-    if not a.codes or not b.codes:
-        return PointSet(field, ())
-    da = field.decode_batch(a.codes)
-    db = field.decode_batch(b.codes)
-    sums = (da[:, None, :] + db[None, :, :]) % field.ell
-    codes = field.encode_batch(sums.reshape(-1, field.dim))
-    return PointSet.from_codes(field, codes.tolist())
+    return PointSet(field, tuple(np.unique(_pair_sums(field, a, b)).tolist()))
 
 
 def negate(a: PointSet) -> PointSet:
-    codes = a.field.encode_batch((-a.field.decode_batch(a.codes)) % a.field.ell)
-    return PointSet.from_codes(a.field, codes.tolist())
+    codes = a.field.neg_codes(np.asarray(a.codes, dtype=np.int64))
+    return PointSet(a.field, tuple(np.unique(codes).tolist()))
 
 
 def difference_set(a: PointSet, b: PointSet) -> PointSet:
@@ -131,11 +134,7 @@ def density(a: PointSet) -> Fraction:
 def sum_histogram(a: PointSet, b: PointSet):
     """dict z -> #{(x,y) in A x B : x + y = z}."""
     field = _require_same_field(a, b)
-    da = field.decode_batch(a.codes)
-    db = field.decode_batch(b.codes)
-    sums = (da[:, None, :] + db[None, :, :]) % field.ell
-    codes = field.encode_batch(sums.reshape(-1, field.dim))
-    vals, counts = np.unique(codes, return_counts=True)
+    vals, counts = np.unique(_pair_sums(field, a, b), return_counts=True)
     return {int(z): int(c) for z, c in zip(vals, counts)}
 
 
@@ -172,8 +171,8 @@ def is_coset(a: PointSet) -> bool:
     if not a.codes:
         return False
     field = a.field
-    x0 = a.codes[0]
-    shifted = {field.sub(c, x0) for c in a.codes}
+    shifted = set(field.sub_codes(np.asarray(a.codes, dtype=np.int64),
+                                  a.codes[0]).tolist())
     return shifted == set(span_points(field, shifted))
 
 

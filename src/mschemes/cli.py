@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -347,8 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: parsing keeps no state in it (no append
+    actions, no mutable defaults), so one build serves every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     import os
 
     prev_cap = os.environ.get("LMS_CAP_TUPLES")

@@ -205,18 +205,24 @@ def _sum_decomposition(sch: Scheme, target: int, t: int):
     """target as sum of exactly t scaled carrier points; returns a list of
     (coefficient, point code) of length t, or None."""
     f = sch.field
+    s_codes = list(sch.s_codes)
+    # scaled[j, lam] is the code of lam * s_j
+    lams = np.arange(f.ell, dtype=np.int64)
+    scaled = f.encode_batch(lams[None, :, None] * f.decode_batch(s_codes)[:, None, :])
     # BFS layers with parent pointers over exact r-fold sums (coefficient 0
-    # terms allowed, so reachability is monotone in r)
-    layer = {0: None}
-    layers = [layer]
+    # terms allowed, so reachability is monotone in r); each layer keys its
+    # sums in first-hit order of the (value, carrier point, lam) scan
+    layers = [{0: None}]
     for _ in range(t):
+        vals = list(layers[-1])
+        sums = f.add_codes(np.asarray(vals, dtype=np.int64)[:, None, None],
+                           scaled[None])
+        keys, first = np.unique(sums.reshape(-1), return_index=True)
         nxt = {}
-        for val in layers[-1]:
-            for c in sch.s_codes:
-                for lam in range(f.ell):
-                    new = f.add(val, f.smul(lam, c))
-                    if new not in nxt:
-                        nxt[new] = (val, lam, c)
+        for j in np.argsort(first).tolist():
+            v, rest = divmod(int(first[j]), len(s_codes) * f.ell)
+            c, lam = divmod(rest, f.ell)
+            nxt[int(keys[j])] = (vals[v], lam, s_codes[c])
         layers.append(nxt)
     if target not in layers[t]:
         return None

@@ -4,6 +4,14 @@ Points of V = F_ell^d are coded as integers in [0, ell^d): base-ell digits,
 coordinate 0 most significant.  k-tuples of points are coded in base q = ell^d
 with tuple coordinate 1 most significant; the integer tuple code is the single
 ordering currency used everywhere (block numbering, reports, JSON).
+
+Point arithmetic has one path, `Field.add_codes/sub_codes/neg_codes`: codes
+in, codes out.  The arguments are ints or integer arrays of codes and
+broadcast like numpy; a 0-d result comes back as a Python int.  Every call
+checks the point-space cap and the range [0, q) of its codes once (min and
+max), raising CapExceeded or IndexOutOfRange.  For ell = 2 addition and
+subtraction are the XOR of codes and negation is the identity; otherwise the
+codes go through the cached digit table and `encode_batch`.
 """
 from __future__ import annotations
 
@@ -29,7 +37,12 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """Ambient vector space F_ell^dim with point-coding helpers."""
+    """Ambient vector space F_ell^dim with point coding and point arithmetic.
+
+    `add_codes`, `sub_codes` and `neg_codes` take point codes (ints or
+    arrays, broadcast like numpy) and return codes; codes outside [0, q)
+    raise IndexOutOfRange.  For ell = 2 they are XOR and the identity.
+    """
 
     ell: int
     dim: int
@@ -81,17 +94,45 @@ class Field:
 
     # ---- point arithmetic (on codes) ---------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return int(self.encode_batch(self.decode_batch([a]) + self.decode_batch([b]))[0])
+    def _point_codes(self, codes) -> np.ndarray:
+        """`codes` as an int64 array, after the point-space cap and one
+        min/max range check."""
+        cap = cap_tuples()
+        if self.q > cap:
+            raise CapExceeded("point space", self.q, cap)
+        arr = np.asarray(codes, dtype=np.int64)
+        if arr.size:
+            lo, hi = int(arr.min()), int(arr.max())
+            if lo < 0 or hi >= self.q:
+                bad = lo if lo < 0 else hi
+                raise IndexOutOfRange(f"point code {bad} outside [0, {self.q})")
+        return arr
 
-    def sub(self, a: int, b: int) -> int:
-        return int(self.encode_batch(self.decode_batch([a]) - self.decode_batch([b]))[0])
+    @staticmethod
+    def _codes_out(arr: np.ndarray):
+        return int(arr) if arr.ndim == 0 else arr
 
-    def neg(self, a: int) -> int:
-        return int(self.encode_batch(-self.decode_batch([a]))[0])
+    def _combine(self, a, b, sign: int):
+        a, b = self._point_codes(a), self._point_codes(b)
+        if self.ell == 2:
+            return self._codes_out(a ^ b)
+        table = self._digit_table()
+        return self._codes_out(self.encode_batch(table[a] + sign * table[b]))
 
-    def smul(self, c: int, a: int) -> int:
-        return int(self.encode_batch(c * self.decode_batch([a]))[0])
+    def add_codes(self, a, b):
+        """Codes of a + b, broadcast like numpy over ints or code arrays."""
+        return self._combine(a, b, 1)
+
+    def sub_codes(self, a, b):
+        """Codes of a - b, broadcast like numpy over ints or code arrays."""
+        return self._combine(a, b, -1)
+
+    def neg_codes(self, a):
+        """Codes of -a, elementwise over an int or a code array."""
+        a = self._point_codes(a)
+        if self.ell == 2:
+            return self._codes_out(a.copy())
+        return self._codes_out(self.encode_batch(-self._digit_table()[a]))
 
     @property
     def zero(self) -> int:

@@ -221,15 +221,34 @@ def nu_plus(aprime: PointSet, b: PointSet, z: int) -> int:
     return sum_histogram(aprime, b).get(int(z), 0)
 
 
+def _codes_array(codes) -> np.ndarray:
+    return np.fromiter(map(int, codes), dtype=np.int64)
+
+
+def _z_mask(field, ap_codes, b_codes, z_set) -> np.ndarray:
+    """|A'| x |B| boolean mask of x + y in Z."""
+    sums = field.add_codes(_codes_array(ap_codes)[:, None],
+                           _codes_array(b_codes)[None, :])
+    return np.isin(sums, _codes_array(z_set))
+
+
+def _z_slices(field, ap_codes, b_codes, z_set, x0):
+    """The complement branch's reads of one membership mask: |Z_x| for each
+    x in A' in order, and the piece {y in B : x0 + y in Z} in B's order."""
+    mask = _z_mask(field, ap_codes, b_codes, z_set)
+    piece = _codes_array(b_codes)[mask[list(ap_codes).index(x0)]].tolist()
+    return mask.sum(axis=1).tolist(), piece
+
+
 def z_slice_sizes(field, ap_codes, b_codes, z_set) -> dict:
     """x -> |{y in B : x + y in Z}| for every x in A'.
 
     The complement branch of the fibre shrink relies on these sizes being
     equal for all x; exposing the computation lets that claim be probed
     independently of the branch logic."""
-    z_set = set(int(z) for z in z_set)
-    return {x: sum(1 for y in b_codes if field.add(x, y) in z_set)
-            for x in ap_codes}
+    ap_codes = list(ap_codes)
+    counts = _z_mask(field, ap_codes, b_codes, z_set).sum(axis=1)
+    return dict(zip(ap_codes, counts.tolist()))
 
 
 def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
@@ -259,7 +278,6 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
         raise PreconditionUnmet("A⊆B^k", "block A has coordinates outside B")
     sig = _sigma_codes(sch, k, rows)
     ap_codes = sorted(set(int(c) for c in sig))
-    ap_set = set(ap_codes)
     b_ps = PointSet.from_codes(f, b_codes)
     ap_ps = PointSet.from_codes(f, ap_codes)
     hist = sum_histogram(ap_ps, b_ps)
@@ -274,25 +292,25 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
     if sum(hist.values()) != n_ap * n_b:
         raise LemmaViolation("nu+ mass: sum_z nu+(z) != |A'||B|")
 
+    # sqrt(K) <= nu+(z) <= |B|/sqrt(K), squared and cleared of K's denominator
+    kn, kd = K.numerator, K.denominator
     window = [z for z in sorted(hist)
-              if hist[z] ** 2 >= K and Fraction(hist[z]) ** 2 * K <= n_b ** 2]
+              if hist[z] ** 2 * kd >= kn and hist[z] ** 2 * kn <= n_b ** 2 * kd]
     steps = [TraceStep("shrink_weak", "gate", (), {
         "|B|": n_b, "|A'|": n_ap, "|A'+B|": n_sum, "k": k,
     }, [gate_lo, gate_hi])]
 
     if window:
         z = window[0]
-        choice = None
-        for i, srow in enumerate(sig):
-            xk1 = f.sub(z, int(srow))
-            if xk1 in b_set:
-                choice = (i, xk1)
-                break
-        if choice is None:
+        b_arr = _codes_array(b_codes)
+        xk1s = f.sub_codes(z, sig)
+        hits = np.flatnonzero(np.isin(xk1s, b_arr))
+        if not len(hits):
             raise LemmaViolation("shrink_weak: no tuple of A sums with B to z")
-        i, xk1 = choice
-        prefix = tuple(int(c) for c in a_tuples[i]) + (xk1,)
-        t_codes = sorted(y for y in b_codes if f.sub(z, y) in ap_set)
+        i = int(hits[0])
+        prefix = tuple(int(c) for c in a_tuples[i]) + (int(xk1s[i]),)
+        in_ap = np.isin(f.sub_codes(z, b_arr), _codes_array(ap_codes))
+        t_codes = b_arr[in_ap].tolist()
         recs = [ineq(len(t_codes), "==", hist[z], note="|T|=nu+(z)")]
         recs += _sqrt_bounds(len(t_codes), K, n_b)
         require_ineqs("shrink_weak/nu-window", recs)
@@ -304,9 +322,10 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
         return ShrinkOutcome("nu-window", prefix, ids, tuple(t_codes), n_b, steps)
 
     # complement branch: every z has nu+(z) < sqrt(K) or > |B|/sqrt(K)
-    z_set = {z for z in hist if hist[z] ** 2 < K}
-    slice_sizes = z_slice_sizes(f, ap_codes, b_codes, z_set)
-    sizes = set(slice_sizes.values())
+    z_set = {z for z in hist if hist[z] ** 2 * kd < kn}
+    x0 = int(sig[0])
+    slice_sizes, piece = _z_slices(f, ap_codes, b_codes, z_set, x0)
+    sizes = set(slice_sizes)
     if len(sizes) != 1:
         raise LemmaViolation(
             f"shrink_weak: |Z_x| not constant over A' (saw sizes {sorted(sizes)})"
@@ -315,8 +334,6 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
     recs = _sqrt_bounds(size, K, n_b)
     require_ineqs("shrink_weak/z-complement", recs)
     prefix = tuple(int(c) for c in a_tuples[0]) + (b_codes[0],)
-    x0 = int(sig[0])
-    piece = sorted(y for y in b_codes if f.add(x0, y) in z_set)
     fib_full = sch.fiber(prefix)
     ids_full = _level1_union_ids(fib_full, piece)
     steps.append(TraceStep("shrink_weak", "z-complement", prefix, {
@@ -685,23 +702,45 @@ class BsgResult:
 
 
 def _group_convolve(field, fa: dict, fb: dict) -> dict:
-    out: dict = {}
-    for z1, c1 in fa.items():
-        for z2, c2 in fb.items():
-            z = field.add(z1, z2)
-            out[z] = out.get(z, 0) + c1 * c2
-    return out
+    """z -> sum of fa(z1) fb(z2) over z1 + z2 = z, keyed in first-hit order
+    of the (z1, z2) scan in the dicts' order."""
+    sums = field.add_codes(_codes_array(fa)[:, None], _codes_array(fb)[None, :])
+    # int64 is exact while the total mass fits; exact Python ints beyond it
+    dtype = np.int64 if sum(fa.values()) * sum(fb.values()) < 2 ** 63 else object
+    weights = (np.array(list(fa.values()), dtype=dtype)[:, None]
+               * np.array(list(fb.values()), dtype=dtype)[None, :])
+    keys, first, inverse = np.unique(sums.reshape(-1), return_index=True,
+                                     return_inverse=True)
+    totals = np.zeros(len(keys), dtype=dtype)
+    np.add.at(totals, inverse, weights.reshape(-1))
+    return {int(keys[j]): int(totals[j]) for j in np.argsort(first)}
 
 
 def representation_counts(bset: PointSet) -> dict:
     """w -> #{(x_i, y_i)_{i<=4} in B^8 : (x1-y1)-(x2-y2)-(x3-y3)+(x4-y4) = w}."""
     f = bset.field
     d = diff_histogram(bset, bset)
-    dm = {f.neg(z): c for z, c in d.items()}
+    dm = dict(zip(f.neg_codes(_codes_array(d)).tolist(), d.values()))
     conv = _group_convolve(f, d, dm)
     conv = _group_convolve(f, conv, dm)
     conv = _group_convolve(f, conv, d)
     return conv
+
+
+def _difference_adjacency(field, b_codes, t_set) -> np.ndarray:
+    """|B| x |B| mask of b_i - b_j in T: row i is N(b_i), column j is N'(b_j)."""
+    b_arr = _codes_array(b_codes)
+    return np.isin(field.sub_codes(b_arr[:, None], b_arr[None, :]), _codes_array(t_set))
+
+
+def _low_degree_piece(adj, b_arr, thresh, big_n) -> list:
+    """The y in N'(b_0) with 3 deg(y) <= big_n, ascending when B is, where
+    deg(y) = #{z in N'(b_0), z != y : |N(y) ∩ N(z)| <= thresh}."""
+    verts = adj[:, 0]
+    vrows = adj[verts].astype(np.int64)
+    low = vrows @ vrows.T <= math.floor(thresh)
+    np.fill_diagonal(low, False)
+    return b_arr[verts][3 * low.sum(axis=1) <= big_n].tolist()
 
 
 def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) -> BsgResult:
@@ -728,12 +767,10 @@ def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) 
                            f"E(B)={energy} < {gamma * Fraction(n) ** 3}")
     nu = diff_histogram(b_ps, b_ps)
     t_set = {z for z, c in nu.items() if c >= gamma * n / 2}
-    neigh = {x: frozenset(y for y in b_codes if f.sub(x, y) in t_set)
-             for x in b_codes}
-    coneigh = {y: frozenset(x for x in b_codes if f.sub(x, y) in t_set)
-               for y in b_codes}
-    n_sizes = {len(s) for s in neigh.values()}
-    np_sizes = {len(s) for s in coneigh.values()}
+    b_arr = _codes_array(b_codes)
+    adj = _difference_adjacency(f, b_arr, t_set)
+    n_sizes = set(adj.sum(axis=1).tolist())
+    np_sizes = set(adj.sum(axis=0).tolist())
     if len(n_sizes) != 1 or len(np_sizes) != 1:
         raise LemmaViolation("fibre constancy of |N(x)| / |N'(x)| failed")
     big_n = n_sizes.pop()
@@ -742,18 +779,13 @@ def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) 
     recs = [ineq(gamma * n, "<=", 2 * big_n, note="N>=gamma|B|/2")]
     require_ineqs("bsg_extract", recs)
     # every neighbourhood must be a fibre-level block union
-    for x in b_codes:
+    for i, x in enumerate(b_codes):
         fibx = sch.fiber((x,))
-        _level1_union_ids(fibx, neigh[x])
-        _level1_union_ids(fibx, coneigh[x])
+        _level1_union_ids(fibx, b_arr[adj[i]])
+        _level1_union_ids(fibx, b_arr[adj[:, i]])
 
     x0 = b_codes[0]
-    thresh = gamma * gamma * n / 36
-    verts = sorted(coneigh[x0])
-    deg = {y: sum(1 for z in verts
-                  if z != y and len(neigh[y] & neigh[z]) <= thresh)
-           for y in verts}
-    piece = sorted(y for y in verts if 3 * deg[y] <= big_n)
+    piece = _low_degree_piece(adj, b_arr, gamma * gamma * n / 36, big_n)
     recs.append(ineq(2 * big_n, "<=", 3 * len(piece), note="|B'|>=2N/3"))
     recs.append(ineq(gamma * n, "<=", 3 * len(piece), note="|B'|>=gamma|B|/3"))
     piece_ps = PointSet.from_codes(f, piece)
@@ -766,8 +798,9 @@ def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) 
     if check_representations:
         conv = representation_counts(b_ps)
         bound = Fraction(gamma ** 9 * Fraction(n) ** 7, 2 ** 17)
-        worst = min(conv.get(f.sub(a1, a2), 0)
-                    for a1 in piece for a2 in piece)
+        p_arr = _codes_array(piece)
+        diffs = np.unique(f.sub_codes(p_arr[:, None], p_arr[None, :]))
+        worst = min(conv.get(d, 0) for d in diffs.tolist())
         recs.append(ineq(bound, "<", worst,
                          note="representation count > 2^-17 gamma^9 |B|^7"))
         require_ineqs("bsg_extract/representations", recs[-1:])
@@ -1368,17 +1401,16 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
                              note="nu+(z0)<=2gamma|U|"))
             recs.append(ineq(thr, "<=", hist[z0], note="nu+(z0)>=|U|/(2K^2)"))
             require_ineqs("density_reduce/cardinality", recs)
-            pair = None
-            for a1 in u_codes:
-                a2 = f.sub(z0, a1)
-                if a2 in set(u_codes):
-                    pair = (a1, a2)
-                    break
-            if pair is None:
+            u_arr = _codes_array(u_codes)
+            partners = f.sub_codes(z0, u_arr)
+            in_u = np.isin(partners, u_arr)
+            hits = np.flatnonzero(in_u)
+            if not len(hits):
                 raise LemmaViolation("z0 not representable in U + U")
+            pair = (u_codes[hits[0]], int(partners[hits[0]]))
             if cur2.m < 3:
                 raise DepthExhausted("cardinality round needs two more levels")
-            new_u = sorted(a for a in u_codes if f.sub(z0, a) in set(u_codes))
+            new_u = u_arr[in_u].tolist()
             recs.append(ineq(len(new_u), "==", hist[z0], note="|U(i)|=nu+(z0)"))
             require_ineqs("density_reduce/cardinality", recs[-1:])
             fib2 = cur2.fiber(pair)

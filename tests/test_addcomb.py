@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import point_oracle as oracle
 from mschemes.addcomb import (
     PointSet,
     additive_energy,
@@ -24,7 +25,7 @@ from mschemes.addcomb import (
     sumset,
     symmetrized,
 )
-from mschemes.errors import FieldMismatch, PreconditionUnmet
+from mschemes.errors import FieldMismatch, InputError, PreconditionUnmet
 from mschemes.gf_linalg import Field, span_points
 
 F23 = Field(2, 3)
@@ -41,10 +42,36 @@ def ps(f, codes):
 @given(subsets32, subsets32)
 def test_sumset_definition(a_codes, b_codes):
     a, b = ps(F32, a_codes), ps(F32, b_codes)
-    expected = {F32.add(x, y) for x in a_codes for y in b_codes}
+    expected = {oracle.add(F32, x, y) for x in a_codes for y in b_codes}
     assert set(sumset(a, b).codes) == expected
     assert set(sumset(b, a).codes) == expected
     assert len(sumset(a, b)) >= max(len(a), len(b))
+
+
+def test_from_codes_names_first_code_outside_field():
+    assert ps(F32, [8, 0, 8]).codes == (0, 8)
+    for codes, bad in (([3, -2, -1], -2), ([3, 10, 9], 9), ([-1, 9], -1)):
+        with pytest.raises(InputError, match=f"point code {bad} outside field"):
+            ps(F32, codes)
+
+
+@given(subsets32)
+def test_membership(a_codes):
+    a = ps(F32, a_codes)
+    for c in range(-2, F32.q + 2):
+        assert (c in a) == (c in set(a_codes))
+
+
+@given(subsets32, subsets32)
+def test_sum_histogram_and_negate_definition(a_codes, b_codes):
+    a, b = ps(F32, a_codes), ps(F32, b_codes)
+    expect = {}
+    for x in a_codes:
+        for y in b_codes:
+            z = oracle.add(F32, x, y)
+            expect[z] = expect.get(z, 0) + 1
+    assert list(sum_histogram(a, b).items()) == sorted(expect.items())
+    assert negate(a).codes == tuple(sorted({oracle.neg(F32, x) for x in a_codes}))
 
 
 @given(subsets32, subsets32)
@@ -64,7 +91,7 @@ def test_iterated_sumset(a_codes):
 def test_symmetrized_contains_both_signs(a_codes):
     s = symmetrized(ps(F32, a_codes))
     assert set(s.codes) >= set(a_codes)
-    assert {F32.neg(c) for c in s.codes} == set(s.codes)
+    assert {oracle.neg(F32, c) for c in s.codes} == set(s.codes)
 
 
 @given(subsets23)
@@ -88,7 +115,7 @@ def test_diff_histogram_mass(a_codes):
 def test_subgroup_generated_is_a_group(a_codes):
     h = set(subgroup_generated(ps(F32, a_codes)).codes)
     assert F32.zero in h
-    assert all(F32.add(x, y) in h for x in h for y in h)
+    assert all(oracle.add(F32, x, y) in h for x in h for y in h)
     assert h == {int(c) for c in span_points(F32, a_codes)}
 
 
@@ -96,7 +123,7 @@ def test_is_coset_on_translates():
     f = Field(2, 4)
     sub = [int(c) for c in span_points(f, [3, 5])]
     assert is_coset(ps(f, sub))
-    shifted = [f.add(8, c) for c in sub]
+    shifted = [oracle.add(f, 8, c) for c in sub]
     assert is_coset(ps(f, shifted))
     assert additive_energy(ps(f, shifted)) == len(sub) ** 3
     assert not is_coset(ps(f, [1, 2, 3]))

@@ -1,4 +1,5 @@
 """Command-line surface: exit codes, reports, and file outputs."""
+import functools
 import importlib
 import json
 from pathlib import Path
@@ -128,3 +129,40 @@ def test_console_script_maps_to_cli_main():
     assert scripts["mscheme"] == "mschemes.cli:main"
     module_name, attr = scripts["mscheme"].split(":")
     assert getattr(importlib.import_module(module_name), attr) is main
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    from mschemes import cli
+
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return cli.build_parser()
+
+    argv_a = ["addcomb", "--ell", "3", "--dim", "2", "--set", "1,2,4"]
+    argv_b = ["fourier", "--ell", "2", "--dim", "3", "--set", "1,2,4",
+              "--out", str(tmp_path / "c.csv")]
+    bad = ["addcomb", "--ell", "three", "--dim", "2", "--set", "1"]
+
+    def fresh(argv):
+        args = cli.build_parser().parse_args(argv)
+        assert args.func(args) == 0
+        return capsys.readouterr().out
+
+    expect = {tuple(argv): fresh(argv) for argv in (argv_a, argv_b)}
+    with pytest.raises(SystemExit) as fresh_exit:
+        cli.build_parser().parse_args(bad)
+    capsys.readouterr()
+
+    monkeypatch.setattr(cli, "_shared_parser",
+                        functools.lru_cache(maxsize=1)(counting_build))
+    for argv in (argv_a, argv_b, argv_a, argv_b):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out == expect[tuple(argv)]
+    with pytest.raises(SystemExit) as shared_exit:
+        main(bad)
+    assert shared_exit.value.code == fresh_exit.value.code == 2
+    code, out, _ = run(capsys, argv_a)
+    assert code == 0 and out == expect[tuple(argv_a)]
+    assert len(built) == 1

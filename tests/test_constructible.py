@@ -1,7 +1,9 @@
 """Atom covers, constructibility certificates, and closure operations."""
 import pytest
 
+import point_oracle as oracle
 from mschemes.constructible import (
+    _sum_decomposition,
     boolean_difference,
     boolean_intersect,
     decide_constructible,
@@ -13,7 +15,7 @@ from mschemes.constructible import (
 )
 from mschemes.errors import DepthExhausted, PreconditionUnmet
 from mschemes.gf_linalg import Field, span_points
-from mschemes.instances import affine_coset_scheme, gl_orbit_scheme
+from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
 
 
 def test_atoms_are_block_images(gl2_m3):
@@ -87,11 +89,49 @@ def test_extend_subspace():
     zero_cert = decide_constructible(sch, [0], 1)
     assert zero_cert is not None
     # extend {0} to U itself: every basis vector is a 2-fold cone sum
-    target = sorted(int(c) for c in span_points(f, [f.sub(c, sch.s_codes[0])
+    target = sorted(int(c) for c in span_points(f, [oracle.sub(f, c, sch.s_codes[0])
                                                     for c in sch.s_codes]))
     prefix, cert = extend_subspace(sch, zero_cert, target, 2)
     assert cert.points == frozenset(target)
     assert verify_certificate(sch.fiber(prefix), cert)
+
+
+def _sum_layers_oracle(sch, t):
+    """Breadth-first layers of r-fold sums, r <= t, with parent pointers, by
+    the defining scalar loops."""
+    f = sch.field
+    layers = [{0: None}]
+    for _ in range(t):
+        nxt = {}
+        for val in layers[-1]:
+            for c in sch.s_codes:
+                for lam in range(f.ell):
+                    new = oracle.add(f, val, oracle.smul(f, lam, c))
+                    if new not in nxt:
+                        nxt[new] = (val, lam, c)
+        layers.append(nxt)
+    return layers
+
+
+@pytest.mark.parametrize("make", [
+    lambda: affine_coset_scheme(4, (0, 1), 2, m=12),
+    lambda: mul_coset_scheme(5, 2, 6, 0, 0, m=3),
+], ids=["coset-f2", "mulcoset-f5"])
+def test_sum_decomposition_matches_scalar_loops(make):
+    sch = make()
+    f = sch.field
+    for t in (1, 2, 3):
+        layers = _sum_layers_oracle(sch, t)
+        for target in range(f.q):
+            terms = _sum_decomposition(sch, target, t)
+            if target not in layers[t]:
+                assert terms is None
+                continue
+            expect, cur = [], target
+            for r in range(t, 0, -1):
+                cur, lam, c = layers[r][cur]
+                expect.append((lam, c))
+            assert terms == expect[::-1]
 
 
 def test_extend_subspace_preconditions(trivial_m3):

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mschemes.errors import InputError
+import point_oracle as oracle
+from mschemes.errors import CapExceeded, IndexOutOfRange, InputError
 from mschemes.gf_linalg import (
     Field,
     compose,
@@ -50,12 +51,73 @@ def test_encode_decode_roundtrip(ix, raw):
 def test_add_sub_neg(ix, ra, rb):
     f = Field(*FIELDS[ix])
     a, b = ra % f.q, rb % f.q
-    s = f.add(a, b)
-    assert f.sub(s, b) == a
-    assert f.add(a, f.neg(a)) == f.zero
+    s = f.add_codes(a, b)
+    assert f.sub_codes(s, b) == a
+    assert f.add_codes(a, f.neg_codes(a)) == f.zero
     # componentwise agreement with vector arithmetic
     va, vb = np.array(f.decode(a)), np.array(f.decode(b))
     assert f.encode(tuple((va + vb) % f.ell)) == s
+
+
+# one field per prime the point-arithmetic oracle test covers
+ORACLE_FIELDS = [(2, 5), (3, 3), (5, 2), (7, 2)]
+
+
+@given(st.integers(0, len(ORACLE_FIELDS) - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_point_ops_match_digitwise_oracle(ix, data):
+    f = Field(*ORACLE_FIELDS[ix])
+    codes = st.integers(0, f.q - 1)
+    a, b = data.draw(codes), data.draw(codes)
+    # scalars in, Python ints out
+    for got, want in ((f.add_codes(a, b), oracle.add(f, a, b)),
+                      (f.sub_codes(a, b), oracle.sub(f, a, b)),
+                      (f.neg_codes(a), oracle.neg(f, a))):
+        assert type(got) is int and got == want
+    # 1-D against 1-D, and a scalar broadcast over a 1-D array
+    xs = data.draw(st.lists(codes, min_size=0, max_size=6))
+    ys = data.draw(st.lists(codes, min_size=len(xs), max_size=len(xs)))
+    xa, ya = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    assert f.add_codes(xa, ya).tolist() == [oracle.add(f, x, y) for x, y in zip(xs, ys)]
+    assert f.sub_codes(xa, ya).tolist() == [oracle.sub(f, x, y) for x, y in zip(xs, ys)]
+    assert f.neg_codes(xa).tolist() == [oracle.neg(f, x) for x in xs]
+    assert f.sub_codes(a, xa).tolist() == [oracle.sub(f, a, x) for x in xs]
+    # a column against a row broadcasts to the full 2-D table
+    table = f.add_codes(xa[:, None], ya[None, :])
+    assert table.shape == (len(xs), len(ys))
+    assert table.tolist() == [[oracle.add(f, x, y) for y in ys] for x in xs]
+    diffs = f.sub_codes(ya[:, None], xa[None, :])
+    assert diffs.tolist() == [[oracle.sub(f, y, x) for x in xs] for y in ys]
+    # the outputs are codes again
+    assert all(0 <= c < f.q for c in table.reshape(-1).tolist())
+
+
+@pytest.mark.parametrize("ell,dim", ORACLE_FIELDS)
+def test_point_ops_reject_codes_outside_range(ell, dim):
+    f = Field(ell, dim)
+    # -1 would index the last digit row and come back as a valid code
+    for bad in (-1, f.q, [0, f.q], np.array([[1], [-1]])):
+        with pytest.raises(IndexOutOfRange):
+            f.add_codes(bad, 0)
+        with pytest.raises(IndexOutOfRange):
+            f.sub_codes(0, bad)
+        with pytest.raises(IndexOutOfRange):
+            f.neg_codes(bad)
+    # an empty array has nothing out of range
+    assert f.add_codes(np.zeros(0, dtype=np.int64), 1).shape == (0,)
+
+
+@pytest.mark.parametrize("ell,dim", [(2, 4), (3, 3)])
+def test_point_ops_respect_point_space_cap(ell, dim, monkeypatch):
+    f = Field(ell, dim)
+    assert f.add_codes(1, 2) >= 0  # warms the cached digit table
+    monkeypatch.setenv("MSCHEME_CAP_TUPLES", str(f.q - 1))
+    for call in (lambda: f.add_codes(1, 2), lambda: f.sub_codes(1, 2),
+                 lambda: f.neg_codes(1)):
+        with pytest.raises(CapExceeded):
+            call()
+    monkeypatch.setenv("MSCHEME_CAP_TUPLES", str(f.q))
+    assert f.neg_codes(0) == 0
 
 
 @given(field_ix, st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4))
@@ -71,7 +133,7 @@ def test_projection_summation_swap():
     pts = (4, 7, 2)
     for i in (1, 2, 3):
         assert tuple(projection(3, i).apply(f, pts)) == (pts[i - 1],)
-    total = f.add(f.add(4, 7), 2)
+    total = oracle.add(f, oracle.add(f, 4, 7), 2)
     assert tuple(summation(3).apply(f, pts)) == (total,)
     assert tuple(swap_map(3, 1, 3).apply(f, pts)) == (2, 7, 4)
     assert tuple(identity_map(3).apply(f, pts)) == pts

@@ -1,9 +1,13 @@
 """Refinement procedures: shrink, sumset loop, powers, extraction, reduction."""
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import point_oracle as oracle
+from mschemes import refine
 from mschemes.addcomb import PointSet
 from mschemes.errors import (
     EnergyTooLow,
@@ -74,6 +78,41 @@ def test_z_slice_sizes_definition():
     assert sizes == {1: 2, 2: 2}
 
 
+SLICE_FIELDS = [(2, 4), (3, 3), (5, 2)]
+
+
+def _codes(f, data, max_size):
+    return data.draw(st.lists(st.integers(0, f.q - 1), max_size=max_size,
+                              unique=True))
+
+
+@given(st.integers(0, len(SLICE_FIELDS) - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_z_slice_sizes_match_brute_force(ix, data):
+    f = Field(*SLICE_FIELDS[ix])
+    ap, b, z = (_codes(f, data, 12), _codes(f, data, 12), _codes(f, data, f.q))
+    z_set = set(z)
+    expect = {x: sum(1 for y in b if oracle.add(f, x, y) in z_set) for x in ap}
+    got = z_slice_sizes(f, ap, b, z_set)
+    assert got == expect and list(got) == ap
+
+
+@given(st.integers(0, len(SLICE_FIELDS) - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_z_complement_mask_matches_brute_force(ix, data):
+    # No carrier in the shrink-instance grids reaches the complement branch
+    # (every gated carrier has a nu+ value inside the window), so its reads
+    # of the membership mask are checked here against the defining loops.
+    f = Field(*SLICE_FIELDS[ix])
+    ap = sorted(_codes(f, data, 12)) or [0]
+    b = sorted(_codes(f, data, 12))
+    z_set = set(_codes(f, data, f.q))
+    x0 = data.draw(st.sampled_from(ap))
+    sizes, piece = refine._z_slices(f, ap, b, z_set, x0)
+    assert sizes == [sum(1 for y in b if oracle.add(f, x, y) in z_set) for x in ap]
+    assert piece == sorted(y for y in b if oracle.add(f, x0, y) in z_set)
+
+
 def test_shrink_weak_gate_unmet_on_subgroup_like_carrier():
     # GL orbit carrier is all nonzero vectors: |A'+B| is tiny, K|A'| is not
     sch = gl_orbit_scheme(2, 3, 6)
@@ -126,7 +165,7 @@ def test_scheme_power_carrier_is_sum_image():
     # carrier points are coordinate sums of tuples of A
     f = base.field
     rows = base.level(2).blocks()[a.b]
-    sums = {f.add(*base.instance.tuple_points(int(i), 2)) for i in rows}
+    sums = {oracle.add(f, *base.instance.tuple_points(int(i), 2)) for i in rows}
     assert set(power.s_codes) <= sums
 
 
@@ -138,18 +177,108 @@ def test_representation_counts_vs_loop():
     expect = {}
     for x1 in codes:
         for y1 in codes:
-            d1 = f.sub(x1, y1)
+            d1 = oracle.sub(f, x1, y1)
             for x2 in codes:
                 for y2 in codes:
-                    d2 = f.sub(d1, f.sub(x2, y2))
+                    d2 = oracle.sub(f, d1, oracle.sub(f, x2, y2))
                     for x3 in codes:
                         for y3 in codes:
-                            d3 = f.sub(d2, f.sub(x3, y3))
+                            d3 = oracle.sub(f, d2, oracle.sub(f, x3, y3))
                             for x4 in codes:
                                 for y4 in codes:
-                                    w = f.add(d3, f.sub(x4, y4))
+                                    w = oracle.add(f, d3, oracle.sub(f, x4, y4))
                                     expect[w] = expect.get(w, 0) + 1
     assert conv == expect
+
+
+def test_group_convolve_matches_loop():
+    f = Field(3, 2)
+    rng = random.Random(5)
+    for big in (1, 2 ** 40):  # the second overflows int64: exact ints
+        for _ in range(20):
+            fa, fb = ({z: big * rng.randint(1, 9)
+                       for z in rng.sample(range(f.q), rng.randint(0, 6))}
+                      for _ in range(2))
+            expect = {}
+            for z1, c1 in fa.items():
+                for z2, c2 in fb.items():
+                    z = oracle.add(f, z1, z2)
+                    expect[z] = expect.get(z, 0) + c1 * c2
+            got = refine._group_convolve(f, fa, fb)
+            assert list(got.items()) == list(expect.items())
+            assert all(type(k) is int and type(v) is int for k, v in got.items())
+
+
+def _bsg_oracle(sch, gamma):
+    """Neighbourhoods, piece and worst representation count of bsg_extract
+    on block 0, by the defining set loops."""
+    f = sch.field
+    b = sorted(sch.level1_block_set(0))
+    n = len(b)
+    nu = {}
+    for x in b:
+        for y in b:
+            d = oracle.sub(f, x, y)
+            nu[d] = nu.get(d, 0) + 1
+    t_set = {z for z, c in nu.items() if c >= gamma * n / 2}
+    neigh = {x: frozenset(y for y in b if oracle.sub(f, x, y) in t_set) for x in b}
+    coneigh = {y: frozenset(x for x in b if oracle.sub(f, x, y) in t_set) for y in b}
+    thresh = gamma * gamma * n / 36
+    verts = sorted(coneigh[b[0]])
+    deg = {y: sum(1 for z in verts if z != y and len(neigh[y] & neigh[z]) <= thresh)
+           for y in verts}
+    piece = sorted(y for y in verts if 3 * deg[y] <= len(neigh[b[0]]))
+    conv = representation_counts(PointSet.from_codes(f, b))
+    worst = min(conv.get(oracle.sub(f, a1, a2), 0) for a1 in piece for a2 in piece)
+    return t_set, neigh, coneigh, piece, worst
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_low_degree_piece_matches_set_loops(data):
+    # on the desk-scale carriers gamma^2|B|/36 < 1 and no two neighbourhoods
+    # in N'(x0) are disjoint, so the filter is checked on drawn graphs
+    n = data.draw(st.integers(1, 9))
+    adj = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                      min_size=n, max_size=n)), dtype=bool)
+    b = sorted(data.draw(st.lists(st.integers(0, 99), min_size=n, max_size=n,
+                                  unique=True)))
+    thresh = Fraction(data.draw(st.integers(0, 2 * n)), data.draw(st.integers(1, 2)))
+    big_n = data.draw(st.integers(0, 3 * n))
+    neigh = {x: frozenset(b[j] for j in range(n) if adj[i, j]) for i, x in enumerate(b)}
+    verts = sorted(b[i] for i in range(n) if adj[i, 0])
+    deg = {y: sum(1 for z in verts if z != y and len(neigh[y] & neigh[z]) <= thresh)
+           for y in verts}
+    expect = sorted(y for y in verts if 3 * deg[y] <= big_n)
+    assert refine._low_degree_piece(adj, np.array(b), thresh, big_n) == expect
+
+
+def test_low_degree_piece_counts_ties():
+    # |N(1) ∩ N(2)| = 1 = thresh counts as low, so 1 and 2 have degree 1
+    adj = np.array([[1, 1, 0], [1, 0, 1], [1, 1, 1]], dtype=bool)
+    assert refine._low_degree_piece(adj, np.array([1, 2, 3]), Fraction(3, 2), 2) == [3]
+
+
+@pytest.mark.parametrize("params,gamma", [
+    ((3, 4, 10, 1, 0), Fraction(27, 100)),
+    ((5, 2, 6, 1, 0), Fraction(5, 12)),
+    ((7, 2, 12, 0, 1), Fraction(49, 144)),
+])
+def test_bsg_extract_matches_brute_force(params, gamma):
+    # carriers whose popular-difference graph is not complete, so N'(x0)
+    # leaves points out
+    sch = mul_coset_scheme(*params, m=4)
+    f = sch.field
+    b = sorted(sch.level1_block_set(0))
+    t_set, neigh, coneigh, piece, worst = _bsg_oracle(sch, gamma)
+    adj = refine._difference_adjacency(f, b, t_set)
+    for i, x in enumerate(b):
+        assert {b[j] for j in range(len(b)) if adj[i, j]} == neigh[x]
+        assert {b[j] for j in range(len(b)) if adj[j, i]} == coneigh[x]
+    res = bsg_extract(sch, 0, gamma)
+    assert len(piece) < len(b)
+    assert res.points == tuple(piece) and res.x == b[0]
+    assert res.inequalities[-1]["rhs"] == str(worst)
 
 
 def test_bsg_energy_gate():
