@@ -359,9 +359,9 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     import os
 
-    prev_cap = os.environ.get("LMS_CAP_TUPLES")
+    prev_cap = os.environ.get("MSCHEME_CAP_TUPLES")
     if getattr(args, "cap", None):
-        os.environ["LMS_CAP_TUPLES"] = str(args.cap)
+        os.environ["MSCHEME_CAP_TUPLES"] = str(args.cap)
     try:
         return args.func(args)
     except InputError as exc:
@@ -382,6 +382,6 @@ def main(argv=None) -> int:
     finally:
         if getattr(args, "cap", None):
             if prev_cap is None:
-                os.environ.pop("LMS_CAP_TUPLES", None)
+                os.environ.pop("MSCHEME_CAP_TUPLES", None)
             else:
-                os.environ["LMS_CAP_TUPLES"] = prev_cap
+                os.environ["MSCHEME_CAP_TUPLES"] = prev_cap

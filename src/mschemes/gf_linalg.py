@@ -12,6 +12,7 @@ checks the point-space cap and the range [0, q) of its codes once (min and
 max), raising CapExceeded or IndexOutOfRange.  For ell = 2 addition and
 subtraction are the XOR of codes and negation is the identity; otherwise the
 codes go through the cached digit table and `encode_batch`.
+`decode_batch`, which turns codes into digit rows, makes the same range check.
 """
 from __future__ import annotations
 
@@ -85,8 +86,9 @@ class Field:
         return _digit_table(self.ell, self.dim)
 
     def decode_batch(self, codes) -> np.ndarray:
-        """Array of shape (n, dim) with the digit rows of the given codes."""
-        return self._digit_table()[np.asarray(codes, dtype=np.int64)]
+        """Array of shape (n, dim) with the digit rows of the given codes;
+        codes outside [0, q) raise IndexOutOfRange."""
+        return self._digit_table()[self._in_range(np.asarray(codes, dtype=np.int64))]
 
     def encode_batch(self, rows: np.ndarray) -> np.ndarray:
         weights = self.ell ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
@@ -94,19 +96,22 @@ class Field:
 
     # ---- point arithmetic (on codes) ---------------------------------
 
-    def _point_codes(self, codes) -> np.ndarray:
-        """`codes` as an int64 array, after the point-space cap and one
-        min/max range check."""
-        cap = cap_tuples()
-        if self.q > cap:
-            raise CapExceeded("point space", self.q, cap)
-        arr = np.asarray(codes, dtype=np.int64)
+    def _in_range(self, arr: np.ndarray) -> np.ndarray:
+        """`arr`, after one min/max check that its codes lie in [0, q)."""
         if arr.size:
             lo, hi = int(arr.min()), int(arr.max())
             if lo < 0 or hi >= self.q:
                 bad = lo if lo < 0 else hi
                 raise IndexOutOfRange(f"point code {bad} outside [0, {self.q})")
         return arr
+
+    def _point_codes(self, codes) -> np.ndarray:
+        """`codes` as an int64 array, after the point-space cap and the
+        range check."""
+        cap = cap_tuples()
+        if self.q > cap:
+            raise CapExceeded("point space", self.q, cap)
+        return self._in_range(np.asarray(codes, dtype=np.int64))
 
     @staticmethod
     def _codes_out(arr: np.ndarray):
@@ -210,7 +215,7 @@ class LinMap:
             raise ArityMismatch("batch arity mismatch")
         digs = field.decode_batch(tuples.reshape(-1)).reshape(n, k, field.dim)
         mat = np.asarray(self.coeffs, dtype=np.int64)
-        out = np.einsum("ij,nid->njd", mat, digs) % field.ell  # (n, k', d)
+        out = mat.T @ digs  # (n, k', d); encode_batch reduces mod ell
         return field.encode_batch(out.reshape(-1, field.dim)).reshape(n, self.dst_arity)
 
     def as_lists(self):

@@ -5,17 +5,22 @@ S^k.  Equivariance of every coordinate-linear map makes these partitions
 satisfy the P-axioms at any declared depth, which is what lets deep
 instances exist without materializing S^m: levels are computed on demand and
 fibre restrictions are the orbit partitions of point stabilizers.
+
+A `MatrixGroup` is only the input: its matrices act in one place,
+`MatrixGroup.images`.  `build_orbit_scheme` restricts the generators to S
+once; past that point a group is a (g, n) int array of generator
+permutations of the positions of S.  Point stabilizers are generated by
+Schreier generators thinned by a Sims filter, so no group is ever listed
+element by element.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .caps import DEFAULT_CAP_GROUP
-from .errors import CapExceeded, InputError, NotInGroup
+from .errors import InputError, NotInGroup
 from .gf_linalg import Field, rank_mod
 from .scheme_core import Scheme, SchemeInstance, TuplePartition
 
@@ -39,15 +44,9 @@ def _mat_key(mat: np.ndarray):
     return tuple(int(x) for x in mat.reshape(-1))
 
 
-# stabilizers are subgroups listed in full; remember their element lists so
-# nested fibre computations never re-run the closure BFS
-_STABILIZER_CACHE: dict = {}
-_ELEMENTS_KNOWN: dict = {}
-
-
 @dataclass(frozen=True)
 class MatrixGroup:
-    """Subgroup of GL_dim(F_ell) given by generators; elements enumerated lazily."""
+    """Subgroup of GL_dim(F_ell) given by generators."""
 
     field: Field
     generators: tuple  # tuple of flat coefficient tuples, row-major
@@ -64,69 +63,21 @@ class MatrixGroup:
             gens.append(_mat_key(arr))
         return MatrixGroup(field, tuple(sorted(set(gens))))
 
-    def gen_arrays(self):
-        d = self.field.dim
-        return [np.array(g, dtype=np.int64).reshape(d, d) for g in self.generators]
-
-    def elements(self, cap: int = DEFAULT_CAP_GROUP):
-        """All elements by closure BFS, as a sorted list of flat tuples."""
-        return _group_elements(self, cap)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements())
-
-    # ---- actions ------------------------------------------------------
-
-    def point_perm(self, mat: np.ndarray) -> np.ndarray:
-        """Permutation of point codes induced by x -> M x."""
+    def images(self, codes) -> np.ndarray:
+        """(g, n) array: code of M_i x for each generator M_i and each given
+        code x.  Codes outside [0, q) raise IndexOutOfRange."""
         f = self.field
-        digs = f.decode_batch(np.arange(f.q))
-        return f.encode_batch((digs @ mat.T) % f.ell)
-
-    def act_code(self, mat: np.ndarray, code: int) -> int:
-        f = self.field
-        vec = (mat @ f.decode_batch([code])[0]) % f.ell
-        return int(f.encode_batch(vec.reshape(1, -1))[0])
+        mats = np.array(self.generators, dtype=np.int64).reshape(-1, f.dim, f.dim)
+        return f.encode_batch(f.decode_batch(codes) @ mats.transpose(0, 2, 1))
 
     def close_set(self, codes) -> tuple:
         """Smallest G-stable superset of the given point codes, sorted."""
-        perms = [self.point_perm(np.array(g, dtype=np.int64).reshape(self.field.dim, -1))
-                 for g in self.generators]
         out = set(int(c) for c in codes)
-        frontier = list(out)
+        frontier = sorted(out)
         while frontier:
-            nxt = []
-            for c in frontier:
-                for perm in perms:
-                    img = int(perm[c])
-                    if img not in out:
-                        out.add(img)
-                        nxt.append(img)
-            frontier = nxt
+            frontier = sorted(set(self.images(frontier).ravel().tolist()) - out)
+            out.update(frontier)
         return tuple(sorted(out))
-
-    def stabilizer(self, codes) -> "MatrixGroup":
-        """Pointwise stabilizer of the given point codes (full element list)."""
-        codes = tuple(int(c) for c in codes)
-        key = (self.field.ell, self.field.dim, self.generators, codes)
-        hit = _STABILIZER_CACHE.get(key)
-        if hit is not None:
-            return hit
-        f = self.field
-        els = self.elements()
-        mats = np.array(els, dtype=np.int64).reshape(len(els), f.dim, f.dim)
-        keep = np.ones(len(els), dtype=bool)
-        for c in codes:
-            vec = f.decode_batch([c])[0]
-            imgs = f.encode_batch((mats[keep] @ vec) % f.ell)
-            sel = np.nonzero(keep)[0]
-            keep[sel[imgs != c]] = False
-        kept = tuple(sorted(els[i] for i in np.nonzero(keep)[0]))
-        out = MatrixGroup(f, kept)
-        _ELEMENTS_KNOWN[out] = kept
-        _STABILIZER_CACHE[key] = out
-        return out
 
     # ---- group-spec JSON ----------------------------------------------
 
@@ -145,36 +96,6 @@ class MatrixGroup:
         if kind == "custom":
             return MatrixGroup.from_matrices(field, obj["generators"])
         raise InputError(f"unknown group kind {kind!r}")
-
-
-@lru_cache(maxsize=128)
-def _group_elements_cached(group: MatrixGroup, cap: int):
-    f = group.field
-    d = f.dim
-    ident = _mat_key(np.eye(d, dtype=np.int64))
-    seen = {ident}
-    frontier = [ident]
-    gens = group.gen_arrays()
-    while frontier:
-        nxt = []
-        for key in frontier:
-            mat = np.array(key, dtype=np.int64).reshape(d, d)
-            for g in gens:
-                prod = _mat_key((g @ mat) % f.ell)
-                if prod not in seen:
-                    seen.add(prod)
-                    if len(seen) > cap:
-                        raise CapExceeded("group order", len(seen), cap)
-                    nxt.append(prod)
-        frontier = nxt
-    return tuple(sorted(seen))
-
-
-def _group_elements(group: MatrixGroup, cap: int):
-    known = _ELEMENTS_KNOWN.get(group)
-    if known is not None:
-        return list(known)
-    return list(_group_elements_cached(group, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +200,75 @@ def semilinear_group(field: Field, poly=None) -> MatrixGroup:
 # ---------------------------------------------------------------------------
 
 
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    return inv
+
+
+def sims_filter(perms) -> np.ndarray:
+    """Generators of the group the given permutations generate, at most
+    n(n-1)/2 of them, in a deterministic order.
+
+    Each permutation is sifted by (first moved point i, its image j): when
+    (i, j) already holds h, it is replaced by h^-1 g, which fixes 0..i; an
+    identity is dropped; otherwise it is kept under (i, j).  Every
+    replacement keeps the generated group, and since a kept g fixes 0..i-1,
+    j > i, so at most one permutation is kept per pair i < j.
+    """
+    perms = np.asarray(perms, dtype=np.int64)
+    n = perms.shape[1]
+    ident = np.arange(n)
+    table = {}  # (i, j) -> (h, h^-1)
+    for g in perms[(perms != ident).any(axis=1)]:
+        while True:
+            moved = np.flatnonzero(g != ident)
+            if not len(moved):
+                break
+            i = int(moved[0])
+            hit = table.get((i, int(g[i])))
+            if hit is None:
+                table[(i, int(g[i]))] = (g, _inverse(g))
+                break
+            g = hit[1][g]
+    return np.array([h for h, _ in table.values()], dtype=np.int64).reshape(-1, n)
+
+
+def point_stabilizer(perms: np.ndarray, point: int) -> np.ndarray:
+    """Generators of the stabilizer of one position, by Schreier's lemma.
+
+    A BFS over the orbit of `point` gives a transversal u_x (u_x(point) = x);
+    the Schreier generators u_{s(x)}^-1 s u_x over orbit points x and
+    generators s generate the stabilizer, and `sims_filter` thins them.
+    """
+    n = perms.shape[1]
+    trans = {point: np.arange(n)}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in perms:
+                y = int(s[x])
+                if y not in trans:
+                    trans[y] = s[trans[x]]
+                    nxt.append(y)
+        frontier = nxt
+    orbit = list(trans)
+    u = np.array([trans[x] for x in orbit], dtype=np.int64)  # (|orbit|, n)
+    u_inv = np.array([_inverse(t) for t in u], dtype=np.int64)
+    row = np.full(n, -1, dtype=np.int64)
+    row[orbit] = np.arange(len(orbit))
+    schreier = [np.take_along_axis(u_inv[row[s[orbit]]], s[u], axis=1) for s in perms]
+    return sims_filter(np.concatenate(schreier) if schreier else perms)
+
+
 class OrbitBackend:
-    """Lazy level/fibre provider for orbit-induced schemes."""
+    """Lazy level/fibre provider for orbit-induced schemes: the group as
+    generator permutations of the positions of the sorted carrier S."""
 
-    def __init__(self, group: MatrixGroup):
-        self.group = group
-
-    def _gen_perms(self, instance: SchemeInstance):
-        pos = instance.pos_of()
-        perms = []
-        for g in self.group.gen_arrays():
-            perm = self.group.point_perm(g)
-            s_arr = np.array(instance.s_codes, dtype=np.int64)
-            img = perm[s_arr]
-            p = pos[img]
-            if (p < 0).any():
-                raise NotInGroup("S is not stable under the group")
-            perms.append(p)  # position-in-S permutation
-        return perms
+    def __init__(self, s_codes: tuple, perms: np.ndarray):
+        self.s_codes = s_codes
+        self.perms = perms  # (g, n): perms[i][p] = position of M_i s_p
 
     def orbit_partition_raw(self, instance: SchemeInstance, k: int) -> np.ndarray:
         instance.check_tuple_cap(k)
@@ -306,7 +278,7 @@ class OrbitBackend:
         digits = [(idx // n ** (k - 1 - i)) % n for i in range(k)]
         radix = [n ** (k - 1 - i) for i in range(k)]
         moves = []
-        for p in self._gen_perms(instance):
+        for p in self.perms:
             moved = np.zeros(count, dtype=np.int64)
             for i in range(k):
                 moved += p[digits[i]] * radix[i]
@@ -326,7 +298,11 @@ class OrbitBackend:
         return labels
 
     def stabilizer_backend(self, pts):
-        return OrbitBackend(self.group.stabilizer(pts))
+        """Backend of the pointwise stabilizer of the given point codes of S."""
+        perms = self.perms
+        for p in np.searchsorted(self.s_codes, pts):
+            perms = point_stabilizer(perms, int(p))
+        return OrbitBackend(self.s_codes, perms)
 
 
 def build_orbit_scheme(group: MatrixGroup, seed_codes, m: int,
@@ -339,7 +315,10 @@ def build_orbit_scheme(group: MatrixGroup, seed_codes, m: int,
     """
     s_codes = group.close_set(seed_codes)
     inst = SchemeInstance(group.field, s_codes)
-    backend = OrbitBackend(group)
+    perms = inst.pos_of()[group.images(s_codes)]
+    if (perms < 0).any():
+        raise NotInGroup("S is not stable under the group")
+    backend = OrbitBackend(s_codes, perms)
     if not materialize:
         return Scheme(inst, m, backend=backend)
     levels = [

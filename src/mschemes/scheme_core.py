@@ -156,9 +156,13 @@ class TuplePartition:
         return True
 
     def ids_as_union(self, tuple_indices: Iterable[int]):
-        """Express a set of tuple indices as a set of block ids, or raise."""
+        """Express a set of tuple indices as a set of block ids, or raise
+        NotBlockUnion, also for an index outside [0, n^k)."""
         want = np.zeros(len(self.bid), dtype=bool)
         idx = np.fromiter((int(i) for i in tuple_indices), dtype=np.int64)
+        if len(idx) and (idx.min() < 0 or idx.max() >= len(self.bid)):
+            raise NotBlockUnion(
+                f"tuple index outside [0, {len(self.bid)}) is not in S^{self.arity}")
         want[idx] = True
         ids = set(int(b) for b in np.unique(self.bid[idx])) if len(idx) else set()
         got = np.zeros(len(self.bid), dtype=bool)
@@ -248,14 +252,8 @@ class Scheme:
             self._levels[k] = TuplePartition.from_raw(self.instance, k, raw)
         return self._levels[k]
 
-    def materialized_levels(self):
-        return sorted(self._levels)
-
     def is_discrete(self) -> bool:
         return self.level(1).is_discrete()
-
-    def block_points(self, k: int, b: int):
-        return self.level(k).block_tuples(b)
 
     def level1_block_set(self, b: int):
         """Point codes of a level-1 block."""

@@ -2,6 +2,7 @@
 import functools
 import importlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,23 @@ def test_cap_exit_code(capsys):
         "validate", "--ell", "2", "--dim", "3", "--group", GL,
         "--seed-set", "1", "--m", "3", "--cap", "100"])
     assert code == 3 and "cap exceeded" in err
+
+
+def test_cap_flag_beats_environment(capsys, monkeypatch):
+    monkeypatch.setenv("MSCHEME_CAP_TUPLES", "100000")
+    code, _, err = run(capsys, [
+        "validate", "--ell", "2", "--dim", "3", "--group", GL,
+        "--seed-set", "1", "--m", "3", "--cap", "100"])
+    assert code == 3 and "cap exceeded" in err
+    # the environment's value is back once the command returns
+    assert os.environ["MSCHEME_CAP_TUPLES"] == "100000"
+
+
+def test_seed_outside_field_exit_code(capsys):
+    code, _, err = run(capsys, [
+        "gen-orbit", "--ell", "3", "--dim", "2", "--group", GL,
+        "--seed-set", "9", "--m", "2"])
+    assert code == 2 and "outside" in err
 
 
 def test_antisym_witness_report(capsys):

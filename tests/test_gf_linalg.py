@@ -103,6 +103,10 @@ def test_point_ops_reject_codes_outside_range(ell, dim):
             f.sub_codes(0, bad)
         with pytest.raises(IndexOutOfRange):
             f.neg_codes(bad)
+        with pytest.raises(IndexOutOfRange):
+            f.decode_batch(bad)
+    with pytest.raises(IndexOutOfRange):
+        span_basis(f, [-1])
     # an empty array has nothing out of range
     assert f.add_codes(np.zeros(0, dtype=np.int64), 1).shape == (0,)
 

@@ -2,32 +2,37 @@
 import numpy as np
 import pytest
 
-from mschemes.errors import InputError
+import group_oracle as oracle
+from mschemes import instances
+from mschemes.errors import IndexOutOfRange, InputError
 from mschemes.gf_linalg import Field
 from mschemes.group_orbits import (
     MatrixGroup,
+    OrbitBackend,
     build_orbit_scheme,
     companion_matrix,
     frobenius_matrix,
     gl_group,
     semilinear_group,
+    sims_filter,
     singer_group,
     trivial_group,
 )
+from mschemes.scheme_core import canonical_block_ids
 
 
 def test_gl_orders():
     # |GL_d(F_2)| = prod (2^d - 2^i)
-    assert gl_group(Field(2, 2)).order == 6
-    assert gl_group(Field(2, 3)).order == 168
-    assert gl_group(Field(3, 2)).order == 48
+    assert oracle.order(gl_group(Field(2, 2))) == 6
+    assert oracle.order(gl_group(Field(2, 3))) == 168
+    assert oracle.order(gl_group(Field(3, 2))) == 48
 
 
 def test_singer_is_cyclic_transitive():
     for ell, dim in [(2, 3), (3, 2), (2, 4)]:
         f = Field(ell, dim)
         g = singer_group(f)
-        assert g.order == f.q - 1
+        assert oracle.order(g) == f.q - 1
         # transitive on nonzero vectors: orbit of e_0 is everything nonzero
         assert g.close_set([1]) == tuple(range(1, f.q))
 
@@ -37,17 +42,17 @@ def test_orbit_stabilizer_counting():
     g = gl_group(f)
     for code in (1, 5):
         orbit = g.close_set([code])
-        stab = g.stabilizer([code])
-        assert len(orbit) * stab.order == g.order
+        stab = oracle.stabilizer(g, [code])
+        assert len(orbit) * len(stab) == oracle.order(g)
 
 
 def test_stabilizer_fixes_points():
     f = Field(2, 3)
     g = gl_group(f)
-    stab = g.stabilizer([1, 2])
-    for key in stab.generators:
-        mat = np.array(key, dtype=np.int64).reshape(f.dim, f.dim)
-        assert g.act_code(mat, 1) == 1 and g.act_code(mat, 2) == 2
+    stab = oracle.stabilizer(g, [1, 2])
+    for key in stab:
+        mat = oracle.matrix(g, key)
+        assert oracle.act_code(g, mat, 1) == 1 and oracle.act_code(g, mat, 2) == 2
 
 
 def test_frobenius_has_order_dim():
@@ -76,13 +81,13 @@ def test_companion_matrix_is_primitive():
 def test_semilinear_group_order():
     f = Field(2, 3)
     # Singer cycle (order 7) extended by Frobenius (order 3)
-    assert semilinear_group(f).order == 21
+    assert oracle.order(semilinear_group(f)) == 21
 
 
 def test_trivial_group_and_finest_orbits():
     f = Field(2, 2)
     g = trivial_group(f)
-    assert g.order == 1
+    assert oracle.order(g) == 1
     sch = build_orbit_scheme(g, [1, 2, 3], 2)
     assert sch.level(2).is_discrete()
 
@@ -92,14 +97,13 @@ def test_orbit_scheme_blocks_are_orbits():
     g = gl_group(f)
     sch = build_orbit_scheme(g, [1], 2, materialize=True)
     inst = sch.instance
-    els = [np.array(e, dtype=np.int64).reshape(f.dim, f.dim)
-           for e in g.elements()]
+    els = [oracle.matrix(g, e) for e in oracle.elements(g)]
     part = sch.level(2)
     # diagonal action orbit of a representative equals its block
     for b in range(part.num_blocks):
         rep = part.block_tuples(b)[0]
         orbit = {
-            inst.tuple_index(tuple(g.act_code(mat, c) for c in rep))
+            inst.tuple_index(tuple(oracle.act_code(g, mat, c) for c in rep))
             for mat in els
         }
         assert orbit == {int(i) for i in part.blocks()[b]}
@@ -116,13 +120,13 @@ def test_lazy_and_materialized_agree():
 
 def test_from_spec_kinds():
     f = Field(2, 3)
-    assert MatrixGroup.from_spec(f, {"kind": "trivial"}).order == 1
-    assert MatrixGroup.from_spec(f, {"kind": "gl"}).order == 168
-    assert MatrixGroup.from_spec(f, {"kind": "singer"}).order == 7
+    assert oracle.order(MatrixGroup.from_spec(f, {"kind": "trivial"})) == 1
+    assert oracle.order(MatrixGroup.from_spec(f, {"kind": "gl"})) == 168
+    assert oracle.order(MatrixGroup.from_spec(f, {"kind": "singer"})) == 7
     eye = np.eye(3, dtype=np.int64)
     custom = MatrixGroup.from_spec(
         f, {"kind": "custom", "generators": [eye.tolist()]})
-    assert custom.order == 1
+    assert oracle.order(custom) == 1
     with pytest.raises(InputError):
         MatrixGroup.from_spec(f, {"kind": "sporadic"})
 
@@ -131,3 +135,128 @@ def test_singular_generator_rejected():
     f = Field(2, 2)
     with pytest.raises(InputError):
         MatrixGroup.from_matrices(f, [np.zeros((2, 2), dtype=np.int64)])
+
+
+def test_images_match_act_code():
+    for g in (semilinear_group(Field(2, 3)), gl_group(Field(3, 2))):
+        f = g.field
+        codes = list(range(f.q))
+        imgs = g.images(codes)
+        assert imgs.shape == (len(g.generators), f.q)
+        for gen, row in zip(g.generators, imgs.tolist()):
+            assert row == [oracle.act_code(g, oracle.matrix(g, gen), c) for c in codes]
+        with pytest.raises(IndexOutOfRange):
+            g.images([f.q])
+
+
+def _capture_group(monkeypatch):
+    """Record the group each instance builder hands to build_orbit_scheme."""
+    seen = []
+
+    def build(group, *args, **kwargs):
+        seen.append(group)
+        return build_orbit_scheme(group, *args, **kwargs)
+
+    monkeypatch.setattr(instances, "build_orbit_scheme", build)
+    return seen
+
+
+def _oracle_levels(group, s_codes, prefix, arities):
+    """Canonical block ids of the orbits of the prefix's stabilizer, by one
+    min-label pass over its full element list."""
+    perms = np.array(oracle.perms_on(group, oracle.stabilizer(group, prefix), s_codes))
+    n = len(s_codes)
+    out = []
+    for k in arities:
+        idx = np.arange(n ** k)
+        moved = sum(perms[:, (idx // n ** (k - 1 - i)) % n] * n ** (k - 1 - i)
+                    for i in range(k))
+        out.append(canonical_block_ids(moved.min(axis=0)))
+    return out
+
+
+# every builder in `instances`, at small parameters, with declared depth 4
+# so that fibres at prefix length 2 still have levels 1 and 2
+BUILDERS = {
+    "gl_2_3": lambda: instances.gl_orbit_scheme(2, 3, 4),
+    "gl_3_2": lambda: instances.gl_orbit_scheme(3, 2, 4),
+    "singer": lambda: instances.singer_scheme(2, 4, 4, lazy=True),
+    "trivial": lambda: instances.trivial_scheme(2, 2, 4),
+    "c11_c5": lambda: instances.c11_c5_scheme(4, lazy=True),
+    "c31_c5": lambda: instances.c31_c5_scheme(4, lazy=True),
+    "signed_perm": lambda: instances.signed_perm_scheme(3, 4),
+    "affine_coset": lambda: instances.affine_coset_scheme(4, (0, 1), 2, 4),
+    "mul_coset": lambda: instances.mul_coset_scheme(5, 2, 6, 1, 0, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_fibres_match_full_element_oracle(name, monkeypatch):
+    seen = _capture_group(monkeypatch)
+    sch = BUILDERS[name]()
+    (group,) = seen
+    s = sch.s_codes
+    pts = sorted({s[0], s[len(s) // 2], s[-1]})
+    prefixes = [()] + [(a,) for a in pts] + [(a, b) for a in pts for b in pts]
+    for prefix in prefixes:
+        fib = sch.fiber(prefix)
+        want = _oracle_levels(group, s, prefix, (1, 2))
+        for k, bid in zip((1, 2), want):
+            assert np.array_equal(fib.level(k).bid, bid), (prefix, k)
+
+
+def _closure(perms, n):
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in perms:
+                img = tuple(int(g[i]) for i in p)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+def _chain_order(backend, s_codes):
+    """Product of the basic orbit lengths along the base s_codes."""
+    order = 1
+    for p, c in enumerate(s_codes):
+        orbit = {p}
+        frontier = [p]
+        while frontier:
+            frontier = [int(g[x]) for x in frontier for g in backend.perms
+                        if int(g[x]) not in orbit]
+            orbit.update(frontier)
+        order *= len(orbit)
+        backend = backend.stabilizer_backend([c])
+    return order
+
+
+@pytest.mark.parametrize("group,seed", [
+    (gl_group(Field(2, 3)), 1),
+    (gl_group(Field(3, 2)), 1),
+    (semilinear_group(Field(2, 3)), 1),
+    (semilinear_group(Field(2, 5)), 1),
+])
+def test_sims_filter_bound_and_order(group, seed):
+    # the carriers span V, so the action on S is faithful
+    sch = build_orbit_scheme(group, [seed], 1, materialize=False)
+    s = sch.s_codes
+    n = len(s)
+    els = oracle.elements(group)
+    full = np.array(oracle.perms_on(group, els, s))
+    kept = sims_filter(full)
+    assert len(kept) <= n * (n - 1) // 2
+    assert _closure(kept, n) == {tuple(p) for p in full.tolist()}
+    assert _chain_order(sch.backend, s) == len(els)
+    assert _chain_order(OrbitBackend(s, kept), s) == len(els)
+
+
+def test_deep_gl_fibre_without_listing_the_group():
+    # |GL_5(F_2)| = 9999360; only the 31-point action is ever built
+    fib = instances.gl_orbit_scheme(2, 5, 4).fiber((1, 2))
+    assert fib.level(1).num_blocks == 4
+    assert fib.level(2).num_blocks == 20

@@ -163,7 +163,17 @@ def test_tuple_cap_env_override(monkeypatch, gl2_m3):
     monkeypatch.setenv("MSCHEME_CAP_TUPLES", "5")
     with pytest.raises(CapExceeded):
         gl2_m3.instance.tuples_array(2)
-    monkeypatch.delenv("MSCHEME_CAP_TUPLES")
-    monkeypatch.setenv("LMS_CAP_TUPLES", "5")
-    with pytest.raises(CapExceeded):
-        gl2_m3.instance.tuples_array(2)
+
+
+def test_ids_as_union_rejects_indices_outside_tuple_space(trivial_m3):
+    from mschemes.refine import _level1_union_ids
+
+    lev1, lev2 = trivial_m3.level(1), trivial_m3.level(2)
+    assert lev1.ids_as_union([0, 2]) == frozenset({0, 2})
+    # -1 would index the last tuple and pass as its block
+    for part, bad in ((lev1, [-1]), (lev1, [3]), (lev2, [0, 9]), (lev2, [-1, 8])):
+        with pytest.raises(NotBlockUnion):
+            part.ids_as_union(bad)
+    # point 0 is outside the carrier (1, 2, 3): pos_of() gives it -1
+    with pytest.raises(NotBlockUnion):
+        _level1_union_ids(trivial_m3, [0])
