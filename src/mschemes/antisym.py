@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .caps import DEFAULT_BUDGET_SATURATION, DEFAULT_CAP_MAPS
+from .caps import DEFAULT_BUDGET_SATURATION
 from .errors import DepthExhausted, InputError, LemmaViolation, PreconditionUnmet
-from .gf_linalg import LinMap, enumerate_linmaps, linmap
+from .gf_linalg import LinMap, linmap
 from .scheme_core import Scheme
 
 
@@ -79,15 +79,14 @@ def _block_members(sch: Scheme, k: int, b: int) -> np.ndarray:
     return np.sort(sch.level(k).blocks()[b])
 
 
-def generator_maps(sch: Scheme, map_cap: int = DEFAULT_CAP_MAPS):
-    """All bijective block-to-block restrictions of coordinate-linear maps.
+def generator_maps(sch: Scheme):
+    """All bijective block-to-block restrictions of coordinate-linear maps,
+    read from the map sweep in (k, k', tau, block) order.
 
-    Returns (gens, member_arrays) where gens is a list of
+    Returns (gens, member_pos) where gens is a list of
     (src, dst, mapping, GenStep) with mapping aligned to the ascending member
     list of the source block.
     """
-    inst = sch.instance
-    pos = inst.pos_of()
     gens = []
     seen = set()
     members = {}
@@ -98,38 +97,21 @@ def generator_maps(sch: Scheme, map_cap: int = DEFAULT_CAP_MAPS):
             members[ref] = (arr, {int(t): i for i, t in enumerate(arr)})
         return members[ref]
 
-    for k in range(1, sch.m + 1):
-        tuples = inst.tuples_array(k)
-        part_k = sch.level(k)
-        blocks = part_k.blocks()
-        for kp in range(1, sch.m + 1):
-            part_kp = sch.level(kp)
-            radix = inst.n ** np.arange(kp - 1, -1, -1, dtype=np.int64)
-            for tau in enumerate_linmaps(inst.field, k, kp):
-                img = tau.apply_batch(inst.field, tuples)
-                p = pos[img]
-                in_s = (p >= 0).all(axis=1)
-                img_idx = np.maximum(p, 0) @ radix
-                for b, rows in enumerate(blocks):
-                    rows = np.sort(rows)
-                    if not in_s[rows].all():
-                        continue
-                    tgt = img_idx[rows]
-                    uniq = np.unique(tgt)
-                    if len(uniq) != len(rows):
-                        continue  # not injective on the block
-                    bp = int(part_kp.bid[tgt[0]])
-                    tgt_members, _ = member_pos((kp, bp))
-                    if len(tgt_members) != len(uniq) or not np.array_equal(uniq, tgt_members):
-                        continue  # not onto a block
-                    src = (k, b)
-                    dst = (kp, bp)
-                    mapping = tuple(int(t) for t in tgt)
-                    key = (src, dst, mapping)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    gens.append((src, dst, mapping, GenStep(tau.coeffs, "fwd", src, dst)))
+    for sw in sch.map_sweep():
+        onto = ((sw.inside == sw.sizes) & (sw.distinct == sw.sizes)
+                & (sw.target_size == sw.sizes))
+        hits = np.flatnonzero(onto).tolist()
+        if not hits:
+            continue
+        images = sw.images.tolist()
+        for b in hits:
+            start = int(sw.starts[b])
+            mapping = tuple(images[start:start + int(sw.sizes[b])])
+            src, dst = (sw.k, b), (sw.kp, int(sw.target[b]))
+            key = (src, dst, mapping)
+            if key not in seen:
+                seen.add(key)
+                gens.append((src, dst, mapping, GenStep(sw.tau.coeffs, "fwd", src, dst)))
     return gens, member_pos
 
 
@@ -218,21 +200,12 @@ def _forward_restriction(sch: Scheme, tau: LinMap, src: tuple, dst: tuple):
     """dict: tuple index in block src -> tuple index in block dst, or None."""
     inst = sch.instance
     k, b = src
-    kp, _ = dst
     src_members = _block_members(sch, k, b)
-    img = tau.apply_batch(inst.field, inst.tuples_array(k)[src_members])
-    p = inst.pos_of()[img]
-    if (p < 0).any():
+    img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(k)[src_members]))
+    # a bijection onto dst: the images, sorted, are dst's ascending members
+    if (img < 0).any() or not np.array_equal(np.sort(img), _block_members(sch, *dst)):
         return None
-    radix = inst.n ** np.arange(kp - 1, -1, -1, dtype=np.int64)
-    tgt = np.maximum(p, 0) @ radix
-    fwd = {int(s): int(t) for s, t in zip(src_members, tgt)}
-    if len(set(fwd.values())) != len(fwd):
-        return None
-    dst_members = set(int(t) for t in _block_members(sch, *dst))
-    if set(fwd.values()) != dst_members:
-        return None
-    return fwd
+    return {int(s): int(t) for s, t in zip(src_members, img)}
 
 
 def replay_witness(sch: Scheme, witness: Witness) -> bool:

@@ -359,10 +359,13 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     import os
 
+    cap = getattr(args, "cap", None)
     prev_cap = os.environ.get("MSCHEME_CAP_TUPLES")
-    if getattr(args, "cap", None):
-        os.environ["MSCHEME_CAP_TUPLES"] = str(args.cap)
     try:
+        if cap is not None:
+            if cap < 1:
+                raise InputError(f"--cap must be at least 1, got {cap}")
+            os.environ["MSCHEME_CAP_TUPLES"] = str(cap)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -380,7 +383,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:
-        if getattr(args, "cap", None):
+        if cap is not None:
             if prev_cap is None:
                 os.environ.pop("MSCHEME_CAP_TUPLES", None)
             else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ArityMismatch, CapExceeded, EmptyReference, FieldMismatch
-from .gf_linalg import Field, rref_mod, span_basis
+from .gf_linalg import Field, span_basis
 
 GUARD = 1e-9
 CAP_GROUP_ORDER = 2 ** 16
@@ -46,7 +46,6 @@ class FourierContext:
 
     field: Field
     basis: np.ndarray          # rref rows, shape (r, dim)
-    pivots: tuple
     elements: list             # sorted point codes of the subgroup
     coord_rows: np.ndarray = dc_field(repr=False)  # (|G|, r): coords of elements[i]
 
@@ -56,7 +55,6 @@ class FourierContext:
         if not codes:
             raise EmptyReference("Fourier context over empty generating set")
         basis = span_basis(field, codes)
-        _, pivots = rref_mod(basis, field.ell) if basis.size else (basis, ())
         r = basis.shape[0]
         order = field.ell ** r
         if order > CAP_GROUP_ORDER:
@@ -66,7 +64,7 @@ class FourierContext:
         combos = _digit_rows(field.ell, r)
         group = field.encode_batch(combos @ basis)
         perm = np.argsort(group)
-        return FourierContext(field, basis, tuple(pivots), group[perm].tolist(), combos[perm])
+        return FourierContext(field, basis, group[perm].tolist(), combos[perm])
 
     @property
     def rank(self) -> int:

@@ -197,17 +197,6 @@ class LinMap:
         ):
             raise ArityMismatch("coefficient matrix shape mismatch")
 
-    def apply(self, field: Field, pts: Sequence[int]):
-        """Apply to one tuple of point codes; returns a tuple of point codes."""
-        if len(pts) != self.src_arity:
-            raise ArityMismatch(
-                f"tuple arity {len(pts)} != map source arity {self.src_arity}"
-            )
-        rows = field.decode_batch(list(pts))  # (k, d)
-        mat = np.asarray(self.coeffs, dtype=np.int64)  # (k, k')
-        out = (mat.T @ rows) % field.ell  # (k', d)
-        return tuple(int(c) for c in field.encode_batch(out))
-
     def apply_batch(self, field: Field, tuples: np.ndarray) -> np.ndarray:
         """Apply to an (n, k) array of point codes; returns (n, k') codes."""
         n, k = tuples.shape
@@ -225,10 +214,6 @@ class LinMap:
 def linmap(coeffs) -> LinMap:
     rows = tuple(tuple(int(c) for c in row) for row in coeffs)
     return LinMap(len(rows), len(rows[0]) if rows else 0, rows)
-
-
-def identity_map(k: int) -> LinMap:
-    return linmap([[1 if i == j else 0 for j in range(k)] for i in range(k)])
 
 
 def projection(k: int, i: int) -> LinMap:

@@ -11,9 +11,17 @@ tau: V^k -> V^k' as follows:
 Tuples of S^k are indexed by their mixed-radix position over sorted S (first
 coordinate most significant), which coincides with ordering by integer tuple
 code.  Blocks are numbered by smallest contained tuple, ascending.
+
+Map table.  `SchemeInstance.map_table(k)` applies to S^k the map V^k ->
+V^(ell^k) whose column c has the base-ell digits of c as coefficients (the
+order of `enumerate_linmaps(field, k, 1)`).  The images under tau are its
+columns cols(tau)_j = sum_i coeffs[i][j] * ell^(k-1-i).  Its n^k * ell^k
+codes count against `cap_tuples()`.  `validate` and `antisym.generator_maps`
+read only `Scheme.map_sweep`, which reads only this table.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
@@ -74,6 +82,23 @@ class SchemeInstance:
         cols = [s_arr[(idx // n ** (k - 1 - i)) % n] for i in range(k)]
         return np.stack(cols, axis=1)
 
+    def map_table(self, k: int) -> np.ndarray:
+        """(n^k, ell^k) codes: column c is every tuple of S^k under the map
+        V^k -> V whose coefficients are the base-ell digits of c."""
+        ell = self.field.ell
+        size = self.n ** k * ell ** k
+        if size > cap_tuples():
+            raise CapExceeded(f"map table S^{k} x F_{ell}^{k}", size, cap_tuples())
+        digits = tuple(zip(*itertools.product(range(ell), repeat=k)))
+        return LinMap(k, ell ** k, digits).apply_batch(self.field, self.tuples_array(k))
+
+    def tuple_indices(self, codes: np.ndarray) -> np.ndarray:
+        """Index in S^k' of each row of an (N, k') code array, or -1 where
+        the row has a coordinate outside S."""
+        pos = self.pos_of()[codes]
+        radix = self.n ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64)
+        return np.where((pos >= 0).all(axis=1), pos @ radix, -1)
+
     def tuple_index(self, pts: Sequence[int]) -> int:
         pos = self.pos_of()
         idx = 0
@@ -125,7 +150,7 @@ class TuplePartition:
         return int(self.bid.max()) + 1 if len(self.bid) else 0
 
     def blocks(self) -> list:
-        """List of np arrays of tuple indices, one per block id."""
+        """List of np arrays of tuple indices, one per block id, ascending."""
         if self._blocks is None:
             order = np.argsort(self.bid, kind="stable")
             sorted_bids = self.bid[order]
@@ -193,6 +218,27 @@ class Violation:
             f"P-axiom violation at ({self.k}->{self.kp}), tau={self.tau.as_lists()}, "
             f"block {self.src_block}: {self.detail}"
         )
+
+
+@dataclass
+class MapSweep:
+    """How one map tau: V^k -> V^k' carries the blocks of S^k.  `images` is
+    the S^k' index of tau(x) (-1 outside S^k') over the tuples of S^k in
+    block order, block b at [starts[b], starts[b] + sizes[b]); every other
+    array has one entry per block."""
+
+    k: int
+    kp: int
+    tau: LinMap
+    starts: np.ndarray
+    sizes: np.ndarray
+    images: np.ndarray
+    inside: np.ndarray       # tuples whose image lies in S^k'
+    target: np.ndarray       # the one block holding every image, else -1
+    target_size: np.ndarray  # size of that block, or 0
+    distinct: np.ndarray     # number of distinct images
+    fibre_min: np.ndarray    # least and greatest #{x in B : tau(x) = y}
+    fibre_max: np.ndarray    # over the images y
 
 
 @dataclass
@@ -295,65 +341,74 @@ class Scheme:
 
     # ---- axiom validation --------------------------------------------
 
-    def validate(self, max_violations: int = 16, level_pairs=None) -> ValidationReport:
-        """Exhaustive P1/P2 sweep over all arities and coordinate-linear maps."""
+    def map_sweep(self):
+        """Yield a MapSweep per (k, k', tau): k, then k' over 1..m, tau in
+        `enumerate_linmaps` order, all read from one map table per k."""
         inst = self.instance
-        pos = inst.pos_of()
+        ell = inst.field.ell
+        for k in range(1, self.m + 1):
+            blocks = self.level(k).blocks()
+            sizes = np.array([len(rows) for rows in blocks], dtype=np.int64)
+            starts = np.cumsum(sizes) - sizes
+            row_block = np.repeat(np.arange(len(blocks), dtype=np.int64), sizes)
+            table = inst.map_table(k)[np.concatenate(blocks)]
+            digits = ell ** np.arange(k - 1, -1, -1, dtype=np.int64)
+            for kp in range(1, self.m + 1):
+                bid_kp = self.level(kp).bid
+                kp_sizes = np.bincount(bid_kp)
+                width = inst.n ** kp + 1
+                for tau in enumerate_linmaps(inst.field, k, kp):
+                    cols = digits @ (np.asarray(tau.coeffs, dtype=np.int64) % ell)
+                    img = inst.tuple_indices(table[:, cols])
+                    inside = img >= 0
+                    tgt = np.where(inside, bid_kp[img], -1)
+                    lo = np.minimum.reduceat(tgt, starts)
+                    target = np.where(lo == np.maximum.reduceat(tgt, starts), lo, -1)
+                    # runs of equal (block, image) keys are the fibres (keys < n^k * width < 2^63)
+                    key = np.sort(row_block * width + img + 1)
+                    new = np.ones(len(key), dtype=bool)
+                    np.not_equal(key[1:], key[:-1], out=new[1:])
+                    distinct = np.add.reduceat(new, starts, dtype=np.int64)
+                    runs = np.diff(np.append(np.flatnonzero(new), len(key)))
+                    run_starts = np.cumsum(distinct) - distinct
+                    yield MapSweep(
+                        k, kp, tau, starts, sizes, img,
+                        np.add.reduceat(inside, starts, dtype=np.int64), target,
+                        np.where(target >= 0, kp_sizes[target], 0), distinct,
+                        np.minimum.reduceat(runs, run_starts),
+                        np.maximum.reduceat(runs, run_starts))
+
+    def validate(self, max_violations: int = 16) -> ValidationReport:
+        """Exhaustive P1/P2 check of every block under every coordinate-linear
+        map, in (k, k', tau, block) order; stops at max_violations."""
         violations = []
         checked = 0
-        pairs = level_pairs or [(k, kp) for k in range(1, self.m + 1)
-                                for kp in range(1, self.m + 1)]
-        for k, kp in pairs:
-            part_k = self.level(k)
-            part_kp = self.level(kp)
-            tuples = inst.tuples_array(k)
-            blocks = part_k.blocks()
-            n = inst.n
-            radix = n ** np.arange(kp - 1, -1, -1, dtype=np.int64)
-            for tau in enumerate_linmaps(inst.field, k, kp):
-                checked += 1
-                img = tau.apply_batch(inst.field, tuples)  # (n^k, kp) codes
-                p = pos[img]
-                in_s = (p >= 0).all(axis=1)
-                img_idx = np.where(in_s, (np.maximum(p, 0) @ radix), -1)
-                for b, rows in enumerate(blocks):
-                    sub_in = in_s[rows]
-                    if not sub_in.any():
-                        continue
-                    if not sub_in.all():
-                        violations.append(Violation(
-                            k, kp, tau, b,
-                            "image meets S^{kp} but also leaves it "
-                            f"({int(sub_in.sum())}/{len(rows)} inside)",
-                        ))
-                    else:
-                        tgt = img_idx[rows]
-                        bids = np.unique(part_kp.bid[tgt])
-                        if len(bids) > 1:
-                            violations.append(Violation(
-                                k, kp, tau, b,
-                                f"image straddles blocks {bids.tolist()} at arity {kp}",
-                            ))
-                        else:
-                            bp = int(bids[0])
-                            vals, counts = np.unique(tgt, return_counts=True)
-                            tgt_block = blocks_sorted(part_kp, bp)
-                            if len(vals) != len(tgt_block) or not np.array_equal(
-                                vals, tgt_block
-                            ):
-                                violations.append(Violation(
-                                    k, kp, tau, b,
-                                    f"image covers only part of block {bp} at arity {kp}",
-                                ))
-                            elif counts.min() != counts.max():
-                                violations.append(Violation(
-                                    k, kp, tau, b,
-                                    f"fibre sizes over block {bp} not constant "
-                                    f"(range {int(counts.min())}..{int(counts.max())})",
-                                ))
-                    if len(violations) >= max_violations:
-                        return ValidationReport(False, checked, violations)
+        for sw in self.map_sweep():
+            checked += 1
+            bad = (sw.inside > 0) & ((sw.inside < sw.sizes) | (sw.target < 0)
+                                     | (sw.distinct != sw.target_size)
+                                     | (sw.fibre_min != sw.fibre_max))
+            for b in np.flatnonzero(bad).tolist():
+                violations.append(Violation(sw.k, sw.kp, sw.tau, b, self._detail(sw, b)))
+                if len(violations) >= max_violations:
+                    return ValidationReport(False, checked, violations)
         return ValidationReport(not violations, checked, violations)
+
+    def _detail(self, sw: "MapSweep", b: int) -> str:
+        """Which axiom block b breaks under sw.tau, first failure first."""
+        kp = sw.kp
+        if sw.inside[b] < sw.sizes[b]:
+            return ("image meets S^{kp} but also leaves it "
+                    f"({int(sw.inside[b])}/{int(sw.sizes[b])} inside)")
+        if sw.target[b] < 0:
+            rows = sw.images[sw.starts[b]:sw.starts[b] + sw.sizes[b]]
+            bids = np.unique(self.level(kp).bid[rows])
+            return f"image straddles blocks {bids.tolist()} at arity {kp}"
+        bp = int(sw.target[b])
+        if sw.distinct[b] != sw.target_size[b]:
+            return f"image covers only part of block {bp} at arity {kp}"
+        return (f"fibre sizes over block {bp} not constant "
+                f"(range {int(sw.fibre_min[b])}..{int(sw.fibre_max[b])})")
 
     # ---- closedness operations ---------------------------------------
 
@@ -399,13 +454,8 @@ class Scheme:
         idx = self.blockset_indices(k, bids)
         if len(idx) == 0:
             return frozenset()
-        tuples = inst.tuples_array(k)[idx]
-        img = tau.apply_batch(inst.field, tuples)
-        pos = inst.pos_of()[img]
-        in_s = (pos >= 0).all(axis=1)
-        radix = inst.n ** np.arange(kp - 1, -1, -1, dtype=np.int64)
-        tgt = np.unique((np.maximum(pos, 0) @ radix)[in_s])
-        return self.level(kp).ids_as_union(tgt)
+        img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(k)[idx]))
+        return self.level(kp).ids_as_union(np.unique(img[img >= 0]))
 
     def preimage_blockset(self, tau: LinMap, bids, k: Optional[int] = None):
         """tau^{-1}(union of blocks) ∩ S^k, as a block-id set at arity k."""
@@ -414,17 +464,10 @@ class Scheme:
             raise ArityMismatch("preimage arity mismatch")
         kp = tau.dst_arity
         inst = self.instance
-        tuples = inst.tuples_array(k)
-        img = tau.apply_batch(inst.field, tuples)
-        pos = inst.pos_of()[img]
-        in_s = (pos >= 0).all(axis=1)
-        radix = inst.n ** np.arange(kp - 1, -1, -1, dtype=np.int64)
-        img_idx = np.maximum(pos, 0) @ radix
-        part_kp = self.level(kp)
+        img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(k)))
         member = np.zeros(inst.tuple_count(kp), dtype=bool)
-        for b in sorted(bids):
-            member[part_kp.blocks()[b]] = True
-        hit = in_s & member[img_idx]
+        member[self.blockset_indices(kp, bids)] = True
+        hit = (img >= 0) & member[img]
         return self.level(k).ids_as_union(np.nonzero(hit)[0])
 
     # ---- relation profiles -------------------------------------------
@@ -511,10 +554,6 @@ class Scheme:
             return Scheme(inst, m, levels=levels)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad scheme JSON: {exc}") from exc
-
-
-def blocks_sorted(part: TuplePartition, b: int) -> np.ndarray:
-    return np.sort(part.blocks()[b])
 
 
 def finest_scheme(instance: SchemeInstance, m: int) -> Scheme:

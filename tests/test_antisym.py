@@ -6,6 +6,7 @@ import pytest
 from mschemes.antisym import (
     GenStep,
     Witness,
+    _forward_restriction,
     depth_bounds_check,
     depth_measure,
     halving_step,
@@ -13,6 +14,7 @@ from mschemes.antisym import (
     strong_antisym_check,
 )
 from mschemes.errors import DepthExhausted, InputError, PreconditionUnmet
+from mschemes.gf_linalg import linmap, projection, swap_map
 
 
 def test_gl2_witness_is_short_and_replays(gl2_m3):
@@ -101,3 +103,17 @@ def test_depth_measure_partial_trace(c11_m2, c31_m2):
 def test_depth_measure_completes_on_singleton_blocks(trivial_m3):
     trace = depth_measure(trivial_m3, 0)
     assert trace.completed and trace.count == 0
+
+
+def test_forward_restriction_is_a_bijection_onto_dst(gl2_m3):
+    # GL(2,2) on its 3 nonzero vectors: level-2 block 0 is the diagonal
+    # (3 tuples), block 1 the 6 pairs of distinct points
+    assert gl2_m3.level(2).num_blocks == 2
+    assert _forward_restriction(gl2_m3, projection(2, 1), (2, 0), (1, 0)) is not None
+    # onto the block but 2-to-1
+    assert _forward_restriction(gl2_m3, projection(2, 1), (2, 1), (1, 0)) is None
+    # a bijection of block 1, so not onto block 0
+    assert _forward_restriction(gl2_m3, swap_map(2, 1, 2), (2, 1), (2, 1)) is not None
+    assert _forward_restriction(gl2_m3, swap_map(2, 1, 2), (2, 1), (2, 0)) is None
+    # every image leaves S: the zero vector is not a point of S
+    assert _forward_restriction(gl2_m3, linmap([[0], [0]]), (2, 0), (1, 0)) is None

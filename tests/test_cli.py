@@ -65,6 +65,27 @@ def test_cap_flag_beats_environment(capsys, monkeypatch):
     assert os.environ["MSCHEME_CAP_TUPLES"] == "100000"
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_input_error(capsys, monkeypatch, cap):
+    monkeypatch.delenv("MSCHEME_CAP_TUPLES", raising=False)
+    code, _, err = run(capsys, [
+        "validate", "--ell", "2", "--dim", "2", "--group", GL,
+        "--seed-set", "1", "--m", "2", "--cap", cap])
+    assert code == 2 and "input error" in err and "--cap" in err
+    assert "MSCHEME_CAP_TUPLES" not in os.environ
+
+
+def test_map_table_cap_exit_code(tmp_path, capsys):
+    # GL(2,2) at m=3: S^3 has 27 tuples, the arity-3 map table 216 codes
+    scheme_file = tmp_path / "scheme.json"
+    code, _, _ = run(capsys, [
+        "gen-orbit", "--ell", "2", "--dim", "2", "--group", GL,
+        "--seed-set", "1", "--m", "3", "--out", str(scheme_file)])
+    assert code == 0
+    code, _, err = run(capsys, ["validate", "--in", str(scheme_file), "--cap", "100"])
+    assert code == 3 and "map table S^3" in err
+
+
 def test_seed_outside_field_exit_code(capsys):
     code, _, err = run(capsys, [
         "gen-orbit", "--ell", "3", "--dim", "2", "--group", GL,

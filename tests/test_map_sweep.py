@@ -1,0 +1,106 @@
+"""The map x block sweep against its per-block oracle: `validate` and
+`generator_maps` agree with `scheme_oracle` on every instance builder, on
+corrupted levels that show all four violation kinds, and at every early
+stop."""
+import random
+
+import numpy as np
+import pytest
+
+import scheme_oracle as oracle
+from mschemes import instances
+from mschemes.antisym import generator_maps
+from mschemes.errors import CapExceeded
+from mschemes.gf_linalg import enumerate_linmaps
+from mschemes.scheme_core import Scheme, TuplePartition
+
+BUILDERS = {
+    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3, lazy=False),
+    "gl2-lazy-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
+    "gl3-m2": lambda: instances.gl_orbit_scheme(2, 3, 2, lazy=False),
+    "gl-f3-m2": lambda: instances.gl_orbit_scheme(3, 2, 2, lazy=False),
+    "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
+    "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),
+    "c11c5-m2": lambda: instances.c11_c5_scheme(2),
+    "c31c5-m2": lambda: instances.c31_c5_scheme(2),
+    "signed-perm-m2": lambda: instances.signed_perm_scheme(2, 2),
+    "affine-coset-m2": lambda: instances.affine_coset_scheme(4, [1, 2], 0, 2),
+    "mul-coset-m2": lambda: instances.mul_coset_scheme(5, 2, 6, 1, 0, 2),
+}
+
+KINDS = ("but also leaves it", "straddles", "covers only part", "fibre sizes")
+
+
+def _key(v):
+    return (v.k, v.kp, v.tau, v.src_block, v.describe())
+
+
+def _same_report(got, want):
+    assert (got.ok, got.checked_maps, got.partial) == \
+        (want.ok, want.checked_maps, want.partial)
+    assert [_key(v) for v in got.violations] == [_key(v) for v in want.violations]
+
+
+def _corrupt(sch, seed):
+    """Move a few tuples of one random level to other (or new) blocks."""
+    rng = random.Random(seed)
+    levels = {k: sch.level(k) for k in range(1, sch.m + 1)}
+    k = rng.choice(sorted(levels))
+    raw = levels[k].bid.copy()
+    for _ in range(rng.choice([1, 2, 5])):
+        raw[rng.randrange(len(raw))] = rng.randrange(levels[k].num_blocks + 1)
+    levels[k] = TuplePartition.from_raw(sch.instance, k, raw)
+    return Scheme(sch.instance, sch.m, levels=list(levels.values()))
+
+
+@pytest.mark.parametrize("label", sorted(BUILDERS))
+def test_sweep_matches_oracle_on_every_builder(label):
+    sch = BUILDERS[label]()
+    rep = sch.validate()
+    assert rep.ok
+    _same_report(rep, oracle.validate(sch))
+    gens, _ = generator_maps(sch)
+    assert gens == oracle.generator_maps(sch)
+
+
+def test_corrupted_levels_match_oracle_at_every_stop():
+    kinds, early_stops = set(), set()
+    for label in ("gl2-m3", "gl3-m2", "gl-f3-m2", "signed-perm-m2", "c11c5-m2"):
+        sch = BUILDERS[label]()
+        for seed in range(4):
+            bad = _corrupt(sch, seed)
+            for cap in (1, 3, 16):
+                got, want = bad.validate(cap), oracle.validate(bad, cap)
+                _same_report(got, want)
+                assert len(got.violations) <= cap
+            full = bad.validate(10 ** 6)
+            _same_report(full, oracle.validate(bad, 10 ** 6))
+            early_stops |= {cap for cap in (1, 3, 16) if len(full.violations) > cap}
+            kinds |= {kind for v in full.violations for kind in KINDS if kind in v.detail}
+            gens, _ = generator_maps(bad)
+            assert gens == oracle.generator_maps(bad)
+    assert kinds == set(KINDS) and early_stops == {1, 3, 16}
+
+
+def test_sweep_columns_are_the_maps(gl2_m3):
+    """Each sweep's images are tau applied with apply_batch, in block order."""
+    inst = gl2_m3.instance
+    tuples = {k: inst.tuples_array(k) for k in (1, 2, 3)}
+    order = {k: np.concatenate(gl2_m3.level(k).blocks()) for k in (1, 2, 3)}
+    sweeps = list(gl2_m3.map_sweep())
+    assert [(sw.k, sw.kp, sw.tau) for sw in sweeps] == [
+        (k, kp, tau) for k in (1, 2, 3) for kp in (1, 2, 3)
+        for tau in enumerate_linmaps(inst.field, k, kp)]
+    for sw in sweeps[::7]:
+        want = inst.tuple_indices(sw.tau.apply_batch(inst.field, tuples[sw.k]))
+        assert np.array_equal(sw.images, want[order[sw.k]])
+
+
+def test_map_table_counts_against_tuple_cap(monkeypatch, gl2_m3):
+    # S^3 has 27 tuples, its map table 27 * 2^3 = 216 codes
+    monkeypatch.setenv("MSCHEME_CAP_TUPLES", "100")
+    assert len(gl2_m3.instance.tuples_array(3)) == 27
+    with pytest.raises(CapExceeded) as exc:
+        gl2_m3.validate()
+    assert exc.value.what == "map table S^3 x F_2^3"
+    assert (exc.value.needed, exc.value.cap) == (216, 100)
