@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -18,24 +18,16 @@ from .errors import (
     DepthExhausted,
     InputError,
     LemmaViolation,
-    NotBlockUnion,
     PreconditionUnmet,
 )
 from .gf_linalg import (
-    LinMap,
     enumerate_linmaps,
     linmap,
+    rank_mod,
     span_basis,
     span_points,
 )
 from .scheme_core import Scheme
-
-
-@dataclass(frozen=True)
-class Atom:
-    tau: LinMap
-    block: int
-    points: frozenset
 
 
 @dataclass
@@ -58,24 +50,6 @@ class Certificate:
         }
 
 
-def enumerate_atoms(sch: Scheme, k: int):
-    """All atoms tau(D), tau in M_{k,1}, D a block at arity k; deterministic order.
-
-    Lazy: atoms are yielded one at a time so consumers that find what they
-    need early never touch the rest of the (tau, block) grid.
-    """
-    if k > sch.m:
-        raise DepthExhausted(f"atoms at arity {k} need depth {k} > m={sch.m}")
-    inst = sch.instance
-    part = sch.level(k)
-    tuples = inst.tuples_array(k)
-    for tau in enumerate_linmaps(inst.field, k, 1):
-        img = tau.apply_batch(inst.field, tuples)[:, 0]
-        for b in range(part.num_blocks):
-            rows = part.blocks()[b]
-            yield Atom(tau, b, frozenset(int(c) for c in img[rows]))
-
-
 def verify_certificate(sch: Scheme, cert: Certificate) -> bool:
     """Recompute every entry's image; the union must equal cert.points."""
     inst = sch.instance
@@ -91,23 +65,101 @@ def verify_certificate(sch: Scheme, cert: Certificate) -> bool:
     return got == cert.points
 
 
+class AtomIndex:
+    """The atoms tau(D) of one scheme at arity k, built one tau at a time.
+
+    Entry i belongs to the i-th tau of `enumerate_linmaps(field, k, 1)`: the
+    sorted distinct (block, code) pairs of tau(D) over all blocks D, as the
+    image codes grouped by ascending block (`codes[i]`), the offset where
+    each block's codes begin (`starts[i]`) and their number (`sizes[i]`).
+    A scheme keeps one index per arity for its lifetime.
+    """
+
+    def __init__(self, sch: Scheme, k: int):
+        self.bid = sch.level(k).bid
+        sch.instance.check_tuple_cap(k)
+        self.size = sch.field.ell ** k
+        maps = enumerate_linmaps(sch.field, k, 1)
+        # next() runs enumerate_linmaps' map-count cap check now
+        self._pending = itertools.chain([next(maps)], maps)
+        self.maps = []
+        self.codes = []
+        self.starts = []
+        self.sizes = []
+
+    def _extend(self, field, tuples: np.ndarray):
+        """Build the entry of the next tau from the (n^k, k) tuple array."""
+        tau = next(self._pending)
+        # slices of at most 2^16 tuples bound apply_batch's digit arrays
+        img = np.concatenate([tau.apply_batch(field, tuples[lo:lo + 2 ** 16])[:, 0]
+                              for lo in range(0, len(tuples), 2 ** 16)])
+        key = np.sort(img + self.bid * field.q)
+        new = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        blocks, codes = np.divmod(key[new], field.q)
+        sizes = np.bincount(blocks)
+        self.maps.append(tau)
+        self.codes.append(codes)
+        self.starts.append(np.cumsum(sizes) - sizes)
+        self.sizes.append(sizes)
+
+
+def _atom_index(sch: Scheme, k: int) -> AtomIndex:
+    """The scheme's atom index at arity k, made on first use; the tuple cap
+    is checked on every call."""
+    if k > sch.m:
+        raise DepthExhausted(f"atoms at arity {k} need depth {k} > m={sch.m}")
+    index = sch.atom_indexes.get(k)
+    if index is None:
+        index = sch.atom_indexes[k] = AtomIndex(sch, k)
+    sch.instance.check_tuple_cap(k)
+    return index
+
+
 def decide_constructible(sch: Scheme, points, k: int) -> Optional[Certificate]:
     """Certificate for T as a union of arity-k atoms, or None.
 
-    Entries are a greedy cover in deterministic atom order, so reruns give
-    identical certificates.
+    Entries are a greedy cover in (tau, block) order: an atom is taken when
+    it lies inside T and adds a point not yet covered, and the cover stops
+    once T is covered, so reruns give identical certificates.
+
+    The decision comes first: for one tau after another, every block's atom
+    is tested against T at once, and the atoms inside T are marked covered
+    until T is covered (the atom index grows only that far) or the maps run
+    out.  Only a hit walks its atoms one by one for the greedy entries.
     """
     target = frozenset(int(c) for c in points)
-    covered = set()
-    entries = []
-    for atom in enumerate_atoms(sch, k):
-        if atom.points <= target and not atom.points <= covered:
-            covered |= atom.points
-            entries.append((atom.tau, atom.block))
-            if covered == target:
-                break
-    if covered != target:
+    index = _atom_index(sch, k)
+    q = sch.field.q
+    if target and (min(target) < 0 or max(target) >= q):
         return None
+    mask = np.zeros(q, dtype=bool)
+    mask[list(target)] = True
+    covered = np.zeros(q, dtype=bool)
+    tuples = None
+    inside = []  # per tau so far: which blocks' atoms lie inside T
+    while np.count_nonzero(covered) < len(target):
+        i = len(inside)
+        if i == index.size:
+            return None
+        if i == len(index.maps):
+            if tuples is None:
+                tuples = sch.instance.tuples_array(k)
+            index._extend(sch.field, tuples)
+        codes = index.codes[i]
+        inside.append(np.logical_and.reduceat(mask[codes], index.starts[i]))
+        covered[codes[np.repeat(inside[i], index.sizes[i])]] = True
+    # the atoms inside T of the first len(inside) maps cover T: walk them in
+    # order and take each one that adds a point
+    covered[:] = False
+    entries = []
+    for tau, codes, starts, sizes, hits in zip(index.maps, index.codes, index.starts,
+                                               index.sizes, inside):
+        for b in hits.nonzero()[0].tolist():
+            atom = codes[starts[b]:starts[b] + sizes[b]]
+            if not covered[atom].all():
+                covered[atom] = True
+                entries.append((tau, b))
     return Certificate(k, sch.prefix, entries, target)
 
 
@@ -263,8 +315,6 @@ def extend_subspace(sch: Scheme, cert: Certificate, target_points, t: int):
     have = list(f.decode_batch(sorted(W)))
     for c in sorted(Wp):
         aug = np.vstack(have + [f.decode_batch([c])[0]])
-        from .gf_linalg import rank_mod
-
         if rank_mod(aug, f.ell) > rank_mod(np.vstack(have), f.ell):
             reps.append(c)
             have.append(f.decode_batch([c])[0])

@@ -21,7 +21,6 @@ import bisect
 import cmath
 import csv
 import io
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -92,9 +91,6 @@ class FourierContext:
         if i is None:
             raise FieldMismatch(f"point {code} not in the Fourier group")
         return tuple(self.coord_rows[i].tolist())
-
-    def dual_vectors(self):
-        return itertools.product(range(self.field.ell), repeat=self.rank)
 
     def char_value(self, dual, code: int) -> complex:
         self._check_dual(dual)

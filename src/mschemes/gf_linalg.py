@@ -143,25 +143,6 @@ class Field:
     def zero(self) -> int:
         return 0
 
-    # ---- tuple coding -------------------------------------------------
-
-    def encode_tuple(self, point_codes: Sequence[int]) -> int:
-        code = 0
-        for c in point_codes:
-            if not (0 <= c < self.q):
-                raise IndexOutOfRange(f"point code {c} outside [0, {self.q})")
-            code = code * self.q + int(c)
-        return code
-
-    def decode_tuple(self, code: int, k: int):
-        out = []
-        for _ in range(k):
-            out.append(code % self.q)
-            code //= self.q
-        if code:
-            raise IndexOutOfRange("tuple code too large for arity")
-        return tuple(reversed(out))
-
 
 @lru_cache(maxsize=64)
 def _digit_table(ell: int, dim: int) -> np.ndarray:
@@ -233,15 +214,6 @@ def swap_map(k: int, i: int, j: int) -> LinMap:
     perm = list(range(k))
     perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
     return linmap([[1 if perm[c] == r else 0 for c in range(k)] for r in range(k)])
-
-
-def compose(second: LinMap, first: LinMap) -> LinMap:
-    """second o first, applying `first` first."""
-    if first.dst_arity != second.src_arity:
-        raise ArityMismatch("composition arity mismatch")
-    a = np.asarray(first.coeffs, dtype=np.int64)
-    b = np.asarray(second.coeffs, dtype=np.int64)
-    return linmap((a @ b).tolist())  # entries reduced mod ell at application time
 
 
 def enumerate_linmaps(field: Field, k: int, kp: int, cap: int = DEFAULT_CAP_MAPS):
@@ -344,12 +316,3 @@ def span_points(field: Field, codes: Iterable[int], cap: int | None = None):
     )
     pts = (combos @ basis) % field.ell
     return sorted(int(c) for c in set(field.encode_batch(pts).tolist()))
-
-
-def in_span(field: Field, basis: np.ndarray, code: int) -> bool:
-    if basis.shape[0] == 0:
-        return code == 0
-    vec = field.decode_batch([code])[0]
-    aug = np.vstack([basis, vec])
-    return rank_mod(aug, field.ell) == basis.shape[0]
-

@@ -246,7 +246,9 @@ class ValidationReport:
     ok: bool
     checked_maps: int
     violations: list
-    partial: bool = False  # True when caps stopped the sweep early
+    # Always False: a cap that would stop the sweep raises CapExceeded
+    # instead.  Kept so that `validate` reports keep their "partial" key.
+    partial: bool = False
 
     def first(self) -> Optional[Violation]:
         return self.violations[0] if self.violations else None
@@ -279,6 +281,7 @@ class Scheme:
                 raise InputError(f"explicit scheme missing levels {missing}")
         self.antisym_verdict = None  # cached by the saturation checker
         self._fiber_cache: dict = {}
+        self.atom_indexes: dict = {}  # arity -> constructible.AtomIndex, grown on demand
 
     # ---- basic accessors ---------------------------------------------
 
@@ -398,7 +401,7 @@ class Scheme:
         """Which axiom block b breaks under sw.tau, first failure first."""
         kp = sw.kp
         if sw.inside[b] < sw.sizes[b]:
-            return ("image meets S^{kp} but also leaves it "
+            return (f"image meets S^{kp} but also leaves it "
                     f"({int(sw.inside[b])}/{int(sw.sizes[b])} inside)")
         if sw.target[b] < 0:
             rows = sw.images[sw.starts[b]:sw.starts[b] + sw.sizes[b]]

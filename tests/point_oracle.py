@@ -4,7 +4,17 @@
 Each function decodes its codes to coordinate tuples, combines them
 coordinate by coordinate mod ell in plain Python, and encodes the result.
 `Field.decode` rejects codes outside [0, q).
+
+Also the other scalar definitions the tests check the library against:
+integer tuple codes (base q, first coordinate most significant), map
+composition, span membership by rank, and the dual vectors of a Fourier
+context in `itertools.product` order.
 """
+import itertools
+
+import numpy as np
+
+from mschemes.gf_linalg import linmap, rank_mod
 
 
 def add(f, a, b):
@@ -32,3 +42,41 @@ def apply(f, tau, pts):
         f.encode(tuple(sum(row[j] * v[t] for row, v in zip(tau.coeffs, vecs)) % f.ell
                        for t in range(f.dim)))
         for j in range(tau.dst_arity))
+
+
+def encode_tuple(f, pts):
+    code = 0
+    for c in pts:
+        assert 0 <= c < f.q
+        code = code * f.q + int(c)
+    return code
+
+
+def decode_tuple(f, code, k):
+    out = []
+    for _ in range(k):
+        out.append(code % f.q)
+        code //= f.q
+    assert code == 0, "tuple code too large for arity"
+    return tuple(reversed(out))
+
+
+def compose(second, first):
+    """second o first, applying `first` first; coefficients are reduced mod
+    ell when the map is applied."""
+    assert first.dst_arity == second.src_arity
+    a = np.asarray(first.coeffs, dtype=np.int64)
+    b = np.asarray(second.coeffs, dtype=np.int64)
+    return linmap((a @ b).tolist())
+
+
+def in_span(f, basis, code):
+    """code lies in the row span of basis: appending it keeps the rank."""
+    if basis.shape[0] == 0:
+        return code == 0
+    aug = np.vstack([basis, f.decode_batch([code])[0]])
+    return rank_mod(aug, f.ell) == basis.shape[0]
+
+
+def dual_vectors(ctx):
+    return itertools.product(range(ctx.field.ell), repeat=ctx.rank)

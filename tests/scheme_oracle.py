@@ -40,7 +40,7 @@ def validate(sch, max_violations=16):
                 if not sub_in.all():
                     violations.append(Violation(
                         k, kp, tau, b,
-                        "image meets S^{kp} but also leaves it "
+                        f"image meets S^{kp} but also leaves it "
                         f"({int(sub_in.sum())}/{len(rows)} inside)",
                     ))
                 else:

@@ -1,25 +1,136 @@
 """Atom covers, constructibility certificates, and closure operations."""
+import random
+
+import numpy as np
 import pytest
 
+import atom_oracle
 import point_oracle as oracle
+from mschemes import instances
 from mschemes.constructible import (
+    _atom_index,
     _sum_decomposition,
     boolean_difference,
     boolean_intersect,
     decide_constructible,
-    enumerate_atoms,
     extend_subspace,
     find_constructible_prefix,
     intersect_with_carrier,
     verify_certificate,
 )
-from mschemes.errors import DepthExhausted, PreconditionUnmet
+from mschemes.errors import CapExceeded, DepthExhausted, PreconditionUnmet
 from mschemes.gf_linalg import Field, span_points
 from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
 
+BUILDERS = {
+    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3, lazy=False),
+    "gl2-lazy-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
+    "gl-f3-m3": lambda: instances.gl_orbit_scheme(3, 2, 3, lazy=False),
+    "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
+    "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),
+    "c11c5-m2": lambda: instances.c11_c5_scheme(2),
+    "c31c5-m2": lambda: instances.c31_c5_scheme(2),
+    "signed-perm-m3": lambda: instances.signed_perm_scheme(2, 3),
+    "affine-coset-m3": lambda: instances.affine_coset_scheme(4, [1, 2], 0, 3),
+    "mul-coset-m2": lambda: instances.mul_coset_scheme(5, 2, 6, 1, 0, 2),
+}
+
+
+def _targets(sch, k, rng):
+    """Point sets to decide on a scheme at arity k: the empty set, the
+    carrier, level-1 block unions, atom unions, atoms with a point added or
+    removed, random sets, and sets with a code outside [0, q)."""
+    q = sch.field.q
+    s = list(sch.s_codes)
+    atoms = [a.points for a in atom_oracle.enumerate_atoms(sch, k)]
+    level1 = [frozenset(sch.level1_block_set(b)) for b in range(sch.level(1).num_blocks)]
+    out = [frozenset(), frozenset(s), frozenset(s) | {q}, frozenset({-1, s[0]}),
+           level1[-1], frozenset().union(*rng.sample(level1, min(2, len(level1))))]
+    for _ in range(3):
+        out.append(frozenset().union(*rng.sample(atoms, rng.randint(1, min(3, len(atoms))))))
+    big = max(atoms, key=len)
+    out.append(big - {min(big)})
+    out.append(big | {rng.choice([c for c in range(q) if c not in big])})
+    for _ in range(3):
+        out.append(frozenset(rng.sample(range(q), rng.randint(1, min(q, 2 * len(s))))))
+    return out
+
+
+def _cert_key(cert):
+    return (cert.k, cert.prefix, [(tau.coeffs, b) for tau, b in cert.entries],
+            cert.points)
+
+
+@pytest.mark.parametrize("label", sorted(BUILDERS))
+def test_decide_matches_frozenset_oracle(label):
+    sch = BUILDERS[label]()
+    rng = random.Random(label)
+    s = sch.s_codes
+    hits = misses = 0
+    for fib in (sch, sch.fiber((s[0],)), sch.fiber((s[-1],))):
+        for k in range(1, min(fib.m, 3) + 1):
+            for target in _targets(fib, k, rng):
+                want = atom_oracle.decide(fib, target, k)
+                first = decide_constructible(fib, sorted(target), k)
+                again = decide_constructible(fib, sorted(target), k)
+                if want is None:
+                    assert first is None and again is None, (fib.prefix, k, target)
+                    misses += 1
+                    continue
+                assert _cert_key(first) == _cert_key(want), (fib.prefix, k, target)
+                assert _cert_key(again) == _cert_key(want)
+                assert verify_certificate(fib, first)
+                hits += 1
+    assert hits and misses
+
+
+@pytest.mark.parametrize("label", ["gl-f3-m3", "singer7-m3", "mul-coset-m2"])
+def test_atom_index_matches_oracle(label):
+    sch = BUILDERS[label]()
+    for k in range(1, sch.m + 1):
+        index = _atom_index(sch, k)
+        tuples = sch.instance.tuples_array(k)
+        while len(index.maps) < index.size:
+            index._extend(sch.field, tuples)
+        atoms = [codes[lo:lo + size]
+                 for codes, starts, sizes in zip(index.codes, index.starts, index.sizes)
+                 for lo, size in zip(starts.tolist(), sizes.tolist())]
+        want = list(atom_oracle.enumerate_atoms(sch, k))
+        assert [(a.tau, a.block) for a in want] == [
+            (tau, b) for tau in index.maps for b in range(sch.level(k).num_blocks)]
+        assert [a.points for a in want] == [frozenset(atom.tolist()) for atom in atoms]
+        assert all(np.all(np.diff(atom) > 0) for atom in atoms)
+
+
+def test_decide_matches_oracle_beyond_one_apply_slice():
+    # 3^11 = 177147 tuples: the index maps S^11 in three slices of 2^16
+    sch = instances.gl_orbit_scheme(2, 2, 11)
+    for target in (sch.s_codes, [0], [0, *sch.s_codes]):
+        want = atom_oracle.decide(sch, target, 11)
+        assert _cert_key(decide_constructible(sch, target, 11)) == _cert_key(want)
+
+
+def test_atom_index_grows_only_as_far_as_the_cover():
+    sch = instances.trivial_scheme(2, 2, 3)
+    # (x, y) -> y is the second map at arity 2, and the blocks are singletons
+    cert = decide_constructible(sch, [1], 2)
+    assert [(tau.coeffs, b) for tau, b in cert.entries] == [(((0,), (1,)), 0)]
+    index = _atom_index(sch, 2)
+    assert len(index.maps) == 2 < index.size == 4
+
+
+def test_decide_checks_tuple_cap_on_every_call(monkeypatch):
+    sch = instances.trivial_scheme(2, 2, 3)
+    assert decide_constructible(sch, sch.s_codes, 2) is not None
+    monkeypatch.setenv("MSCHEME_CAP_TUPLES", str(sch.instance.n ** 2 - 1))
+    with pytest.raises(CapExceeded):
+        decide_constructible(sch, sch.s_codes, 2)
+    with pytest.raises(DepthExhausted):
+        decide_constructible(sch, sch.s_codes, 4)
+
 
 def test_atoms_are_block_images(gl2_m3):
-    atoms = list(enumerate_atoms(gl2_m3, 1))
+    atoms = list(atom_oracle.enumerate_atoms(gl2_m3, 1))
     part = gl2_m3.level(1)
     # zero map + identity over every block
     assert len(atoms) == 2 * part.num_blocks

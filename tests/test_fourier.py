@@ -46,7 +46,7 @@ def test_all_coeffs_equal_defining_sum_bit_for_bit(ix, data):
     # codes outside the group (and outside the code range) must be ignored
     subset = data.draw(st.sets(st.integers(-2, ell ** dim + 2)))
     coeffs = ctx.all_coeffs(subset)
-    assert list(coeffs) == [tuple(d) for d in ctx.dual_vectors()]
+    assert list(coeffs) == [tuple(d) for d in oracle.dual_vectors(ctx)]
     rows = [["dual_vector", "re", "im", "abs"]]
     for dual, c in coeffs.items():
         want = ctx.coeff(subset, dual)
@@ -61,7 +61,7 @@ def test_all_coeffs_equal_defining_sum_bit_for_bit(ix, data):
 @pytest.mark.parametrize("ell, dim, gens", ORACLE_CONTEXTS)
 def test_kernel_matches_brute_force(ell, dim, gens):
     ctx = FourierContext.for_generators(Field(ell, dim), gens)
-    for dual in ctx.dual_vectors():
+    for dual in oracle.dual_vectors(ctx):
         want = [code for code in ctx.elements
                 if sum(a * x for a, x in zip(dual, ctx.coords(code))) % ell == 0]
         assert ctx.kernel(dual) == want
@@ -120,7 +120,7 @@ def test_trivial_coeff_is_density(ix):
 def test_kernel_is_subgroup_of_index_ell():
     f = Field(3, 3)
     ctx = ctx_for(3, 3)
-    for dual in ctx.dual_vectors():
+    for dual in oracle.dual_vectors(ctx):
         ker = set(ctx.kernel(dual))
         assert f.zero in ker
         assert all(oracle.add(f, x, y) in ker for x in ker for y in ker)

@@ -7,9 +7,7 @@ import point_oracle as oracle
 from mschemes.errors import CapExceeded, IndexOutOfRange, InputError
 from mschemes.gf_linalg import (
     Field,
-    compose,
     enumerate_linmaps,
-    in_span,
     is_prime,
     linmap,
     nullspace_basis_mod,
@@ -22,6 +20,7 @@ from mschemes.gf_linalg import (
     summation,
     swap_map,
 )
+from mschemes.scheme_core import SchemeInstance
 
 FIELDS = [(2, 3), (3, 2), (5, 2), (2, 5)]
 field_ix = st.integers(0, len(FIELDS) - 1)
@@ -127,8 +126,13 @@ def test_point_ops_respect_point_space_cap(ell, dim, monkeypatch):
 def test_tuple_codec_roundtrip(ix, raws):
     f = Field(*FIELDS[ix])
     pts = tuple(r % f.q for r in raws)
-    code = f.encode_tuple(pts)
-    assert tuple(f.decode_tuple(code, len(pts))) == pts
+    code = oracle.encode_tuple(f, pts)
+    assert tuple(oracle.decode_tuple(f, code, len(pts))) == pts
+    # tuple indices of S^k follow the integer tuple codes
+    inst = SchemeInstance(f, tuple(sorted(set(pts))))
+    codes = [oracle.encode_tuple(f, row) for row in inst.tuples_array(len(pts)).tolist()]
+    assert codes == sorted(set(codes))
+    assert codes[inst.tuple_index(pts)] == code
 
 
 def test_projection_summation_swap():
@@ -168,9 +172,12 @@ def test_compose_is_pointwise_composition(ix, data):
                                      min_size=kp, max_size=kp),
                             min_size=km, max_size=km))
     first, second = linmap(c1), linmap(c2)
-    both = compose(second, first)
+    both = oracle.compose(second, first)
     pts = tuple(data.draw(st.integers(0, f.q - 1)) for _ in range(k))
     assert oracle.apply(f, both, pts) == oracle.apply(f, second, oracle.apply(f, first, pts))
+    rows = np.array([pts], dtype=np.int64)
+    assert np.array_equal(both.apply_batch(f, rows),
+                          second.apply_batch(f, first.apply_batch(f, rows)))
 
 
 def test_enumerate_linmaps_complete():
@@ -208,4 +215,4 @@ def test_span_membership():
     assert len(pts) == 2 ** span_dim(f, codes)
     basis = span_basis(f, codes)
     for c in range(f.q):
-        assert in_span(f, basis, c) == (c in set(int(p) for p in pts))
+        assert oracle.in_span(f, basis, c) == (c in set(int(p) for p in pts))

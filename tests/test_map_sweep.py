@@ -11,8 +11,8 @@ import scheme_oracle as oracle
 from mschemes import instances
 from mschemes.antisym import generator_maps
 from mschemes.errors import CapExceeded
-from mschemes.gf_linalg import enumerate_linmaps
-from mschemes.scheme_core import Scheme, TuplePartition
+from mschemes.gf_linalg import Field, enumerate_linmaps
+from mschemes.scheme_core import Scheme, SchemeInstance, TuplePartition
 
 BUILDERS = {
     "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3, lazy=False),
@@ -80,6 +80,21 @@ def test_corrupted_levels_match_oracle_at_every_stop():
             gens, _ = generator_maps(bad)
             assert gens == oracle.generator_maps(bad)
     assert kinds == set(KINDS) and early_stops == {1, 3, 16}
+
+
+def test_mixed_in_s_violation_names_its_arity():
+    # one block per level on S = {1, 2, 3} in F_2^2: x + y sends (1, 1) to
+    # 0, outside S, and (1, 2) to 3, inside; (x, x + y) does the same in S^2
+    inst = SchemeInstance(Field(2, 2), (1, 2, 3))
+    levels = [TuplePartition.from_raw(inst, k, np.zeros(3 ** k, dtype=np.int64))
+              for k in (1, 2)]
+    bad = Scheme(inst, 2, levels=levels)
+    rep = bad.validate(10 ** 6)
+    _same_report(rep, oracle.validate(bad, 10 ** 6))
+    mixed = [v for v in rep.violations if KINDS[0] in v.detail]
+    assert {v.kp for v in mixed} == {1, 2}
+    for v in mixed:
+        assert v.detail.startswith(f"image meets S^{v.kp} but also leaves it (")
 
 
 def test_sweep_columns_are_the_maps(gl2_m3):
