@@ -75,64 +75,54 @@ class SaturationResult:
     generators: int = 0
 
 
-def _block_members(sch: Scheme, k: int, b: int) -> np.ndarray:
-    return np.sort(sch.level(k).blocks()[b])
-
-
-def generator_maps(sch: Scheme):
+def generator_maps(sch: Scheme) -> list:
     """All bijective block-to-block restrictions of coordinate-linear maps,
     read from the map sweep in (k, k', tau, block) order.
 
-    Returns (gens, member_pos) where gens is a list of
-    (src, dst, mapping, GenStep) with mapping aligned to the ascending member
-    list of the source block.
+    Returns a list of (src, dst, mapping, GenStep): mapping[i] is the
+    position in block dst of the image of the i-th member of block src.
     """
     gens = []
     seen = set()
-    members = {}
-
-    def member_pos(ref):
-        if ref not in members:
-            arr = _block_members(sch, *ref)
-            members[ref] = (arr, {int(t): i for i, t in enumerate(arr)})
-        return members[ref]
-
+    rank = {}  # arity -> position of each tuple within its block
     for sw in sch.map_sweep():
         onto = ((sw.inside == sw.sizes) & (sw.distinct == sw.sizes)
                 & (sw.target_size == sw.sizes))
         hits = np.flatnonzero(onto).tolist()
         if not hits:
             continue
-        images = sw.images.tolist()
+        if sw.kp not in rank:
+            rank[sw.kp] = np.empty(sch.instance.tuple_count(sw.kp), dtype=np.int64)
+            for rows in sch.level(sw.kp).blocks():
+                rank[sw.kp][rows] = np.arange(len(rows))
+        # rows of a hit block all have images in S^k'; no -1 is read
+        positions = rank[sw.kp][sw.images].tolist()
         for b in hits:
             start = int(sw.starts[b])
-            mapping = tuple(images[start:start + int(sw.sizes[b])])
+            mapping = tuple(positions[start:start + int(sw.sizes[b])])
             src, dst = (sw.k, b), (sw.kp, int(sw.target[b]))
             key = (src, dst, mapping)
             if key not in seen:
                 seen.add(key)
                 gens.append((src, dst, mapping, GenStep(sw.tau.coeffs, "fwd", src, dst)))
-    return gens, member_pos
+    return gens
 
 
 def strong_antisym_check(sch: Scheme, budget: int = DEFAULT_BUDGET_SATURATION) -> SaturationResult:
-    """Saturate the partial-bijection groupoid; cache the verdict on the scheme."""
-    gens, member_pos = generator_maps(sch)
+    """Saturate the partial-bijection groupoid; cache the verdict on the scheme.
+
+    A mapping lists, per member of its source block, the position of the
+    image in its destination block: the inverse is its argsort, composition
+    is indexing, and a self-map is the identity when it equals range."""
+    gens = generator_maps(sch)
     # add inverses as generators too
     all_gens = list(gens)
     for src, dst, mapping, step in gens:
-        src_members, _ = member_pos(src)
-        dst_members, dst_pos = member_pos(dst)
-        inv_mapping = [0] * len(mapping)
-        for i, t in enumerate(mapping):
-            inv_mapping[dst_pos[t]] = int(src_members[i])
-        all_gens.append(
-            (dst, src, tuple(inv_mapping), GenStep(step.tau, "inv", dst, src))
-        )
+        inv_mapping = tuple(sorted(range(len(mapping)), key=mapping.__getitem__))  # argsort
+        all_gens.append((dst, src, inv_mapping, GenStep(step.tau, "inv", dst, src)))
 
-    def is_identity(src, mapping):
-        arr, _ = member_pos(src)
-        return np.array_equal(arr, np.array(mapping, dtype=np.int64))
+    def is_identity(mapping):
+        return mapping == tuple(range(len(mapping)))
 
     explored = {}
     words = []
@@ -150,7 +140,7 @@ def strong_antisym_check(sch: Scheme, budget: int = DEFAULT_BUDGET_SATURATION) -
     witness = None
     for src, dst, mapping, step in all_gens:
         admit(src, dst, mapping, (None, step))
-        if src == dst and not is_identity(src, mapping):
+        if src == dst and not is_identity(mapping):
             witness = (src, mapping, explored[(src, dst, mapping)])
             break
 
@@ -167,13 +157,12 @@ def strong_antisym_check(sch: Scheme, budget: int = DEFAULT_BUDGET_SATURATION) -
         src, dst, mapping = queue[head]
         head += 1
         parent_idx = explored[(src, dst, mapping)]
-        _, dst_pos = member_pos(dst)
         for gdst, gmapping, gstep in by_src.get(dst, []):
-            composed = tuple(gmapping[dst_pos[t]] for t in mapping)
+            composed = tuple(gmapping[i] for i in mapping)
             key = admit(src, gdst, composed, (parent_idx, gstep))
             if key is None:
                 continue
-            if src == gdst and not is_identity(src, composed):
+            if src == gdst and not is_identity(composed):
                 witness = (src, composed, explored[key])
                 break
 
@@ -188,24 +177,27 @@ def strong_antisym_check(sch: Scheme, budget: int = DEFAULT_BUDGET_SATURATION) -
             word.append(step)
             idx = parent
         word.reverse()
+        members = sch.level(src[0]).blocks()[src[1]]
         result = SaturationResult(
             "witness", len(explored), budget,
-            witness=Witness(src, word, mapping), generators=len(gens),
+            witness=Witness(src, word, tuple(members[list(mapping)].tolist())),
+            generators=len(gens),
         )
     sch.antisym_verdict = result
     return result
 
 
 def _forward_restriction(sch: Scheme, tau: LinMap, src: tuple, dst: tuple):
-    """dict: tuple index in block src -> tuple index in block dst, or None."""
+    """Positions in block dst of the images of block src's members under tau,
+    or None unless tau maps src onto dst bijectively."""
     inst = sch.instance
-    k, b = src
-    src_members = _block_members(sch, k, b)
-    img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(k)[src_members]))
-    # a bijection onto dst: the images, sorted, are dst's ascending members
-    if (img < 0).any() or not np.array_equal(np.sort(img), _block_members(sch, *dst)):
+    src_members = sch.level(src[0]).blocks()[src[1]]
+    dst_members = sch.level(dst[0]).blocks()[dst[1]]
+    img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(src[0])[src_members]))
+    # a bijection onto dst: the images, sorted, are dst's members
+    if (img < 0).any() or not np.array_equal(np.sort(img), dst_members):
         return None
-    return {int(s): int(t) for s, t in zip(src_members, img)}
+    return np.searchsorted(dst_members, img)
 
 
 def replay_witness(sch: Scheme, witness: Witness) -> bool:
@@ -214,8 +206,8 @@ def replay_witness(sch: Scheme, witness: Witness) -> bool:
     if not witness.word or witness.word[0].src != witness.block:
         return False
     cur_ref = witness.block
-    members = _block_members(sch, *witness.block)
-    mapping = {int(t): int(t) for t in members}
+    members = sch.level(witness.block[0]).blocks()[witness.block[1]]
+    mapping = np.arange(len(members))  # position in cur_ref of each member's image
     for step in witness.word:
         if step.src != cur_ref:
             return False
@@ -225,17 +217,16 @@ def replay_witness(sch: Scheme, witness: Witness) -> bool:
         else:
             # the recorded map runs dst -> src; invert it
             fwd = _forward_restriction(sch, tau, step.dst, step.src)
-            stepmap = {v: s for s, v in fwd.items()} if fwd else None
+            stepmap = None if fwd is None else np.argsort(fwd)
         if stepmap is None:
             return False
-        mapping = {s: stepmap[t] for s, t in mapping.items()}
+        mapping = stepmap[mapping]
         cur_ref = step.dst
     if cur_ref != witness.block:
         return False
-    replayed = tuple(mapping[int(t)] for t in members)
-    if replayed != witness.mapping:
+    if tuple(members[mapping].tolist()) != witness.mapping:
         return False
-    return not np.array_equal(np.array(replayed), members)
+    return bool((mapping != np.arange(len(members))).any())
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +269,7 @@ def halving_step(sch: Scheme, b: int, x: int, y: int):
     if x not in block or y not in block or x == y:
         raise InputError("x, y must be distinct members of the block")
     fib = sch.fiber((x,))
-    bp = fib.level(1).block_of_tuple((y,))
+    bp = int(fib.level(1).bid[sch.instance.pos(y)])
     size = fib.level(1).block_size(bp)
     if not (1 < size and 2 * size <= len(block)):
         raise LemmaViolation(
@@ -313,7 +304,8 @@ def depth_measure(sch: Scheme, b: int) -> DepthTrace:
     runs out of depth first.
     """
     cur = sch
-    block = sorted(sch.level1_block_set(b))
+    pos = sch.instance.pos
+    block = sch.level1_block_set(b)
     start = len(block)
     steps = []
     while len(block) > 1:
@@ -326,22 +318,19 @@ def depth_measure(sch: Scheme, b: int) -> DepthTrace:
         best = None
         for x in block:
             fib = cur.fiber((x,))
-            lvl = fib.level(1)
-            sizes = sorted(
-                (lvl.block_size(lvl.block_of_tuple((y,))) for y in block if y != x),
-                reverse=True,
-            )
-            cand = (sizes[0], x, fib, lvl)
+            bid = fib.level(1).bid
+            others = [y for y in block if y != x]
+            ids = bid[pos(others)]
+            sizes = np.bincount(bid)
+            cand = (int(sizes[ids].max()), x, fib, others, ids.tolist(), sizes)
             if best is None or cand[0] < best[0]:
                 best = cand
-        largest, x, fib, lvl = best
-        new_ids = {lvl.block_of_tuple((y,)) for y in block if y != x}
-        tracked_id = max(new_ids, key=lambda i: (lvl.block_size(i), -i))
-        tracked = sorted(
-            y for y in block if y != x and lvl.block_of_tuple((y,)) == tracked_id
-        )
+        _, x, fib, others, ids, sizes = best
+        new_ids = set(ids)
+        tracked_id = max(new_ids, key=lambda i: (sizes[i], -i))
+        tracked = [y for y, i in zip(others, ids) if i == tracked_id]
         steps.append(
-            DepthTraceStep(x, tuple(sorted((lvl.block_size(i) for i in new_ids), reverse=True)), len(tracked))
+            DepthTraceStep(x, tuple(sorted((int(sizes[i]) for i in new_ids), reverse=True)), len(tracked))
         )
         cur = fib
         block = tracked

@@ -51,12 +51,15 @@ class Certificate:
 
 
 def verify_certificate(sch: Scheme, cert: Certificate) -> bool:
-    """Recompute every entry's image; the union must equal cert.points."""
+    """Recompute every entry's image; the union must equal cert.points.  An
+    entry naming a block id outside [0, num_blocks) fails the check."""
     inst = sch.instance
     part = sch.level(cert.k)
     tuples = inst.tuples_array(cert.k)
     got = set()
     for tau, b in cert.entries:
+        if not 0 <= b < part.num_blocks:
+            return False
         img = tau.apply_batch(inst.field, tuples[part.blocks()[b]])[:, 0]
         pts = set(int(c) for c in img)
         if not pts <= cert.points:
@@ -339,7 +342,7 @@ def extend_subspace(sch: Scheme, cert: Certificate, target_points, t: int):
     result = set()
     tuples = inst.tuples_array(k + dt)
     for tau, b in cert.entries:
-        rows = np.sort(sch.level(k).blocks()[b])
+        rows = sch.level(k).blocks()[b]
         lifted = rows * (n ** dt) + prefix_idx  # indices of B x {prefix}
         for svec in itertools.product(range(f.ell), repeat=d):
             ids = part.ids_as_union(lifted)

@@ -315,7 +315,7 @@ def build_orbit_scheme(group: MatrixGroup, seed_codes, m: int,
     """
     s_codes = group.close_set(seed_codes)
     inst = SchemeInstance(group.field, s_codes)
-    perms = inst.pos_of()[group.images(s_codes)]
+    perms = inst.pos(group.images(s_codes))
     if (perms < 0).any():
         raise NotInGroup("S is not stable under the group")
     backend = OrbitBackend(s_codes, perms)

@@ -49,7 +49,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .fourier import FourierContext
-from .gf_linalg import span_points
+from .gf_linalg import span_points, summation
 from .scheme_core import Scheme, SchemeInstance, TuplePartition
 
 __all__ = [
@@ -167,24 +167,9 @@ class ShrinkOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _block_codes(sch: Scheme, b: int) -> list:
-    """Point codes of a level-1 block, ascending."""
-    return sorted(sch.level1_block_set(b))
-
-
-def _sigma_codes(sch: Scheme, k: int, rows: np.ndarray) -> np.ndarray:
-    """Coordinate sums of the arity-k tuples with the given row indices."""
-    inst = sch.instance
-    f = inst.field
-    tuples = inst.tuples_array(k)[rows]
-    digs = f.decode_batch(tuples.reshape(-1))
-    digs = digs.reshape(len(rows), k, f.dim).sum(axis=1) % f.ell
-    return f.encode_batch(digs)
-
 def _level1_union_ids(sch: Scheme, codes) -> frozenset:
     """Express a point set as a union of level-1 blocks (or raise)."""
-    pos = sch.instance.pos_of()
-    return sch.level(1).ids_as_union([int(pos[c]) for c in codes])
+    return sch.level(1).ids_as_union(sch.instance.pos(codes))
 
 
 def _le_ell_pow(lhs: Fraction, rhs: Fraction, ell: int, exp: Fraction) -> bool:
@@ -269,14 +254,14 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
         raise PreconditionUnmet("m>=2k+2", f"m={sch.m}, k={k}")
     inst = sch.instance
     f = inst.field
-    b_codes = _block_codes(sch, b)
+    b_codes = sch.level1_block_set(b)
     b_set = set(b_codes)
     part = sch.level(k)
-    rows = np.sort(part.blocks()[a.b])
+    rows = part.blocks()[a.b]
     a_tuples = inst.tuples_array(k)[rows]
     if not all(int(c) in b_set for c in a_tuples.reshape(-1)):
         raise PreconditionUnmet("A⊆B^k", "block A has coordinates outside B")
-    sig = _sigma_codes(sch, k, rows)
+    sig = summation(k).apply_batch(f, a_tuples)[:, 0]
     ap_codes = sorted(set(int(c) for c in sig))
     b_ps = PointSet.from_codes(f, b_codes)
     ap_ps = PointSet.from_codes(f, ap_codes)
@@ -355,8 +340,9 @@ def bijectivity_check(sch: Scheme, a: BlockRef) -> bool:
     direct check raises LemmaViolation instead of returning False.
     """
     k = a.k
-    rows = np.sort(sch.level(k).blocks()[a.b])
-    sig = _sigma_codes(sch, k, rows)
+    inst = sch.instance
+    rows = sch.level(k).blocks()[a.b]
+    sig = summation(k).apply_batch(inst.field, inst.tuples_array(k)[rows])[:, 0]
     n_a = len(rows)
     n_ap = len(set(int(c) for c in sig))
     injective = n_a == n_ap
@@ -411,7 +397,7 @@ def partial_sumset_search(sch: Scheme, b: int, K):
     K = Fraction(K)
     inst = sch.instance
     f = inst.field
-    b_codes = _block_codes(sch, b)
+    b_codes = sch.level1_block_set(b)
     n_b = len(b_codes)
     span_size = len(span_points(f, b_codes))
     if n_b < 2 * K * K:
@@ -421,8 +407,6 @@ def partial_sumset_search(sch: Scheme, b: int, K):
         raise PreconditionUnmet("m>4/rho(B)+logK+1",
                                 f"m={sch.m}, rho={rho:.4f}, K={K}")
     b_ps = PointSet.from_codes(f, b_codes)
-    b_set = set(b_codes)
-    pos = inst.pos_of()
     n = inst.n
 
     k = 1
@@ -430,13 +414,13 @@ def partial_sumset_search(sch: Scheme, b: int, K):
     steps: list = []
     while True:
         part = sch.level(k)
-        rows = np.sort(part.blocks()[a.b])
+        rows = part.blocks()[a.b]
         n_a = len(rows)
         inv = ineq(Fraction(n_b) ** (2 * k), "<=",
                    Fraction(n_a) ** 2 * K ** (k - 1),
                    note="|A|>=|B|^k/K^((k-1)/2) (squared)")
         require_ineqs("partial_sumset_search/invariant", [inv])
-        sig = _sigma_codes(sch, k, rows)
+        sig = summation(k).apply_batch(f, inst.tuples_array(k)[rows])[:, 0]
         ap_codes = sorted(set(int(c) for c in sig))
         n_ap = len(ap_codes)
         ap_ps = PointSet.from_codes(f, ap_codes)
@@ -466,7 +450,7 @@ def partial_sumset_search(sch: Scheme, b: int, K):
             raise DepthExhausted(f"case-3 round needs level {k + 1} > m={sch.m}")
         inst.check_tuple_cap(k + 1)
         part_hi = sch.level(k + 1)
-        b_rows = np.sort([int(pos[c]) for c in b_codes])
+        b_rows = inst.pos(b_codes)
         prod_rows = (rows[:, None] * n + b_rows[None, :]).reshape(-1)
         prod_ids = part_hi.ids_as_union(prod_rows)  # A x B is a block union
         small, big = [], []
@@ -514,15 +498,17 @@ def partial_sumset_search(sch: Scheme, b: int, K):
         for bid in big:
             u_rows_mask[part_hi.blocks()[bid]] = True
         u_rows = np.nonzero(u_rows_mask)[0]
-        sig_u = _sigma_codes(sch, k + 1, u_rows)
+        sum_hi = summation(k + 1)
+        tuples_hi = inst.tuples_array(k + 1)
+        sig_u = sum_hi.apply_batch(f, tuples_hi[u_rows])[:, 0]
         n_sig_u = len(set(int(c) for c in sig_u))
         rec_u = ineq(len(u_rows), "<=", 2 * K * n_sig_u,
                      note="|U|<=2K|sigma(U)|")
         require_ineqs("partial_sumset_search/case3-U", [rec_u])
         a_star = None
         for bid in big:
-            brows = np.sort(part_hi.blocks()[bid])
-            im = len(set(int(c) for c in _sigma_codes(sch, k + 1, brows)))
+            brows = part_hi.blocks()[bid]
+            im = len(set(int(c) for c in sum_hi.apply_batch(f, tuples_hi[brows])[:, 0]))
             if len(brows) <= 2 * K * im:
                 a_star = (bid, brows, im)
                 break
@@ -577,14 +563,12 @@ def scheme_power(sch: Scheme, a: BlockRef, mp: int) -> Scheme:
         raise PreconditionUnmet("sum map bijective on A", "direct check failed")
     inst = sch.instance
     n = inst.n
-    rows = np.sort(sch.level(k).blocks()[a.b])
-    sig = _sigma_codes(sch, k, rows)
+    rows = sch.level(k).blocks()[a.b]
+    sig = summation(k).apply_batch(inst.field, inst.tuples_array(k)[rows])[:, 0]
     ap_codes = tuple(sorted(int(c) for c in sig))
     new_inst = SchemeInstance(inst.field, ap_codes)
     npp = new_inst.n
-    # position of each A-row's image in the new carrier
-    new_pos = {c: i for i, c in enumerate(ap_codes)}
-    img_of_row = np.array([new_pos[int(c)] for c in sig], dtype=np.int64)
+    img_of_row = new_inst.pos(sig)  # position of each A-row's image in the new carrier
 
     levels = []
     for i in range(1, mp + 1):
@@ -630,8 +614,10 @@ def lift_block(sch: Scheme, a: BlockRef, power: Scheme, x_prefix: Sequence[int],
     k = a.k
     r = len(x_prefix)
     inst = sch.instance
-    rows = np.sort(sch.level(k).blocks()[a.b])
-    sig = _sigma_codes(sch, k, rows)
+    rows = sch.level(k).blocks()[a.b]
+    sigma = summation(k)
+    tuples = inst.tuples_array(k)
+    sig = sigma.apply_batch(inst.field, tuples[rows])[:, 0]
     pre = {}
     for row, c in zip(rows, sig):
         pre.setdefault(int(c), int(row))
@@ -642,7 +628,7 @@ def lift_block(sch: Scheme, a: BlockRef, power: Scheme, x_prefix: Sequence[int],
     for c in x_prefix:
         if int(c) not in pre:
             raise PreconditionUnmet("prefix⊆A'", f"point {c} not in A'")
-    y_tuples = [tuple(int(v) for v in inst.tuples_array(k)[pre[int(c)]])
+    y_tuples = [tuple(int(v) for v in tuples[pre[int(c)]])
                 for c in x_prefix]
     y_prefix = tuple(v for tup in y_tuples for v in tup)
     if k * r + k > sch.m:
@@ -650,23 +636,22 @@ def lift_block(sch: Scheme, a: BlockRef, power: Scheme, x_prefix: Sequence[int],
             f"lift needs level {k * (r + 1)} > m={sch.m}")
     fib = sch.fiber(y_prefix)
     pfib = power.fiber(tuple(int(c) for c in x_prefix))
-    ppart = pfib.level(1)
     a_rows = set(int(v) for v in rows)
 
     out_ids = set()
     out_rows = []
     total = 0
     for bid in sorted(set(int(i) for i in block_ids)):
-        u_codes = [pts[0] for pts in ppart.block_tuples(bid)]
+        u_codes = pfib.level1_block_set(bid)
         total += len(u_codes)
         z0p = pre[min(u_codes)]
         fpart = fib.level(k)
         blk = int(fpart.bid[z0p])
-        blk_rows = np.sort(fpart.blocks()[blk])
+        blk_rows = fpart.blocks()[blk]
         if not all(int(v) in a_rows for v in blk_rows):
             raise LemmaViolation("lifted block leaves A")
-        img = sorted(set(int(c) for c in _sigma_codes(sch, k, blk_rows)))
-        if img != sorted(u_codes) or len(blk_rows) != len(u_codes):
+        img = sorted(set(sigma.apply_batch(inst.field, tuples[blk_rows])[:, 0].tolist()))
+        if img != u_codes or len(blk_rows) != len(u_codes):
             raise LemmaViolation(
                 f"lifted block maps to {len(img)} points, expected the "
                 f"{len(u_codes)}-point fibre block"
@@ -758,7 +743,7 @@ def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) 
     if sch.m < 4:
         raise PreconditionUnmet("m>=4", f"m={sch.m}")
     f = sch.field
-    b_codes = _block_codes(sch, b)
+    b_codes = sch.level1_block_set(b)
     n = len(b_codes)
     b_ps = PointSet.from_codes(f, b_codes)
     energy = additive_energy(b_ps)
@@ -854,10 +839,11 @@ def find_constructible(sch: Scheme, points, max_arity: int, max_prefix: int,
 def compute_heavy_set(sch: Scheme, b: int, eps_prime, max_arity: int = 2,
                       max_prefix: int = 2, prefix_cap: Optional[int] = None):
     """Nontrivial heavy characters of the block indicator whose kernels are
-    constructible (bounded search).  Returns (FourierContext, [HeavyChar])."""
+    constructible (bounded search).  Returns (number of heavy characters
+    before the kernel filter, [HeavyChar])."""
     eps_prime = Fraction(eps_prime)
     f = sch.field
-    b_codes = _block_codes(sch, b)
+    b_codes = sch.level1_block_set(b)
     ctx = FourierContext.for_generators(f, b_codes)
     heavy = ctx.heavy_characters(set(b_codes), float(eps_prime))
     out = []
@@ -867,7 +853,7 @@ def compute_heavy_set(sch: Scheme, b: int, eps_prime, max_arity: int = 2,
         if found is not None:
             out.append(HeavyChar(tuple(dual), coeff, kernel,
                                  found["arity"], found["prefix"], found["cert"]))
-    return ctx, out
+    return len(heavy), out
 
 
 def enumerate_subspaces(field, group_codes, cap: int = 4096):
@@ -900,7 +886,7 @@ def enumerate_w_family(sch: Scheme, b: int, k: int, max_arity: int = 2,
     """Subspaces of span(B) with codimension <= k that pass the bounded
     constructibility search.  Returns [(subspace frozenset, search record)]."""
     f = sch.field
-    b_codes = _block_codes(sch, b)
+    b_codes = sch.level1_block_set(b)
     full = len(span_points(f, b_codes))
     out = []
     for sub in enumerate_subspaces(f, b_codes, cap=subspace_cap):
@@ -976,8 +962,9 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
     if not 0 < eps_prime < 1:
         raise PreconditionUnmet("0<eps'<1", f"eps'={eps_prime}")
     f = sch.field
-    b_codes = _block_codes(sch, b)
-    mu = Fraction(len(b_codes), len(span_points(f, b_codes)))
+    b_codes = sch.level1_block_set(b)
+    span_size = len(span_points(f, b_codes))
+    mu = Fraction(len(b_codes), span_size)
     t = int(Fraction(3, 2) / mu) + 1
     if sch.m < 2 * t + 2:
         raise PreconditionUnmet("m>=2t+2", f"m={sch.m}, t={t}")
@@ -987,9 +974,8 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
         "|B|": len(b_codes), "mu": str(mu), "t": t, "k'": kp,
         "eps'": str(eps_prime),
     }, [])]
-    ctx, heavy = compute_heavy_set(sch, b, eps_prime, max_arity, max_prefix,
-                                   prefix_cap)
-    total_heavy = len(ctx.heavy_characters(set(b_codes), float(eps_prime)))
+    total_heavy, heavy = compute_heavy_set(sch, b, eps_prime, max_arity, max_prefix,
+                                           prefix_cap)
     if not heavy:
         steps.append(TraceStep("decompose", "trivial-gate", (), {
             "heavy_before_kernel_filter": total_heavy,
@@ -1043,7 +1029,6 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
             for sub, found in enumerate_w_family(sch, b, kp, max_arity,
                                                  max_prefix, prefix_cap):
                 family.append((sub, found["arity"] + len(found["prefix"])))
-        span_size = len(span_points(f, b_codes))
         checked = skipped = 0
         ok7 = True
         detail7 = ""
@@ -1091,7 +1076,7 @@ def two_case_check(sch: Scheme, b: int, k: int, eps,
     """
     eps = Fraction(eps)
     f = sch.field
-    b_codes = _block_codes(sch, b)
+    b_codes = sch.level1_block_set(b)
     mu = Fraction(len(b_codes), len(span_points(f, b_codes)))
     t = int(Fraction(3, 2) / mu) + 1
     kp = k * (t + 1)
@@ -1177,7 +1162,7 @@ def _compute_w(sch: Scheme, b: int, x: int, params: RefineParams):
         params.eps / f.ell ** params.k)
     _, heavy = compute_heavy_set(sch, b, eps_prime, params.search_arity,
                                  params.search_prefix, params.prefix_cap)
-    b_codes = _block_codes(sch, b)
+    b_codes = sch.level1_block_set(b)
     if heavy:
         hub = frozenset.intersection(*[h.kernel for h in heavy])
         w = frozenset(int(c) for c in span_points(f, set(hub) | {x}))
@@ -1197,7 +1182,7 @@ def _size_split(sch: Scheme, codes, n_lo: Fraction, n_hi: Fraction):
     # a single block already at least n_lo: window if <= n_hi, else carry it
     for i, sz in sized:
         if Fraction(sz) >= n_lo:
-            pts = tuple(sorted(pts0[0] for pts0 in part.block_tuples(i)))
+            pts = tuple(sch.level1_block_set(i))
             if Fraction(sz) <= n_hi:
                 return "window", pts
             return "block", i, pts
@@ -1210,7 +1195,7 @@ def _size_split(sch: Scheme, codes, n_lo: Fraction, n_hi: Fraction):
     if Fraction(total) < n_lo or Fraction(total) > n_hi:
         raise LemmaViolation(
             f"size split failed: reached {total} outside [{n_lo}, {n_hi}]")
-    pts = tuple(sorted(p for i in chosen for (p,) in part.block_tuples(i)))
+    pts = tuple(sorted(p for i in chosen for p in sch.level1_block_set(i)))
     return "window", pts
 
 
@@ -1221,10 +1206,9 @@ def _search_small_union(sch: Scheme, b_codes, x: int, lo: Fraction, hi: Fraction
         if sch.m < 3:
             break
         fib = sch.fiber((x, y))
-        part = fib.level(1)
         usable = []
-        for i in range(part.num_blocks):
-            pts = [p for (p,) in part.block_tuples(i)]
+        for i in range(fib.level(1).num_blocks):
+            pts = fib.level1_block_set(i)
             if set(pts) <= b_set and Fraction(len(pts)) <= hi:
                 usable.append((i, pts))
         total, chosen = 0, []
@@ -1249,7 +1233,7 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
     """
     f = sch.field
     K, k, r, eps, gamma = params.K, params.k, params.r, params.eps, params.gamma
-    b_codes = _block_codes(sch, b)
+    b_codes = sch.level1_block_set(b)
     n0 = len(b_codes)
     span0 = len(span_points(f, b_codes))
     mu = Fraction(n0, span0)
@@ -1466,7 +1450,7 @@ def key_lemma_search(sch: Scheme, b: int, max_prefix_len: int = 2,
     best found so far is returned flagged) and inspects every level-1 block
     of the fibre contained in B.
     """
-    b_codes = _block_codes(sch, b)
+    b_codes = sch.level1_block_set(b)
     n = len(b_codes)
     if n <= 1:
         raise PreconditionUnmet("|B|>1", f"|B|={n}")
@@ -1484,9 +1468,8 @@ def key_lemma_search(sch: Scheme, b: int, max_prefix_len: int = 2,
                 break
             tried += 1
             fib = sch.fiber(pts)
-            part = fib.level(1)
-            for i in range(part.num_blocks):
-                blk = [p for (p,) in part.block_tuples(i)]
+            for i in range(fib.level(1).num_blocks):
+                blk = fib.level1_block_set(i)
                 if not set(blk) <= b_set or len(blk) == n:
                     continue
                 ratio = min(Fraction(len(blk)), Fraction(n, len(blk)))
@@ -1494,7 +1477,7 @@ def key_lemma_search(sch: Scheme, b: int, max_prefix_len: int = 2,
                 if best_key is None or key > best_key:
                     best_key = key
                     best = ShrinkOutcome("search", tuple(pts),
-                                         frozenset([i]), tuple(sorted(blk)),
+                                         frozenset([i]), tuple(blk),
                                          n, [])
         if capped:
             break

@@ -12,6 +12,12 @@ Tuples of S^k are indexed by their mixed-radix position over sorted S (first
 coordinate most significant), which coincides with ordering by integer tuple
 code.  Blocks are numbered by smallest contained tuple, ascending.
 
+Carrier index.  `SchemeInstance.pos` is the only map from point codes to
+positions in S (-1 for a code not in S, also outside [0, q)); it reads one
+table built once per instance.  `tuples_array(k)[rows]` is the only map from
+tuple indices back to codes.  `TuplePartition.blocks()` is the only member
+list of the blocks, and each entry is ascending.
+
 Map table.  `SchemeInstance.map_table(k)` applies to S^k the map V^k ->
 V^(ell^k) whose column c has the base-ell digits of c as coefficients (the
 order of `enumerate_linmaps(field, k, 1)`).  The images under tau are its
@@ -24,7 +30,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,11 +67,23 @@ class SchemeInstance:
     def n(self) -> int:
         return len(self.s_codes)
 
-    def pos_of(self) -> np.ndarray:
-        """Array over the point-code space: position in S, or -1."""
-        pos = np.full(self.field.q, -1, dtype=np.int64)
-        pos[np.array(self.s_codes, dtype=np.int64)] = np.arange(self.n)
-        return pos
+    @cached_property
+    def _pos_table(self) -> np.ndarray:
+        """Read-only: entry c < q is the position of code c in S, or -1; the
+        last entry, -1, stands for every code outside [0, q)."""
+        table = np.full(self.field.q + 1, -1, dtype=np.int64)
+        table[np.array(self.s_codes, dtype=np.int64)] = np.arange(self.n)
+        table.flags.writeable = False
+        return table
+
+    def pos(self, codes) -> np.ndarray:
+        """Position in S of each point code, or -1 for a code not in S."""
+        codes = np.asarray(codes, dtype=np.int64)
+        q = self.field.q
+        # read as unsigned, a negative code exceeds q: one max checks the range
+        if codes.size and codes.view(np.uint64).max() >= q:
+            codes = np.where((codes >= 0) & (codes < q), codes, q)
+        return self._pos_table[codes]
 
     def tuple_count(self, k: int) -> int:
         return self.n ** k
@@ -95,26 +114,17 @@ class SchemeInstance:
     def tuple_indices(self, codes: np.ndarray) -> np.ndarray:
         """Index in S^k' of each row of an (N, k') code array, or -1 where
         the row has a coordinate outside S."""
-        pos = self.pos_of()[codes]
+        pos = self.pos(codes)
         radix = self.n ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64)
         return np.where((pos >= 0).all(axis=1), pos @ radix, -1)
 
     def tuple_index(self, pts: Sequence[int]) -> int:
-        pos = self.pos_of()
         idx = 0
-        for c in pts:
-            p = int(pos[c]) if 0 <= c < self.field.q else -1
+        for c, p in zip(pts, self.pos(list(pts)).tolist()):
             if p < 0:
                 raise IndexOutOfRange(f"point code {c} not in S")
             idx = idx * self.n + p
         return idx
-
-    def tuple_points(self, idx: int, k: int):
-        out = []
-        for _ in range(k):
-            out.append(self.s_codes[idx % self.n])
-            idx //= self.n
-        return tuple(reversed(out))
 
     def span_dim(self) -> int:
         return span_dim(self.field, self.s_codes)
@@ -150,7 +160,8 @@ class TuplePartition:
         return int(self.bid.max()) + 1 if len(self.bid) else 0
 
     def blocks(self) -> list:
-        """List of np arrays of tuple indices, one per block id, ascending."""
+        """List of np arrays of tuple indices, one per block id.  Each array is
+        ascending: the stable argsort keeps tuple order within a block."""
         if self._blocks is None:
             order = np.argsort(self.bid, kind="stable")
             sorted_bids = self.bid[order]
@@ -160,13 +171,6 @@ class TuplePartition:
 
     def block_size(self, b: int) -> int:
         return len(self.blocks()[b])
-
-    def block_tuples(self, b: int):
-        """Tuples of a block, as tuples of point codes, ascending."""
-        return [self.instance.tuple_points(int(i), self.arity) for i in sorted(self.blocks()[b])]
-
-    def block_of_tuple(self, pts: Sequence[int]) -> int:
-        return int(self.bid[self.instance.tuple_index(pts)])
 
     def is_discrete(self) -> bool:
         return self.num_blocks == len(self.bid)
@@ -180,22 +184,17 @@ class TuplePartition:
                 return False
         return True
 
-    def ids_as_union(self, tuple_indices: Iterable[int]):
+    def ids_as_union(self, tuple_indices):
         """Express a set of tuple indices as a set of block ids, or raise
         NotBlockUnion, also for an index outside [0, n^k)."""
-        want = np.zeros(len(self.bid), dtype=bool)
-        idx = np.fromiter((int(i) for i in tuple_indices), dtype=np.int64)
-        if len(idx) and (idx.min() < 0 or idx.max() >= len(self.bid)):
+        idx = np.unique(np.asarray(tuple_indices, dtype=np.int64))
+        if len(idx) and (idx[0] < 0 or idx[-1] >= len(self.bid)):
             raise NotBlockUnion(
                 f"tuple index outside [0, {len(self.bid)}) is not in S^{self.arity}")
-        want[idx] = True
-        ids = set(int(b) for b in np.unique(self.bid[idx])) if len(idx) else set()
-        got = np.zeros(len(self.bid), dtype=bool)
-        for b in ids:
-            got[self.blocks()[b]] = True
-        if not np.array_equal(want, got):
+        ids = np.unique(self.bid[idx]).tolist()
+        if len(idx) != sum(self.block_size(b) for b in ids):
             raise NotBlockUnion(
-                f"set of {int(want.sum())} tuples is not a union of arity-{self.arity} blocks"
+                f"set of {len(idx)} tuples is not a union of arity-{self.arity} blocks"
             )
         return frozenset(ids)
 
@@ -304,9 +303,10 @@ class Scheme:
     def is_discrete(self) -> bool:
         return self.level(1).is_discrete()
 
-    def level1_block_set(self, b: int):
-        """Point codes of a level-1 block."""
-        return [pts[0] for pts in self.level(1).block_tuples(b)]
+    def level1_block_set(self, b: int) -> list:
+        """Point codes of a level-1 block, ascending."""
+        s_codes = self.s_codes
+        return [s_codes[i] for i in self.level(1).blocks()[b].tolist()]
 
     # ---- fibre restriction -------------------------------------------
 
@@ -320,8 +320,8 @@ class Scheme:
             return self._fiber_cache[pts]
         if t >= self.m:
             raise DepthExhausted(f"cannot fix {t} points of a depth-{self.m} scheme")
-        for c in pts:
-            if c not in set(self.s_codes):
+        for c, p in zip(pts, self.instance.pos(pts).tolist()):
+            if p < 0:
                 raise IndexOutOfRange(f"fibre point {c} not in S")
         if self.backend is not None:
             sub = self.backend.stabilizer_backend(pts)
@@ -417,9 +417,9 @@ class Scheme:
 
     def blockset_indices(self, k: int, bids) -> np.ndarray:
         part = self.level(k)
-        if not bids:
-            return np.zeros(0, dtype=np.int64)
-        return np.sort(np.concatenate([part.blocks()[b] for b in sorted(bids)]))
+        keep = np.zeros(part.num_blocks, dtype=bool)
+        keep[list(bids)] = True
+        return np.flatnonzero(keep[part.bid])
 
     def complement_blockset(self, k: int, bids):
         return frozenset(range(self.level(k).num_blocks)) - frozenset(bids)
@@ -488,8 +488,8 @@ class Scheme:
         ell = inst.field.ell
         profiles = set()
         basis = None
-        for pts in self.level(k).block_tuples(b):
-            mat = inst.field.decode_batch(list(pts))  # (k, d)
+        for pts in inst.tuples_array(k)[self.level(k).blocks()[b]]:
+            mat = inst.field.decode_batch(pts)  # (k, d)
             null = nullspace_basis_mod(mat.T, ell)  # rows c with mat^T c = 0
             red, piv = rref_mod(null, ell) if null.size else (null, ())
             canon = tuple(tuple(int(x) for x in row) for row in red[: len(piv)])

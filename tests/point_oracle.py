@@ -6,9 +6,9 @@ coordinate by coordinate mod ell in plain Python, and encodes the result.
 `Field.decode` rejects codes outside [0, q).
 
 Also the other scalar definitions the tests check the library against:
-integer tuple codes (base q, first coordinate most significant), map
-composition, span membership by rank, and the dual vectors of a Fourier
-context in `itertools.product` order.
+integer tuple codes (base q, first coordinate most significant), the tuple
+of S^k at a tuple index, map composition, span membership by rank, and the
+dual vectors of a Fourier context in `itertools.product` order.
 """
 import itertools
 
@@ -58,6 +58,16 @@ def decode_tuple(f, code, k):
         out.append(code % f.q)
         code //= f.q
     assert code == 0, "tuple code too large for arity"
+    return tuple(reversed(out))
+
+
+def tuple_points(inst, idx, k):
+    """Point codes of the tuple with index idx in S^k: the base-n digits of
+    idx, first coordinate most significant, read through sorted S."""
+    out = []
+    for _ in range(k):
+        out.append(inst.s_codes[idx % inst.n])
+        idx //= inst.n
     return tuple(reversed(out))
 
 

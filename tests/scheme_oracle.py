@@ -9,14 +9,15 @@ violation strings and same generator list as the library.
 """
 import numpy as np
 
-from mschemes.antisym import GenStep, _block_members
+from mschemes.antisym import GenStep
 from mschemes.gf_linalg import enumerate_linmaps
 from mschemes.scheme_core import ValidationReport, Violation
 
 
 def validate(sch, max_violations=16):
     inst = sch.instance
-    pos = inst.pos_of()
+    pos = np.full(inst.field.q, -1, dtype=np.int64)
+    pos[np.array(inst.s_codes, dtype=np.int64)] = np.arange(inst.n)
     violations = []
     checked = 0
     pairs = [(k, kp) for k in range(1, sch.m + 1) for kp in range(1, sch.m + 1)]
@@ -77,7 +78,8 @@ def generator_maps(sch):
     """The generator list (src, dst, mapping, GenStep) of
     `antisym.generator_maps`, without its member lookup."""
     inst = sch.instance
-    pos = inst.pos_of()
+    pos = np.full(inst.field.q, -1, dtype=np.int64)
+    pos[np.array(inst.s_codes, dtype=np.int64)] = np.arange(inst.n)
     gens = []
     seen = set()
     for k in range(1, sch.m + 1):
@@ -101,7 +103,7 @@ def generator_maps(sch):
                     if len(uniq) != len(rows):
                         continue  # not injective on the block
                     bp = int(part_kp.bid[tgt[0]])
-                    tgt_members = _block_members(sch, kp, bp)
+                    tgt_members = np.sort(sch.level(kp).blocks()[bp])
                     if len(tgt_members) != len(uniq) or not np.array_equal(uniq, tgt_members):
                         continue  # not onto a block
                     src = (k, b)

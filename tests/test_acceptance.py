@@ -372,7 +372,7 @@ def test_criterion_10_scheme_power(capfd, c11_m2, c31_m2):
     assert power.validate().ok
     # sigma bijectivity, recomputed: block rows have pairwise distinct sums
     lvl = base.level(2)
-    rows = np.array(lvl.block_tuples(1), dtype=np.int64)
+    rows = base.instance.tuples_array(2)[lvl.blocks()[1]]
     f = base.field
     sums = f.encode_batch((f.decode_batch(rows[:, 0]) +
                            f.decode_batch(rows[:, 1])) % f.ell)
@@ -380,7 +380,7 @@ def test_criterion_10_scheme_power(capfd, c11_m2, c31_m2):
     # round trip: fibre blocks of the power lift to base fibre blocks
     x0 = power.s_codes[0]
     fib = power.fiber((x0,))
-    bid0 = fib.level(1).block_of_tuple((power.s_codes[1],))
+    bid0 = int(fib.level(1).bid[power.instance.tuple_index((power.s_codes[1],))])
     y_prefix, ids, lifted = refine.lift_block(base, a, power, (x0,), [bid0])
     assert len(y_prefix) == a.k and len(lifted) >= 1
 

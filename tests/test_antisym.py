@@ -1,14 +1,17 @@
 """Partial self-bijection saturation, witness replay, and depth measures."""
 import json
 
+import numpy as np
 import pytest
 
+from mschemes import instances
 from mschemes.antisym import (
     GenStep,
     Witness,
     _forward_restriction,
     depth_bounds_check,
     depth_measure,
+    generator_maps,
     halving_step,
     replay_witness,
     strong_antisym_check,
@@ -62,6 +65,71 @@ def test_tampered_witness_rejected(gl2_m3):
     assert not replay_witness(gl2_m3, fake)
     # empty word is not a valid witness
     assert not replay_witness(gl2_m3, Witness(w.block, [], w.mapping))
+
+
+def test_inverse_steps_replay_through_the_inverse_permutation(gl2_m3):
+    # a coordinate 3-cycle on the block of triples of distinct points has
+    # order 3, so its inverse differs from it
+    src, _, mapping, step = next(
+        g for g in generator_maps(gl2_m3)
+        if g[0] == g[1] and tuple(g[2][i] for i in g[2]) != tuple(range(len(g[2]))))
+    members = gl2_m3.level(src[0]).blocks()[src[1]]
+    inverse = np.argsort(mapping)
+    inv_step = GenStep(step.tau, "inv", src, src)
+    assert replay_witness(gl2_m3, Witness(src, [step], tuple(members[list(mapping)].tolist())))
+    assert replay_witness(gl2_m3, Witness(src, [inv_step], tuple(members[inverse].tolist())))
+    assert not replay_witness(gl2_m3, Witness(src, [inv_step], tuple(members[list(mapping)].tolist())))
+
+
+def _depth_oracle(sch, b):
+    """The defining greedy, one point lookup at a time: (steps, completed)
+    with each step as (x, fibre block sizes, tracked size)."""
+    def block_of(lvl, y):
+        return int(lvl.bid[lvl.instance.tuple_index((y,))])
+
+    cur, block, steps = sch, sorted(sch.level1_block_set(b)), []
+    while len(block) > 1:
+        if cur.m < 2:
+            return steps, False
+        best = None
+        for x in block:
+            lvl = cur.fiber((x,)).level(1)
+            largest = max(lvl.block_size(block_of(lvl, y)) for y in block if y != x)
+            if best is None or largest < best[0]:
+                best = (largest, x, lvl)
+        _, x, lvl = best
+        new_ids = {block_of(lvl, y) for y in block if y != x}
+        tracked_id = max(new_ids, key=lambda i: (lvl.block_size(i), -i))
+        block = [y for y in block if y != x and block_of(lvl, y) == tracked_id]
+        steps.append((x, tuple(sorted((lvl.block_size(i) for i in new_ids), reverse=True)),
+                      len(block)))
+        cur = cur.fiber((x,))
+    return steps, True
+
+
+DEPTH_BUILDERS = {
+    "c11c5-m3": lambda: instances.c11_c5_scheme(3),
+    "c11c5-m2": lambda: instances.c11_c5_scheme(2),
+    "c31c5-m2": lambda: instances.c31_c5_scheme(2),
+    "gl3-lazy-m3": lambda: instances.gl_orbit_scheme(2, 3, 3),
+    "gl-f3-m2": lambda: instances.gl_orbit_scheme(3, 2, 2, lazy=False),
+    "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
+    "signed-perm-m2": lambda: instances.signed_perm_scheme(2, 2),
+    "affine-coset-m3": lambda: instances.affine_coset_scheme(4, [1, 2], 0, 3),
+    "mul-coset-m2": lambda: instances.mul_coset_scheme(5, 2, 6, 1, 0, 2),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DEPTH_BUILDERS))
+def test_depth_measure_matches_scalar_definition(label):
+    sch = DEPTH_BUILDERS[label]()
+    for b in range(sch.level(1).num_blocks):
+        try:
+            trace = depth_measure(sch, b)
+        except DepthExhausted as exc:
+            trace = exc.trace
+        got = [(s.x, s.block_sizes, s.tracked) for s in trace.steps]
+        assert (got, trace.completed) == _depth_oracle(sch, b)
 
 
 def test_depth_bounds_require_antisymmetry(gl2_m3, c11_m2):

@@ -8,6 +8,7 @@ import atom_oracle
 import point_oracle as oracle
 from mschemes import instances
 from mschemes.constructible import (
+    Certificate,
     _atom_index,
     _sum_decomposition,
     boolean_difference,
@@ -19,7 +20,7 @@ from mschemes.constructible import (
     verify_certificate,
 )
 from mschemes.errors import CapExceeded, DepthExhausted, PreconditionUnmet
-from mschemes.gf_linalg import Field, span_points
+from mschemes.gf_linalg import Field, linmap, span_points
 from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
 
 BUILDERS = {
@@ -160,6 +161,18 @@ def test_verify_rejects_tampered_certificate(trivial_m3):
     b = decide_constructible(trivial_m3, [1], 1)
     tampered = type(a)(a.k, a.prefix, a.entries, b.points)
     assert not verify_certificate(trivial_m3, tampered)
+
+
+def test_verify_rejects_block_ids_outside_the_level(trivial_m3):
+    # level 1 of the trivial scheme on S = (1, 2, 3): block b is {S[b]}
+    ident = linmap([[1]])
+    assert verify_certificate(trivial_m3, Certificate(1, (), [(ident, 2)], frozenset({3})))
+    # -1 used to wrap to block 2 and pass; 3 used to raise a raw IndexError
+    for b in (-1, 3, 7):
+        assert not verify_certificate(
+            trivial_m3, Certificate(1, (), [(ident, b)], frozenset({3})))
+    assert not verify_certificate(
+        trivial_m3, Certificate(1, (), [(ident, 2), (ident, -1)], frozenset({3})))
 
 
 def test_boolean_operations(trivial_m3):

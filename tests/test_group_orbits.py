@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import group_oracle as oracle
+import point_oracle
 from mschemes import instances
 from mschemes.errors import IndexOutOfRange, InputError
 from mschemes.gf_linalg import Field
@@ -101,7 +102,7 @@ def test_orbit_scheme_blocks_are_orbits():
     part = sch.level(2)
     # diagonal action orbit of a representative equals its block
     for b in range(part.num_blocks):
-        rep = part.block_tuples(b)[0]
+        rep = point_oracle.tuple_points(inst, int(part.blocks()[b][0]), 2)
         orbit = {
             inst.tuple_index(tuple(oracle.act_code(g, mat, c) for c in rep))
             for mat in els

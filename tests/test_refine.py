@@ -15,8 +15,10 @@ from mschemes.errors import (
     LemmaViolation,
     PreconditionUnmet,
 )
+from mschemes.fourier import FourierContext
 from mschemes.gf_linalg import Field
 from mschemes.instances import (
+    affine_coset_scheme,
     c11_c5_scheme,
     find_shrink_instances,
     gl_orbit_scheme,
@@ -25,10 +27,12 @@ from mschemes.instances import (
 from mschemes.refine import (
     BlockRef,
     RefineParams,
+    TrivialGate,
     _le_ell_pow,
     _sqrt_bounds,
     bijectivity_check,
     bsg_extract,
+    compute_heavy_set,
     decompose,
     density_reduce,
     ineq,
@@ -138,7 +142,7 @@ def test_shrink_weak_outcome_structure():
     assert len(out.fiber_prefix) == 3  # k+1 points fixed
     # the returned ids reproduce the points on the fibered scheme
     fib = sch.fiber(out.fiber_prefix)
-    got = {pts[0] for i in out.result_ids for pts in fib.level(1).block_tuples(i)}
+    got = {c for i in out.result_ids for c in fib.level1_block_set(i)}
     assert got == set(out.points)
 
 
@@ -165,7 +169,7 @@ def test_scheme_power_carrier_is_sum_image():
     # carrier points are coordinate sums of tuples of A
     f = base.field
     rows = base.level(2).blocks()[a.b]
-    sums = {oracle.add(f, *base.instance.tuple_points(int(i), 2)) for i in rows}
+    sums = {oracle.add(f, *oracle.tuple_points(base.instance, int(i), 2)) for i in rows}
     assert set(power.s_codes) <= sums
 
 
@@ -326,3 +330,17 @@ def test_density_reduce_strict_aborts_on_bad_k():
     with pytest.raises(PreconditionUnmet) as exc:
         density_reduce(sch, 0, params)
     assert exc.value.name
+
+
+def test_heavy_count_is_taken_before_the_kernel_filter():
+    sch = gl_orbit_scheme(2, 3, 8)
+    b = sch.level1_block_set(0)
+    eps = Fraction(1, 9)
+    want = len(FourierContext.for_generators(sch.field, b).heavy_characters(set(b), float(eps)))
+    total, heavy = compute_heavy_set(sch, 0, eps, 2, 2, 8)
+    assert (total, len(heavy)) == (want, 3) and want == 7
+    # no kernel passes at arity 1 without a prefix: the gate reports the count
+    gate = decompose(affine_coset_scheme(4, (0, 1), 2, m=40), 0, kp=10,
+                     eps_prime=Fraction(1, 4), max_arity=1, max_prefix=0)
+    assert isinstance(gate, TrivialGate) and gate.heavy_total == 1
+    assert gate.to_obj()["heavy_before_kernel_filter"] == 1

@@ -4,8 +4,15 @@ import pytest
 
 import point_oracle as oracle
 
-from mschemes.errors import CapExceeded, DepthExhausted, InputError, NotBlockUnion
+from mschemes.errors import (
+    CapExceeded,
+    DepthExhausted,
+    IndexOutOfRange,
+    InputError,
+    NotBlockUnion,
+)
 from mschemes.gf_linalg import Field, linmap, projection, summation, swap_map
+from mschemes.instances import gl_orbit_scheme
 from mschemes.scheme_core import (
     Scheme,
     SchemeInstance,
@@ -21,7 +28,7 @@ def test_instance_validation():
         SchemeInstance(f, (3, 1, 2))  # unsorted
     inst = SchemeInstance(f, (1, 2, 3))
     assert inst.n == 3
-    assert inst.tuple_points(inst.tuple_index((2, 3, 1)), 3) == (2, 3, 1)
+    assert oracle.tuple_points(inst, inst.tuple_index((2, 3, 1)), 3) == (2, 3, 1)
     assert inst.span_dim() == 2
 
 
@@ -74,10 +81,10 @@ def test_image_blockset_matches_brute_force(gl2_m3):
         # brute force: map every tuple of the union, collect hit level-1 blocks
         expect = set()
         for idx in sch.blockset_indices(2, bids):
-            pts = inst.tuple_points(int(idx), 2)
+            pts = oracle.tuple_points(inst, int(idx), 2)
             img = oracle.apply(f, tau, pts)
             if img[0] in set(inst.s_codes):
-                expect.add(sch.level(1).block_of_tuple(img))
+                expect.add(int(sch.level(1).bid[inst.tuple_index(img)]))
         assert got == frozenset(expect)
 
 
@@ -91,10 +98,10 @@ def test_preimage_blockset_matches_brute_force(gl2_m3):
     target = set(int(i) for i in sch.blockset_indices(1, bids))
     expect = set()
     for idx in range(inst.tuple_count(2)):
-        pts = inst.tuple_points(idx, 2)
+        pts = oracle.tuple_points(inst, idx, 2)
         img = oracle.apply(f, tau, pts)
         if inst.tuple_index(img) in target:
-            expect.add(sch.level(2).block_of_tuple(pts))
+            expect.add(int(sch.level(2).bid[inst.tuple_index(pts)]))
     assert got == frozenset(expect)
 
 
@@ -176,6 +183,65 @@ def test_ids_as_union_rejects_indices_outside_tuple_space(trivial_m3):
     for part, bad in ((lev1, [-1]), (lev1, [3]), (lev2, [0, 9]), (lev2, [-1, 8])):
         with pytest.raises(NotBlockUnion):
             part.ids_as_union(bad)
-    # point 0 is outside the carrier (1, 2, 3): pos_of() gives it -1
+    # point 0 is outside the carrier (1, 2, 3): pos() gives it -1
     with pytest.raises(NotBlockUnion):
         _level1_union_ids(trivial_m3, [0])
+
+
+def test_pos_maps_codes_outside_the_field_to_minus_one(trivial_m3):
+    from mschemes.refine import _level1_union_ids
+
+    inst = trivial_m3.instance  # S = (1, 2, 3) in F_2^2, q = 4
+    # -1 used to wrap to the last code and 4 to raise a raw IndexError
+    assert inst.tuple_indices(np.array([[-1]])).tolist() == [-1]
+    assert inst.tuple_indices(np.array([[4], [3]])).tolist() == [-1, 2]
+    assert inst.tuple_indices(np.array([[1, -1], [3, 2]])).tolist() == [-1, 7]
+    for bad in ([-1], [4], [1, 4]):
+        with pytest.raises(NotBlockUnion):
+            _level1_union_ids(trivial_m3, bad)
+    lazy = gl_orbit_scheme(2, 2, 3)  # its fibres come from stabilizers, not tuple_index
+    for bad in ((-1,), (4,)):
+        with pytest.raises(IndexOutOfRange):
+            inst.tuple_index(bad)
+        for sch in (trivial_m3, lazy):
+            with pytest.raises(IndexOutOfRange):
+                sch.fiber(bad)
+    with pytest.raises(IndexOutOfRange):
+        lazy.fiber((0,))  # in the field, not in S
+    assert inst.pos([-2 ** 62, -4, -2, -1, 0, 1, 2, 3, 4, 2 ** 62]).tolist() == \
+        [-1, -1, -1, -1, -1, 0, 1, 2, -1, -1]
+    assert inst.pos([-4, -2]).tolist() == [-1, -1]  # below 0 but not above q
+
+
+def test_pos_table_is_built_once_and_read_only(gl2_m3):
+    inst = gl2_m3.instance
+    first = inst.pos(list(inst.s_codes))
+    assert first.tolist() == list(range(inst.n))
+    table = inst._pos_table
+    assert inst._pos_table is table and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tuples_array_matches_scalar_tuple_points(k, gl2_m3, trivial_m3):
+    for sch in (gl2_m3, trivial_m3):
+        inst = sch.instance
+        rows = inst.tuples_array(k)
+        assert [tuple(r) for r in rows.tolist()] == \
+            [oracle.tuple_points(inst, i, k) for i in range(inst.tuple_count(k))]
+        assert inst.tuple_indices(rows).tolist() == list(range(inst.tuple_count(k)))
+
+
+def test_blocks_are_ascending_and_level1_block_set_reads_them(gl2_m3, singer7_m3):
+    for sch in (gl2_m3, singer7_m3):
+        for k in range(1, sch.m + 1):
+            part = sch.level(k)
+            for b, rows in enumerate(part.blocks()):
+                assert np.all(np.diff(rows) > 0)
+                assert (part.bid[rows] == b).all()
+        lev1 = sch.level(1)
+        for b in range(lev1.num_blocks):
+            codes = sch.level1_block_set(b)
+            assert codes == sorted(c for c in sch.s_codes
+                                   if lev1.bid[sch.instance.tuple_index((c,))] == b)
