@@ -88,23 +88,23 @@ def generator_maps(sch: Scheme) -> list:
     for sw in sch.map_sweep():
         onto = ((sw.inside == sw.sizes) & (sw.distinct == sw.sizes)
                 & (sw.target_size == sw.sizes))
-        hits = np.flatnonzero(onto).tolist()
-        if not hits:
+        ts, bs = np.nonzero(onto)
+        if not len(ts):
             continue
         if sw.kp not in rank:
             rank[sw.kp] = np.empty(sch.instance.tuple_count(sw.kp), dtype=np.int64)
             for rows in sch.level(sw.kp).blocks():
                 rank[sw.kp][rows] = np.arange(len(rows))
-        # rows of a hit block all have images in S^k'; no -1 is read
-        positions = rank[sw.kp][sw.images].tolist()
-        for b in hits:
+        for t, b in zip(ts.tolist(), bs.tolist()):
             start = int(sw.starts[b])
-            mapping = tuple(positions[start:start + int(sw.sizes[b])])
-            src, dst = (sw.k, b), (sw.kp, int(sw.target[b]))
+            # rows of a hit block all have images in S^k'; no -1 is read
+            rows = sw.images[t, start:start + int(sw.sizes[b])]
+            mapping = tuple(rank[sw.kp][rows].tolist())
+            src, dst = (sw.k, b), (sw.kp, int(sw.target[t, b]))
             key = (src, dst, mapping)
             if key not in seen:
                 seen.add(key)
-                gens.append((src, dst, mapping, GenStep(sw.tau.coeffs, "fwd", src, dst)))
+                gens.append((src, dst, mapping, GenStep(sw.tau(t).coeffs, "fwd", src, dst)))
     return gens
 
 
@@ -118,7 +118,7 @@ def strong_antisym_check(sch: Scheme, budget: int = DEFAULT_BUDGET_SATURATION) -
     # add inverses as generators too
     all_gens = list(gens)
     for src, dst, mapping, step in gens:
-        inv_mapping = tuple(sorted(range(len(mapping)), key=mapping.__getitem__))  # argsort
+        inv_mapping = tuple(np.argsort(mapping).tolist())
         all_gens.append((dst, src, inv_mapping, GenStep(step.tau, "inv", dst, src)))
 
     def is_identity(mapping):

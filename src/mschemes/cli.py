@@ -175,6 +175,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_depth(args) -> int:
     sch = _load_scheme(args)
+    sch.level(1).check_block_ids((args.block,))  # before the saturation run
     res = antisym.strong_antisym_check(sch, args.budget)
     if res.status != "antisymmetric":
         raise InputError(f"depth measure needs an antisymmetric scheme "
@@ -232,9 +233,10 @@ def cmd_fourier(args) -> int:
     f = _field(args)
     codes = _parse_codes(args.set)
     ctx = FourierContext.for_generators(f, codes)
-    pl, pr, perr = ctx.parseval_check(codes)
-    ierr = ctx.inversion_check(codes)
-    heavy = ctx.heavy_characters(codes, float(Fraction(args.eps_prime)))
+    coeffs = ctx.all_coeffs(codes)
+    pl, pr, perr = ctx.parseval_check(codes, coeffs)
+    ierr = ctx.inversion_check(codes, coeffs)
+    heavy = ctx.heavy_characters(codes, float(Fraction(args.eps_prime)), coeffs=coeffs)
     obj = {
         "command": "fourier",
         "group_order": ctx.order,
@@ -244,7 +246,7 @@ def cmd_fourier(args) -> int:
     }
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(ctx.coeffs_csv(codes))
+            fh.write(ctx.coeffs_csv(codes, coeffs))
         obj["out"] = args.out
     _emit(args, obj)
     return 0 if max(perr, ierr) <= 1e-9 else EXIT_LEMMA

@@ -137,16 +137,20 @@ class FourierContext:
         return {tuple(d): complex(x, y)
                 for d, x, y in zip(duals.tolist(), re.tolist(), im.tolist())}
 
-    def parseval_check(self, subset):
-        """(sum |coeff|^2, E[1_A], abs error) — Parseval for an indicator."""
-        coeffs = self.all_coeffs(subset)
+    def parseval_check(self, subset, coeffs=None):
+        """(sum |coeff|^2, E[1_A], abs error) — Parseval for an indicator.
+
+        coeffs, when given, is `all_coeffs(subset)` computed by the caller;
+        the same holds for the checks and exports below."""
+        coeffs = self.all_coeffs(subset) if coeffs is None else coeffs
         lhs = sum(abs(c) ** 2 for c in coeffs.values())
         rhs = len(set(subset) & set(self.elements)) / self.order
         return lhs, rhs, abs(lhs - rhs)
 
-    def inversion_check(self, subset):
+    def inversion_check(self, subset, coeffs=None):
         """Max pointwise error of f(x) = sum_chi hat f(chi) chi(x)."""
-        coeffs = np.fromiter(self.all_coeffs(subset).values(), complex, self.order)
+        coeffs = self.all_coeffs(subset) if coeffs is None else coeffs
+        coeffs = np.fromiter(coeffs.values(), complex, self.order)
         # the duals run over the (ell,)*r grid in C order, so the inverse
         # transform is indexed by coordinates
         grid = self.order * np.fft.ifftn(coeffs.reshape((self.field.ell,) * self.rank))
@@ -155,10 +159,12 @@ class FourierContext:
         indicator[self._member_rows(subset)] = 1.0
         return float(np.max(np.abs(values - indicator)))
 
-    def heavy_characters(self, subset, eps: float, include_trivial: bool = False):
+    def heavy_characters(self, subset, eps: float, include_trivial: bool = False,
+                         coeffs=None):
         """Characters with |coeff| >= eps (1e-9 guard band), sorted by dual vector."""
+        coeffs = self.all_coeffs(subset) if coeffs is None else coeffs
         out = []
-        for dual, c in sorted(self.all_coeffs(subset).items()):
+        for dual, c in sorted(coeffs.items()):
             if not include_trivial and all(a == 0 for a in dual):
                 continue
             if abs(c) >= eps - GUARD:
@@ -167,11 +173,12 @@ class FourierContext:
 
     # ---- CSV interchange ---------------------------------------------
 
-    def coeffs_csv(self, subset) -> str:
+    def coeffs_csv(self, subset, coeffs=None) -> str:
+        coeffs = self.all_coeffs(subset) if coeffs is None else coeffs
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["dual_vector", "re", "im", "abs"])
-        for dual, c in sorted(self.all_coeffs(subset).items()):
+        for dual, c in sorted(coeffs.items()):
             writer.writerow(
                 [
                     " ".join(str(a) for a in dual),

@@ -216,11 +216,18 @@ def swap_map(k: int, i: int, j: int) -> LinMap:
     return linmap([[1 if perm[c] == r else 0 for c in range(k)] for r in range(k)])
 
 
-def enumerate_linmaps(field: Field, k: int, kp: int, cap: int = DEFAULT_CAP_MAPS):
-    """All coordinate-linear maps V^k -> V^k', in lexicographic coefficient order."""
+def linmap_count(field: Field, k: int, kp: int) -> int:
+    """ell^(k*k'), the number of coordinate-linear maps V^k -> V^k', or
+    CapExceeded when it exceeds DEFAULT_CAP_MAPS."""
     total = field.ell ** (k * kp)
-    if total > cap:
-        raise CapExceeded(f"linear maps {k}->{kp}", total, cap)
+    if total > DEFAULT_CAP_MAPS:
+        raise CapExceeded(f"linear maps {k}->{kp}", total, DEFAULT_CAP_MAPS)
+    return total
+
+
+def enumerate_linmaps(field: Field, k: int, kp: int):
+    """All coordinate-linear maps V^k -> V^k', in lexicographic coefficient order."""
+    linmap_count(field, k, kp)
     for flat in itertools.product(range(field.ell), repeat=k * kp):
         yield linmap([flat[i * kp:(i + 1) * kp] for i in range(k)])
 

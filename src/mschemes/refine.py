@@ -257,7 +257,7 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
     b_codes = sch.level1_block_set(b)
     b_set = set(b_codes)
     part = sch.level(k)
-    rows = part.blocks()[a.b]
+    rows = part.block(a.b)
     a_tuples = inst.tuples_array(k)[rows]
     if not all(int(c) in b_set for c in a_tuples.reshape(-1)):
         raise PreconditionUnmet("A⊆B^k", "block A has coordinates outside B")
@@ -341,7 +341,7 @@ def bijectivity_check(sch: Scheme, a: BlockRef) -> bool:
     """
     k = a.k
     inst = sch.instance
-    rows = sch.level(k).blocks()[a.b]
+    rows = sch.level(k).block(a.b)
     sig = summation(k).apply_batch(inst.field, inst.tuples_array(k)[rows])[:, 0]
     n_a = len(rows)
     n_ap = len(set(int(c) for c in sig))
@@ -563,7 +563,7 @@ def scheme_power(sch: Scheme, a: BlockRef, mp: int) -> Scheme:
         raise PreconditionUnmet("sum map bijective on A", "direct check failed")
     inst = sch.instance
     n = inst.n
-    rows = sch.level(k).blocks()[a.b]
+    rows = sch.level(k).block(a.b)
     sig = summation(k).apply_batch(inst.field, inst.tuples_array(k)[rows])[:, 0]
     ap_codes = tuple(sorted(int(c) for c in sig))
     new_inst = SchemeInstance(inst.field, ap_codes)
@@ -614,7 +614,7 @@ def lift_block(sch: Scheme, a: BlockRef, power: Scheme, x_prefix: Sequence[int],
     k = a.k
     r = len(x_prefix)
     inst = sch.instance
-    rows = sch.level(k).blocks()[a.b]
+    rows = sch.level(k).block(a.b)
     sigma = summation(k)
     tuples = inst.tuples_array(k)
     sig = sigma.apply_batch(inst.field, tuples[rows])[:, 0]

@@ -23,7 +23,16 @@ V^(ell^k) whose column c has the base-ell digits of c as coefficients (the
 order of `enumerate_linmaps(field, k, 1)`).  The images under tau are its
 columns cols(tau)_j = sum_i coeffs[i][j] * ell^(k-1-i).  Its n^k * ell^k
 codes count against `cap_tuples()`.  `validate` and `antisym.generator_maps`
-read only `Scheme.map_sweep`, which reads only this table.
+read only `Scheme.map_sweep`, which reads only this table: once per k it
+turns the table, rows in block order, into S-positions P, and the S^k'
+index of tau(x) is then the base-n number of the k' columns cols(tau) of P
+(-1 when one of them is -1).  The maps of each (k, k') run in
+`enumerate_linmaps` order in chunks of T consecutive flat indices, whose
+coefficients are the base-ell digits of those indices; a chunk is one
+MapSweep of (T, B) per-block statistics, each an axis-1 reduceat over the
+(T, n^k) image array, and T * n^k * k' stays within SWEEP_CHUNK_ENTRIES.
+The number of maps ell^(k*k') is checked against the map cap before a
+(k, k') group starts, as `enumerate_linmaps` does.
 """
 from __future__ import annotations
 
@@ -45,7 +54,10 @@ from .errors import (
     InputError,
     NotBlockUnion,
 )
-from .gf_linalg import Field, LinMap, enumerate_linmaps, span_dim
+from .gf_linalg import Field, LinMap, linmap, linmap_count, span_dim
+
+# bound on T * n^k * k' entries of the image arrays of one MapSweep chunk
+SWEEP_CHUNK_ENTRIES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -169,6 +181,19 @@ class TuplePartition:
             self._blocks = [order[cuts[b]:cuts[b + 1]] for b in range(self.num_blocks)]
         return self._blocks
 
+    def check_block_ids(self, ids):
+        """Raise IndexOutOfRange unless every id lies in [0, num_blocks)."""
+        count = self.num_blocks
+        for b in ids:
+            if not 0 <= b < count:
+                raise IndexOutOfRange(
+                    f"block id {b} outside [0, {count}) at arity {self.arity}")
+
+    def block(self, b: int) -> np.ndarray:
+        """Members of block b, ascending, after the range check of its id."""
+        self.check_block_ids((b,))
+        return self.blocks()[b]
+
     def block_size(self, b: int) -> int:
         return len(self.blocks()[b])
 
@@ -221,23 +246,29 @@ class Violation:
 
 @dataclass
 class MapSweep:
-    """How one map tau: V^k -> V^k' carries the blocks of S^k.  `images` is
-    the S^k' index of tau(x) (-1 outside S^k') over the tuples of S^k in
-    block order, block b at [starts[b], starts[b] + sizes[b]); every other
-    array has one entry per block."""
+    """How T consecutive maps tau: V^k -> V^k' carry the blocks of S^k: the
+    next T maps of the (k, k') group in `enumerate_linmaps` order, tau t
+    having coefficient matrix coeffs[t].  Row t of `images` is the
+    S^k' index of tau_t(x) (-1 outside S^k') over the tuples of S^k in
+    block order, block b at columns [starts[b], starts[b] + sizes[b]); every
+    other array is (T, B), entry [t, b] for tau t on block b."""
 
     k: int
     kp: int
-    tau: LinMap
-    starts: np.ndarray
-    sizes: np.ndarray
-    images: np.ndarray
+    coeffs: np.ndarray       # (T, k, k') coefficient matrices
+    starts: np.ndarray       # (B,)
+    sizes: np.ndarray        # (B,)
+    images: np.ndarray       # (T, N), N = n^k
     inside: np.ndarray       # tuples whose image lies in S^k'
     target: np.ndarray       # the one block holding every image, else -1
     target_size: np.ndarray  # size of that block, or 0
     distinct: np.ndarray     # number of distinct images
     fibre_min: np.ndarray    # least and greatest #{x in B : tau(x) = y}
     fibre_max: np.ndarray    # over the images y
+
+    def tau(self, t: int) -> LinMap:
+        """Map t of the chunk."""
+        return linmap(self.coeffs[t].tolist())
 
 
 @dataclass
@@ -306,7 +337,7 @@ class Scheme:
     def level1_block_set(self, b: int) -> list:
         """Point codes of a level-1 block, ascending."""
         s_codes = self.s_codes
-        return [s_codes[i] for i in self.level(1).blocks()[b].tolist()]
+        return [s_codes[i] for i in self.level(1).block(b).tolist()]
 
     # ---- fibre restriction -------------------------------------------
 
@@ -345,41 +376,59 @@ class Scheme:
     # ---- axiom validation --------------------------------------------
 
     def map_sweep(self):
-        """Yield a MapSweep per (k, k', tau): k, then k' over 1..m, tau in
-        `enumerate_linmaps` order, all read from one map table per k."""
+        """Yield a MapSweep per chunk of consecutive maps: k, then k' over
+        1..m, tau in `enumerate_linmaps` order, all read from one map table
+        per k.  A chunk holds T maps with T * n^k * k' <= SWEEP_CHUNK_ENTRIES
+        (at least one map)."""
         inst = self.instance
-        ell = inst.field.ell
+        ell, n = inst.field.ell, inst.n
         for k in range(1, self.m + 1):
             blocks = self.level(k).blocks()
             sizes = np.array([len(rows) for rows in blocks], dtype=np.int64)
             starts = np.cumsum(sizes) - sizes
             row_block = np.repeat(np.arange(len(blocks), dtype=np.int64), sizes)
-            table = inst.map_table(k)[np.concatenate(blocks)]
+            # (ell^k, N): row c holds the S-positions of column c of the table
+            pos_t = np.ascontiguousarray(
+                inst.pos(inst.map_table(k)[np.concatenate(blocks)]).T)
+            size_n = len(row_block)
             digits = ell ** np.arange(k - 1, -1, -1, dtype=np.int64)
             for kp in range(1, self.m + 1):
-                bid_kp = self.level(kp).bid
-                kp_sizes = np.bincount(bid_kp)
-                width = inst.n ** kp + 1
-                for tau in enumerate_linmaps(inst.field, k, kp):
-                    cols = digits @ (np.asarray(tau.coeffs, dtype=np.int64) % ell)
-                    img = inst.tuple_indices(table[:, cols])
-                    inside = img >= 0
-                    tgt = np.where(inside, bid_kp[img], -1)
-                    lo = np.minimum.reduceat(tgt, starts)
-                    target = np.where(lo == np.maximum.reduceat(tgt, starts), lo, -1)
-                    # runs of equal (block, image) keys are the fibres (keys < n^k * width < 2^63)
-                    key = np.sort(row_block * width + img + 1)
-                    new = np.ones(len(key), dtype=bool)
-                    np.not_equal(key[1:], key[:-1], out=new[1:])
-                    distinct = np.add.reduceat(new, starts, dtype=np.int64)
-                    runs = np.diff(np.append(np.flatnonzero(new), len(key)))
-                    run_starts = np.cumsum(distinct) - distinct
+                total = linmap_count(inst.field, k, kp)
+                bid_kp = np.append(self.level(kp).bid, -1)  # index -1 reads -1
+                kp_sizes = np.append(np.bincount(bid_kp[:-1]), 0)
+                width = n ** kp + 1
+                flat_digits = ell ** np.arange(k * kp - 1, -1, -1, dtype=np.int64)
+                step = max(1, SWEEP_CHUNK_ENTRIES // (size_n * kp))
+                for first in range(0, total, step):
+                    flat = np.arange(first, min(first + step, total), dtype=np.int64)
+                    coeffs = ((flat[:, None] // flat_digits) % ell).reshape(-1, k, kp)
+                    cols = np.einsum("tij,i->tj", coeffs, digits)
+                    img = np.zeros((len(flat), size_n), dtype=np.int64)
+                    outside = np.zeros(img.shape, dtype=bool)
+                    for j in range(kp):
+                        p = pos_t[cols[:, j]]
+                        outside |= p < 0
+                        img *= n
+                        img += p
+                    img[outside] = -1
+                    inside = ~outside
+                    tgt = bid_kp[img]
+                    lo = np.minimum.reduceat(tgt, starts, axis=1)
+                    target = np.where(lo == np.maximum.reduceat(tgt, starts, axis=1), lo, -1)
+                    # runs of equal (block, image) keys in a row are the fibres
+                    # (keys < n^k * width < 2^63); every row starts a run
+                    key = np.sort(row_block * width + img + 1, axis=1)
+                    new = np.ones(key.shape, dtype=bool)
+                    np.not_equal(key[:, 1:], key[:, :-1], out=new[:, 1:])
+                    distinct = np.add.reduceat(new, starts, axis=1, dtype=np.int64)
+                    runs = np.diff(np.flatnonzero(new), append=new.size)
+                    run_starts = np.cumsum(distinct) - distinct.ravel()
                     yield MapSweep(
-                        k, kp, tau, starts, sizes, img,
-                        np.add.reduceat(inside, starts, dtype=np.int64), target,
-                        np.where(target >= 0, kp_sizes[target], 0), distinct,
-                        np.minimum.reduceat(runs, run_starts),
-                        np.maximum.reduceat(runs, run_starts))
+                        k, kp, coeffs, starts, sizes, img,
+                        np.add.reduceat(inside, starts, axis=1, dtype=np.int64), target,
+                        kp_sizes[target], distinct,
+                        np.minimum.reduceat(runs, run_starts).reshape(distinct.shape),
+                        np.maximum.reduceat(runs, run_starts).reshape(distinct.shape))
 
     def validate(self, max_violations: int = 16) -> ValidationReport:
         """Exhaustive P1/P2 check of every block under every coordinate-linear
@@ -387,38 +436,39 @@ class Scheme:
         violations = []
         checked = 0
         for sw in self.map_sweep():
-            checked += 1
             bad = (sw.inside > 0) & ((sw.inside < sw.sizes) | (sw.target < 0)
                                      | (sw.distinct != sw.target_size)
                                      | (sw.fibre_min != sw.fibre_max))
-            for b in np.flatnonzero(bad).tolist():
-                violations.append(Violation(sw.k, sw.kp, sw.tau, b, self._detail(sw, b)))
+            for t, b in zip(*(axis.tolist() for axis in np.nonzero(bad))):
+                violations.append(Violation(sw.k, sw.kp, sw.tau(t), b, self._detail(sw, t, b)))
                 if len(violations) >= max_violations:
-                    return ValidationReport(False, checked, violations)
+                    return ValidationReport(False, checked + t + 1, violations)
+            checked += len(sw.coeffs)
         return ValidationReport(not violations, checked, violations)
 
-    def _detail(self, sw: "MapSweep", b: int) -> str:
-        """Which axiom block b breaks under sw.tau, first failure first."""
+    def _detail(self, sw: "MapSweep", t: int, b: int) -> str:
+        """Which axiom block b breaks under map t of sw, first failure first."""
         kp = sw.kp
-        if sw.inside[b] < sw.sizes[b]:
-            return (f"image meets S^{kp} but also leaves it "
-                    f"({int(sw.inside[b])}/{int(sw.sizes[b])} inside)")
-        if sw.target[b] < 0:
-            rows = sw.images[sw.starts[b]:sw.starts[b] + sw.sizes[b]]
+        inside, size, bp = int(sw.inside[t, b]), int(sw.sizes[b]), int(sw.target[t, b])
+        if inside < size:
+            return f"image meets S^{kp} but also leaves it ({inside}/{size} inside)"
+        if bp < 0:
+            rows = sw.images[t, sw.starts[b]:sw.starts[b] + size]
             bids = np.unique(self.level(kp).bid[rows])
             return f"image straddles blocks {bids.tolist()} at arity {kp}"
-        bp = int(sw.target[b])
-        if sw.distinct[b] != sw.target_size[b]:
+        if sw.distinct[t, b] != sw.target_size[t, b]:
             return f"image covers only part of block {bp} at arity {kp}"
         return (f"fibre sizes over block {bp} not constant "
-                f"(range {int(sw.fibre_min[b])}..{int(sw.fibre_max[b])})")
+                f"(range {int(sw.fibre_min[t, b])}..{int(sw.fibre_max[t, b])})")
 
     # ---- closedness operations ---------------------------------------
 
     def blockset_indices(self, k: int, bids) -> np.ndarray:
         part = self.level(k)
+        bids = list(bids)
+        part.check_block_ids(bids)
         keep = np.zeros(part.num_blocks, dtype=bool)
-        keep[list(bids)] = True
+        keep[bids] = True
         return np.flatnonzero(keep[part.bid])
 
     def complement_blockset(self, k: int, bids):

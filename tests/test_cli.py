@@ -140,11 +140,52 @@ def test_fourier_csv_output(tmp_path, capsys):
     assert lines[0] == "dual_vector,re,im,abs" and len(lines) == 5
 
 
+def test_fourier_computes_one_coefficient_table(tmp_path, capsys, monkeypatch):
+    from mschemes.fourier import FourierContext
+    from mschemes.gf_linalg import Field
+
+    codes = [1, 2, 4, 5]
+    ctx = FourierContext.for_generators(Field(3, 2), codes)
+    heavy = [{"dual": list(d), "abs": f"{abs(c):.12f}"}
+             for d, c in ctx.heavy_characters(codes, 1 / 8)]
+    csv_text = ctx.coeffs_csv(codes)
+    calls = []
+    all_coeffs = FourierContext.all_coeffs
+    monkeypatch.setattr(FourierContext, "all_coeffs",
+                        lambda self, subset: calls.append(1) or all_coeffs(self, subset))
+    csv_file = tmp_path / "coeffs.csv"
+    code, out, _ = run(capsys, [
+        "fourier", "--ell", "3", "--dim", "2", "--set", "1,2,4,5",
+        "--out", str(csv_file)])
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["heavy"] == heavy and csv_file.read_text() == csv_text
+
+
 def test_shrink_gate_unmet_is_input_error(capsys):
     code, _, err = run(capsys, [
         "shrink", "--ell", "2", "--dim", "3", "--group", GL,
         "--seed-set", "1", "--m", "4", "--K", "4", "--k", "1"])
     assert code == 2
+
+
+GL42_LAZY = ["--ell", "2", "--dim", "4", "--group", GL, "--seed-set", "1",
+             "--m", "12", "--lazy"]
+SHRINK_GL3 = ["shrink", "--ell", "2", "--dim", "3", "--group", GL, "--seed-set", "1",
+              "--m", "4", "--K", "4", "--k", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", *GL42_LAZY, "--block", "-1"],
+    ["decompose", *GL42_LAZY, "--block", "1"],  # level 1 is the one orbit
+    ["depth", *GL42_LAZY[:-3], "--m", "2", "--block", "-1"],
+    [*SHRINK_GL3, "--block", "1"],
+    [*SHRINK_GL3, "--a-block", "-1"],
+    [*SHRINK_GL3, "--a-block", "1"],
+])
+def test_block_id_out_of_range_is_input_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "outside [0, 1) at arity 1" in err and "Traceback" not in err
 
 
 def test_report_file_is_canonical(tmp_path, capsys):

@@ -1,14 +1,15 @@
 """The map x block sweep against its per-block oracle: `validate` and
 `generator_maps` agree with `scheme_oracle` on every instance builder, on
 corrupted levels that show all four violation kinds, and at every early
-stop."""
+stop, also when the chunk bound puts one map in each sweep record or splits
+a (k, k') group mid-way."""
 import random
 
 import numpy as np
 import pytest
 
 import scheme_oracle as oracle
-from mschemes import instances
+from mschemes import gf_linalg, instances, scheme_core
 from mschemes.antisym import generator_maps
 from mschemes.errors import CapExceeded
 from mschemes.gf_linalg import Field, enumerate_linmaps
@@ -29,6 +30,7 @@ BUILDERS = {
 }
 
 KINDS = ("but also leaves it", "straddles", "covers only part", "fibre sizes")
+
 
 
 def _key(v):
@@ -70,6 +72,10 @@ def test_sweep_matches_oracle_on_every_builder(label):
 
 
 def test_corrupted_levels_match_oracle_at_every_stop():
+    _check_corrupted_levels()
+
+
+def _check_corrupted_levels():
     kinds, early_stops = set(), set()
     for label in ("gl2-m3", "gl3-m2", "gl-f3-m2", "signed-perm-m2", "c11c5-m2"):
         sch = BUILDERS[label]()
@@ -103,17 +109,54 @@ def test_mixed_in_s_violation_names_its_arity():
 
 
 def test_sweep_columns_are_the_maps(gl2_m3):
-    """Each sweep's images are tau applied with apply_batch, in block order."""
-    inst = gl2_m3.instance
-    tuples = {k: inst.tuples_array(k) for k in (1, 2, 3)}
-    order = {k: np.concatenate(gl2_m3.level(k).blocks()) for k in (1, 2, 3)}
-    sweeps = list(gl2_m3.map_sweep())
-    assert [(sw.k, sw.kp, sw.tau) for sw in sweeps] == [
-        (k, kp, tau) for k in (1, 2, 3) for kp in (1, 2, 3)
-        for tau in enumerate_linmaps(inst.field, k, kp)]
-    for sw in sweeps[::7]:
-        want = inst.tuple_indices(sw.tau.apply_batch(inst.field, tuples[sw.k]))
-        assert np.array_equal(sw.images, want[order[sw.k]])
+    _check_sweep_columns(gl2_m3)
+
+
+def _check_sweep_columns(sch):
+    """The records of each (k, k') group cover its maps in order, within the
+    chunk bound; their coeffs are enumerate_linmaps and their images tau
+    applied with apply_batch, in block order.  Returns the records by group."""
+    bound = scheme_core.SWEEP_CHUNK_ENTRIES
+    inst = sch.instance
+    groups = {}
+    for sw in sch.map_sweep():
+        groups.setdefault((sw.k, sw.kp), []).append(sw)
+    assert list(groups) == [(k, kp) for k in (1, 2, 3) for kp in (1, 2, 3)]
+    for (k, kp), sweeps in groups.items():
+        n_k = inst.tuple_count(k)
+        lens = [len(sw.coeffs) for sw in sweeps]
+        assert all(t * n_k * kp <= max(bound, n_k * kp) for t in lens)
+        taus = list(enumerate_linmaps(inst.field, k, kp))
+        coeffs = np.concatenate([sw.coeffs for sw in sweeps])
+        assert [gf_linalg.linmap(c.tolist()) for c in coeffs] == taus
+        assert [sw.tau(t) for sw in sweeps for t in range(len(sw.coeffs))] == taus
+        tuples = inst.tuples_array(k)[np.concatenate(sch.level(k).blocks())]
+        want = np.stack([inst.tuple_indices(tau.apply_batch(inst.field, tuples))
+                         for tau in taus])
+        assert np.array_equal(np.concatenate([sw.images for sw in sweeps]), want)
+    return groups
+
+
+@pytest.mark.parametrize("chunk", [1, 200])
+def test_small_chunk_bounds_keep_maps_and_reports(monkeypatch, gl2_m3, chunk):
+    """One map per record, and a bound of 200 entries, which splits the
+    (k, k') groups of gl2-m3 (n = 3) and gl3-m2 (n = 7) unevenly."""
+    monkeypatch.setattr(scheme_core, "SWEEP_CHUNK_ENTRIES", chunk)
+    groups = _check_sweep_columns(gl2_m3)
+    assert len(groups[(1, 1)]) == (2 if chunk == 1 else 1)
+    assert len(groups[(3, 3)]) == (512 if chunk == 1 else 256)
+    _check_corrupted_levels()
+
+
+def test_sweep_counts_against_map_cap(monkeypatch, gl2_m3):
+    # 2^(2*2) = 16 maps 2->2 pass the default cap, not a cap of 15
+    monkeypatch.setattr(gf_linalg, "DEFAULT_CAP_MAPS", 15)
+    for run in (gl2_m3.validate, lambda: generator_maps(gl2_m3),
+                lambda: list(enumerate_linmaps(gl2_m3.field, 2, 2))):
+        with pytest.raises(CapExceeded) as exc:
+            run()
+        assert exc.value.what == "linear maps 2->2"
+        assert (exc.value.needed, exc.value.cap) == (16, 15)
 
 
 def test_map_table_counts_against_tuple_cap(monkeypatch, gl2_m3):

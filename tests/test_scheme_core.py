@@ -245,3 +245,18 @@ def test_blocks_are_ascending_and_level1_block_set_reads_them(gl2_m3, singer7_m3
             codes = sch.level1_block_set(b)
             assert codes == sorted(c for c in sch.s_codes
                                    if lev1.bid[sch.instance.tuple_index((c,))] == b)
+
+
+def test_block_ids_outside_the_level_are_rejected(trivial_m3):
+    # trivial_scheme(2, 2, 3): S = {1, 2, 3}, three singleton level-1 blocks
+    sch = trivial_m3
+    for bad in (-1, 3):
+        with pytest.raises(IndexOutOfRange, match=f"block id {bad} outside"):
+            sch.level1_block_set(bad)
+        with pytest.raises(IndexOutOfRange):
+            sch.blockset_indices(1, {0, bad})
+    for bad in (-1, 9):  # level 2 has nine blocks
+        with pytest.raises(IndexOutOfRange, match="at arity 2"):
+            sch.level(2).block(bad)
+    assert sch.level1_block_set(2) == [3]
+    assert sch.blockset_indices(1, {0, 2}).tolist() == [0, 2]
