@@ -2,10 +2,13 @@
 and the depth bounds that follow from it.
 
 A generator is a coordinate-linear map whose restriction to some block is a
-bijection onto a block.  The closure of the generators (and their inverses)
-under composition is searched breadth-first; a nontrivial self-bijection of
-any block is a witness, exhaustion without one certifies strong
-antisymmetry, and hitting the budget is reported as inconclusive.
+bijection onto a block.  A word in the generators and their inverses that
+permutes a block nontrivially is a witness.  The generators stream from the
+map sweep, and the first one that is a witness by itself ends the check
+with no further map swept.  Otherwise the closure of the generators and
+their inverses under composition is searched breadth-first: exhaustion
+without a witness certifies strong antisymmetry, and hitting the budget is
+reported as inconclusive.
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .caps import DEFAULT_BUDGET_SATURATION
-from .errors import DepthExhausted, InputError, LemmaViolation, PreconditionUnmet
+from .errors import (DepthExhausted, IndexOutOfRange, InputError, LemmaViolation,
+                     PreconditionUnmet)
 from .gf_linalg import LinMap, linmap
 from .scheme_core import Scheme
 
@@ -72,17 +76,20 @@ class SaturationResult:
     maps_explored: int
     budget: int
     witness: Optional[Witness] = None
+    # forward generators read before the verdict: all of them unless a
+    # forward self-map was the witness, which is then the last one counted
     generators: int = 0
 
 
-def generator_maps(sch: Scheme) -> list:
-    """All bijective block-to-block restrictions of coordinate-linear maps,
-    read from the map sweep in (k, k', tau, block) order.
+def generator_maps(sch: Scheme):
+    """Yield every bijective block-to-block restriction of a coordinate-linear
+    map once, in (k, k', tau, block) order, as the map sweep reaches it.
 
-    Returns a list of (src, dst, mapping, GenStep): mapping[i] is the
-    position in block dst of the image of the i-th member of block src.
+    Each item is (src, dst, mapping, GenStep): mapping[i] is the position in
+    block dst of the image of the i-th member of block src.  Nothing past the
+    last item read is swept, so a (k, k') group's caps fire only when the
+    reader gets that far.
     """
-    gens = []
     seen = set()
     rank = {}  # arity -> position of each tuple within its block
     for sw in sch.map_sweep():
@@ -99,27 +106,28 @@ def generator_maps(sch: Scheme) -> list:
             start = int(sw.starts[b])
             # rows of a hit block all have images in S^k'; no -1 is read
             rows = sw.images[t, start:start + int(sw.sizes[b])]
-            mapping = tuple(rank[sw.kp][rows].tolist())
+            positions = rank[sw.kp][rows]
             src, dst = (sw.k, b), (sw.kp, int(sw.target[t, b]))
-            key = (src, dst, mapping)
+            # src fixes the length, so the raw bytes identify the mapping
+            key = (src, dst, positions.tobytes())
             if key not in seen:
                 seen.add(key)
-                gens.append((src, dst, mapping, GenStep(sw.tau(t).coeffs, "fwd", src, dst)))
-    return gens
+                yield (src, dst, tuple(positions.tolist()),
+                       GenStep(sw.tau(t).coeffs, "fwd", src, dst))
 
 
 def strong_antisym_check(sch: Scheme, budget: int = DEFAULT_BUDGET_SATURATION) -> SaturationResult:
     """Saturate the partial-bijection groupoid; cache the verdict on the scheme.
 
+    Forward generators are admitted as `generator_maps` yields them, and the
+    check returns at the first one that permutes its block nontrivially,
+    sweeping no map after it.  Only when they run out without a witness are
+    their inverses added, in the same order, and the closure searched
+    breadth-first within the budget.
+
     A mapping lists, per member of its source block, the position of the
     image in its destination block: the inverse is its argsort, composition
     is indexing, and a self-map is the identity when it equals range."""
-    gens = generator_maps(sch)
-    # add inverses as generators too
-    all_gens = list(gens)
-    for src, dst, mapping, step in gens:
-        inv_mapping = tuple(np.argsort(mapping).tolist())
-        all_gens.append((dst, src, inv_mapping, GenStep(step.tau, "inv", dst, src)))
 
     def is_identity(mapping):
         return mapping == tuple(range(len(mapping)))
@@ -138,33 +146,44 @@ def strong_antisym_check(sch: Scheme, budget: int = DEFAULT_BUDGET_SATURATION) -
         return key
 
     witness = None
-    for src, dst, mapping, step in all_gens:
-        admit(src, dst, mapping, (None, step))
+    gens = []
+    for src, dst, mapping, step in generator_maps(sch):
+        gens.append((src, dst, mapping, step))
+        admit(src, dst, mapping, (None, step))  # generator_maps yields no repeats
         if src == dst and not is_identity(mapping):
             witness = (src, mapping, explored[(src, dst, mapping)])
             break
 
-    # index generators by source block for composition
-    by_src = {}
-    for src, dst, mapping, step in all_gens:
-        by_src.setdefault(src, []).append((dst, mapping, step))
+    if witness is None:
+        # every forward self-map is the identity, so no inverse is a witness
+        all_gens = list(gens)
+        for src, dst, mapping, step in gens:
+            inv = (dst, src, tuple(np.argsort(mapping).tolist()),
+                   GenStep(step.tau, "inv", dst, src))
+            all_gens.append(inv)
+            admit(*inv[:3], (None, inv[3]))
 
-    head = 0
-    while witness is None and head < len(queue):
-        if len(explored) > budget:
-            return SaturationResult("inconclusive", len(explored), budget,
-                                    generators=len(gens))
-        src, dst, mapping = queue[head]
-        head += 1
-        parent_idx = explored[(src, dst, mapping)]
-        for gdst, gmapping, gstep in by_src.get(dst, []):
-            composed = tuple(gmapping[i] for i in mapping)
-            key = admit(src, gdst, composed, (parent_idx, gstep))
-            if key is None:
-                continue
-            if src == gdst and not is_identity(composed):
-                witness = (src, composed, explored[key])
-                break
+        # index generators by source block for composition
+        by_src = {}
+        for src, dst, mapping, step in all_gens:
+            by_src.setdefault(src, []).append((dst, mapping, step))
+
+        head = 0
+        while witness is None and head < len(queue):
+            if len(explored) > budget:
+                return SaturationResult("inconclusive", len(explored), budget,
+                                        generators=len(gens))
+            src, dst, mapping = queue[head]
+            head += 1
+            parent_idx = explored[(src, dst, mapping)]
+            for gdst, gmapping, gstep in by_src.get(dst, []):
+                composed = tuple(gmapping[i] for i in mapping)
+                key = admit(src, gdst, composed, (parent_idx, gstep))
+                if key is None:
+                    continue
+                if src == gdst and not is_identity(composed):
+                    witness = (src, composed, explored[key])
+                    break
 
     if witness is None:
         result = SaturationResult("antisymmetric", len(explored), budget,
@@ -187,12 +206,27 @@ def strong_antisym_check(sch: Scheme, budget: int = DEFAULT_BUDGET_SATURATION) -
     return result
 
 
+def _members(sch: Scheme, ref: tuple):
+    """Members of block ref = (arity, block id), or None when sch has no
+    such block."""
+    k, b = ref
+    if not 1 <= k <= sch.m:
+        return None
+    try:
+        return sch.level(k).block(b)
+    except IndexOutOfRange:
+        return None
+
+
 def _forward_restriction(sch: Scheme, tau: LinMap, src: tuple, dst: tuple):
     """Positions in block dst of the images of block src's members under tau,
-    or None unless tau maps src onto dst bijectively."""
+    or None unless both blocks exist, tau runs between their arities and
+    maps src onto dst bijectively."""
     inst = sch.instance
-    src_members = sch.level(src[0]).blocks()[src[1]]
-    dst_members = sch.level(dst[0]).blocks()[dst[1]]
+    src_members, dst_members = _members(sch, src), _members(sch, dst)
+    if (src_members is None or dst_members is None
+            or (tau.src_arity, tau.dst_arity) != (src[0], dst[0])):
+        return None
     img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(src[0])[src_members]))
     # a bijection onto dst: the images, sorted, are dst's members
     if (img < 0).any() or not np.array_equal(np.sort(img), dst_members):
@@ -206,7 +240,9 @@ def replay_witness(sch: Scheme, witness: Witness) -> bool:
     if not witness.word or witness.word[0].src != witness.block:
         return False
     cur_ref = witness.block
-    members = sch.level(witness.block[0]).blocks()[witness.block[1]]
+    members = _members(sch, witness.block)
+    if members is None:
+        return False
     mapping = np.arange(len(members))  # position in cur_ref of each member's image
     for step in witness.word:
         if step.src != cur_ref:

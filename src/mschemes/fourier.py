@@ -137,19 +137,17 @@ class FourierContext:
         return {tuple(d): complex(x, y)
                 for d, x, y in zip(duals.tolist(), re.tolist(), im.tolist())}
 
-    def parseval_check(self, subset, coeffs=None):
+    def parseval_check(self, subset, coeffs):
         """(sum |coeff|^2, E[1_A], abs error) — Parseval for an indicator.
 
-        coeffs, when given, is `all_coeffs(subset)` computed by the caller;
-        the same holds for the checks and exports below."""
-        coeffs = self.all_coeffs(subset) if coeffs is None else coeffs
+        coeffs is `all_coeffs(subset)`, computed once by the caller; the same
+        holds for `inversion_check` and `coeffs_csv`."""
         lhs = sum(abs(c) ** 2 for c in coeffs.values())
         rhs = len(set(subset) & set(self.elements)) / self.order
         return lhs, rhs, abs(lhs - rhs)
 
-    def inversion_check(self, subset, coeffs=None):
+    def inversion_check(self, subset, coeffs):
         """Max pointwise error of f(x) = sum_chi hat f(chi) chi(x)."""
-        coeffs = self.all_coeffs(subset) if coeffs is None else coeffs
         coeffs = np.fromiter(coeffs.values(), complex, self.order)
         # the duals run over the (ell,)*r grid in C order, so the inverse
         # transform is indexed by coordinates
@@ -161,7 +159,8 @@ class FourierContext:
 
     def heavy_characters(self, subset, eps: float, include_trivial: bool = False,
                          coeffs=None):
-        """Characters with |coeff| >= eps (1e-9 guard band), sorted by dual vector."""
+        """Characters with |coeff| >= eps (1e-9 guard band), sorted by dual
+        vector; coeffs defaults to `all_coeffs(subset)`."""
         coeffs = self.all_coeffs(subset) if coeffs is None else coeffs
         out = []
         for dual, c in sorted(coeffs.items()):
@@ -173,8 +172,7 @@ class FourierContext:
 
     # ---- CSV interchange ---------------------------------------------
 
-    def coeffs_csv(self, subset, coeffs=None) -> str:
-        coeffs = self.all_coeffs(subset) if coeffs is None else coeffs
+    def coeffs_csv(self, subset, coeffs) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["dual_vector", "re", "im", "abs"])

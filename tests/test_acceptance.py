@@ -272,8 +272,9 @@ def test_criterion_07_fourier(capfd):
         group = list(range(ctx.order))
         for _ in range(trials):
             subset = rng.sample(group, rng.randint(1, min(64, ctx.order)))
-            _, _, perr = ctx.parseval_check(subset)
-            ierr = ctx.inversion_check(subset)
+            coeffs = ctx.all_coeffs(subset)
+            _, _, perr = ctx.parseval_check(subset, coeffs)
+            ierr = ctx.inversion_check(subset, coeffs)
             worst = max(worst, perr, ierr)
             assert perr <= 1e-9 and ierr <= 1e-9
 

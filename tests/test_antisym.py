@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import antisym_oracle
 from mschemes import instances
 from mschemes.antisym import (
     GenStep,
@@ -16,6 +17,7 @@ from mschemes.antisym import (
     replay_witness,
     strong_antisym_check,
 )
+from mschemes.caps import DEFAULT_BUDGET_SATURATION
 from mschemes.errors import DepthExhausted, InputError, PreconditionUnmet
 from mschemes.gf_linalg import linmap, projection, swap_map
 
@@ -65,6 +67,26 @@ def test_tampered_witness_rejected(gl2_m3):
     assert not replay_witness(gl2_m3, fake)
     # empty word is not a valid witness
     assert not replay_witness(gl2_m3, Witness(w.block, [], w.mapping))
+
+
+def test_witness_naming_no_block_is_rejected(singer7_m3):
+    # singer7-m3's witness is one forward self-map of a level-3 block
+    w = strong_antisym_check(singer7_m3).witness
+    step = w.word[0]
+    assert replay_witness(singer7_m3, w)
+    assert w.block[0] == 3 and singer7_m3.level(3).num_blocks < 99
+    for ref in [(3, 99), (3, -1), (3, singer7_m3.level(3).num_blocks), (7, 0), (0, 0)]:
+        for direction in ("fwd", "inv"):
+            # the claimed block, or a step's source or destination, is not a block
+            steps = [GenStep(step.tau, direction, ref, ref),
+                     GenStep(step.tau, direction, w.block, ref),
+                     GenStep(step.tau, direction, ref, w.block)]
+            assert not replay_witness(singer7_m3, Witness(ref, steps[:1], w.mapping))
+            assert not replay_witness(singer7_m3, Witness(w.block, steps[1:2], w.mapping))
+            assert not replay_witness(singer7_m3, Witness(ref, steps[2:], w.mapping))
+    # a map V^1 -> V^1 recorded on a step between level-3 blocks
+    short = GenStep(((1,),), "fwd", w.block, w.block)
+    assert not replay_witness(singer7_m3, Witness(w.block, [short], w.mapping))
 
 
 def test_inverse_steps_replay_through_the_inverse_permutation(gl2_m3):
@@ -118,6 +140,46 @@ DEPTH_BUILDERS = {
     "affine-coset-m3": lambda: instances.affine_coset_scheme(4, [1, 2], 0, 3),
     "mul-coset-m2": lambda: instances.mul_coset_scheme(5, 2, 6, 1, 0, 2),
 }
+
+
+# one scheme from every builder in `instances`
+ANTISYM_BUILDERS = {
+    **DEPTH_BUILDERS,
+    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3, lazy=False),
+    "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),
+}
+
+
+def _same_verdict(got, want):
+    assert (got.status, got.maps_explored, got.budget) == \
+        (want.status, want.maps_explored, want.budget)
+    assert (got.witness is None) == (want.witness is None)
+    if got.witness is not None:
+        assert got.witness.to_json() == want.witness.to_json()
+        assert got.witness.mapping == want.witness.mapping
+        assert got.generators <= want.generators
+
+
+@pytest.mark.parametrize("label", sorted(ANTISYM_BUILDERS))
+def test_streamed_check_matches_eager_oracle(label):
+    sch = ANTISYM_BUILDERS[label]()
+    for budget in (DEFAULT_BUDGET_SATURATION, 1500, 20):
+        want = antisym_oracle.strong_antisym_check(sch, budget)
+        got = strong_antisym_check(sch, budget)
+        _same_verdict(got, want)
+        if got.status != "witness" or len(got.witness.word) > 1:
+            # the streamed check read every forward generator
+            assert got.generators == want.generators
+
+
+def test_small_budgets_are_inconclusive_like_the_oracle(trivial_m3):
+    # the 1197 generators and their inverses are 1467 distinct mappings, so
+    # a budget of 20 stops before the first composition and one of 1500
+    # part-way through the breadth-first search (which ends at 1521)
+    for budget, explored in ((20, 1467), (1500, 1503)):
+        got = strong_antisym_check(trivial_m3, budget)
+        assert (got.status, got.maps_explored) == ("inconclusive", explored)
+        _same_verdict(got, antisym_oracle.strong_antisym_check(trivial_m3, budget))
 
 
 @pytest.mark.parametrize("label", sorted(DEPTH_BUILDERS))

@@ -148,7 +148,7 @@ def test_fourier_computes_one_coefficient_table(tmp_path, capsys, monkeypatch):
     ctx = FourierContext.for_generators(Field(3, 2), codes)
     heavy = [{"dual": list(d), "abs": f"{abs(c):.12f}"}
              for d, c in ctx.heavy_characters(codes, 1 / 8)]
-    csv_text = ctx.coeffs_csv(codes)
+    csv_text = ctx.coeffs_csv(codes, ctx.all_coeffs(codes))
     calls = []
     all_coeffs = FourierContext.all_coeffs
     monkeypatch.setattr(FourierContext, "all_coeffs",

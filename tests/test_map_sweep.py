@@ -10,7 +10,7 @@ import pytest
 
 import scheme_oracle as oracle
 from mschemes import gf_linalg, instances, scheme_core
-from mschemes.antisym import generator_maps
+from mschemes.antisym import generator_maps, strong_antisym_check
 from mschemes.errors import CapExceeded
 from mschemes.gf_linalg import Field, enumerate_linmaps
 from mschemes.scheme_core import Scheme, SchemeInstance, TuplePartition
@@ -151,12 +151,27 @@ def test_small_chunk_bounds_keep_maps_and_reports(monkeypatch, gl2_m3, chunk):
 def test_sweep_counts_against_map_cap(monkeypatch, gl2_m3):
     # 2^(2*2) = 16 maps 2->2 pass the default cap, not a cap of 15
     monkeypatch.setattr(gf_linalg, "DEFAULT_CAP_MAPS", 15)
-    for run in (gl2_m3.validate, lambda: generator_maps(gl2_m3),
+    for run in (gl2_m3.validate, lambda: list(generator_maps(gl2_m3)),
                 lambda: list(enumerate_linmaps(gl2_m3.field, 2, 2))):
         with pytest.raises(CapExceeded) as exc:
             run()
         assert exc.value.what == "linear maps 2->2"
         assert (exc.value.needed, exc.value.cap) == (16, 15)
+
+
+def test_antisym_stops_before_groups_past_its_witness(monkeypatch, gl2_m3):
+    # gl2-m3's witness is the 6th generator, found in the 2->2 group: a cap
+    # of 63 stops the 64 maps 2->3 that validate reaches, not the check
+    want = strong_antisym_check(gl2_m3)
+    monkeypatch.setattr(gf_linalg, "DEFAULT_CAP_MAPS", 63)
+    got = strong_antisym_check(gl2_m3)
+    assert (got.status, got.maps_explored) == ("witness", 6) == (want.status, want.maps_explored)
+    assert (got.witness.to_json(), got.witness.mapping) == \
+        (want.witness.to_json(), want.witness.mapping)
+    with pytest.raises(CapExceeded) as exc:
+        gl2_m3.validate()
+    assert exc.value.what == "linear maps 2->3"
+    assert (exc.value.needed, exc.value.cap) == (64, 63)
 
 
 def test_map_table_counts_against_tuple_cap(monkeypatch, gl2_m3):
