@@ -246,7 +246,7 @@ def cmd_fourier(args) -> int:
     }
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(ctx.coeffs_csv(codes, coeffs))
+            fh.write(ctx.coeffs_csv(coeffs))
         obj["out"] = args.out
     _emit(args, obj)
     return 0 if max(perr, ierr) <= 1e-9 else EXIT_LEMMA

@@ -172,7 +172,7 @@ class FourierContext:
 
     # ---- CSV interchange ---------------------------------------------
 
-    def coeffs_csv(self, subset, coeffs) -> str:
+    def coeffs_csv(self, coeffs) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["dual_vector", "re", "im", "abs"])

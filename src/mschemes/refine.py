@@ -36,7 +36,6 @@ from .addcomb import (
     sum_histogram,
     sumset,
 )
-from .antisym import depth_measure  # re-exported driver; lives with the verdicts
 from .constructible import Certificate, decide_constructible, find_constructible_prefix
 from .errors import (
     CapExceeded,
@@ -72,7 +71,6 @@ __all__ = [
     "decompose",
     "density_reduce",
     "key_lemma_search",
-    "depth_measure",
 ]
 
 

@@ -9,12 +9,19 @@ Also the other scalar definitions the tests check the library against:
 integer tuple codes (base q, first coordinate most significant), the tuple
 of S^k at a tuple index, map composition, span membership by rank, and the
 dual vectors of a Fourier context in `itertools.product` order.
+
+And the additive-energy quadruple loop, the oracle of the array count in
+`addcomb.additive_energy_oracle`, with the JSON and vector interchange of
+point sets that only the tests use.
 """
 import itertools
+import json
 
 import numpy as np
 
-from mschemes.gf_linalg import linmap, rank_mod
+from mschemes.addcomb import PointSet
+from mschemes.errors import InputError
+from mschemes.gf_linalg import Field, linmap, rank_mod
 
 
 def add(f, a, b):
@@ -90,3 +97,46 @@ def in_span(f, basis, code):
 
 def dual_vectors(ctx):
     return itertools.product(range(ctx.field.ell), repeat=ctx.rank)
+
+
+def energy_quadruple_loop(a):
+    """E(A) as the literal O(|A|^4) loop over quadruples, digit by digit."""
+    field = a.field
+    digs = [field.decode(c) for c in a.codes]
+    n = len(digs)
+    ell = field.ell
+    total = 0
+    for i in range(n):
+        for j in range(n):
+            s = tuple((digs[i][t] + digs[j][t]) % ell for t in range(field.dim))
+            for p in range(n):
+                for r in range(n):
+                    if all((digs[p][t] + digs[r][t]) % ell == s[t] for t in range(field.dim)):
+                        total += 1
+    return total
+
+
+def from_vectors(field, vectors):
+    return PointSet.from_codes(field, (field.encode(v) for v in vectors))
+
+
+def vectors(a):
+    return [a.field.decode(c) for c in a.codes]
+
+
+def to_json(a):
+    obj = {
+        "ell": a.field.ell,
+        "dim": a.field.dim,
+        "points": [list(v) for v in vectors(a)],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def from_json(text):
+    try:
+        obj = json.loads(text)
+        field = Field(int(obj["ell"]), int(obj["dim"]))
+        return from_vectors(field, obj["points"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad point-set JSON: {exc}") from exc

@@ -23,7 +23,6 @@ from mschemes import refine
 from mschemes.addcomb import (
     PointSet,
     additive_energy,
-    additive_energy_oracle,
     check_covering,
     check_freiman_ruzsa,
     check_plunnecke,
@@ -219,7 +218,7 @@ def test_criterion_05_depth_bounds(capfd, c11_m2, c31_m2):
 # ---------------------------------------------------------------------------
 
 def _addcomb_sweep_checks(a: PointSet):
-    assert additive_energy(a) == additive_energy_oracle(a)
+    assert additive_energy(a) == point_oracle.energy_quadruple_loop(a)
     if len(a) == 0:
         return
     if is_coset(a):

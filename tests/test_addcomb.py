@@ -1,10 +1,12 @@
 """Sumset arithmetic, additive energy, covering and doubling certificates."""
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import point_oracle as oracle
+from mschemes import addcomb
 from mschemes.addcomb import (
     PointSet,
     additive_energy,
@@ -100,7 +102,45 @@ def test_energy_equals_oracle_and_histogram(a_codes):
     hist = sum_histogram(a, a)
     assert sum(hist.values()) == len(a) ** 2
     assert additive_energy(a) == sum(c * c for c in hist.values())
-    assert additive_energy(a) == additive_energy_oracle(a)
+    assert additive_energy(a) == oracle.energy_quadruple_loop(a)
+
+
+def _energy_oracle_sets(ell, dim):
+    """Seeded point sets of F_ell^dim for the energy oracle: the empty set, a
+    singleton, random sets of 2-20 points and a subgroup of at most 20."""
+    f = Field(ell, dim)
+    rng = random.Random(f"energy:{ell}:{dim}")
+    sets = [[], [rng.randrange(f.q)]]
+    sets += [rng.sample(range(f.q), rng.randint(2, 20)) for _ in range(6)]
+    k = max(k for k in range(1, dim + 1) if ell ** k <= 20)
+    sets.append([int(c) for c in span_points(f, [ell ** t for t in range(k)])])
+    return f, sets
+
+
+@pytest.mark.parametrize("ell, dim", [(2, 5), (3, 3), (5, 2), (7, 2)])
+def test_energy_oracle_matches_quadruple_loop(ell, dim):
+    f, sets = _energy_oracle_sets(ell, dim)
+    for codes in sets:
+        a = ps(f, codes)
+        assert additive_energy_oracle(a) == oracle.energy_quadruple_loop(a), codes
+    sub = ps(f, sets[-1])
+    assert is_coset(sub) and additive_energy_oracle(sub) == len(sub) ** 3
+    whole = ps(f, range(f.q))
+    assert additive_energy_oracle(whole) == f.q ** 3
+
+
+@pytest.mark.parametrize("ell, dim", [(2, 5), (7, 2)])
+def test_energy_oracle_chunking_does_not_change_the_count(ell, dim, monkeypatch):
+    f, sets = _energy_oracle_sets(ell, dim)
+    sets = [ps(f, codes) for codes in sets]
+    want = [additive_energy_oracle(a) for a in sets]
+    # one row of pair sums per chunk, then 7 rows (a ragged last chunk)
+    for rows in (1, 7):
+        got = []
+        for a in sets:
+            monkeypatch.setattr(addcomb, "ORACLE_CHUNK", rows * len(a) ** 2)
+            got.append(additive_energy_oracle(a))
+        assert got == want, rows
 
 
 @given(subsets23)
@@ -163,7 +203,7 @@ def test_plunnecke_rejects_false_constant():
 def test_density_and_json_roundtrip():
     a = ps(F23, [1, 2, 3])
     assert density(a) == Fraction(3, 4)  # span of {1,2,3} is {0,1,2,3}
-    b = PointSet.from_json(a.to_json())
+    b = oracle.from_json(oracle.to_json(a))
     assert b.field == a.field and set(b.codes) == set(a.codes)
 
 

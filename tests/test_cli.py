@@ -3,6 +3,7 @@ import functools
 import importlib
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,22 @@ def test_addcomb_report(capsys):
     assert obj["covering_ok"] and obj["freiman_ruzsa_ok"] and obj["plunnecke_ok"]
 
 
+def test_addcomb_energy_oracle_gate_at_64_points(capsys):
+    # F_3^4 (81 points): the quadruple oracle runs up to |A| = 64, not beyond
+    argv = ["addcomb", "--ell", "3", "--dim", "4", "--set"]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, argv + [",".join(map(str, range(1, 65)))])
+    elapsed = time.perf_counter() - start
+    obj = json.loads(out)
+    assert code == 0 and obj["size"] == 64
+    assert obj["energy_oracle"] == obj["energy"] and obj["energy_match"] is True
+    assert elapsed < 1.0, f"64-point addcomb took {elapsed:.2f} s"
+    code, out, _ = run(capsys, argv + [",".join(map(str, range(1, 66)))])
+    obj = json.loads(out)
+    assert code == 0 and obj["size"] == 65
+    assert "energy_oracle" not in obj and "energy_match" not in obj
+
+
 def test_fourier_csv_output(tmp_path, capsys):
     csv_file = tmp_path / "coeffs.csv"
     code, out, _ = run(capsys, [
@@ -148,7 +165,7 @@ def test_fourier_computes_one_coefficient_table(tmp_path, capsys, monkeypatch):
     ctx = FourierContext.for_generators(Field(3, 2), codes)
     heavy = [{"dual": list(d), "abs": f"{abs(c):.12f}"}
              for d, c in ctx.heavy_characters(codes, 1 / 8)]
-    csv_text = ctx.coeffs_csv(codes, ctx.all_coeffs(codes))
+    csv_text = ctx.coeffs_csv(ctx.all_coeffs(codes))
     calls = []
     all_coeffs = FourierContext.all_coeffs
     monkeypatch.setattr(FourierContext, "all_coeffs",
