@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyReference, FieldMismatch, InputError, PreconditionUnmet
-from .gf_linalg import Field, span_basis, span_dim, span_points
+from .gf_linalg import Field, span_points, unique_sorted
 
 # comparisons per chunk of the energy oracle's quadruple count: its boolean
 # temporary stays near 8 MB whatever |A| is
@@ -60,12 +60,12 @@ def _pair_sums(field: Field, a: PointSet, b: PointSet) -> np.ndarray:
 
 def sumset(a: PointSet, b: PointSet) -> PointSet:
     field = _require_same_field(a, b)
-    return PointSet(field, tuple(np.unique(_pair_sums(field, a, b)).tolist()))
+    return PointSet(field, tuple(unique_sorted(_pair_sums(field, a, b)).tolist()))
 
 
 def negate(a: PointSet) -> PointSet:
     codes = a.field.neg_codes(np.asarray(a.codes, dtype=np.int64))
-    return PointSet(a.field, tuple(np.unique(codes).tolist()))
+    return PointSet(a.field, tuple(unique_sorted(codes).tolist()))
 
 
 def difference_set(a: PointSet, b: PointSet) -> PointSet:

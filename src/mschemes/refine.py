@@ -48,7 +48,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .fourier import FourierContext
-from .gf_linalg import span_points, summation
+from .gf_linalg import member_mask, span_points, summation, unique_sorted
 from .scheme_core import Scheme, SchemeInstance, TuplePartition
 
 __all__ = [
@@ -212,7 +212,7 @@ def _z_mask(field, ap_codes, b_codes, z_set) -> np.ndarray:
     """|A'| x |B| boolean mask of x + y in Z."""
     sums = field.add_codes(_codes_array(ap_codes)[:, None],
                            _codes_array(b_codes)[None, :])
-    return np.isin(sums, _codes_array(z_set))
+    return member_mask(sums, _codes_array(z_set))
 
 
 def _z_slices(field, ap_codes, b_codes, z_set, x0):
@@ -287,12 +287,12 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
         z = window[0]
         b_arr = _codes_array(b_codes)
         xk1s = f.sub_codes(z, sig)
-        hits = np.flatnonzero(np.isin(xk1s, b_arr))
+        hits = np.flatnonzero(member_mask(xk1s, b_arr))
         if not len(hits):
             raise LemmaViolation("shrink_weak: no tuple of A sums with B to z")
         i = int(hits[0])
         prefix = tuple(int(c) for c in a_tuples[i]) + (int(xk1s[i]),)
-        in_ap = np.isin(f.sub_codes(z, b_arr), _codes_array(ap_codes))
+        in_ap = member_mask(f.sub_codes(z, b_arr), _codes_array(ap_codes))
         t_codes = b_arr[in_ap].tolist()
         recs = [ineq(len(t_codes), "==", hist[z], note="|T|=nu+(z)")]
         recs += _sqrt_bounds(len(t_codes), K, n_b)
@@ -592,7 +592,7 @@ def scheme_power(sch: Scheme, a: BlockRef, mp: int) -> Scheme:
         # per-block injectivity of the i-fold sum map
         for v, c in zip(vals, counts):
             sel = cur_img[bids == v]
-            if len(np.unique(sel)) != int(c):
+            if len(unique_sorted(sel)) != int(c):
                 raise LemmaViolation(
                     f"power level {i}: sum map not injective on block {int(v)}"
                 )
@@ -713,7 +713,7 @@ def representation_counts(bset: PointSet) -> dict:
 def _difference_adjacency(field, b_codes, t_set) -> np.ndarray:
     """|B| x |B| mask of b_i - b_j in T: row i is N(b_i), column j is N'(b_j)."""
     b_arr = _codes_array(b_codes)
-    return np.isin(field.sub_codes(b_arr[:, None], b_arr[None, :]), _codes_array(t_set))
+    return member_mask(field.sub_codes(b_arr[:, None], b_arr[None, :]), _codes_array(t_set))
 
 
 def _low_degree_piece(adj, b_arr, thresh, big_n) -> list:
@@ -726,6 +726,21 @@ def _low_degree_piece(adj, b_arr, thresh, big_n) -> list:
     return b_arr[verts][3 * low.sum(axis=1) <= big_n].tolist()
 
 
+def _require_invariant_graph(sch: Scheme, b_arr, adj):
+    """Raise LemmaViolation unless each generator of the scheme's group
+    maps B onto itself and permutes the graph adj on B."""
+    pos = sch.instance.pos(b_arr)
+    row = np.full(sch.instance.n, -1, dtype=np.int64)
+    row[pos] = np.arange(len(b_arr))
+    gens = row[sch.backend.perms[:, pos]]  # (g, |B|): row of g(x) for row x
+    if (gens < 0).any():
+        raise LemmaViolation("bsg_extract: a generator moves B off itself")
+    for g in gens:
+        if not np.array_equal(adj[g][:, g], adj):
+            raise LemmaViolation(
+                "bsg_extract: a generator does not permute the popular-difference graph")
+
+
 def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) -> BsgResult:
     """Extract a dense piece with small difference set from high energy.
 
@@ -736,6 +751,16 @@ def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) 
     |B'-B'| < 2^17 gamma^-9 |B| (checked exactly); optionally the
     representation count behind the second bound is re-verified by exact
     convolution.
+
+    Every N(x) and N'(x) must be a union of level-1 blocks of the fibre at
+    x.  A scheme without a group backend (materialized, or loaded from
+    JSON) checks every x in B.  With a backend, each generator g must map B
+    onto itself and permute the popular-difference graph (else
+    LemmaViolation); then N(g x) = g N(x), N'(g x) = g N'(x), and the fibre
+    at g x is g applied to the fibre at x, since its blocks are the orbits
+    of Stab(g x) = g Stab(x) g^-1.  So g x passes exactly when x does, and
+    as B, a level-1 block, is one orbit, only x0 = min B is checked.  It is
+    the first x the full check reads, so a failure raises the same error.
     """
     gamma = Fraction(gamma)
     if sch.m < 4:
@@ -761,9 +786,15 @@ def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) 
         raise LemmaViolation("|N(x)| != |N'(x)|")
     recs = [ineq(gamma * n, "<=", 2 * big_n, note="N>=gamma|B|/2")]
     require_ineqs("bsg_extract", recs)
-    # every neighbourhood must be a fibre-level block union
-    for i, x in enumerate(b_codes):
-        fibx = sch.fiber((x,))
+    # every neighbourhood must be a fibre-level block union; with a group
+    # backend, x0 = min B stands for its orbit B
+    if sch.backend is None:
+        rows = range(n)
+    else:
+        _require_invariant_graph(sch, b_arr, adj)
+        rows = range(1)
+    for i in rows:
+        fibx = sch.fiber((b_codes[i],))
         _level1_union_ids(fibx, b_arr[adj[i]])
         _level1_union_ids(fibx, b_arr[adj[:, i]])
 
@@ -782,7 +813,7 @@ def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) 
         conv = representation_counts(b_ps)
         bound = Fraction(gamma ** 9 * Fraction(n) ** 7, 2 ** 17)
         p_arr = _codes_array(piece)
-        diffs = np.unique(f.sub_codes(p_arr[:, None], p_arr[None, :]))
+        diffs = unique_sorted(f.sub_codes(p_arr[:, None], p_arr[None, :]))
         worst = min(conv.get(d, 0) for d in diffs.tolist())
         recs.append(ineq(bound, "<", worst,
                          note="representation count > 2^-17 gamma^9 |B|^7"))
@@ -1385,7 +1416,7 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
             require_ineqs("density_reduce/cardinality", recs)
             u_arr = _codes_array(u_codes)
             partners = f.sub_codes(z0, u_arr)
-            in_u = np.isin(partners, u_arr)
+            in_u = member_mask(partners, u_arr)
             hits = np.flatnonzero(in_u)
             if not len(hits):
                 raise LemmaViolation("z0 not representable in U + U")

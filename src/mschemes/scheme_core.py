@@ -54,7 +54,7 @@ from .errors import (
     InputError,
     NotBlockUnion,
 )
-from .gf_linalg import Field, LinMap, linmap, linmap_count, span_dim
+from .gf_linalg import Field, LinMap, linmap, linmap_count, span_dim, unique_sorted
 
 # bound on T * n^k * k' entries of the image arrays of one MapSweep chunk
 SWEEP_CHUNK_ENTRIES = 2 ** 17
@@ -205,18 +205,18 @@ class TuplePartition:
         if self.arity != other.arity or len(self.bid) != len(other.bid):
             raise ArityMismatch("refinement comparison between different spaces")
         for rows in self.blocks():
-            if len(np.unique(other.bid[rows])) != 1:
+            if len(unique_sorted(other.bid[rows])) != 1:
                 return False
         return True
 
     def ids_as_union(self, tuple_indices):
         """Express a set of tuple indices as a set of block ids, or raise
         NotBlockUnion, also for an index outside [0, n^k)."""
-        idx = np.unique(np.asarray(tuple_indices, dtype=np.int64))
+        idx = unique_sorted(np.asarray(tuple_indices, dtype=np.int64))
         if len(idx) and (idx[0] < 0 or idx[-1] >= len(self.bid)):
             raise NotBlockUnion(
                 f"tuple index outside [0, {len(self.bid)}) is not in S^{self.arity}")
-        ids = np.unique(self.bid[idx]).tolist()
+        ids = unique_sorted(self.bid[idx]).tolist()
         if len(idx) != sum(self.block_size(b) for b in ids):
             raise NotBlockUnion(
                 f"set of {len(idx)} tuples is not a union of arity-{self.arity} blocks"
@@ -288,9 +288,10 @@ class Scheme:
     """Depth-m partition system on S^1..S^m.
 
     Levels may be materialized eagerly (explicit schemes) or on demand from a
-    backend exposing `orbit_partition_raw(instance, k)` and
-    `stabilizer_backend(point_codes)` (group-action schemes whose declared
-    depth exceeds what can be materialized).
+    backend exposing `orbit_partition_raw(instance, k)`,
+    `stabilizer_backend(point_codes)` and its generator permutations `perms`
+    (group-action schemes whose declared depth exceeds what can be
+    materialized).
     """
 
     def __init__(self, instance: SchemeInstance, m: int, levels=None, backend=None,
@@ -454,7 +455,7 @@ class Scheme:
             return f"image meets S^{kp} but also leaves it ({inside}/{size} inside)"
         if bp < 0:
             rows = sw.images[t, sw.starts[b]:sw.starts[b] + size]
-            bids = np.unique(self.level(kp).bid[rows])
+            bids = unique_sorted(self.level(kp).bid[rows])
             return f"image straddles blocks {bids.tolist()} at arity {kp}"
         if sw.distinct[t, b] != sw.target_size[t, b]:
             return f"image covers only part of block {bp} at arity {kp}"
@@ -508,7 +509,7 @@ class Scheme:
         if len(idx) == 0:
             return frozenset()
         img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(k)[idx]))
-        return self.level(kp).ids_as_union(np.unique(img[img >= 0]))
+        return self.level(kp).ids_as_union(img[img >= 0])
 
     def preimage_blockset(self, tau: LinMap, bids, k: Optional[int] = None):
         """tau^{-1}(union of blocks) ∩ S^k, as a block-id set at arity k."""

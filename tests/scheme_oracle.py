@@ -6,11 +6,17 @@ Each function applies every coordinate-linear map to all of S^k with
 `apply_batch` and then walks the blocks one by one in Python, checking the
 axioms (or bijectivity onto a block) block by block.  Same order, same
 violation strings and same generator list as the library.
+
+`bsg_neighbourhood_scan` is the full per-point form of the block-union
+check in `refine.bsg_extract`, which checks one point per orbit on
+group-backed schemes.
 """
 import numpy as np
 
+from mschemes.addcomb import PointSet, diff_histogram
 from mschemes.antisym import GenStep
 from mschemes.gf_linalg import enumerate_linmaps
+from mschemes.refine import _difference_adjacency, _level1_union_ids
 from mschemes.scheme_core import ValidationReport, Violation
 
 
@@ -115,3 +121,21 @@ def generator_maps(sch):
                     seen.add(key)
                     gens.append((src, dst, mapping, GenStep(tau.coeffs, "fwd", src, dst)))
     return gens
+
+
+def bsg_neighbourhood_scan(sch, b, gamma):
+    """Check that N(x) and N'(x) are unions of level-1 blocks of the fibre
+    at x for every x in block b, one fibre per x, raising as
+    `refine.bsg_extract` does.  Returns the number of points checked."""
+    f = sch.field
+    b_codes = sch.level1_block_set(b)
+    b_ps = PointSet.from_codes(f, b_codes)
+    t_set = {z for z, c in diff_histogram(b_ps, b_ps).items()
+             if c >= gamma * len(b_codes) / 2}
+    b_arr = np.array(b_codes, dtype=np.int64)
+    adj = _difference_adjacency(f, b_arr, t_set)
+    for i, x in enumerate(b_codes):
+        fibx = sch.fiber((x,))
+        _level1_union_ids(fibx, b_arr[adj[i]])
+        _level1_union_ids(fibx, b_arr[adj[:, i]])
+    return len(b_codes)

@@ -3,11 +3,14 @@ import functools
 import importlib
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import mschemes
 from mschemes.cli import main
 
 GL = '{"kind":"gl"}'
@@ -127,6 +130,33 @@ def test_addcomb_report(capsys):
     obj = json.loads(out)
     assert obj["energy"] == obj["energy_oracle"] and obj["energy_match"]
     assert obj["covering_ok"] and obj["freiman_ruzsa_ok"] and obj["plunnecke_ok"]
+
+
+# one shrink_weak, one bsg_extract and one addcomb past the oracle's 64
+# points, in a fresh interpreter
+NO_MASKED_ARRAYS = """
+import contextlib, io, sys
+from fractions import Fraction
+from mschemes import cli, refine
+from mschemes.instances import find_shrink_instances, gl_orbit_scheme
+(_, sch), = find_shrink_instances(4, 1)
+refine.shrink_weak(sch, 0, refine.BlockRef(1, 0), 4)
+refine.bsg_extract(gl_orbit_scheme(7, 2, 4), 0, Fraction(1, 3))
+argv = ["addcomb", "--ell", "3", "--dim", "4", "--set", ",".join(map(str, range(1, 66)))]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_library_never_imports_numpy_ma():
+    # a plain np.unique imports numpy.ma (about 13 ms) on its first call
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(mschemes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], capture_output=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout.decode().split() == ["False"]
 
 
 def test_addcomb_energy_oracle_gate_at_64_points(capsys):

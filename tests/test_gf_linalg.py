@@ -10,6 +10,7 @@ from mschemes.gf_linalg import (
     enumerate_linmaps,
     is_prime,
     linmap,
+    member_mask,
     nullspace_basis_mod,
     projection,
     rank_mod,
@@ -19,11 +20,35 @@ from mschemes.gf_linalg import (
     span_points,
     summation,
     swap_map,
+    unique_sorted,
 )
 from mschemes.scheme_core import SchemeInstance
 
 FIELDS = [(2, 3), (3, 2), (5, 2), (2, 5)]
 field_ix = st.integers(0, len(FIELDS) - 1)
+
+
+@given(st.lists(st.integers(0, 6) | st.integers(-2 ** 62, 2 ** 62), max_size=40),
+       st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_unique_sorted_matches_np_unique(values, width):
+    arr = np.array(values, dtype=np.int64)
+    if len(arr) % width == 0 and len(arr):
+        arr = arr.reshape(-1, width)  # the result is flat either way
+    got = unique_sorted(arr)
+    expect = np.unique(arr)
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@given(st.lists(st.integers(0, 30), max_size=40), st.lists(st.integers(0, 30), max_size=12),
+       st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_member_mask_matches_np_isin(values, members, width):
+    arr = np.array(values, dtype=np.int64)
+    if len(arr) % width == 0 and len(arr):
+        arr = arr.reshape(-1, width)
+    got = member_mask(arr, np.array(members, dtype=np.int64))
+    assert got.shape == arr.shape and np.array_equal(got, np.isin(arr, members))
 
 
 def test_is_prime():

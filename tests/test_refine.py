@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import point_oracle as oracle
+import scheme_oracle
 from mschemes import refine
 from mschemes.addcomb import PointSet
+from mschemes.caps import cap_tuples
 from mschemes.errors import (
     EnergyTooLow,
     GateUnmet,
@@ -44,6 +46,7 @@ from mschemes.refine import (
     two_case_check,
     z_slice_sizes,
 )
+from mschemes.scheme_core import Scheme
 
 
 def test_ineq_records_and_require():
@@ -297,6 +300,101 @@ def test_bsg_extract_bounds():
     n = res.parent_size
     assert all(r["holds"] for r in res.inequalities)
     assert 3 * len(res.points) >= Fraction(1, 2) * n
+
+
+# block 0 of lazy orbit schemes at m = 4, with the gammas bsg_extract runs
+# at: GL(2, ell) and GL(d, 2) on V \ {0}, and the mul_coset carriers above,
+# whose highest gamma E(B)/|B|^3 leaves the popular-difference graph
+# incomplete
+BSG_CASES = [
+    (("gl", 3, 2), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+    (("gl", 5, 2), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+    (("gl", 7, 2), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+    (("gl", 2, 3), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+    (("gl", 2, 4), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+    (("mc", 3, 4, 10, 1, 0), (Fraction(27, 100), Fraction(81, 400), Fraction(27, 200))),
+    (("mc", 5, 2, 6, 1, 0), (Fraction(5, 12), Fraction(5, 16), Fraction(5, 24))),
+    (("mc", 7, 2, 12, 0, 1), (Fraction(49, 144), Fraction(49, 192), Fraction(49, 288))),
+]
+
+
+def _bsg_scheme(case):
+    kind, *params = case
+    return gl_orbit_scheme(*params, 4) if kind == "gl" else mul_coset_scheme(*params, m=4)
+
+
+def _backend_free_copy(sch):
+    """The scheme with its levels and no group: its JSON copy while the
+    dense export fits the tuple cap, else its materialized levels."""
+    if sch.field.q ** sch.m <= cap_tuples():
+        return Scheme.from_json(sch.to_json())
+    return Scheme(sch.instance, sch.m, levels=[sch.level(k) for k in range(1, sch.m + 1)])
+
+
+def _case_id(case):
+    return "-".join(map(str, case))
+
+
+@pytest.mark.parametrize("case,gammas", BSG_CASES, ids=[_case_id(c) for c, _ in BSG_CASES])
+def test_bsg_neighbourhoods_pass_on_every_point(case, gammas):
+    for gamma in gammas:
+        sch = _bsg_scheme(case)
+        res = bsg_extract(sch, 0, gamma)
+        assert scheme_oracle.bsg_neighbourhood_scan(sch, 0, gamma) == res.parent_size
+
+
+# GL(2, 7) is left out: its dense export at m = 4 has 49^4 entries (about
+# 6 s and 800 MB), and its per-point check runs in the test above
+BSG_COPY_CASES = [c for c in BSG_CASES if c[0] != ("gl", 7, 2)]
+
+
+@pytest.mark.parametrize("case,gammas", BSG_COPY_CASES,
+                         ids=[_case_id(c) for c, _ in BSG_COPY_CASES])
+def test_bsg_extract_same_without_backend(case, gammas):
+    lazy = _bsg_scheme(case)
+    results = [bsg_extract(lazy, 0, gamma).to_obj() for gamma in gammas]
+    copy = _backend_free_copy(lazy)
+    assert copy.backend is None
+    assert [bsg_extract(copy, 0, gamma).to_obj() for gamma in gammas] == results
+
+
+def test_bsg_extract_checks_every_point_only_without_backend(monkeypatch):
+    lazy = mul_coset_scheme(7, 2, 12, 0, 1, m=4)
+    copy = _backend_free_copy(lazy)
+    b = lazy.level1_block_set(0)
+    fibres = []
+    real = Scheme.fiber
+
+    def spy(self, pts):
+        fibres.append(tuple(pts))
+        return real(self, pts)
+
+    monkeypatch.setattr(Scheme, "fiber", spy)
+    bsg_extract(lazy, 0, Fraction(49, 144))
+    assert fibres == [(b[0],), (b[0],)]
+    fibres.clear()
+    bsg_extract(copy, 0, Fraction(49, 144))
+    assert fibres == [(x,) for x in b] + [(b[0],)]
+
+
+def test_bsg_extract_rejects_generators_that_break_the_graph():
+    sch = mul_coset_scheme(7, 2, 12, 0, 1, m=4)
+    gamma = Fraction(49, 144)
+    _, neigh, _, _, _ = _bsg_oracle(sch, gamma)
+    b = sch.level1_block_set(0)  # all of S
+    # the first transposition of S that does not carry N(x) to N(g x)
+    for i, j in ((i, j) for i in range(len(b)) for j in range(i + 1, len(b))):
+        swap = dict(zip(b, b))
+        swap[b[i]], swap[b[j]] = b[j], b[i]
+        if any(frozenset(swap[y] for y in neigh[x]) != neigh[swap[x]] for x in b):
+            break
+    else:
+        pytest.fail("every transposition preserves the graph")
+    perm = np.arange(len(b))
+    perm[[i, j]] = perm[[j, i]]
+    sch.backend.perms = np.vstack([sch.backend.perms, perm])
+    with pytest.raises(LemmaViolation, match="popular-difference graph"):
+        bsg_extract(sch, 0, gamma)
 
 
 def test_key_lemma_search_cap_and_best(c11_m2):
