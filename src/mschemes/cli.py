@@ -236,7 +236,7 @@ def cmd_fourier(args) -> int:
     coeffs = ctx.all_coeffs(codes)
     pl, pr, perr = ctx.parseval_check(codes, coeffs)
     ierr = ctx.inversion_check(codes, coeffs)
-    heavy = ctx.heavy_characters(codes, float(Fraction(args.eps_prime)), coeffs=coeffs)
+    heavy = ctx.heavy_characters(coeffs, float(Fraction(args.eps_prime)))
     obj = {
         "command": "fourier",
         "group_order": ctx.order,

@@ -50,22 +50,31 @@ class Certificate:
         }
 
 
+def _point_mask(q: int, codes) -> tuple:
+    """(mask over [0, q) of the codes in range, whether every code was)."""
+    arr = np.fromiter(codes, dtype=np.int64)
+    inside = arr[(arr >= 0) & (arr < q)]
+    mask = np.zeros(q, dtype=bool)
+    mask[inside] = True
+    return mask, len(inside) == len(arr)
+
+
 def verify_certificate(sch: Scheme, cert: Certificate) -> bool:
     """Recompute every entry's image; the union must equal cert.points.  An
     entry naming a block id outside [0, num_blocks) fails the check."""
     inst = sch.instance
     part = sch.level(cert.k)
     tuples = inst.tuples_array(cert.k)
-    got = set()
+    want, in_range = _point_mask(inst.field.q, cert.points)
+    got = np.zeros_like(want)
     for tau, b in cert.entries:
         if not 0 <= b < part.num_blocks:
             return False
         img = tau.apply_batch(inst.field, tuples[part.blocks()[b]])[:, 0]
-        pts = set(int(c) for c in img)
-        if not pts <= cert.points:
+        if not want[img].all():
             return False
-        got |= pts
-    return got == cert.points
+        got[img] = True
+    return in_range and np.array_equal(got, want)
 
 
 class AtomIndex:
@@ -209,22 +218,21 @@ def _restrict_entries(sch: Scheme, cert: Certificate, keep_points) -> Certificat
     inst = sch.instance
     part = sch.level(cert.k)
     tuples = inst.tuples_array(cert.k)
-    keep = frozenset(keep_points)
+    keep, _ = _point_mask(inst.field.q, keep_points)
+    result = np.zeros_like(keep)
     entries = []
-    result = set()
     for tau, b in cert.entries:
         rows = part.blocks()[b]
         img = tau.apply_batch(inst.field, tuples[rows])[:, 0]
-        inside = rows[np.fromiter((int(c) in keep for c in img), dtype=bool,
-                                  count=len(rows))]
+        inside = rows[keep[img]]
         if len(inside) == 0:
             continue
         ids = part.ids_as_union(inside)  # raises NotBlockUnion on failure
         for d in sorted(ids):
             entries.append((tau, d))
-            imgd = tau.apply_batch(inst.field, tuples[part.blocks()[d]])[:, 0]
-            result |= set(int(c) for c in imgd)
-    return Certificate(cert.k, cert.prefix, entries, frozenset(result))
+            result[tau.apply_batch(inst.field, tuples[part.blocks()[d]])[:, 0]] = True
+    return Certificate(cert.k, cert.prefix, entries,
+                       frozenset(np.flatnonzero(result).tolist()))
 
 
 def boolean_intersect(sch: Scheme, a: Certificate, b: Certificate) -> Certificate:
@@ -339,26 +347,26 @@ def extend_subspace(sch: Scheme, cert: Certificate, target_points, t: int):
     prefix_idx = inst.tuple_index(prefix)
 
     entries = []
-    result = set()
+    result = np.zeros(f.q, dtype=bool)
     tuples = inst.tuples_array(k + dt)
     for tau, b in cert.entries:
         rows = sch.level(k).blocks()[b]
         lifted = rows * (n ** dt) + prefix_idx  # indices of B x {prefix}
+        ids = sorted(part.ids_as_union(lifted))
+        rowsets = [part.blocks()[i] for i in ids]
         for svec in itertools.product(range(f.ell), repeat=d):
-            ids = part.ids_as_union(lifted)
-            rowsets = [part.blocks()[i] for i in sorted(ids)]
             coeffs = [list(row) for row in tau.coeffs] + [
                 [(svec[i] * lam) % f.ell]
                 for i, terms in enumerate(decomps)
                 for lam, _ in terms
             ]
             tau_s = linmap(coeffs)
-            for i, rowset in zip(sorted(ids), rowsets):
+            for i, rowset in zip(ids, rowsets):
                 entries.append((tau_s, i))
-                img = tau_s.apply_batch(f, tuples[rowset])[:, 0]
-                result |= set(int(c) for c in img)
-    if frozenset(result) != Wp:
+                result[tau_s.apply_batch(f, tuples[rowset])[:, 0]] = True
+    got = frozenset(np.flatnonzero(result).tolist())
+    if got != Wp:
         raise LemmaViolation(
-            f"extension produced {len(result)} points, expected |W'|={len(Wp)}"
+            f"extension produced {len(got)} points, expected |W'|={len(Wp)}"
         )
     return prefix, Certificate(k + dt, fib.prefix, entries, Wp)

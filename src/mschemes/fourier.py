@@ -5,31 +5,52 @@ by the reduced-row-echelon rows of its generators; characters are labelled by
 dual vectors over that basis.  Coefficients use complex doubles; every
 threshold comparison applies a 1e-9 guard band.
 
+A coefficient vector is one complex array of length |G|, indexed like the
+digit grid `duals` (all of F_ell^r in `itertools.product` order, which is
+the sorted order of the dual vectors); index 0 is the trivial character.
+`all_coeffs` makes it, and `parseval_check`, `inversion_check`,
+`heavy_characters` and `coeffs_csv` read it.
+
 Summation contract.  `coeff` is the defining sum and the reference for every
-coefficient.  `all_coeffs` vectorises it over the duals but keeps its order:
-one conjugated root of unity per member of the subset, added in sorted-code
-order to real and imaginary accumulators that start at zero, each divided by
-|G| at the end.  So its coefficients, and the CSV and heavy lists built from
-them, equal `coeff` bit for bit.  A pairwise or FFT summation would change the
-last bits (for ell = 2 it turns imaginary parts of about 1e-16 into exact
-zeros).  `np.fft.ifftn` is used only for the inversion residual, which is
-compared against the guard band and never reported to full precision.
+coefficient: one conjugated root of unity per member of the subset, added in
+sorted-code order to an accumulator that starts at +0.0, then divided by
+|G|.  `all_coeffs` keeps that order over all duals at once.  It reduces each
+block of phase rows with `np.add.reduce(..., axis=0)` below the running
+accumulator row (a row of zeros at the start); an axis-0 reduce adds row
+after row, so every dual sees the same sequence of additions as `coeff`.
+The real and imaginary parts are each divided by float(|G|), as Python's
+`complex / int` does, and stored into the parts of the result.  So the
+coefficients, and the CSV and heavy lists built from them, equal `coeff`
+bit for bit.  A pairwise or FFT summation would change the last bits (for
+ell = 2 it turns imaginary parts of about 1e-16 into exact zeros).
+
+Moduli are `np.hypot(re, im)` (`moduli`), which is what Python's
+`abs(complex)` computes; `np.abs` of a complex array differs from it in the
+last bit on many inputs.  Parseval squares them with Python `**` and adds them with
+Python `sum`, in dual order.  `np.fft.ifftn` is used only for the inversion
+residual, which is compared against the guard band and never reported to
+full precision.
 """
 from __future__ import annotations
 
-import bisect
 import cmath
-import csv
-import io
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import ArityMismatch, CapExceeded, EmptyReference, FieldMismatch
-from .gf_linalg import Field, span_basis
+from .gf_linalg import Field, member_mask, span_basis
 
 GUARD = 1e-9
 CAP_GROUP_ORDER = 2 ** 16
+PHASE_CHUNK = 2 ** 20  # most entries of one (members, duals) phase block
+
+
+def moduli(coeffs: np.ndarray) -> np.ndarray:
+    """|c| for each entry of a coefficient vector, equal bit for bit to
+    Python's abs(complex) (see the module docstring)."""
+    return np.hypot(coeffs.real, coeffs.imag)
 
 
 def _digit_rows(ell: int, r: int) -> np.ndarray:
@@ -45,8 +66,9 @@ class FourierContext:
 
     field: Field
     basis: np.ndarray          # rref rows, shape (r, dim)
-    elements: list             # sorted point codes of the subgroup
-    coord_rows: np.ndarray = dc_field(repr=False)  # (|G|, r): coords of elements[i]
+    codes: np.ndarray          # (|G|,) sorted point codes of the subgroup
+    coord_rows: np.ndarray = dc_field(repr=False)  # (|G|, r): coords of codes[i]
+    duals: np.ndarray = dc_field(repr=False)       # (|G|, r): _digit_rows(ell, r)
 
     @staticmethod
     def for_generators(field: Field, codes) -> "FourierContext":
@@ -63,7 +85,7 @@ class FourierContext:
         combos = _digit_rows(field.ell, r)
         group = field.encode_batch(combos @ basis)
         perm = np.argsort(group)
-        return FourierContext(field, basis, group[perm].tolist(), combos[perm])
+        return FourierContext(field, basis, group[perm], combos[perm], combos)
 
     @property
     def rank(self) -> int:
@@ -71,16 +93,24 @@ class FourierContext:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
+
+    @property
+    def elements(self) -> list:
+        """Sorted point codes of the subgroup, as Python ints."""
+        return self.codes.tolist()
 
     def _row(self, code):
-        """Index of code in elements, or None when it is not in the group."""
-        i = bisect.bisect_left(self.elements, code)
-        return i if i < len(self.elements) and self.elements[i] == code else None
+        """Index of code in codes, or None when it is not in the group."""
+        if not 0 <= code < self.field.q:
+            return None
+        i = int(np.searchsorted(self.codes, code))
+        return i if i < self.order and self.codes[i] == code else None
 
-    def _member_rows(self, subset):
-        """Sorted indices into elements of the codes of subset in the group."""
-        return sorted(i for i in map(self._row, set(subset)) if i is not None)
+    def _member_rows(self, subset) -> np.ndarray:
+        """Ascending indices into codes of the codes of subset in the group."""
+        subset = np.fromiter(subset, dtype=np.int64)
+        return np.flatnonzero(member_mask(self.codes, subset))
 
     def _check_dual(self, dual):
         if len(dual) != self.rank:
@@ -102,7 +132,7 @@ class FourierContext:
         """Sorted codes of {x in G : <dual, coords(x)> = 0}."""
         self._check_dual(dual)
         mask = (self.coord_rows @ np.asarray(dual, dtype=np.int64)) % self.field.ell == 0
-        return np.asarray(self.elements, dtype=np.int64)[mask].tolist()
+        return self.codes[mask].tolist()
 
     # ---- transforms ---------------------------------------------------
 
@@ -116,73 +146,61 @@ class FourierContext:
                 total += self.char_value(dual, code).conjugate()
         return total / self.order
 
-    def all_coeffs(self, subset):
-        """dict dual vector -> coefficient, for the indicator of subset.
+    def all_coeffs(self, subset) -> np.ndarray:
+        """The coefficient vector of the indicator of subset: entry i is the
+        coefficient at dual vector `duals[i]`.
 
         Equal bit for bit to `coeff` at every dual (see the module docstring)."""
         ell = self.field.ell
         table = np.array([cmath.exp(2j * cmath.pi * k / ell).conjugate() for k in range(ell)])
-        table_re, table_im = table.real, table.imag
-        duals = _digit_rows(ell, self.rank)
-        re = np.zeros(self.order)
-        im = np.zeros(self.order)
-        for i in self._member_rows(subset):
-            phase = (duals @ self.coord_rows[i]) % ell
-            re += table_re[phase]
-            im += table_im[phase]
+        members = self.coord_rows[self._member_rows(subset)]
+        acc = np.zeros((1, self.order), dtype=complex)
+        step = max(1, PHASE_CHUNK // self.order)
+        for lo in range(0, len(members), step):
+            phase = (members[lo:lo + step] @ self.duals.T) % ell
+            acc = np.add.reduce(np.vstack([acc, table[phase]]), axis=0, keepdims=True)
         # coeff's `total / order` divides each part by float(order); a complex
-        # numpy division would multiply by a reciprocal instead
-        re /= self.order
-        im /= self.order
-        return {tuple(d): complex(x, y)
-                for d, x, y in zip(duals.tolist(), re.tolist(), im.tolist())}
+        # numpy division would not
+        out = np.empty(self.order, dtype=complex)
+        out.real = acc[0].real / self.order
+        out.imag = acc[0].imag / self.order
+        return out
 
     def parseval_check(self, subset, coeffs):
         """(sum |coeff|^2, E[1_A], abs error) — Parseval for an indicator.
 
         coeffs is `all_coeffs(subset)`, computed once by the caller; the same
-        holds for `inversion_check` and `coeffs_csv`."""
-        lhs = sum(abs(c) ** 2 for c in coeffs.values())
-        rhs = len(set(subset) & set(self.elements)) / self.order
+        holds for `inversion_check`, `heavy_characters` and `coeffs_csv`."""
+        lhs = sum(a ** 2 for a in moduli(coeffs).tolist())
+        rhs = len(self._member_rows(subset)) / self.order
         return lhs, rhs, abs(lhs - rhs)
 
     def inversion_check(self, subset, coeffs):
         """Max pointwise error of f(x) = sum_chi hat f(chi) chi(x)."""
-        coeffs = np.fromiter(coeffs.values(), complex, self.order)
         # the duals run over the (ell,)*r grid in C order, so the inverse
         # transform is indexed by coordinates
         grid = self.order * np.fft.ifftn(coeffs.reshape((self.field.ell,) * self.rank))
-        values = grid[tuple(self.coord_rows.T)]  # f at each of elements
+        values = grid[tuple(self.coord_rows.T)]  # f at each of codes
         indicator = np.zeros(self.order)
         indicator[self._member_rows(subset)] = 1.0
         return float(np.max(np.abs(values - indicator)))
 
-    def heavy_characters(self, subset, eps: float, include_trivial: bool = False,
-                         coeffs=None):
-        """Characters with |coeff| >= eps (1e-9 guard band), sorted by dual
-        vector; coeffs defaults to `all_coeffs(subset)`."""
-        coeffs = self.all_coeffs(subset) if coeffs is None else coeffs
-        out = []
-        for dual, c in sorted(coeffs.items()):
-            if not include_trivial and all(a == 0 for a in dual):
-                continue
-            if abs(c) >= eps - GUARD:
-                out.append((dual, c))
-        return out
+    def heavy_characters(self, coeffs, eps: float, include_trivial: bool = False):
+        """[(dual vector, coefficient)] for |coeff| >= eps (1e-9 guard band),
+        sorted by dual vector."""
+        heavy = moduli(coeffs) >= eps - GUARD
+        if not include_trivial:
+            heavy[0] = False  # index 0 is the trivial character
+        idx = np.flatnonzero(heavy)
+        return [(tuple(d), c) for d, c in zip(self.duals[idx].tolist(), coeffs[idx].tolist())]
 
     # ---- CSV interchange ---------------------------------------------
 
     def coeffs_csv(self, coeffs) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["dual_vector", "re", "im", "abs"])
-        for dual, c in sorted(coeffs.items()):
-            writer.writerow(
-                [
-                    " ".join(str(a) for a in dual),
-                    f"{c.real:.12e}",
-                    f"{c.imag:.12e}",
-                    f"{abs(c):.12e}",
-                ]
-            )
-        return buf.getvalue()
+        """`dual_vector,re,im,abs` rows in dual order, fields at 12 digits."""
+        # the labels of the duals, in the grid order of `duals`
+        labels = map(" ".join, itertools.product(
+            [str(a) for a in range(self.field.ell)], repeat=self.rank))
+        rows = zip(labels, coeffs.real.tolist(), coeffs.imag.tolist(), moduli(coeffs).tolist())
+        return "dual_vector,re,im,abs\n" + "".join(
+            f"{d},{x:.12e},{y:.12e},{a:.12e}\n" for d, x, y, a in rows)

@@ -259,7 +259,12 @@ def enumerate_linmaps(field: Field, k: int, kp: int):
 
 
 def rref_mod(matrix, ell: int):
-    """Reduced row echelon form mod prime ell; returns (rref, pivot columns)."""
+    """Reduced row echelon form mod prime ell; returns (rref, pivot columns).
+
+    Gauss-Jordan by whole-row updates: per pivot column, one outer-product
+    step clears the column in every other row.  The scalar row loop is the
+    test oracle (`tests/point_oracle.py::rref_mod_loop`); the reduced form
+    is unique, so both give the same matrix."""
     mat = np.array(matrix, dtype=np.int64) % ell
     if mat.ndim != 2:
         mat = mat.reshape(len(mat), -1)
@@ -267,24 +272,22 @@ def rref_mod(matrix, ell: int):
     pivots = []
     row = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if mat[r, col] % ell:
-                pivot = r
-                break
-        if pivot is None:
+        if row == nrows:
+            break
+        nonzero = mat[row:, col].nonzero()[0]
+        if not len(nonzero):
             continue
+        pivot = row + int(nonzero[0])
         if pivot != row:
             mat[[row, pivot]] = mat[[pivot, row]]
         inv = pow(int(mat[row, col]), -1, ell)
-        mat[row] = (mat[row] * inv) % ell
-        for r in range(nrows):
-            if r != row and mat[r, col]:
-                mat[r] = (mat[r] - mat[r, col] * mat[row]) % ell
+        if inv != 1:
+            mat[row] = mat[row] * inv % ell
+        factors = mat[:, col].copy()
+        factors[row] = 0
+        mat = (mat - factors[:, None] * mat[row]) % ell
         pivots.append(col)
         row += 1
-        if row == nrows:
-            break
     return mat, tuple(pivots)
 
 

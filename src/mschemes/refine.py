@@ -874,7 +874,7 @@ def compute_heavy_set(sch: Scheme, b: int, eps_prime, max_arity: int = 2,
     f = sch.field
     b_codes = sch.level1_block_set(b)
     ctx = FourierContext.for_generators(f, b_codes)
-    heavy = ctx.heavy_characters(set(b_codes), float(eps_prime))
+    heavy = ctx.heavy_characters(ctx.all_coeffs(b_codes), float(eps_prime))
     out = []
     for dual, coeff in heavy:
         kernel = frozenset(int(c) for c in ctx.kernel(dual))

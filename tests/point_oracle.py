@@ -12,7 +12,8 @@ dual vectors of a Fourier context in `itertools.product` order.
 
 And the additive-energy quadruple loop, the oracle of the array count in
 `addcomb.additive_energy_oracle`, with the JSON and vector interchange of
-point sets that only the tests use.
+point sets that only the tests use; and the scalar Gauss-Jordan loop, the
+oracle of the whole-row updates in `gf_linalg.rref_mod`.
 """
 import itertools
 import json
@@ -93,6 +94,38 @@ def in_span(f, basis, code):
         return code == 0
     aug = np.vstack([basis, f.decode_batch([code])[0]])
     return rank_mod(aug, f.ell) == basis.shape[0]
+
+
+def rref_mod_loop(matrix, ell):
+    """Reduced row echelon form mod ell by the scalar Gauss-Jordan loop:
+    per pivot column, the first nonzero row at or below the current row is
+    swapped up and scaled to 1, then every other row with a nonzero entry in
+    that column is reduced by its own row operation.  Returns (rref, pivot
+    columns)."""
+    mat = np.array(matrix, dtype=np.int64) % ell
+    nrows, ncols = mat.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(row, nrows):
+            if mat[r, col] % ell:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        if pivot != row:
+            mat[[row, pivot]] = mat[[pivot, row]]
+        inv = pow(int(mat[row, col]), -1, ell)
+        mat[row] = (mat[row] * inv) % ell
+        for r in range(nrows):
+            if r != row and mat[r, col]:
+                mat[r] = (mat[r] - mat[r, col] * mat[row]) % ell
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return mat, tuple(pivots)
 
 
 def dual_vectors(ctx):

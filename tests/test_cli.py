@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, reports, and file outputs."""
 import functools
+import hashlib
 import importlib
 import json
 import os
@@ -187,6 +188,57 @@ def test_fourier_csv_output(tmp_path, capsys):
     assert lines[0] == "dual_vector,re,im,abs" and len(lines) == 5
 
 
+# `mscheme fourier` inputs with their report and the sha256 of their CSV, as
+# recorded before the coefficient vector replaced the per-dual dict: F_2^5
+# (imaginary parts of about 1e-17), a rank-3 subgroup of F_3^4 (a repeated
+# code) and F_7^2.  The reports keep parseval_error and inversion_error.
+FOURIER_GOLDEN = [
+    (["--ell", "2", "--dim", "5", "--set", "1,2,4,8,16,3,7,12,21,30,31,19",
+      "--eps-prime", "1/8"],
+     '{"command":"fourier","group_order":32,"heavy":['
+     '{"abs":"0.125000000000","dual":[0,0,0,1,1]},{"abs":"0.125000000000","dual":[0,1,0,0,0]},'
+     '{"abs":"0.125000000000","dual":[0,1,0,0,1]},{"abs":"0.125000000000","dual":[0,1,1,0,0]},'
+     '{"abs":"0.125000000000","dual":[0,1,1,1,0]},{"abs":"0.187500000000","dual":[1,0,1,1,1]},'
+     '{"abs":"0.187500000000","dual":[1,1,0,1,0]},{"abs":"0.187500000000","dual":[1,1,1,1,1]}],'
+     '"inversion_error":"7.348e-16","out":"coeffs.csv","parseval_error":"0.000e+00"}\n',
+     "8f5dc084960cd049661e5f266141f3d345b08f525b3968d328735dfa48c61182"),
+    (["--ell", "3", "--dim", "4", "--set", "1,3,9,4,10,13,22,1,5", "--eps-prime", "1/16"],
+     '{"command":"fourier","group_order":27,"heavy":['
+     '{"abs":"0.133538936128","dual":[0,0,1]},{"abs":"0.133538936128","dual":[0,0,2]},'
+     '{"abs":"0.161440701613","dual":[0,1,0]},{"abs":"0.097990789299","dual":[0,1,2]},'
+     '{"abs":"0.161440701613","dual":[0,2,0]},{"abs":"0.097990789299","dual":[0,2,1]},'
+     '{"abs":"0.097990789299","dual":[1,0,0]},{"abs":"0.133538936128","dual":[1,1,0]},'
+     '{"abs":"0.074074074074","dual":[1,1,1]},{"abs":"0.097990789299","dual":[1,2,1]},'
+     '{"abs":"0.097990789299","dual":[2,0,0]},{"abs":"0.097990789299","dual":[2,1,2]},'
+     '{"abs":"0.133538936128","dual":[2,2,0]},{"abs":"0.074074074074","dual":[2,2,2]}],'
+     '"inversion_error":"1.167e-15","out":"coeffs.csv","parseval_error":"1.110e-16"}\n',
+     "65ddbeb3ced96cd2b4e2ec613458b7274ac12936f046054fc11a3210928c5784"),
+    (["--ell", "7", "--dim", "2", "--set", "1,7,8,15,22,23,30,31,38,44,45,47,48,3,17",
+      "--eps-prime", "1/16"],
+     '{"command":"fourier","group_order":49,"heavy":['
+     '{"abs":"0.134485290819","dual":[0,1]},{"abs":"0.103631568511","dual":[0,3]},'
+     '{"abs":"0.103631568511","dual":[0,4]},{"abs":"0.134485290819","dual":[0,6]},'
+     '{"abs":"0.065484122671","dual":[1,2]},{"abs":"0.100840908113","dual":[1,5]},'
+     '{"abs":"0.116083711773","dual":[1,6]},{"abs":"0.081094799936","dual":[2,2]},'
+     '{"abs":"0.075151755238","dual":[3,1]},{"abs":"0.075563907731","dual":[3,4]},'
+     '{"abs":"0.083005990127","dual":[3,5]},{"abs":"0.083005990127","dual":[4,2]},'
+     '{"abs":"0.075563907731","dual":[4,3]},{"abs":"0.075151755238","dual":[4,6]},'
+     '{"abs":"0.081094799936","dual":[5,5]},{"abs":"0.116083711773","dual":[6,1]},'
+     '{"abs":"0.100840908113","dual":[6,2]},{"abs":"0.065484122671","dual":[6,5]}],'
+     '"inversion_error":"3.571e-16","out":"coeffs.csv","parseval_error":"1.110e-16"}\n',
+     "c0d799c8cc92c33a13ff81940a07fe5a110ac7b96e15f93b284700e0a55f08f2"),
+]
+
+
+@pytest.mark.parametrize("argv, report, csv_sha256", FOURIER_GOLDEN)
+def test_fourier_report_and_csv_bytes_are_golden(tmp_path, capsys, monkeypatch,
+                                                 argv, report, csv_sha256):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, ["fourier", *argv, "--out", "coeffs.csv"])
+    assert code == 0 and out == report
+    assert hashlib.sha256((tmp_path / "coeffs.csv").read_bytes()).hexdigest() == csv_sha256
+
+
 def test_fourier_computes_one_coefficient_table(tmp_path, capsys, monkeypatch):
     from mschemes.fourier import FourierContext
     from mschemes.gf_linalg import Field
@@ -194,7 +246,7 @@ def test_fourier_computes_one_coefficient_table(tmp_path, capsys, monkeypatch):
     codes = [1, 2, 4, 5]
     ctx = FourierContext.for_generators(Field(3, 2), codes)
     heavy = [{"dual": list(d), "abs": f"{abs(c):.12f}"}
-             for d, c in ctx.heavy_characters(codes, 1 / 8)]
+             for d, c in ctx.heavy_characters(ctx.all_coeffs(codes), 1 / 8)]
     csv_text = ctx.coeffs_csv(ctx.all_coeffs(codes))
     calls = []
     all_coeffs = FourierContext.all_coeffs

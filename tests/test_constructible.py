@@ -10,6 +10,7 @@ from mschemes import instances
 from mschemes.constructible import (
     Certificate,
     _atom_index,
+    _restrict_entries,
     _sum_decomposition,
     boolean_difference,
     boolean_intersect,
@@ -19,7 +20,7 @@ from mschemes.constructible import (
     intersect_with_carrier,
     verify_certificate,
 )
-from mschemes.errors import CapExceeded, DepthExhausted, PreconditionUnmet
+from mschemes.errors import CapExceeded, DepthExhausted, NotBlockUnion, PreconditionUnmet
 from mschemes.gf_linalg import Field, linmap, span_points
 from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
 
@@ -173,6 +174,10 @@ def test_verify_rejects_block_ids_outside_the_level(trivial_m3):
             trivial_m3, Certificate(1, (), [(ident, b)], frozenset({3})))
     assert not verify_certificate(
         trivial_m3, Certificate(1, (), [(ident, 2), (ident, -1)], frozenset({3})))
+    # claimed points outside [0, q) are never reproduced
+    for bad in (-1, trivial_m3.field.q):
+        assert not verify_certificate(
+            trivial_m3, Certificate(1, (), [(ident, 2)], frozenset({3, bad})))
 
 
 def test_boolean_operations(trivial_m3):
@@ -185,6 +190,18 @@ def test_boolean_operations(trivial_m3):
     deep_a = type(a)(2, a.prefix, a.entries, a.points)
     with pytest.raises(PreconditionUnmet):
         boolean_intersect(trivial_m3, deep_a, type(b)(2, b.prefix, b.entries, b.points))
+
+
+def test_restrict_entries_splits_blocks_or_raises(trivial_m3, gl2_m3):
+    a = decide_constructible(trivial_m3, [1, 2, 3], 1)
+    # codes outside [0, q) in the kept set select nothing
+    out = _restrict_entries(trivial_m3, a, [3, 1, -1, trivial_m3.field.q + 5])
+    assert out.points == frozenset({1, 3}) and verify_certificate(trivial_m3, out)
+    assert [b for _, b in out.entries] == [0, 2]
+    # one point of the single nonzero GL(2) orbit is not a block union
+    whole = decide_constructible(gl2_m3, gl2_m3.s_codes, 1)
+    with pytest.raises(NotBlockUnion):
+        _restrict_entries(gl2_m3, whole, [1])
 
 
 def test_intersect_with_carrier(trivial_m3):
@@ -218,6 +235,11 @@ def test_extend_subspace():
     prefix, cert = extend_subspace(sch, zero_cert, target, 2)
     assert cert.points == frozenset(target)
     assert verify_certificate(sch.fiber(prefix), cert)
+    # entries in their recorded order: per scaling vector, the blocks of B x {prefix}
+    assert prefix == (3, 7, 3, 11)
+    assert [(tuple(row[0] for row in tau.coeffs), b) for tau, b in cert.entries] == [
+        (col, b) for col in [(0, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 1, 1, 0, 0), (0, 1, 1, 1, 1)]
+        for b in (18, 274, 530, 786)]
 
 
 def _sum_layers_oracle(sch, t):

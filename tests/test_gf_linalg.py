@@ -1,7 +1,7 @@
 """Field encoding, coordinate-linear maps, and mod-p linear algebra."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import point_oracle as oracle
 from mschemes.errors import CapExceeded, IndexOutOfRange, InputError
@@ -231,6 +231,36 @@ def test_rank_nullspace(prime_ix, data):
         expect = np.zeros(rows, dtype=np.int64)
         expect[i] = 1
         assert np.array_equal(rr[:, col], expect)
+
+
+@st.composite
+def matrices_mod(draw):
+    """(matrix, ell) with 0-5 rows and 0-5 columns: empty, wide, tall, and
+    rank-deficient ones (rows drawn as combinations of a few others)."""
+    ell = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.integers(0, ell - 1)
+    mat = np.array([[draw(entries) for _ in range(cols)] for _ in range(rows)],
+                   dtype=np.int64).reshape(rows, cols)
+    if rows > 1 and draw(st.booleans()):
+        # a row that is a combination of the others lowers the rank
+        coeffs = np.array([draw(entries) for _ in range(rows - 1)], dtype=np.int64)
+        mat[-1] = coeffs @ mat[:-1] % ell
+    return mat, ell
+
+
+@given(matrices_mod())
+@example((np.zeros((0, 3), dtype=np.int64), 5))
+@example((np.zeros((3, 0), dtype=np.int64), 2))
+@example((np.array([[0, 2, 4, 1, 3], [0, 4, 1, 2, 6]]), 7))
+@example((np.array([[1, 2], [2, 4], [0, 0], [3, 6], [5, 3]]), 7))
+@settings(max_examples=150, deadline=None)
+def test_rref_mod_matches_scalar_gauss_jordan(case):
+    mat, ell = case
+    want, want_piv = oracle.rref_mod_loop(mat, ell)
+    got, piv = rref_mod(mat, ell)
+    assert piv == want_piv and got.shape == mat.shape
+    assert np.array_equal(got, want)
 
 
 def test_span_membership():

@@ -434,7 +434,8 @@ def test_heavy_count_is_taken_before_the_kernel_filter():
     sch = gl_orbit_scheme(2, 3, 8)
     b = sch.level1_block_set(0)
     eps = Fraction(1, 9)
-    want = len(FourierContext.for_generators(sch.field, b).heavy_characters(set(b), float(eps)))
+    ctx = FourierContext.for_generators(sch.field, b)
+    want = len(ctx.heavy_characters(ctx.all_coeffs(b), float(eps)))
     total, heavy = compute_heavy_set(sch, 0, eps, 2, 2, 8)
     assert (total, len(heavy)) == (want, 3) and want == 7
     # no kernel passes at arity 1 without a prefix: the gate reports the count
