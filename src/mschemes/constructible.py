@@ -5,6 +5,16 @@ partition and tau a coordinate-linear map V^k -> V.  A point set is
 (scheme, k)-constructible when it is a union of atoms; the decision rule is
 T = union of the atoms contained in T.  Certificates list the contributing
 (tau, block) pairs together with the fibre prefix of the scheme they live on.
+
+Atom index.  A scheme's `AtomIndex` at arity k holds its atoms in one flat
+layout, atom a = i * num_blocks + b being tau_i(D_b) with its codes one run
+of `codes`.  It grows one tau at a time and only as far as a cover needs:
+`decide_constructible` tests every built atom in one `logical_and.reduceat`
+and builds another tau only while T is not covered.
+`find_constructible_prefix` decides each run of consecutive prefixes whose
+fibre is built and whose index is complete in one reduceat over their
+concatenated atoms; it builds exactly the fibres and atoms, and returns the
+certificate, of deciding the prefixes one by one.
 """
 from __future__ import annotations
 
@@ -78,42 +88,51 @@ def verify_certificate(sch: Scheme, cert: Certificate) -> bool:
 
 
 class AtomIndex:
-    """The atoms tau(D) of one scheme at arity k, built one tau at a time.
+    """The atoms tau(D) of one scheme at arity k, in one flat layout, built
+    one tau at a time.
 
-    Entry i belongs to the i-th tau of `enumerate_linmaps(field, k, 1)`: the
-    sorted distinct (block, code) pairs of tau(D) over all blocks D, as the
-    image codes grouped by ascending block (`codes[i]`), the offset where
-    each block's codes begin (`starts[i]`) and their number (`sizes[i]`).
-    A scheme keeps one index per arity for its lifetime.
+    Atom a = i * num_blocks + b is tau_i(D_b), for tau_i the i-th map of
+    `enumerate_linmaps(field, k, 1)` and D_b the block with id b: its distinct
+    image codes, ascending, are codes[starts[a]:starts[a] + sizes[a]].  The
+    arrays hold the atoms of the first len(maps) taus, in atom order.  A
+    scheme keeps one index per arity for its lifetime.
     """
 
     def __init__(self, sch: Scheme, k: int):
-        self.bid = sch.level(k).bid
+        part = sch.level(k)
+        self.bid = part.bid
+        self.num_blocks = part.num_blocks
         sch.instance.check_tuple_cap(k)
         self.size = sch.field.ell ** k
         maps = enumerate_linmaps(sch.field, k, 1)
         # next() runs enumerate_linmaps' map-count cap check now
         self._pending = itertools.chain([next(maps)], maps)
         self.maps = []
-        self.codes = []
-        self.starts = []
-        self.sizes = []
+        self.codes = np.zeros(0, dtype=np.int64)
+        self.starts = np.zeros(0, dtype=np.int64)
+        self.sizes = np.zeros(0, dtype=np.int64)
+
+    @property
+    def complete(self) -> bool:
+        """Whether the atoms of every tau are built."""
+        return len(self.maps) == self.size
 
     def _extend(self, field, tuples: np.ndarray):
-        """Build the entry of the next tau from the (n^k, k) tuple array."""
+        """Append the atoms of the next tau, from the (n^k, k) tuple array."""
         tau = next(self._pending)
         # slices of at most 2^16 tuples bound apply_batch's digit arrays
         img = np.concatenate([tau.apply_batch(field, tuples[lo:lo + 2 ** 16])[:, 0]
                               for lo in range(0, len(tuples), 2 ** 16)])
+        # the sorted distinct (block, code) pairs, as keys block * q + code
         key = np.sort(img + self.bid * field.q)
         new = np.ones(len(key), dtype=bool)
         np.not_equal(key[1:], key[:-1], out=new[1:])
         blocks, codes = np.divmod(key[new], field.q)
-        sizes = np.bincount(blocks)
+        sizes = np.bincount(blocks, minlength=self.num_blocks)
         self.maps.append(tau)
-        self.codes.append(codes)
-        self.starts.append(np.cumsum(sizes) - sizes)
-        self.sizes.append(sizes)
+        self.starts = np.concatenate([self.starts, np.cumsum(sizes) - sizes + len(self.codes)])
+        self.codes = np.concatenate([self.codes, codes])
+        self.sizes = np.concatenate([self.sizes, sizes])
 
 
 def _atom_index(sch: Scheme, k: int) -> AtomIndex:
@@ -128,6 +147,16 @@ def _atom_index(sch: Scheme, k: int) -> AtomIndex:
     return index
 
 
+def _target_mask(q: int, target: frozenset) -> Optional[np.ndarray]:
+    """Mask over [0, q) of T, or None when T has a code outside [0, q), which
+    no union of atoms has."""
+    if target and (min(target) < 0 or max(target) >= q):
+        return None
+    mask = np.zeros(q, dtype=bool)
+    mask[list(target)] = True
+    return mask
+
+
 def decide_constructible(sch: Scheme, points, k: int) -> Optional[Certificate]:
     """Certificate for T as a union of arity-k atoms, or None.
 
@@ -135,44 +164,76 @@ def decide_constructible(sch: Scheme, points, k: int) -> Optional[Certificate]:
     it lies inside T and adds a point not yet covered, and the cover stops
     once T is covered, so reruns give identical certificates.
 
-    The decision comes first: for one tau after another, every block's atom
-    is tested against T at once, and the atoms inside T are marked covered
-    until T is covered (the atom index grows only that far) or the maps run
+    The decision comes first: every built atom is tested against T with one
+    `logical_and.reduceat`, and the atoms inside T are marked covered.  While
+    T is not covered, the index grows by one tau and only that tau's atoms
+    are tested, so it grows only as far as the cover, or until the maps run
     out.  Only a hit walks its atoms one by one for the greedy entries.
     """
     target = frozenset(int(c) for c in points)
     index = _atom_index(sch, k)
-    q = sch.field.q
-    if target and (min(target) < 0 or max(target) >= q):
+    mask = _target_mask(sch.field.q, target)
+    if mask is None:
         return None
-    mask = np.zeros(q, dtype=bool)
-    mask[list(target)] = True
-    covered = np.zeros(q, dtype=bool)
+    covered = np.zeros_like(mask)
+    inside = np.zeros(0, dtype=bool)  # per atom tested: whether it lies inside T
     tuples = None
-    inside = []  # per tau so far: which blocks' atoms lie inside T
-    while np.count_nonzero(covered) < len(target):
-        i = len(inside)
-        if i == index.size:
+    while True:
+        first = len(inside)
+        if first < len(index.starts):
+            lo = index.starts[first]
+            codes = index.codes[lo:]
+            hits = np.logical_and.reduceat(mask[codes], index.starts[first:] - lo)
+            covered[codes[np.repeat(hits, index.sizes[first:])]] = True
+            inside = np.concatenate([inside, hits])
+        if np.count_nonzero(covered) == len(target):
+            break
+        if index.complete:
             return None
-        if i == len(index.maps):
-            if tuples is None:
-                tuples = sch.instance.tuples_array(k)
-            index._extend(sch.field, tuples)
-        codes = index.codes[i]
-        inside.append(np.logical_and.reduceat(mask[codes], index.starts[i]))
-        covered[codes[np.repeat(inside[i], index.sizes[i])]] = True
-    # the atoms inside T of the first len(inside) maps cover T: walk them in
-    # order and take each one that adds a point
+        if tuples is None:
+            tuples = sch.instance.tuples_array(k)
+        index._extend(sch.field, tuples)
+    # the atoms inside T cover it: walk them in order and take each one that
+    # adds a point, until T is covered
     covered[:] = False
+    left = len(target)
     entries = []
-    for tau, codes, starts, sizes, hits in zip(index.maps, index.codes, index.starts,
-                                               index.sizes, inside):
-        for b in hits.nonzero()[0].tolist():
-            atom = codes[starts[b]:starts[b] + sizes[b]]
-            if not covered[atom].all():
-                covered[atom] = True
-                entries.append((tau, b))
+    for a in np.flatnonzero(inside).tolist():
+        atom = index.codes[index.starts[a]:index.starts[a] + index.sizes[a]]
+        fresh = len(atom) - np.count_nonzero(covered[atom])
+        if fresh:
+            covered[atom] = True
+            entries.append((index.maps[a // index.num_blocks], a % index.num_blocks))
+            left -= fresh
+            if not left:
+                break
     return Certificate(k, sch.prefix, entries, target)
+
+
+def _decide_run(run: list, target: frozenset, mask: Optional[np.ndarray], k: int):
+    """(x, certificate) for the first hit among the (x, fibre) pairs of a run,
+    else None (always for T outside [0, q), whose mask is None).  Every
+    fibre's arity-k index must be complete, so deciding it builds nothing:
+    one reduceat tests the atoms of all of them, and one (fibres, q) table
+    counts the points of T each fibre's inside atoms cover.
+    """
+    if not run or mask is None:
+        return None
+    indexes = [fib.atom_indexes[k] for _, fib in run]
+    codes = np.concatenate([index.codes for index in indexes])
+    sizes = np.concatenate([index.sizes for index in indexes])
+    # every index lays its atoms out back to back, and so does the run; per
+    # code: whether its atom lies inside T, and which fibre it belongs to
+    code_inside = np.repeat(
+        np.logical_and.reduceat(mask[codes], np.cumsum(sizes) - sizes), sizes)
+    owner = np.repeat(np.arange(len(run)), [len(index.codes) for index in indexes])
+    table = np.zeros((len(run), len(mask)), dtype=bool)
+    table[owner[code_inside], codes[code_inside]] = True
+    hits = np.flatnonzero(np.count_nonzero(table, axis=1) == len(target))
+    if not len(hits):
+        return None
+    x, fib = run[hits[0]]
+    return x, decide_constructible(fib, target, k)
 
 
 def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
@@ -181,7 +242,15 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
     at arity k; returns (x, certificate) for the first hit, else None.
 
     Prefixes are scanned in tuple-index order; prefix_cap bounds how many are
-    tried (None = all)."""
+    tried (None = all).  The result, and the fibres and atoms built, are
+    those of calling `decide_constructible(sch.fiber(x), T, k)` on each
+    prefix in turn until one hits.  A run of consecutive prefixes whose fibre
+    is built and whose arity-k index is complete cannot build anything, so
+    the run is decided in one pass over all its atoms; any other prefix is
+    decided alone, after the run before it.  The tuple cap is checked for
+    every prefix decided, and a hit's certificate is that of
+    `decide_constructible` on its fibre.
+    """
     if prefix_len == 0:
         cert = decide_constructible(sch, points, k)
         return ((), cert) if cert else None
@@ -189,15 +258,28 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
         raise DepthExhausted(
             f"prefix {prefix_len} plus arity {k} exceeds depth m={sch.m}"
         )
+    target = frozenset(int(c) for c in points)
+    mask = _target_mask(sch.field.q, target)
+    run = []  # (x, fibre) of the prefixes that wait for one pass
     count = 0
     for x in itertools.product(sch.s_codes, repeat=prefix_len):
         if prefix_cap is not None and count >= prefix_cap:
-            return None
+            break
         count += 1
-        cert = decide_constructible(sch.fiber(x), points, k)
+        fib = sch.built_fiber(x)
+        index = None if fib is None else fib.atom_indexes.get(k)
+        if index is not None and index.complete:
+            fib.instance.check_tuple_cap(k)
+            run.append((x, fib))
+            continue
+        hit = _decide_run(run, target, mask, k)
+        if hit is not None:
+            return hit
+        run = []
+        cert = decide_constructible(sch.fiber(x), target, k)
         if cert is not None:
             return x, cert
-    return None
+    return _decide_run(run, target, mask, k)
 
 
 # ---------------------------------------------------------------------------

@@ -342,8 +342,17 @@ class Scheme:
 
     # ---- fibre restriction -------------------------------------------
 
+    def built_fiber(self, pts: Sequence[int]) -> Optional["Scheme"]:
+        """The fibre at prefix pts if `fiber` has already built it, else None;
+        builds nothing."""
+        pts = tuple(pts)  # integer codes of either kind hash and compare alike
+        return self._fiber_cache.get(pts) if pts else self
+
     def fiber(self, pts: Sequence[int]) -> "Scheme":
-        """Restriction to the prefix pts in S^t: a depth (m-t) scheme on S."""
+        """Restriction to the prefix pts in S^t: a depth (m-t) scheme on S.
+
+        On a backend scheme, a prefix whose fibre at pts[:-1] is already built
+        stabilizes only its last point, in that fibre's backend."""
         pts = tuple(int(c) for c in pts)
         t = len(pts)
         if t == 0:
@@ -356,7 +365,11 @@ class Scheme:
             if p < 0:
                 raise IndexOutOfRange(f"fibre point {c} not in S")
         if self.backend is not None:
-            sub = self.backend.stabilizer_backend(pts)
+            parent = self._fiber_cache.get(pts[:-1])
+            if parent is not None:
+                sub = parent.backend.stabilizer_backend(pts[-1:])
+            else:
+                sub = self.backend.stabilizer_backend(pts)
             out = Scheme(self.instance, self.m - t, backend=sub,
                          prefix=self.prefix + pts)
             self._fiber_cache[pts] = out

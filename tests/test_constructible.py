@@ -1,4 +1,5 @@
 """Atom covers, constructibility certificates, and closure operations."""
+import itertools
 import random
 
 import numpy as np
@@ -23,6 +24,7 @@ from mschemes.constructible import (
 from mschemes.errors import CapExceeded, DepthExhausted, NotBlockUnion, PreconditionUnmet
 from mschemes.gf_linalg import Field, linmap, span_points
 from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
+from mschemes.scheme_core import SchemeInstance, finest_scheme
 
 BUILDERS = {
     "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3, lazy=False),
@@ -92,14 +94,19 @@ def test_atom_index_matches_oracle(label):
     for k in range(1, sch.m + 1):
         index = _atom_index(sch, k)
         tuples = sch.instance.tuples_array(k)
-        while len(index.maps) < index.size:
+        while not index.complete:
             index._extend(sch.field, tuples)
-        atoms = [codes[lo:lo + size]
-                 for codes, starts, sizes in zip(index.codes, index.starts, index.sizes)
-                 for lo, size in zip(starts.tolist(), sizes.tolist())]
+        nb = index.num_blocks
+        assert nb == sch.level(k).num_blocks
+        # flat layout: atom a = i * nb + b is tau_i(D_b), its codes one run
+        assert len(index.sizes) == len(index.starts) == len(index.maps) * nb
+        assert np.array_equal(index.starts, np.cumsum(index.sizes) - index.sizes)
+        assert index.sizes.sum() == len(index.codes)
+        atoms = [index.codes[lo:lo + size]
+                 for lo, size in zip(index.starts.tolist(), index.sizes.tolist())]
         want = list(atom_oracle.enumerate_atoms(sch, k))
         assert [(a.tau, a.block) for a in want] == [
-            (tau, b) for tau in index.maps for b in range(sch.level(k).num_blocks)]
+            (index.maps[a // nb], a % nb) for a in range(len(atoms))]
         assert [a.points for a in want] == [frozenset(atom.tolist()) for atom in atoms]
         assert all(np.all(np.diff(atom) > 0) for atom in atoms)
 
@@ -119,6 +126,22 @@ def test_atom_index_grows_only_as_far_as_the_cover():
     assert [(tau.coeffs, b) for tau, b in cert.entries] == [(((0,), (1,)), 0)]
     index = _atom_index(sch, 2)
     assert len(index.maps) == 2 < index.size == 4
+
+
+def test_decide_on_a_partly_grown_index_matches_oracle():
+    # S = {1, 2} in F_2^2, every tuple its own block: {1} is covered by the
+    # second map (x, y) -> y, {3} = {1 + 2} only by the fourth, x + y
+    sch = finest_scheme(SchemeInstance(Field(2, 2), (1, 2)), 3)
+    index = _atom_index(sch, 2)
+    for target, grown in [([1], 2), ([0, 3], 4), ([1], 4), ([3, 1], 4), ([1, 2, 3], 4)]:
+        want = atom_oracle.decide(sch, target, 2)
+        got = decide_constructible(sch, target, 2)
+        assert len(index.maps) == grown, target
+        if want is None:
+            assert got is None, target
+        else:
+            assert _cert_key(got) == _cert_key(want), target
+    assert index.complete
 
 
 def test_decide_checks_tuple_cap_on_every_call(monkeypatch):
@@ -221,6 +244,105 @@ def test_find_constructible_prefix(gl2_m3):
     assert verify_certificate(gl2_m3.fiber(x), cert)
     with pytest.raises(DepthExhausted):
         find_constructible_prefix(gl2_m3, [1], 1, gl2_m3.m)
+
+
+def _serial_scan(sch, target, k, prefix_len, prefix_cap):
+    """find_constructible_prefix by its definition: atom_oracle.decide on
+    each fibre in product order, with decide_constructible alongside, whose
+    index growth the search must reproduce."""
+    for count, x in enumerate(itertools.product(sch.s_codes, repeat=prefix_len)):
+        if prefix_cap is not None and count >= prefix_cap:
+            return None
+        fib = sch.fiber(x)
+        want = atom_oracle.decide(fib, target, k)
+        got = decide_constructible(fib, target, k)
+        assert (got is None) == (want is None)
+        if want is not None:
+            return x, want
+    return None
+
+
+def _built_state(sch, k, prefix_len):
+    """Per built fibre of the prefix length, how many taus its arity-k atom
+    index holds (None without one)."""
+    state = {}
+    for x in itertools.product(sch.s_codes, repeat=prefix_len):
+        fib = sch.built_fiber(x)
+        if fib is not None:
+            index = fib.atom_indexes.get(k)
+            state[x] = None if index is None else len(index.maps)
+    return state
+
+
+def _warm(sch, k, prefix_len, how):
+    """Build no fibre (cold), every fibre with a complete index (warm), or
+    the fibres of even scan positions i with an index of i % 4 taus, or all
+    of them if fewer (mixed)."""
+    if how == "cold":
+        return
+    tuples = sch.instance.tuples_array(k)
+    for i, x in enumerate(itertools.product(sch.s_codes, repeat=prefix_len)):
+        if how == "mixed" and i % 2:
+            continue
+        index = _atom_index(sch.fiber(x), k)
+        while not index.complete and (how == "warm" or len(index.maps) < i % 4):
+            index._extend(sch.field, tuples)
+
+
+SEARCH_BUILDERS = {
+    "gl3-lazy-m4": lambda: instances.gl_orbit_scheme(2, 3, 4),
+    "gl3-m3": lambda: instances.gl_orbit_scheme(2, 3, 3, lazy=False),
+}
+
+
+@pytest.mark.parametrize("how", ["cold", "warm", "mixed"])
+@pytest.mark.parametrize("label", sorted(SEARCH_BUILDERS))
+def test_prefix_search_matches_serial_oracle_scan(label, how):
+    make = SEARCH_BUILDERS[label]
+    probe = make()
+    s, q = probe.s_codes, probe.field.q
+    # on GL(3, 2), with S the 7 nonzero points: {4} hits at the fourth prefix
+    # (mid-run on a warm scheme), {0, 4, 5} at the fourth of length 2, and
+    # {2, 3, 4} misses on every fibre
+    targets = [frozenset(), frozenset({4}), frozenset({q}), frozenset({-1, s[0]}),
+               frozenset({0, 4, 5}), frozenset({1, 2}), frozenset({2, 3, 4})]
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    positions = set()
+    for prefix_len, k in shapes:
+        if prefix_len + k > probe.m:
+            continue
+        order = list(itertools.product(s, repeat=prefix_len))
+        for cap in (None, 0, 1, 24):
+            serial, batched = make(), make()
+            _warm(serial, k, prefix_len, how)
+            _warm(batched, k, prefix_len, how)
+            for target in targets:
+                want = _serial_scan(serial, target, k, prefix_len, cap)
+                got = find_constructible_prefix(batched, sorted(target), k, prefix_len, cap)
+                key = (prefix_len, k, cap, sorted(target))
+                if want is None:
+                    assert got is None, key
+                    positions.add(None)
+                else:
+                    assert got[0] == want[0], key
+                    assert _cert_key(got[1]) == _cert_key(want[1]), key
+                    positions.add(order.index(want[0]))
+                assert _built_state(batched, k, prefix_len) == _built_state(
+                    serial, k, prefix_len), key
+    # hits on the first prefix and past it, and misses
+    assert {None, 0, 3} <= positions
+
+
+def test_prefix_search_checks_tuple_cap_on_built_fibres(monkeypatch):
+    sch = instances.gl_orbit_scheme(2, 3, 4)
+    _warm(sch, 2, 1, "warm")
+    # {2, 3, 4} misses on every fibre, so no decide_constructible runs
+    assert find_constructible_prefix(sch, [4], 2, 1) is not None
+    assert find_constructible_prefix(sch, [2, 3, 4], 2, 1) is None
+    monkeypatch.setenv("MSCHEME_CAP_TUPLES", str(sch.instance.n ** 2 - 1))
+    for target in ([4], [2, 3, 4]):
+        with pytest.raises(CapExceeded):
+            find_constructible_prefix(sch, target, 2, 1)
 
 
 def test_extend_subspace():

@@ -4,7 +4,7 @@ import pytest
 
 import group_oracle as oracle
 import point_oracle
-from mschemes import instances
+from mschemes import group_orbits, instances
 from mschemes.errors import IndexOutOfRange, InputError
 from mschemes.gf_linalg import Field
 from mschemes.group_orbits import (
@@ -14,12 +14,13 @@ from mschemes.group_orbits import (
     companion_matrix,
     frobenius_matrix,
     gl_group,
+    point_stabilizer,
     semilinear_group,
     sims_filter,
     singer_group,
     trivial_group,
 )
-from mschemes.scheme_core import canonical_block_ids
+from mschemes.scheme_core import Scheme, canonical_block_ids
 
 
 def test_gl_orders():
@@ -204,6 +205,46 @@ def test_fibres_match_full_element_oracle(name, monkeypatch):
         want = _oracle_levels(group, s, prefix, (1, 2))
         for k, bid in zip((1, 2), want):
             assert np.array_equal(fib.level(k).bid, bid), (prefix, k)
+
+
+@pytest.mark.parametrize("name", ["gl_3_2", "singer", "c11_c5", "affine_coset"])
+def test_fibre_from_its_built_parent_stabilizes_one_point(name, monkeypatch):
+    seen = _capture_group(monkeypatch)
+    cold = BUILDERS[name]()
+    (group,) = seen
+    assert cold.backend is not None
+    s = cold.s_codes
+    a, b = s[0], s[-1]
+    calls = []
+
+    def counted(perms, point):
+        calls.append(point)
+        return point_stabilizer(perms, point)
+
+    monkeypatch.setattr(group_orbits, "point_stabilizer", counted)
+    # (a, b) before (a,): no parent is built, so the chain runs from the root
+    assert cold.built_fiber((a, b)) is None and cold.built_fiber(()) is cold
+    ab_cold = cold.fiber((a, b))
+    assert len(calls) == 2 and cold.built_fiber((a,)) is None
+    a_fib = cold.fiber((a,))
+    assert cold.built_fiber((a,)) is a_fib and cold.built_fiber([a, b]) is ab_cold
+    # with (a,) built, (a, b) and (a, a) stabilize only their last point
+    warm = _fresh_like(cold)
+    warm.fiber((a,))
+    del calls[:]
+    ab_warm = warm.fiber((a, b))
+    aa_warm = warm.fiber((a, a))
+    assert len(calls) == 2
+    assert np.array_equal(ab_warm.backend.perms, ab_cold.backend.perms)
+    for prefix, fib in [((a, b), ab_cold), ((a,), a_fib), ((a, b), ab_warm), ((a, a), aa_warm)]:
+        want = _oracle_levels(group, s, prefix, (1, 2))
+        for k, bid in zip((1, 2), want):
+            assert np.array_equal(fib.level(k).bid, bid), (prefix, k)
+
+
+def _fresh_like(sch):
+    """A scheme with the same carrier, depth and group, and no fibre built."""
+    return Scheme(sch.instance, sch.m, backend=sch.backend)
 
 
 def _closure(perms, n):
