@@ -31,6 +31,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .gf_linalg import (
+    digit_rows,
     enumerate_linmaps,
     linmap,
     rank_mod,
@@ -436,7 +437,7 @@ def extend_subspace(sch: Scheme, cert: Certificate, target_points, t: int):
         lifted = rows * (n ** dt) + prefix_idx  # indices of B x {prefix}
         ids = sorted(part.ids_as_union(lifted))
         rowsets = [part.blocks()[i] for i in ids]
-        for svec in itertools.product(range(f.ell), repeat=d):
+        for svec in digit_rows(f.ell, d).tolist():
             coeffs = [list(row) for row in tau.coeffs] + [
                 [(svec[i] * lam) % f.ell]
                 for i, terms in enumerate(decomps)

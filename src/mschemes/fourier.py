@@ -6,23 +6,25 @@ dual vectors over that basis.  Coefficients use complex doubles; every
 threshold comparison applies a 1e-9 guard band.
 
 A coefficient vector is one complex array of length |G|, indexed like the
-digit grid `duals` (all of F_ell^r in `itertools.product` order, which is
-the sorted order of the dual vectors); index 0 is the trivial character.
-`all_coeffs` makes it, and `parseval_check`, `inversion_check`,
-`heavy_characters` and `coeffs_csv` read it.
+dual grid `duals`, which is `gf_linalg.digit_rows(ell, r)` itself (all of
+F_ell^r in `itertools.product` order, the sorted order of the dual vectors;
+cached and read-only); index 0 is the trivial character.  `all_coeffs`
+makes it, and `parseval_check`, `inversion_check`, `heavy_characters` and
+`coeffs_csv` read it.
 
-Summation contract.  `coeff` is the defining sum and the reference for every
-coefficient: one conjugated root of unity per member of the subset, added in
-sorted-code order to an accumulator that starts at +0.0, then divided by
-|G|.  `all_coeffs` keeps that order over all duals at once.  It reduces each
-block of phase rows with `np.add.reduce(..., axis=0)` below the running
-accumulator row (a row of zeros at the start); an axis-0 reduce adds row
-after row, so every dual sees the same sequence of additions as `coeff`.
-The real and imaginary parts are each divided by float(|G|), as Python's
-`complex / int` does, and stored into the parts of the result.  So the
-coefficients, and the CSV and heavy lists built from them, equal `coeff`
-bit for bit.  A pairwise or FFT summation would change the last bits (for
-ell = 2 it turns imaginary parts of about 1e-16 into exact zeros).
+Summation contract.  The defining sum (`tests/point_oracle.py::coeff`) is
+the reference for every coefficient: one conjugated root of unity per member
+of the subset, added in sorted-code order to an accumulator that starts at
++0.0, then divided by |G|.  `all_coeffs` keeps that order over all duals at
+once.  It reduces each block of phase rows with `np.add.reduce(..., axis=0)`
+below the running accumulator row (a row of zeros at the start); an axis-0
+reduce adds row after row, so every dual sees the same sequence of additions
+as the defining sum.  The real and imaginary parts are each divided by
+float(|G|), as Python's `complex / int` does, and stored into the parts of
+the result.  So the coefficients, and the CSV and heavy lists built from
+them, equal the defining sum bit for bit.  A pairwise or FFT summation would
+change the last bits (for ell = 2 it turns imaginary parts of about 1e-16
+into exact zeros).
 
 Moduli are `np.hypot(re, im)` (`moduli`), which is what Python's
 `abs(complex)` computes; `np.abs` of a complex array differs from it in the
@@ -39,8 +41,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ArityMismatch, CapExceeded, EmptyReference, FieldMismatch
-from .gf_linalg import Field, member_mask, span_basis
+from .errors import ArityMismatch, CapExceeded, EmptyReference
+from .gf_linalg import Field, digit_rows, member_mask, span_basis
 
 GUARD = 1e-9
 CAP_GROUP_ORDER = 2 ** 16
@@ -53,13 +55,6 @@ def moduli(coeffs: np.ndarray) -> np.ndarray:
     return np.hypot(coeffs.real, coeffs.imag)
 
 
-def _digit_rows(ell: int, r: int) -> np.ndarray:
-    """Base-ell digits of 0..ell^r - 1, most significant first: the rows of
-    itertools.product(range(ell), repeat=r), in its order."""
-    weights = ell ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    return (np.arange(ell ** r, dtype=np.int64)[:, None] // weights) % ell
-
-
 @dataclass
 class FourierContext:
     """Fourier transform context for the subgroup spanned by a generating set."""
@@ -68,7 +63,7 @@ class FourierContext:
     basis: np.ndarray          # rref rows, shape (r, dim)
     codes: np.ndarray          # (|G|,) sorted point codes of the subgroup
     coord_rows: np.ndarray = dc_field(repr=False)  # (|G|, r): coords of codes[i]
-    duals: np.ndarray = dc_field(repr=False)       # (|G|, r): _digit_rows(ell, r)
+    duals: np.ndarray = dc_field(repr=False)       # (|G|, r): digit_rows(ell, r)
 
     @staticmethod
     def for_generators(field: Field, codes) -> "FourierContext":
@@ -82,7 +77,7 @@ class FourierContext:
             raise CapExceeded("fourier group order", order, CAP_GROUP_ORDER)
         # every coordinate row times the basis (encode_batch reduces mod ell),
         # then sorted by point code
-        combos = _digit_rows(field.ell, r)
+        combos = digit_rows(field.ell, r)
         group = field.encode_batch(combos @ basis)
         perm = np.argsort(group)
         return FourierContext(field, basis, group[perm], combos[perm], combos)
@@ -100,13 +95,6 @@ class FourierContext:
         """Sorted point codes of the subgroup, as Python ints."""
         return self.codes.tolist()
 
-    def _row(self, code):
-        """Index of code in codes, or None when it is not in the group."""
-        if not 0 <= code < self.field.q:
-            return None
-        i = int(np.searchsorted(self.codes, code))
-        return i if i < self.order and self.codes[i] == code else None
-
     def _member_rows(self, subset) -> np.ndarray:
         """Ascending indices into codes of the codes of subset in the group."""
         subset = np.fromiter(subset, dtype=np.int64)
@@ -116,18 +104,6 @@ class FourierContext:
         if len(dual) != self.rank:
             raise ArityMismatch(f"dual vector length {len(dual)} != rank {self.rank}")
 
-    def coords(self, code: int):
-        i = self._row(code)
-        if i is None:
-            raise FieldMismatch(f"point {code} not in the Fourier group")
-        return tuple(self.coord_rows[i].tolist())
-
-    def char_value(self, dual, code: int) -> complex:
-        self._check_dual(dual)
-        c = self.coords(code)
-        phase = sum(a * x for a, x in zip(dual, c)) % self.field.ell
-        return cmath.exp(2j * cmath.pi * phase / self.field.ell)
-
     def kernel(self, dual):
         """Sorted codes of {x in G : <dual, coords(x)> = 0}."""
         self._check_dual(dual)
@@ -136,21 +112,11 @@ class FourierContext:
 
     # ---- transforms ---------------------------------------------------
 
-    def coeff(self, subset, dual) -> complex:
-        """hat{1_A}(chi) = (1/|G|) sum_{x in G} 1_A(x) conj(chi(x))."""
-        self._check_dual(dual)
-        sub = set(subset)
-        total = 0j
-        for code in self.elements:
-            if code in sub:
-                total += self.char_value(dual, code).conjugate()
-        return total / self.order
-
     def all_coeffs(self, subset) -> np.ndarray:
-        """The coefficient vector of the indicator of subset: entry i is the
-        coefficient at dual vector `duals[i]`.
-
-        Equal bit for bit to `coeff` at every dual (see the module docstring)."""
+        """The coefficient vector of the indicator of subset: entry i is
+        hat{1_A}(chi) = (1/|G|) sum_{x in G} 1_A(x) conj(chi(x)) at the dual
+        vector `duals[i]`, equal bit for bit to the defining sum (see the
+        module docstring)."""
         ell = self.field.ell
         table = np.array([cmath.exp(2j * cmath.pi * k / ell).conjugate() for k in range(ell)])
         members = self.coord_rows[self._member_rows(subset)]
@@ -159,8 +125,8 @@ class FourierContext:
         for lo in range(0, len(members), step):
             phase = (members[lo:lo + step] @ self.duals.T) % ell
             acc = np.add.reduce(np.vstack([acc, table[phase]]), axis=0, keepdims=True)
-        # coeff's `total / order` divides each part by float(order); a complex
-        # numpy division would not
+        # the defining sum's `total / order` divides each part by
+        # float(order); a complex numpy division would not
         out = np.empty(self.order, dtype=complex)
         out.real = acc[0].real / self.order
         out.imag = acc[0].imag / self.order

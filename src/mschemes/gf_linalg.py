@@ -5,13 +5,21 @@ coordinate 0 most significant.  k-tuples of points are coded in base q = ell^d
 with tuple coordinate 1 most significant; the integer tuple code is the single
 ordering currency used everywhere (block numbering, reports, JSON).
 
+One radix codec serves every such grid, most significant digit first:
+`radix_weights(base, width)` are the place values, `radix_digits(values,
+base, width)` the digit rows of an int array, and `digit_rows(ell, r)` all of
+F_ell^r in `itertools.product` order.  Point codes, tuple indices over S
+(base n), map coefficients (base ell) and dense tuple codes (base q) all go
+through them.  `digit_rows` is cached and read-only, and it checks ell^r
+against `cap_tuples()` on every call.
+
 Point arithmetic has one path, `Field.add_codes/sub_codes/neg_codes`: codes
 in, codes out.  The arguments are ints or integer arrays of codes and
 broadcast like numpy; a 0-d result comes back as a Python int.  Every call
 checks the point-space cap and the range [0, q) of its codes once (min and
 max), raising CapExceeded or IndexOutOfRange.  For ell = 2 addition and
 subtraction are the XOR of codes and negation is the identity; otherwise the
-codes go through the cached digit table and `encode_batch`.
+codes go through `digit_rows(ell, d)` and `encode_batch`.
 `decode_batch`, which turns codes into digit rows, makes the same range check.
 """
 from __future__ import annotations
@@ -103,17 +111,15 @@ class Field:
             code //= self.ell
         return tuple(reversed(out))
 
-    def _digit_table(self) -> np.ndarray:
-        return _digit_table(self.ell, self.dim)
-
     def decode_batch(self, codes) -> np.ndarray:
         """Array of shape (n, dim) with the digit rows of the given codes;
         codes outside [0, q) raise IndexOutOfRange."""
-        return self._digit_table()[self._in_range(np.asarray(codes, dtype=np.int64))]
+        table = digit_rows(self.ell, self.dim)
+        return table[self._in_range(np.asarray(codes, dtype=np.int64))]
 
     def encode_batch(self, rows: np.ndarray) -> np.ndarray:
-        weights = self.ell ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
-        return (np.asarray(rows, dtype=np.int64) % self.ell) @ weights
+        """Codes of digit rows (the last axis), each digit reduced mod ell."""
+        return (np.asarray(rows, dtype=np.int64) % self.ell) @ radix_weights(self.ell, self.dim)
 
     # ---- point arithmetic (on codes) ---------------------------------
 
@@ -142,7 +148,7 @@ class Field:
         a, b = self._point_codes(a), self._point_codes(b)
         if self.ell == 2:
             return self._codes_out(a ^ b)
-        table = self._digit_table()
+        table = digit_rows(self.ell, self.dim)
         return self._codes_out(self.encode_batch(table[a] + sign * table[b]))
 
     def add_codes(self, a, b):
@@ -158,23 +164,53 @@ class Field:
         a = self._point_codes(a)
         if self.ell == 2:
             return self._codes_out(a.copy())
-        return self._codes_out(self.encode_batch(-self._digit_table()[a]))
+        return self._codes_out(self.encode_batch(-digit_rows(self.ell, self.dim)[a]))
 
     @property
     def zero(self) -> int:
         return 0
 
 
+# ---------------------------------------------------------------------------
+# the radix codec
+# ---------------------------------------------------------------------------
+
+
+def radix_weights(base: int, width: int) -> np.ndarray:
+    """Place values base^(width-1), ..., base, 1: a row of `width` digits,
+    most significant first, times these is its number."""
+    return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def radix_digits(values, base: int, width: int) -> np.ndarray:
+    """Base-`base` digits of each entry of an int array, most significant
+    first, along a new last axis of length `width`; entries lie in
+    [0, base^width)."""
+    values = np.asarray(values, dtype=np.int64)
+    out = np.empty(values.shape + (width,), dtype=np.int64)
+    # one column at a time: a broadcast (N, 1) // (width,) is slower
+    for i in range(width - 1, -1, -1):
+        out[..., i] = values % base
+        values = values // base
+    return out
+
+
+def digit_rows(ell: int, r: int) -> np.ndarray:
+    """All of F_ell^r as an (ell^r, r) array, row c the digits of c: the
+    tuples that `itertools.product` makes of r copies of range(ell), in its
+    order.  Cached and read-only; ell^r is checked against `cap_tuples()` on
+    every call."""
+    size, cap = ell ** r, cap_tuples()
+    if size > cap:
+        raise CapExceeded("point space", size, cap)
+    return _digit_grid(ell, r)
+
+
 @lru_cache(maxsize=64)
-def _digit_table(ell: int, dim: int) -> np.ndarray:
-    q = ell ** dim
-    if q > cap_tuples():
-        raise CapExceeded("point space", q, cap_tuples())
-    codes = np.arange(q, dtype=np.int64)
-    cols = []
-    for i in range(dim):
-        cols.append((codes // ell ** (dim - 1 - i)) % ell)
-    return np.stack(cols, axis=1)
+def _digit_grid(ell: int, r: int) -> np.ndarray:
+    grid = radix_digits(np.arange(ell ** r, dtype=np.int64), ell, r)
+    grid.flags.writeable = False
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +367,9 @@ def span_dim(field: Field, codes: Iterable[int]) -> int:
     return span_basis(field, codes).shape[0]
 
 
-def span_points(field: Field, codes: Iterable[int], cap: int | None = None):
-    """All point codes of the subgroup generated by the given points, sorted."""
+def span_points(field: Field, codes: Iterable[int]) -> list:
+    """All point codes of the subgroup generated by the given points, as
+    sorted Python ints: every coefficient row over the rref basis, which are
+    independent, so the points are distinct."""
     basis = span_basis(field, codes)
-    r = basis.shape[0]
-    size = field.ell ** r
-    if cap is None:
-        cap = cap_tuples()
-    if size > cap:
-        raise CapExceeded("span", size, cap)
-    if r == 0:
-        return [0]
-    combos = np.array(
-        list(itertools.product(range(field.ell), repeat=r)), dtype=np.int64
-    )
-    pts = (combos @ basis) % field.ell
-    return sorted(int(c) for c in set(field.encode_batch(pts).tolist()))
+    return np.sort(field.encode_batch(digit_rows(field.ell, basis.shape[0]) @ basis)).tolist()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotInGroup
-from .gf_linalg import Field, rank_mod
+from .gf_linalg import Field, radix_digits, radix_weights, rank_mod
 from .scheme_core import Scheme, SchemeInstance, TuplePartition
 
 # primitive polynomials x^d + ... used for default multiplicative (Singer)
@@ -273,16 +273,10 @@ class OrbitBackend:
     def orbit_partition_raw(self, instance: SchemeInstance, k: int) -> np.ndarray:
         instance.check_tuple_cap(k)
         n = instance.n
-        count = n ** k
-        idx = np.arange(count, dtype=np.int64)
-        digits = [(idx // n ** (k - 1 - i)) % n for i in range(k)]
-        radix = [n ** (k - 1 - i) for i in range(k)]
-        moves = []
-        for p in self.perms:
-            moved = np.zeros(count, dtype=np.int64)
-            for i in range(k):
-                moved += p[digits[i]] * radix[i]
-            moves.append(moved)
+        idx = np.arange(n ** k, dtype=np.int64)
+        # tuple t moves to the tuple of its images under p, coordinatewise
+        digits, radix = radix_digits(idx, n, k), radix_weights(n, k)
+        moves = [p[digits] @ radix for p in self.perms]
         labels = idx.copy()
         changed = True
         while changed:

@@ -48,7 +48,8 @@ from .errors import (
     PreconditionUnmet,
 )
 from .fourier import FourierContext
-from .gf_linalg import member_mask, span_points, summation, unique_sorted
+from .gf_linalg import (digit_rows, member_mask, radix_digits, span_basis, span_dim,
+                        span_points, summation, unique_sorted)
 from .scheme_core import Scheme, SchemeInstance, TuplePartition
 
 __all__ = [
@@ -397,7 +398,7 @@ def partial_sumset_search(sch: Scheme, b: int, K):
     f = inst.field
     b_codes = sch.level1_block_set(b)
     n_b = len(b_codes)
-    span_size = len(span_points(f, b_codes))
+    span_size = f.ell ** span_dim(f, b_codes)
     if n_b < 2 * K * K:
         raise PreconditionUnmet("|B|>=2K^2", f"|B|={n_b}, K={K}")
     rho = math.log2(n_b) / math.log2(span_size) if span_size > 1 else 1.0
@@ -886,27 +887,40 @@ def compute_heavy_set(sch: Scheme, b: int, eps_prime, max_arity: int = 2,
 
 
 def enumerate_subspaces(field, group_codes, cap: int = 4096):
-    """All subgroups of the span of group_codes, ascending by (dim, points)."""
-    codes = sorted(set(int(c) for c in group_codes))
-    full = sorted(span_points(field, codes))
-    if len(full) > cap:
-        raise CapExceeded("subspace enumeration ground set", len(full), cap)
-    seen = {frozenset([0])}
-    frontier = [frozenset([0])]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for g in full:
-                if g in sub:
-                    continue
-                new = frozenset(int(c) for c in span_points(field, set(sub) | {g}))
-                if new not in seen:
-                    seen.add(new)
-                    nxt.append(new)
-        frontier = nxt
-        if len(seen) > cap:
-            raise CapExceeded("subspace enumeration", len(seen), cap)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+    """All subgroups of the span of group_codes, ascending by (dim, points).
+
+    Over the rref basis of the span (rank r), each subgroup of dimension s
+    is the row space of exactly one s x r reduced-echelon matrix: a pivot
+    set, and free entries right of each pivot outside the pivot columns.  So
+    dimension s holds the Gaussian binomial [r, s]_ell of them.  Before
+    dimension s is built, CapExceeded fires when the count of subgroups of
+    dimension <= s exceeds cap."""
+    ell = field.ell
+    basis = span_basis(field, group_codes)
+    r = basis.shape[0]
+    if ell ** r > cap:
+        raise CapExceeded("subspace enumeration ground set", ell ** r, cap)
+    out, count = [], 0
+    for s in range(r + 1):
+        shapes = []
+        for pivots in itertools.combinations(range(r), s):
+            free = [(i, j) for i, p in enumerate(pivots)
+                    for j in range(p + 1, r) if j not in pivots]
+            shapes.append((list(pivots), free))
+        count += sum(ell ** len(free) for _, free in shapes)
+        if count > cap:
+            raise CapExceeded("subspace enumeration", count, cap)
+        for pivots, free in shapes:
+            # every value of the free entries; this grid is bounded by the
+            # subspace cap (ell^len(free) <= count <= cap), not the tuple cap
+            values = radix_digits(np.arange(ell ** len(free)), ell, len(free))
+            mats = np.zeros((len(values), s, r), dtype=np.int64)
+            mats[:, np.arange(s), pivots] = 1
+            for col, (i, j) in enumerate(free):
+                mats[:, i, j] = values[:, col]
+            pts = field.encode_batch(digit_rows(ell, s) @ mats @ basis)
+            out.extend(frozenset(row) for row in pts.tolist())
+    return sorted(out, key=lambda sub: (len(sub), sorted(sub)))
 
 
 def enumerate_w_family(sch: Scheme, b: int, k: int, max_arity: int = 2,
@@ -916,7 +930,7 @@ def enumerate_w_family(sch: Scheme, b: int, k: int, max_arity: int = 2,
     constructibility search.  Returns [(subspace frozenset, search record)]."""
     f = sch.field
     b_codes = sch.level1_block_set(b)
-    full = len(span_points(f, b_codes))
+    full = f.ell ** span_dim(f, b_codes)
     out = []
     for sub in enumerate_subspaces(f, b_codes, cap=subspace_cap):
         codim_ok = len(sub) * f.ell ** k >= full
@@ -992,7 +1006,7 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
         raise PreconditionUnmet("0<eps'<1", f"eps'={eps_prime}")
     f = sch.field
     b_codes = sch.level1_block_set(b)
-    span_size = len(span_points(f, b_codes))
+    span_size = f.ell ** span_dim(f, b_codes)
     mu = Fraction(len(b_codes), span_size)
     t = int(Fraction(3, 2) / mu) + 1
     if sch.m < 2 * t + 2:
@@ -1013,8 +1027,7 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
 
     hub = frozenset.intersection(*[h.kernel for h in heavy])
     leaves = sorted(
-        {frozenset(int(c) for c in span_points(f, set(hub) | {x}))
-         for x in b_codes},
+        {frozenset(span_points(f, set(hub) | {x})) for x in b_codes},
         key=lambda s: sorted(s),
     )
     b_set = set(b_codes)
@@ -1106,7 +1119,7 @@ def two_case_check(sch: Scheme, b: int, k: int, eps,
     eps = Fraction(eps)
     f = sch.field
     b_codes = sch.level1_block_set(b)
-    mu = Fraction(len(b_codes), len(span_points(f, b_codes)))
+    mu = Fraction(len(b_codes), f.ell ** span_dim(f, b_codes))
     t = int(Fraction(3, 2) / mu) + 1
     kp = k * (t + 1)
     eps_prime = eps / f.ell ** k
@@ -1194,9 +1207,9 @@ def _compute_w(sch: Scheme, b: int, x: int, params: RefineParams):
     b_codes = sch.level1_block_set(b)
     if heavy:
         hub = frozenset.intersection(*[h.kernel for h in heavy])
-        w = frozenset(int(c) for c in span_points(f, set(hub) | {x}))
+        w = frozenset(span_points(f, set(hub) | {x}))
         return w, hub, heavy
-    w = frozenset(int(c) for c in span_points(f, b_codes))
+    w = frozenset(span_points(f, b_codes))
     return w, None, heavy
 
 
@@ -1264,7 +1277,7 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
     K, k, r, eps, gamma = params.K, params.k, params.r, params.eps, params.gamma
     b_codes = sch.level1_block_set(b)
     n0 = len(b_codes)
-    span0 = len(span_points(f, b_codes))
+    span0 = f.ell ** span_dim(f, b_codes)
     mu = Fraction(n0, span0)
     t_expected = int(3 * K / (2 * mu)) + 1
     t = params.t if params.t is not None else t_expected

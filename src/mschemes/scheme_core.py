@@ -18,25 +18,28 @@ table built once per instance.  `tuples_array(k)[rows]` is the only map from
 tuple indices back to codes.  `TuplePartition.blocks()` is the only member
 list of the blocks, and each entry is ascending.
 
+Every digit grid here is the radix codec of `gf_linalg`: tuple indices are
+`radix_digits` in base n, and dense tuple codes `radix_weights` in base q.
+
 Map table.  `SchemeInstance.map_table(k)` applies to S^k the map V^k ->
-V^(ell^k) whose column c has the base-ell digits of c as coefficients (the
-order of `enumerate_linmaps(field, k, 1)`).  The images under tau are its
-columns cols(tau)_j = sum_i coeffs[i][j] * ell^(k-1-i).  Its n^k * ell^k
-codes count against `cap_tuples()`.  `validate` and `antisym.generator_maps`
-read only `Scheme.map_sweep`, which reads only this table: once per k it
-turns the table, rows in block order, into S-positions P, and the S^k'
-index of tau(x) is then the base-n number of the k' columns cols(tau) of P
-(-1 when one of them is -1).  The maps of each (k, k') run in
-`enumerate_linmaps` order in chunks of T consecutive flat indices, whose
-coefficients are the base-ell digits of those indices; a chunk is one
-MapSweep of (T, B) per-block statistics, each an axis-1 reduceat over the
-(T, n^k) image array, and T * n^k * k' stays within SWEEP_CHUNK_ENTRIES.
-The number of maps ell^(k*k') is checked against the map cap before a
-(k, k') group starts, as `enumerate_linmaps` does.
+V^(ell^k) whose column c has the base-ell digits of c as coefficients: its
+coefficient matrix is `digit_rows(ell, k)` transposed (the order of
+`enumerate_linmaps(field, k, 1)`).  The images under tau are its columns
+cols(tau)_j = coeffs[:, j] @ radix_weights(ell, k).  Its n^k * ell^k codes
+count against `cap_tuples()`.  `validate` and `antisym.generator_maps` read
+only `Scheme.map_sweep`, which reads only this table: once per k it turns
+the table, rows in block order, into S-positions P, and the S^k' index of
+tau(x) is then the base-n number of the k' columns cols(tau) of P (-1 when
+one of them is -1).  The maps of each (k, k') run in `enumerate_linmaps`
+order in chunks of T consecutive flat indices, whose coefficients are
+`radix_digits` of those indices in base ell; a chunk is one MapSweep of
+(T, B) per-block statistics, each an axis-1 reduceat over the (T, n^k)
+image array, and T * n^k * k' stays within SWEEP_CHUNK_ENTRIES.  The number
+of maps ell^(k*k') is checked against the map cap before a (k, k') group
+starts, as `enumerate_linmaps` does.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -54,7 +57,8 @@ from .errors import (
     InputError,
     NotBlockUnion,
 )
-from .gf_linalg import Field, LinMap, linmap, linmap_count, span_dim, unique_sorted
+from .gf_linalg import (Field, LinMap, digit_rows, linmap, linmap_count, radix_digits,
+                        radix_weights, span_dim, unique_sorted)
 
 # bound on T * n^k * k' entries of the image arrays of one MapSweep chunk
 SWEEP_CHUNK_ENTRIES = 2 ** 17
@@ -107,11 +111,8 @@ class SchemeInstance:
     def tuples_array(self, k: int) -> np.ndarray:
         """(n^k, k) array of point codes, row t = tuple with index t."""
         self.check_tuple_cap(k)
-        n = self.n
-        idx = np.arange(n ** k, dtype=np.int64)
-        s_arr = np.array(self.s_codes, dtype=np.int64)
-        cols = [s_arr[(idx // n ** (k - 1 - i)) % n] for i in range(k)]
-        return np.stack(cols, axis=1)
+        idx = np.arange(self.n ** k, dtype=np.int64)
+        return np.array(self.s_codes, dtype=np.int64)[radix_digits(idx, self.n, k)]
 
     def map_table(self, k: int) -> np.ndarray:
         """(n^k, ell^k) codes: column c is every tuple of S^k under the map
@@ -120,15 +121,14 @@ class SchemeInstance:
         size = self.n ** k * ell ** k
         if size > cap_tuples():
             raise CapExceeded(f"map table S^{k} x F_{ell}^{k}", size, cap_tuples())
-        digits = tuple(zip(*itertools.product(range(ell), repeat=k)))
-        return LinMap(k, ell ** k, digits).apply_batch(self.field, self.tuples_array(k))
+        coeffs = tuple(map(tuple, digit_rows(ell, k).T.tolist()))
+        return LinMap(k, ell ** k, coeffs).apply_batch(self.field, self.tuples_array(k))
 
     def tuple_indices(self, codes: np.ndarray) -> np.ndarray:
         """Index in S^k' of each row of an (N, k') code array, or -1 where
         the row has a coordinate outside S."""
         pos = self.pos(codes)
-        radix = self.n ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64)
-        return np.where((pos >= 0).all(axis=1), pos @ radix, -1)
+        return np.where((pos >= 0).all(axis=1), pos @ radix_weights(self.n, codes.shape[1]), -1)
 
     def tuple_index(self, pts: Sequence[int]) -> int:
         idx = 0
@@ -405,18 +405,17 @@ class Scheme:
             pos_t = np.ascontiguousarray(
                 inst.pos(inst.map_table(k)[np.concatenate(blocks)]).T)
             size_n = len(row_block)
-            digits = ell ** np.arange(k - 1, -1, -1, dtype=np.int64)
+            weights = radix_weights(ell, k)
             for kp in range(1, self.m + 1):
                 total = linmap_count(inst.field, k, kp)
                 bid_kp = np.append(self.level(kp).bid, -1)  # index -1 reads -1
                 kp_sizes = np.append(np.bincount(bid_kp[:-1]), 0)
                 width = n ** kp + 1
-                flat_digits = ell ** np.arange(k * kp - 1, -1, -1, dtype=np.int64)
                 step = max(1, SWEEP_CHUNK_ENTRIES // (size_n * kp))
                 for first in range(0, total, step):
                     flat = np.arange(first, min(first + step, total), dtype=np.int64)
-                    coeffs = ((flat[:, None] // flat_digits) % ell).reshape(-1, k, kp)
-                    cols = np.einsum("tij,i->tj", coeffs, digits)
+                    coeffs = radix_digits(flat, ell, k * kp).reshape(-1, k, kp)
+                    cols = np.einsum("tij,i->tj", coeffs, weights)
                     img = np.zeros((len(flat), size_n), dtype=np.int64)
                     outside = np.zeros(img.shape, dtype=bool)
                     for j in range(kp):
@@ -573,10 +572,7 @@ class Scheme:
                 raise CapExceeded("dense block_of export", field.q ** k, cap_tuples())
             part = self.level(k)
             dense = np.full(field.q ** k, -1, dtype=np.int64)
-            tuples = inst.tuples_array(k)
-            weights = field.q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-            codes = tuples @ weights
-            dense[codes] = part.bid
+            dense[inst.tuples_array(k) @ radix_weights(field.q, k)] = part.bid
             levels.append({"k": k, "block_of": dense.tolist()})
         obj = {
             "ell": field.ell,
@@ -605,9 +601,7 @@ class Scheme:
                     raise InputError(
                         f"level {k}: block_of length {len(dense)} != {field.q ** k}"
                     )
-                tuples = inst.tuples_array(k)
-                weights = field.q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-                codes = tuples @ weights
+                codes = inst.tuples_array(k) @ radix_weights(field.q, k)
                 raw = dense[codes]
                 if (raw < 0).any():
                     raise InputError(f"level {k}: tuple of S^{k} marked -1")

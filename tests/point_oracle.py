@@ -12,17 +12,21 @@ dual vectors of a Fourier context in `itertools.product` order.
 
 And the additive-energy quadruple loop, the oracle of the array count in
 `addcomb.additive_energy_oracle`, with the JSON and vector interchange of
-point sets that only the tests use; and the scalar Gauss-Jordan loop, the
-oracle of the whole-row updates in `gf_linalg.rref_mod`.
+point sets that only the tests use; the scalar Gauss-Jordan loop, the
+oracle of the whole-row updates in `gf_linalg.rref_mod`; the defining
+Fourier sum, one character value per member, the oracle of
+`FourierContext.all_coeffs`; and the breadth-first closure of subgroups, the
+oracle of the echelon-form `refine.enumerate_subspaces`.
 """
+import cmath
 import itertools
 import json
 
 import numpy as np
 
 from mschemes.addcomb import PointSet
-from mschemes.errors import InputError
-from mschemes.gf_linalg import Field, linmap, rank_mod
+from mschemes.errors import CapExceeded, FieldMismatch, InputError
+from mschemes.gf_linalg import Field, linmap, rank_mod, span_points
 
 
 def add(f, a, b):
@@ -130,6 +134,62 @@ def rref_mod_loop(matrix, ell):
 
 def dual_vectors(ctx):
     return itertools.product(range(ctx.field.ell), repeat=ctx.rank)
+
+
+def coords(ctx, code):
+    """Coordinates of a point of the Fourier group over its basis;
+    FieldMismatch for a code outside the group."""
+    i = int(np.searchsorted(ctx.codes, code)) if 0 <= code < ctx.field.q else ctx.order
+    if i == ctx.order or ctx.codes[i] != code:
+        raise FieldMismatch(f"point {code} not in the Fourier group")
+    return tuple(ctx.coord_rows[i].tolist())
+
+
+def char_value(ctx, dual, code):
+    """chi_dual(x) = exp(2 pi i <dual, coords(x)> / ell)."""
+    ctx._check_dual(dual)
+    phase = sum(a * x for a, x in zip(dual, coords(ctx, code))) % ctx.field.ell
+    return cmath.exp(2j * cmath.pi * phase / ctx.field.ell)
+
+
+def coeff(ctx, subset, dual):
+    """The defining sum hat{1_A}(chi) = (1/|G|) sum_{x in G} 1_A(x)
+    conj(chi(x)): members of the group in sorted-code order, added to an
+    accumulator that starts at +0.0."""
+    ctx._check_dual(dual)
+    sub = set(subset)
+    total = 0j
+    for code in ctx.elements:
+        if code in sub:
+            total += char_value(ctx, dual, code).conjugate()
+    return total / ctx.order
+
+
+def subspaces_bfs(field, group_codes, cap=4096):
+    """All subgroups of the span of group_codes, ascending by (dim, points),
+    by closing a frontier: layer s adds one point of the span to each
+    subgroup of layer s - 1, so it holds every subgroup of dimension s.
+    CapExceeded when the span, or the count after a layer, exceeds cap."""
+    codes = sorted(set(int(c) for c in group_codes))
+    full = span_points(field, codes)
+    if len(full) > cap:
+        raise CapExceeded("subspace enumeration ground set", len(full), cap)
+    seen = {frozenset([0])}
+    frontier = [frozenset([0])]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for g in full:
+                if g in sub:
+                    continue
+                new = frozenset(span_points(field, set(sub) | {g}))
+                if new not in seen:
+                    seen.add(new)
+                    nxt.append(new)
+        frontier = nxt
+        if len(seen) > cap:
+            raise CapExceeded("subspace enumeration", len(seen), cap)
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
 def energy_quadruple_loop(a):

@@ -281,7 +281,7 @@ def test_criterion_07_fourier(capfd):
     ctx = FourierContext.for_generators(f22, [1, 2, 3])
     table = {}
     for dual in point_oracle.dual_vectors(ctx):
-        table[tuple(dual)] = ctx.coeff({1, 2, 3}, dual)
+        table[tuple(dual)] = point_oracle.coeff(ctx, {1, 2, 3}, dual)
     triv = tuple([0] * len(next(iter(table))))
     assert abs(table[triv] - 0.75) <= 1e-12
     for dual, c in table.items():

@@ -1,18 +1,24 @@
 """Field encoding, coordinate-linear maps, and mod-p linear algebra."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import point_oracle as oracle
+from mschemes import gf_linalg
 from mschemes.errors import CapExceeded, IndexOutOfRange, InputError
 from mschemes.gf_linalg import (
     Field,
+    digit_rows,
     enumerate_linmaps,
     is_prime,
     linmap,
     member_mask,
     nullspace_basis_mod,
     projection,
+    radix_digits,
+    radix_weights,
     rank_mod,
     rref_mod,
     span_basis,
@@ -147,6 +153,60 @@ def test_point_ops_respect_point_space_cap(ell, dim, monkeypatch):
     assert f.neg_codes(0) == 0
 
 
+def test_warm_digit_table_still_checks_the_cap(monkeypatch):
+    f = Field(3, 3)
+    assert f.decode_batch([5]).tolist() == [[0, 1, 2]]  # builds the table
+    monkeypatch.setenv("MSCHEME_CAP_TUPLES", "10")
+    for call in (lambda: f.decode_batch([5]), lambda: gf_linalg.digit_rows(3, 3)):
+        with pytest.raises(CapExceeded) as exc:
+            call()
+        assert (exc.value.what, exc.value.needed, exc.value.cap) == ("point space", 27, 10)
+    monkeypatch.setenv("MSCHEME_CAP_TUPLES", "27")
+    assert f.decode_batch([5]).tolist() == [[0, 1, 2]]
+
+
+def test_digit_table_is_read_only():
+    f = Field(3, 3)
+    table = gf_linalg.digit_rows(3, 3)
+    with pytest.raises(ValueError):
+        table[5, 0] = 1
+    assert table[5].tolist() == [0, 1, 2] and f.add_codes(5, 1) == 3
+    # a decoded batch is a copy that the caller may change
+    rows = f.decode_batch([5])
+    rows[0, 0] = 2
+    assert table[5].tolist() == [0, 1, 2]
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_digit_rows_are_product_order(ell, r):
+    grid = digit_rows(ell, r)
+    assert grid.shape == (ell ** r, r)
+    assert grid.tolist() == [list(t) for t in itertools.product(range(ell), repeat=r)]
+    codes = np.arange(ell ** r)
+    assert np.array_equal(radix_digits(codes, ell, r), grid)
+    assert np.array_equal(grid @ radix_weights(ell, r), codes)
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_radix_digits_are_tuple_points(n, k, data):
+    s_codes = tuple(sorted(data.draw(st.sets(st.integers(0, 48), min_size=n, max_size=n))))
+    inst = SchemeInstance(Field(7, 2), s_codes)
+    idx = data.draw(st.lists(st.integers(0, n ** k - 1), max_size=20))
+    digits = radix_digits(np.array(idx, dtype=np.int64), n, k)
+    assert digits.shape == (len(idx), k)
+    assert [tuple(s_codes[p] for p in row) for row in digits.tolist()] == [
+        oracle.tuple_points(inst, i, k) for i in idx]
+    assert np.array_equal(digits @ radix_weights(n, k), np.array(idx, dtype=np.int64))
+    assert inst.tuples_array(k)[idx].tolist() == [
+        list(oracle.tuple_points(inst, i, k)) for i in idx]
+    # the digits of an array of any shape go along a new last axis
+    square = radix_digits(np.arange(n ** k).reshape(n, -1), n, k)
+    assert square.shape == (n, n ** (k - 1), k)
+    assert np.array_equal(square.reshape(-1, k), radix_digits(np.arange(n ** k), n, k))
+
+
 @given(field_ix, st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4))
 def test_tuple_codec_roundtrip(ix, raws):
     f = Field(*FIELDS[ix])
@@ -268,6 +328,8 @@ def test_span_membership():
     codes = [3, 5]
     pts = span_points(f, codes)
     assert len(pts) == 2 ** span_dim(f, codes)
+    assert pts == sorted(set(pts)) and all(type(c) is int for c in pts)
+    assert span_points(f, []) == span_points(f, [0]) == [0]
     basis = span_basis(f, codes)
     for c in range(f.q):
         assert oracle.in_span(f, basis, c) == (c in set(int(p) for p in pts))

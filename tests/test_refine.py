@@ -12,13 +12,14 @@ from mschemes import refine
 from mschemes.addcomb import PointSet
 from mschemes.caps import cap_tuples
 from mschemes.errors import (
+    CapExceeded,
     EnergyTooLow,
     GateUnmet,
     LemmaViolation,
     PreconditionUnmet,
 )
 from mschemes.fourier import FourierContext
-from mschemes.gf_linalg import Field
+from mschemes.gf_linalg import Field, span_dim
 from mschemes.instances import (
     affine_coset_scheme,
     c11_c5_scheme,
@@ -443,3 +444,54 @@ def test_heavy_count_is_taken_before_the_kernel_filter():
                      eps_prime=Fraction(1, 4), max_arity=1, max_prefix=0)
     assert isinstance(gate, TrivialGate) and gate.heavy_total == 1
     assert gate.to_obj()["heavy_before_kernel_filter"] == 1
+
+
+# (ell, dim, generators, number of subgroups of their span)
+SUBSPACE_CASES = [
+    (2, 4, [1, 2, 4, 8], 67),
+    (3, 3, [1, 3, 9], 28),
+    (5, 2, [1, 5], 8),
+    (2, 5, [3, 6, 12, 17], 67),  # a rank-4 span inside F_2^5
+    (3, 4, [1, 10, 31], 28),  # a rank-3 span inside F_3^4
+    (2, 3, [0], 1),
+]
+
+
+def gaussian_binomial(r, s, ell):
+    """Number of s-dimensional subspaces of F_ell^r."""
+    num = den = 1
+    for i in range(s):
+        num *= ell ** (r - i) - 1
+        den *= ell ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("ell, dim, gens, count", SUBSPACE_CASES)
+def test_enumerate_subspaces_matches_bfs_oracle(ell, dim, gens, count):
+    f = Field(ell, dim)
+    got = refine.enumerate_subspaces(f, gens)
+    assert got == oracle.subspaces_bfs(f, gens)
+    r = span_dim(f, gens)
+    per_dim = [gaussian_binomial(r, s, ell) for s in range(r + 1)]
+    assert len(got) == count == sum(per_dim)
+    assert [sum(len(w) == ell ** s for w in got) for s in range(r + 1)] == per_dim
+
+
+@pytest.mark.parametrize("ell, dim, gens, count", SUBSPACE_CASES)
+def test_enumerate_subspaces_caps_match_bfs_oracle(ell, dim, gens, count):
+    # one below the span size, and one below each running count of
+    # subgroups of dimension <= s
+    f = Field(ell, dim)
+    r = span_dim(f, gens)
+    running = [sum(gaussian_binomial(r, j, ell) for j in range(s + 1))
+               for s in range(1, r + 1)]
+    for cap in [ell ** r - 1] + [c - 1 for c in running]:
+        with pytest.raises(CapExceeded) as want:
+            oracle.subspaces_bfs(f, gens, cap=cap)
+        with pytest.raises(CapExceeded) as got:
+            refine.enumerate_subspaces(f, gens, cap=cap)
+        assert str(got.value) == str(want.value)
+        assert (got.value.what, got.value.needed, got.value.cap) == (
+            want.value.what, want.value.needed, want.value.cap)
+    cap = max(count, ell ** r)  # the least cap that lets the enumeration finish
+    assert len(refine.enumerate_subspaces(f, gens, cap=cap)) == count
