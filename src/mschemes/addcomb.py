@@ -112,7 +112,7 @@ def sum_histogram(a: PointSet, b: PointSet):
     """dict z -> #{(x,y) in A x B : x + y = z}."""
     field = _require_same_field(a, b)
     vals, counts = np.unique(_pair_sums(field, a, b), return_counts=True)
-    return {int(z): int(c) for z, c in zip(vals, counts)}
+    return dict(zip(vals.tolist(), counts.tolist()))
 
 
 def diff_histogram(a: PointSet, b: PointSet):

@@ -26,24 +26,29 @@ V^(ell^k) whose column c has the base-ell digits of c as coefficients: its
 coefficient matrix is `digit_rows(ell, k)` transposed (the order of
 `enumerate_linmaps(field, k, 1)`).  The images under tau are its columns
 cols(tau)_j = coeffs[:, j] @ radix_weights(ell, k).  Its n^k * ell^k codes
-count against `cap_tuples()`.  `validate` and `antisym.generator_maps` read
-only `Scheme.map_sweep`, which reads only this table: once per k it turns
-the table, rows in block order, into S-positions P, and the S^k' index of
-tau(x) is then the base-n number of the k' columns cols(tau) of P (-1 when
-one of them is -1).  The maps of each (k, k') run in `enumerate_linmaps`
-order in chunks of T consecutive flat indices, whose coefficients are
-`radix_digits` of those indices in base ell; a chunk is one MapSweep of
-(T, B) per-block statistics, each an axis-1 reduceat over the (T, n^k)
-image array, and T * n^k * k' stays within SWEEP_CHUNK_ENTRIES.  The number
-of maps ell^(k*k') is checked against the map cap before a (k, k') group
-starts, as `enumerate_linmaps` does.
+count against `cap_tuples()`.  Maps are swept only by `_MapGroup.sweep`,
+which reads only this table: once per k the table, rows in block order,
+becomes S-positions P, and the S^k' index of tau(x) is then the base-n
+number of the k' columns cols(tau) of P (-1 when one of them is -1).  A
+(k, k') group's maps have flat indices in `enumerate_linmaps` order, whose
+`radix_digits` in base ell are the coefficients; `sweep` takes any list of
+them and returns one MapSweep of (T, B) per-block statistics, each an
+axis-1 reduceat over the (T, n^k) image array.  `Scheme.map_sweep`, which
+`antisym.generator_maps` reads, sweeps every map in chunks of T consecutive
+indices with T * n^k * k' within SWEEP_CHUNK_ENTRIES.  `validate` sweeps,
+in such chunks, only the least map of each orbit of H_k x H_k' (`map_orbits`,
+H_k from `TuplePartition.coordinate_symmetries`), and reads every other
+map's verdicts from it through a block map.  The number of maps
+ell^(k*k') is checked against the map cap before a (k, k') group starts,
+as `enumerate_linmaps` does.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -160,6 +165,7 @@ class TuplePartition:
     bid: np.ndarray  # shape (n^k,), canonical block ids
 
     _blocks: Optional[list] = dc_field(default=None, repr=False)
+    _symmetries: Optional[tuple] = dc_field(default=None, repr=False)
 
     @staticmethod
     def from_raw(instance: SchemeInstance, arity: int, raw: np.ndarray) -> "TuplePartition":
@@ -199,6 +205,31 @@ class TuplePartition:
 
     def is_discrete(self) -> bool:
         return self.num_blocks == len(self.bid)
+
+    def coordinate_symmetries(self):
+        """H_k and its action on the blocks, as (perms, beta): perms are the
+        permutations sigma of range(k), identity first, that carry every
+        block onto a block, where (sigma x)_i = x_sigma[i]; beta is a
+        read-only (|H_k|, B) array, beta[s, b] the block that perms[s]
+        carries block b onto.  sigma is kept when b -> beta[s, b] is well
+        defined and injective; as sigma permutes S^k, it then carries each
+        block onto its image, and the kept sigma form a group."""
+        if self._symmetries is None:
+            n, k, count = self.instance.n, self.arity, self.num_blocks
+            digits = radix_digits(np.arange(len(self.bid), dtype=np.int64), n, k)
+            weights = radix_weights(n, k)
+            perms, maps = [], []
+            for sigma in itertools.permutations(range(k)):
+                image = self.bid[digits[:, sigma] @ weights]
+                beta = np.empty(count, dtype=np.int64)
+                beta[self.bid] = image
+                if (beta[self.bid] == image).all() and len(unique_sorted(beta)) == count:
+                    perms.append(sigma)
+                    maps.append(beta)
+            beta = np.stack(maps)
+            beta.flags.writeable = False
+            self._symmetries = (tuple(perms), beta)
+        return self._symmetries
 
     def refines(self, other: "TuplePartition") -> bool:
         """True if every block of self lies inside a block of other."""
@@ -246,9 +277,8 @@ class Violation:
 
 @dataclass
 class MapSweep:
-    """How T consecutive maps tau: V^k -> V^k' carry the blocks of S^k: the
-    next T maps of the (k, k') group in `enumerate_linmaps` order, tau t
-    having coefficient matrix coeffs[t].  Row t of `images` is the
+    """How T maps tau: V^k -> V^k' of one (k, k') group carry the blocks of
+    S^k, tau t having coefficient matrix coeffs[t].  Row t of `images` is the
     S^k' index of tau_t(x) (-1 outside S^k') over the tuples of S^k in
     block order, block b at columns [starts[b], starts[b] + sizes[b]); every
     other array is (T, B), entry [t, b] for tau t on block b."""
@@ -269,6 +299,115 @@ class MapSweep:
     def tau(self, t: int) -> LinMap:
         """Map t of the chunk."""
         return linmap(self.coeffs[t].tolist())
+
+    def bad(self) -> np.ndarray:
+        """(T, B): whether tau t breaks P1 or P2 on block b."""
+        return (self.inside > 0) & ((self.inside < self.sizes) | (self.target < 0)
+                                    | (self.distinct != self.target_size)
+                                    | (self.fibre_min != self.fibre_max))
+
+
+class _MapGroup(NamedTuple):
+    """The maps V^k -> V^k' of one (k, k') group, flat indices 0..total-1,
+    against the tuples of S^k in block order (`MapSweep`)."""
+
+    k: int
+    kp: int
+    total: int
+    ell: int
+    n: int
+    starts: np.ndarray     # (B,) level-k blocks
+    sizes: np.ndarray      # (B,)
+    row_block: np.ndarray  # (N,) block of each tuple in block order
+    pos_t: np.ndarray      # (ell^k, N) S-positions of the map table columns
+    bid_kp: np.ndarray     # level-k' block ids, then -1
+    kp_sizes: np.ndarray   # level-k' block sizes, then 0
+
+    def step(self) -> int:
+        """Maps per chunk: T * n^k * k' <= SWEEP_CHUNK_ENTRIES, at least one."""
+        return max(1, SWEEP_CHUNK_ENTRIES // (len(self.row_block) * self.kp))
+
+    def sweep(self, flat: np.ndarray) -> MapSweep:
+        """The MapSweep of the maps with these flat indices, in this order."""
+        n, kp, starts = self.n, self.kp, self.starts
+        coeffs = radix_digits(flat, self.ell, self.k * kp).reshape(-1, self.k, kp)
+        cols = np.einsum("tij,i->tj", coeffs, radix_weights(self.ell, self.k))
+        img = np.zeros((len(flat), len(self.row_block)), dtype=np.int64)
+        outside = np.zeros(img.shape, dtype=bool)
+        for j in range(kp):
+            p = self.pos_t[cols[:, j]]
+            outside |= p < 0
+            img *= n
+            img += p
+        img[outside] = -1
+        inside = ~outside
+        tgt = self.bid_kp[img]
+        lo = np.minimum.reduceat(tgt, starts, axis=1)
+        target = np.where(lo == np.maximum.reduceat(tgt, starts, axis=1), lo, -1)
+        # runs of equal (block, image) keys in a row are the fibres
+        # (keys < n^k * width < 2^63, width = n^k' + 1); every row starts a run
+        key = np.sort(self.row_block * (n ** kp + 1) + img + 1, axis=1)
+        new = np.ones(key.shape, dtype=bool)
+        np.not_equal(key[:, 1:], key[:, :-1], out=new[:, 1:])
+        distinct = np.add.reduceat(new, starts, axis=1, dtype=np.int64)
+        runs = np.diff(np.flatnonzero(new), append=new.size)
+        run_starts = np.cumsum(distinct) - distinct.ravel()
+        return MapSweep(
+            self.k, kp, coeffs, starts, self.sizes, img,
+            np.add.reduceat(inside, starts, axis=1, dtype=np.int64), target,
+            self.kp_sizes[target], distinct,
+            np.minimum.reduceat(runs, run_starts).reshape(distinct.shape),
+            np.maximum.reduceat(runs, run_starts).reshape(distinct.shape))
+
+
+def map_orbits(field: Field, k: int, kp: int, h_k: tuple, h_kp: tuple):
+    """The orbits of H_k x H_k' on the maps V^k -> V^k', as read-only arrays
+    (reps, rep_row, via) over flat indices in `enumerate_linmaps` order.
+
+    h_k and h_kp are groups of permutations of range(k) and range(k'), as
+    `TuplePartition.coordinate_symmetries` gives them.  reps lists the least
+    flat index of each orbit, ascending.  Map tau has representative
+    R = reps[rep_row[tau]], and with sigma = h_k[via[tau]] there is pi in
+    h_kp such that R[i, j] = tau[sigma[i], pi[j]] for the coefficient
+    matrices: R(sigma x) = pi(tau(x)), where (sigma x)_i = x_sigma[i] and
+    (pi y)_j = y_pi[j].  The map count is checked against the map cap first,
+    also when the table is cached."""
+    linmap_count(field, k, kp)
+    return _map_orbits(field.ell, k, kp, h_k, h_kp)
+
+
+@lru_cache(maxsize=64)
+def _map_orbits(ell: int, k: int, kp: int, h_k: tuple, h_kp: tuple):
+    total = ell ** (k * kp)
+    weights = radix_weights(ell, k * kp)
+    cells = np.arange(k * kp).reshape(k, kp)  # digit of coefficient (i, j)
+    step = max(1, SWEEP_CHUNK_ENTRIES // (k * kp))
+    chunks = [np.arange(first, min(first + step, total), dtype=np.int64)
+              for first in range(0, total, step)]
+    # least image of each map under its column permutations by pi ...
+    by_pi = np.arange(total, dtype=np.int64)
+    for flat in chunks:
+        digits = radix_digits(flat, ell, k * kp)
+        for pi in h_kp:
+            image = digits[:, cells[:, pi].ravel()] @ weights
+            np.minimum(by_pi[flat], image, out=image)
+            by_pi[flat] = image
+    # ... then the least of those over its row permutations by sigma
+    rep = by_pi.copy()
+    via = np.zeros(total, dtype=np.int64)
+    for flat in chunks:
+        digits = radix_digits(flat, ell, k * kp)
+        best, arg = rep[flat], via[flat]
+        for s, sigma in enumerate(h_k):
+            image = by_pi[digits[:, cells[sigma, :].ravel()] @ weights]
+            less = image < best
+            best[less], arg[less] = image[less], s
+        rep[flat], via[flat] = best, arg
+    reps = unique_sorted(rep)
+    rep_row = np.searchsorted(reps, rep)
+    for arr in (reps, rep_row, via):
+        arr.flags.writeable = False
+    return reps, rep_row, via
 
 
 @dataclass
@@ -389,11 +528,10 @@ class Scheme:
 
     # ---- axiom validation --------------------------------------------
 
-    def map_sweep(self):
-        """Yield a MapSweep per chunk of consecutive maps: k, then k' over
-        1..m, tau in `enumerate_linmaps` order, all read from one map table
-        per k.  A chunk holds T maps with T * n^k * k' <= SWEEP_CHUNK_ENTRIES
-        (at least one map)."""
+    def _map_groups(self):
+        """Yield a _MapGroup per (k, k'): k, then k' over 1..m, all read from
+        one map table per k, and each group's map count checked against the
+        map cap before it is yielded."""
         inst = self.instance
         ell, n = inst.field.ell, inst.n
         for k in range(1, self.m + 1):
@@ -404,59 +542,60 @@ class Scheme:
             # (ell^k, N): row c holds the S-positions of column c of the table
             pos_t = np.ascontiguousarray(
                 inst.pos(inst.map_table(k)[np.concatenate(blocks)]).T)
-            size_n = len(row_block)
-            weights = radix_weights(ell, k)
             for kp in range(1, self.m + 1):
                 total = linmap_count(inst.field, k, kp)
                 bid_kp = np.append(self.level(kp).bid, -1)  # index -1 reads -1
-                kp_sizes = np.append(np.bincount(bid_kp[:-1]), 0)
-                width = n ** kp + 1
-                step = max(1, SWEEP_CHUNK_ENTRIES // (size_n * kp))
-                for first in range(0, total, step):
-                    flat = np.arange(first, min(first + step, total), dtype=np.int64)
-                    coeffs = radix_digits(flat, ell, k * kp).reshape(-1, k, kp)
-                    cols = np.einsum("tij,i->tj", coeffs, weights)
-                    img = np.zeros((len(flat), size_n), dtype=np.int64)
-                    outside = np.zeros(img.shape, dtype=bool)
-                    for j in range(kp):
-                        p = pos_t[cols[:, j]]
-                        outside |= p < 0
-                        img *= n
-                        img += p
-                    img[outside] = -1
-                    inside = ~outside
-                    tgt = bid_kp[img]
-                    lo = np.minimum.reduceat(tgt, starts, axis=1)
-                    target = np.where(lo == np.maximum.reduceat(tgt, starts, axis=1), lo, -1)
-                    # runs of equal (block, image) keys in a row are the fibres
-                    # (keys < n^k * width < 2^63); every row starts a run
-                    key = np.sort(row_block * width + img + 1, axis=1)
-                    new = np.ones(key.shape, dtype=bool)
-                    np.not_equal(key[:, 1:], key[:, :-1], out=new[:, 1:])
-                    distinct = np.add.reduceat(new, starts, axis=1, dtype=np.int64)
-                    runs = np.diff(np.flatnonzero(new), append=new.size)
-                    run_starts = np.cumsum(distinct) - distinct.ravel()
-                    yield MapSweep(
-                        k, kp, coeffs, starts, sizes, img,
-                        np.add.reduceat(inside, starts, axis=1, dtype=np.int64), target,
-                        kp_sizes[target], distinct,
-                        np.minimum.reduceat(runs, run_starts).reshape(distinct.shape),
-                        np.maximum.reduceat(runs, run_starts).reshape(distinct.shape))
+                yield _MapGroup(k, kp, total, ell, n, starts, sizes, row_block, pos_t,
+                                bid_kp, np.append(np.bincount(bid_kp[:-1]), 0))
+
+    def map_sweep(self):
+        """Yield a MapSweep per chunk of consecutive maps: k, then k' over
+        1..m, tau in `enumerate_linmaps` order, all read from one map table
+        per k.  A chunk holds T maps with T * n^k * k' <= SWEEP_CHUNK_ENTRIES
+        (at least one map)."""
+        for group in self._map_groups():
+            step = group.step()
+            for first in range(0, group.total, step):
+                yield group.sweep(np.arange(first, min(first + step, group.total),
+                                            dtype=np.int64))
 
     def validate(self, max_violations: int = 16) -> ValidationReport:
         """Exhaustive P1/P2 check of every block under every coordinate-linear
-        map, in (k, k', tau, block) order; stops at max_violations."""
+        map, in (k, k', tau, block) order; stops at max_violations.
+
+        Only one map per orbit of H_k x H_k' is swept, H_k being the
+        coordinate permutations that carry the blocks of S^k onto blocks
+        (`TuplePartition.coordinate_symmetries`).  Lemma: let R(sigma x) =
+        pi(tau(x)) for all x, with sigma in H_k and pi in H_k'.  sigma
+        carries block B onto a block sigma(B), and pi carries S^k' and its
+        blocks onto themselves, sizes kept; so R on sigma(B) has the inside
+        count, target block size, distinct images and fibre sizes of tau on
+        B, and breaks an axiom exactly when tau does on B.  Each
+        (map, block) verdict is read from its representative that way, so
+        every pair is still decided; a reported violation sweeps its own map
+        once for the detail string."""
         violations = []
         checked = 0
-        for sw in self.map_sweep():
-            bad = (sw.inside > 0) & ((sw.inside < sw.sizes) | (sw.target < 0)
-                                     | (sw.distinct != sw.target_size)
-                                     | (sw.fibre_min != sw.fibre_max))
-            for t, b in zip(*(axis.tolist() for axis in np.nonzero(bad))):
-                violations.append(Violation(sw.k, sw.kp, sw.tau(t), b, self._detail(sw, t, b)))
-                if len(violations) >= max_violations:
-                    return ValidationReport(False, checked + t + 1, violations)
-            checked += len(sw.coeffs)
+        for group in self._map_groups():
+            k, kp = group.k, group.kp
+            h_k, beta = self.level(k).coordinate_symmetries()
+            reps, rep_row, via = map_orbits(self.field, k, kp, h_k,
+                                            self.level(kp).coordinate_symmetries()[0])
+            step = group.step()
+            bad_rep = np.concatenate([group.sweep(reps[i:i + step]).bad()
+                                      for i in range(0, len(reps), step)])
+            rows = max(1, SWEEP_CHUNK_ENTRIES // beta.shape[1])
+            swept, sw = -1, None  # the last map swept for a detail string
+            for first in range(0, group.total, rows):
+                flat = np.arange(first, min(first + rows, group.total), dtype=np.int64)
+                bad = bad_rep[rep_row[flat, None], beta[via[flat]]]
+                for t, b in zip(*(axis.tolist() for axis in np.nonzero(bad))):
+                    if swept != first + t:
+                        swept, sw = first + t, group.sweep(flat[t:t + 1])
+                    violations.append(Violation(k, kp, sw.tau(0), b, self._detail(sw, 0, b)))
+                    if len(violations) >= max_violations:
+                        return ValidationReport(False, checked + t + 1, violations)
+                checked += len(flat)
         return ValidationReport(not violations, checked, violations)
 
     def _detail(self, sw: "MapSweep", t: int, b: int) -> str:

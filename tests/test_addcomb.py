@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -74,6 +75,20 @@ def test_sum_histogram_and_negate_definition(a_codes, b_codes):
             expect[z] = expect.get(z, 0) + 1
     assert list(sum_histogram(a, b).items()) == sorted(expect.items())
     assert negate(a).codes == tuple(sorted({oracle.neg(F32, x) for x in a_codes}))
+
+
+def test_sum_histogram_keys_and_counts_are_python_ints():
+    # the dict built from numpy scalars one by one, as it was built before
+    rng = random.Random(7)
+    f = Field(2, 9)
+    for size in (1, 2, 17, 264):
+        a = ps(f, rng.sample(range(f.q), size))
+        b = ps(f, rng.sample(range(f.q), max(1, size // 2)))
+        hist = sum_histogram(a, b)
+        vals, counts = np.unique(addcomb._pair_sums(f, a, b), return_counts=True)
+        assert hist == {int(z): int(c) for z, c in zip(vals, counts)}
+        assert list(hist) == sorted(hist)
+        assert all(type(z) is int and type(c) is int for z, c in hist.items())
 
 
 @given(subsets32, subsets32)

@@ -2,7 +2,10 @@
 `generator_maps` agree with `scheme_oracle` on every instance builder, on
 corrupted levels that show all four violation kinds, and at every early
 stop, also when the chunk bound puts one map in each sweep record or splits
-a (k, k') group mid-way."""
+a (k, k') group mid-way.  Corruptions that keep a nontrivial group H_k of
+block-preserving coordinate permutations send `validate` through its orbit
+expansion with violations; H_k and the orbit table are checked directly."""
+import itertools
 import random
 
 import numpy as np
@@ -50,16 +53,63 @@ def _as_tuple_indices(sch, gens):
             for src, dst, mapping, step in gens]
 
 
+def _with_level(sch, k, raw):
+    """sch with its level k replaced by the partition with block ids raw."""
+    levels = {j: sch.level(j) for j in range(1, sch.m + 1)}
+    levels[k] = TuplePartition.from_raw(sch.instance, k, raw)
+    return Scheme(sch.instance, sch.m, levels=list(levels.values()))
+
+
 def _corrupt(sch, seed):
     """Move a few tuples of one random level to other (or new) blocks."""
     rng = random.Random(seed)
-    levels = {k: sch.level(k) for k in range(1, sch.m + 1)}
-    k = rng.choice(sorted(levels))
-    raw = levels[k].bid.copy()
+    k = rng.choice(range(1, sch.m + 1))
+    raw = sch.level(k).bid.copy()
     for _ in range(rng.choice([1, 2, 5])):
-        raw[rng.randrange(len(raw))] = rng.randrange(levels[k].num_blocks + 1)
-    levels[k] = TuplePartition.from_raw(sch.instance, k, raw)
-    return Scheme(sch.instance, sch.m, levels=list(levels.values()))
+        raw[rng.randrange(len(raw))] = rng.randrange(sch.level(k).num_blocks + 1)
+    return _with_level(sch, k, raw)
+
+
+def _orbit_moved(sch, seed):
+    """Move the whole Sym(k)-orbit of a random tuple of a random level
+    k >= 2 to a new block: every coordinate permutation still carries
+    blocks onto blocks."""
+    rng = random.Random(seed)
+    k = rng.randrange(2, sch.m + 1)
+    n = sch.instance.n
+    raw = sch.level(k).bid.copy()
+    x = gf_linalg.radix_digits(rng.randrange(n ** k), n, k)
+    orbit = [int(x[list(sigma)] @ gf_linalg.radix_weights(n, k))
+             for sigma in itertools.permutations(range(k))]
+    raw[orbit] = raw.max() + 1
+    return _with_level(sch, k, raw)
+
+
+def _level3_merged(sch, cyclic):
+    """Merge a few tuples of S^3, given by S-positions, into one new block:
+    (0, 1, 2) and (1, 0, 2), which the transposition (0 1) keeps and the
+    other nontrivial permutations carry to tuples of other blocks; or the
+    rotations of (0, 1, 2) and (0, 0, 1), which the 3-cycles keep and
+    whose image under a transposition meets the merged block without
+    being it."""
+    members = ([(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+               if cyclic else [(0, 1, 2), (1, 0, 2)])
+    raw = sch.level(3).bid.copy()
+    raw[np.array(members) @ gf_linalg.radix_weights(sch.instance.n, 3)] = raw.max() + 1
+    return _with_level(sch, 3, raw)
+
+
+SUBGROUPS = {False: {(0, 1, 2), (1, 0, 2)}, True: {(0, 1, 2), (1, 2, 0), (2, 0, 1)}}
+
+
+def _symmetric_corruptions():
+    """(corrupted scheme, H_3 it keeps) on m = 3 builders."""
+    gl2 = BUILDERS["gl2-m3"]()
+    for seed in (0, 1, 3):  # seed 2 repeats seed 1's tuple
+        yield _orbit_moved(gl2, seed), set(itertools.permutations(range(3)))
+    for sch in (gl2, BUILDERS["singer7-m3"]()):
+        for cyclic in (False, True):
+            yield _level3_merged(sch, cyclic), SUBGROUPS[cyclic]
 
 
 @pytest.mark.parametrize("label", sorted(BUILDERS))
@@ -91,6 +141,11 @@ def _check_corrupted_levels():
             kinds |= {kind for v in full.violations for kind in KINDS if kind in v.detail}
             assert _as_tuple_indices(bad, generator_maps(bad)) == oracle.generator_maps(bad)
     assert kinds == set(KINDS) and early_stops == {1, 3, 16}
+    for bad, h_3 in _symmetric_corruptions():
+        assert set(bad.level(3).coordinate_symmetries()[0]) == h_3
+        for cap in (1, 3, 16, 10 ** 6):
+            _same_report(bad.validate(cap), oracle.validate(bad, cap))
+        assert len(bad.validate(10 ** 6).violations) > 16
 
 
 def test_mixed_in_s_violation_names_its_arity():
@@ -182,3 +237,98 @@ def test_map_table_counts_against_tuple_cap(monkeypatch, gl2_m3):
         gl2_m3.validate()
     assert exc.value.what == "map table S^3 x F_2^3"
     assert (exc.value.needed, exc.value.cap) == (216, 100)
+
+
+def _check_block_maps(part, perms, beta):
+    """perms is a group with the identity first, and each perms[s] carries
+    every block b exactly onto block beta[s, b] of the same size."""
+    k = part.arity
+    n = part.instance.n
+    assert perms[0] == tuple(range(k))
+    assert all(tuple(s[i] for i in r) in perms for s in perms for r in perms)
+    digits = gf_linalg.radix_digits(np.arange(len(part.bid)), n, k)
+    sizes = np.bincount(part.bid)
+    assert beta.shape == (len(perms), part.num_blocks)
+    for sigma, block_map in zip(perms, beta):
+        image = part.bid[digits[:, list(sigma)] @ gf_linalg.radix_weights(n, k)]
+        assert sorted(block_map.tolist()) == list(range(part.num_blocks))
+        assert np.array_equal(image, block_map[part.bid])
+        assert np.array_equal(sizes[block_map], sizes)
+
+
+@pytest.mark.parametrize("label", sorted(BUILDERS))
+def test_coordinate_symmetries_of_every_builder_are_all_permutations(label):
+    sch = BUILDERS[label]()
+    for k in range(1, sch.m + 1):
+        perms, beta = sch.level(k).coordinate_symmetries()
+        assert perms == tuple(itertools.permutations(range(k)))
+        _check_block_maps(sch.level(k), perms, beta)
+        assert not beta.flags.writeable
+
+
+def test_corruption_shrinks_the_coordinate_symmetries():
+    shrunk = 0
+    for label in ("gl2-m3", "gl3-m2", "gl-f3-m2", "signed-perm-m2", "c11c5-m2"):
+        sch = BUILDERS[label]()
+        for seed in range(4):
+            bad = _corrupt(sch, seed)
+            for k in range(1, bad.m + 1):
+                perms, beta = bad.level(k).coordinate_symmetries()
+                _check_block_maps(bad.level(k), perms, beta)
+                shrunk += len(perms) < len(sch.level(k).coordinate_symmetries()[0])
+    assert shrunk > 0
+
+
+def _orbits_by_brute_force(ell, k, kp, h_k, h_kp):
+    """Least flat index of each map's orbit under C -> C[sigma][:, pi]."""
+    weights = gf_linalg.radix_weights(ell, k * kp)
+    coeffs = gf_linalg.radix_digits(np.arange(ell ** (k * kp)), ell, k * kp).reshape(-1, k, kp)
+    return np.array([min(int(c[list(s)][:, list(p)].ravel() @ weights)
+                         for s in h_k for p in h_kp) for c in coeffs])
+
+
+def test_map_orbits_are_the_orbits_and_name_their_permutation():
+    sym = lambda k: tuple(itertools.permutations(range(k)))
+    counts = []
+    for k, kp in itertools.product((1, 2, 3), repeat=2):
+        counts.append(len(scheme_core.map_orbits(Field(2, 2), k, kp, sym(k), sym(kp))[0]))
+    # 85 orbits for the 682 maps of depth 3 over F_2
+    assert counts == [2, 3, 4, 3, 7, 13, 4, 13, 36]
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    for ell, k, kp, h_k, h_kp in ((2, 3, 3, sym(3), sym(3)), (2, 3, 2, cyclic, sym(2)),
+                                  (2, 2, 3, sym(2), SUBGROUPS[False]), (3, 2, 2, sym(2), sym(2))):
+        h_kp = tuple(sorted(h_kp))
+        reps, rep_row, via = scheme_core.map_orbits(Field(ell, 1), k, kp, h_k, h_kp)
+        least = _orbits_by_brute_force(ell, k, kp, h_k, h_kp)
+        assert np.array_equal(reps[rep_row], least)
+        assert np.array_equal(reps, np.unique(least))
+        coeffs = gf_linalg.radix_digits(np.arange(len(least)), ell, k * kp).reshape(-1, k, kp)
+        for c, r, s in zip(coeffs, coeffs[reps[rep_row]], via):
+            assert any(np.array_equal(r, c[list(h_k[s])][:, list(p)]) for p in h_kp)
+
+
+def test_orbit_table_is_cached_bounded_and_read_only():
+    sym = lambda k: tuple(itertools.permutations(range(k)))
+    table = scheme_core.map_orbits(Field(2, 2), 2, 3, sym(2), sym(3))
+    again = scheme_core.map_orbits(Field(2, 4), 2, 3, sym(2), sym(3))
+    assert all(a is b for a, b in zip(table, again))  # same ell, k, k' and groups
+    assert scheme_core._map_orbits.cache_info().maxsize is not None
+    for arr in table:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_warm_orbit_table_still_checks_the_caps(monkeypatch, gl2_m3):
+    # every (k, k') table of gl2-m3 is cached after one validate
+    assert gl2_m3.validate().ok
+    monkeypatch.setattr(gf_linalg, "DEFAULT_CAP_MAPS", 15)
+    sym2 = tuple(itertools.permutations(range(2)))
+    for run in (gl2_m3.validate, lambda: scheme_core.map_orbits(gl2_m3.field, 2, 2, sym2, sym2)):
+        with pytest.raises(CapExceeded) as exc:
+            run()
+        assert (exc.value.what, exc.value.needed, exc.value.cap) == ("linear maps 2->2", 16, 15)
+    monkeypatch.undo()
+    monkeypatch.setenv("MSCHEME_CAP_TUPLES", "100")
+    with pytest.raises(CapExceeded) as exc:
+        gl2_m3.validate()
+    assert (exc.value.what, exc.value.needed, exc.value.cap) == ("map table S^3 x F_2^3", 216, 100)
