@@ -5,7 +5,6 @@ nothing here touches floating point.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -13,34 +12,44 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyReference, FieldMismatch, InputError, PreconditionUnmet
-from .gf_linalg import Field, span_points, unique_sorted
+from .gf_linalg import Field, member_mask, span_points, unique_sorted
 
 # comparisons per chunk of the energy oracle's quadruple count: its boolean
 # temporary stays near 8 MB whatever |A| is
 ORACLE_CHUNK = 1 << 23
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """A finite subset of F_ell^dim, stored as sorted point codes."""
+    """A finite subset of F_ell^dim, stored as its point codes: one sorted,
+    duplicate-free, read-only int64 array."""
 
     field: Field
-    codes: tuple
+    codes: np.ndarray
+
+    def __post_init__(self):
+        self.codes.flags.writeable = False
 
     @staticmethod
     def from_codes(field: Field, codes: Iterable[int]) -> "PointSet":
-        cs = sorted(set(int(c) for c in codes))
-        if cs and (cs[0] < 0 or cs[-1] >= field.q):
-            bad = cs[0] if cs[0] < 0 else cs[bisect_left(cs, field.q)]
+        """The set of the given codes.  InputError names the least code
+        outside [0, q), also when it lies beyond int64: codes that numpy
+        would not hold as integers (it makes floats of [-1, 2**63]) are held
+        as Python ints until the range check."""
+        cs = codes if isinstance(codes, np.ndarray) else list(codes)
+        arr = np.asarray(cs)
+        cs = unique_sorted(arr if arr.dtype.kind in "iu" else np.array(cs, dtype=object))
+        if len(cs) and (cs[0] < 0 or cs[-1] >= field.q):
+            bad = cs[0] if cs[0] < 0 else cs[np.searchsorted(cs, field.q)]
             raise InputError(f"point code {bad} outside field")
-        return PointSet(field, tuple(cs))
+        return PointSet(field, cs.astype(np.int64))
 
     def __len__(self):
         return len(self.codes)
 
     def __contains__(self, code):
-        i = bisect_left(self.codes, code)
-        return i < len(self.codes) and self.codes[i] == code
+        i = np.searchsorted(self.codes, code)
+        return bool(i < len(self.codes) and self.codes[i] == code)
 
 
 def _require_same_field(*sets: PointSet):
@@ -53,19 +62,16 @@ def _require_same_field(*sets: PointSet):
 
 def _pair_sums(field: Field, a: PointSet, b: PointSet) -> np.ndarray:
     """Flat array of x + y over (x, y) in A x B, x-major."""
-    xs = np.asarray(a.codes, dtype=np.int64)
-    ys = np.asarray(b.codes, dtype=np.int64)
-    return field.add_codes(xs[:, None], ys[None, :]).reshape(-1)
+    return field.add_codes(a.codes[:, None], b.codes[None, :]).reshape(-1)
 
 
 def sumset(a: PointSet, b: PointSet) -> PointSet:
     field = _require_same_field(a, b)
-    return PointSet(field, tuple(unique_sorted(_pair_sums(field, a, b)).tolist()))
+    return PointSet(field, unique_sorted(_pair_sums(field, a, b)))
 
 
 def negate(a: PointSet) -> PointSet:
-    codes = a.field.neg_codes(np.asarray(a.codes, dtype=np.int64))
-    return PointSet(a.field, tuple(unique_sorted(codes).tolist()))
+    return PointSet(a.field, unique_sorted(a.field.neg_codes(a.codes)))
 
 
 def difference_set(a: PointSet, b: PointSet) -> PointSet:
@@ -84,23 +90,22 @@ def iterated_sumset(k: int, a: PointSet) -> PointSet:
 
 def symmetrized(a: PointSet) -> PointSet:
     """A^± = A ∪ (−A) ∪ {0}."""
-    return PointSet.from_codes(a.field, set(a.codes) | set(negate(a).codes) | {0})
+    return PointSet(a.field, unique_sorted(np.concatenate([a.codes, negate(a).codes, [0]])))
 
 
 def subgroup_generated(a: PointSet) -> PointSet:
     """⟨A⟩: over a prime field this is the F_ell-span."""
-    if not a.codes:
+    if not len(a):
         raise EmptyReference("subgroup generated by empty set")
-    return PointSet(a.field, tuple(span_points(a.field, a.codes)))
+    return PointSet(a.field, np.array(span_points(a.field, a.codes), dtype=np.int64))
 
 
 def density_in(a: PointSet, b: PointSet) -> Fraction:
     """mu_B(A) = |A ∩ B| / |B|, exact."""
     _require_same_field(a, b)
-    if not b.codes:
+    if not len(b):
         raise EmptyReference("density relative to empty set")
-    inter = len(set(a.codes) & set(b.codes))
-    return Fraction(inter, len(b.codes))
+    return Fraction(int(member_mask(a.codes, b.codes).sum()), len(b))
 
 
 def density(a: PointSet) -> Fraction:
@@ -139,7 +144,7 @@ def additive_energy_oracle(a: PointSet) -> int:
     """
     field = a.field
     n = len(a.codes)
-    digs = np.array([field.decode(c) for c in a.codes], dtype=np.int64)
+    digs = np.array([field.decode(c) for c in a.codes.tolist()], dtype=np.int64)
     digs = digs.reshape(n, field.dim)
     weights = field.ell ** np.arange(field.dim - 1, -1, -1, dtype=np.int64)
     sums = ((digs[:, None, :] + digs[None, :, :]) % field.ell) @ weights
@@ -153,23 +158,21 @@ def additive_energy_oracle(a: PointSet) -> int:
 
 def is_coset(a: PointSet) -> bool:
     """True iff A is a coset of a subgroup of V."""
-    if not a.codes:
+    if not len(a):
         return False
-    field = a.field
-    shifted = set(field.sub_codes(np.asarray(a.codes, dtype=np.int64),
-                                  a.codes[0]).tolist())
-    return shifted == set(span_points(field, shifted))
+    shifted = unique_sorted(a.field.sub_codes(a.codes, a.codes[0]))
+    return shifted.tolist() == span_points(a.field, shifted)
 
 
 def covering_number(a: PointSet, cap: int = 10 ** 4) -> int:
     """Least h with h * A^± = ⟨A⟩ (h-fold sumset of the symmetrized set)."""
-    if not a.codes:
+    if not len(a):
         raise EmptyReference("covering number of empty set")
-    target = set(subgroup_generated(a).codes)
+    target = subgroup_generated(a).codes
     apm = symmetrized(a)
     cur = apm
     h = 1
-    while set(cur.codes) != target:
+    while not np.array_equal(cur.codes, target):
         h += 1
         if h > cap:
             raise PreconditionUnmet("covering-terminates", "cap hit")
@@ -197,7 +200,7 @@ def check_freiman_ruzsa(a: PointSet, K: Fraction | None = None):
     |⟨A⟩|^q <= ell^{2p} * |A|^q  (integer arithmetic, no rounding).
     Returns (K, ok).
     """
-    if not a.codes:
+    if not len(a):
         raise EmptyReference("growth check on empty set")
     dbl = len(sumset(a, a))
     if K is None:
@@ -215,7 +218,7 @@ def check_freiman_ruzsa(a: PointSet, K: Fraction | None = None):
 def check_plunnecke(a: PointSet, b: PointSet, k: int, K: Fraction | None = None):
     """|A+B| <= K|A| forces |kB| <= K^k |A|; exact check. Returns (K, ok)."""
     _require_same_field(a, b)
-    if not a.codes or not b.codes:
+    if not len(a) or not len(b):
         raise EmptyReference("growth check on empty set")
     ab = len(sumset(a, b))
     if K is None:

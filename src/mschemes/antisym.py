@@ -22,7 +22,7 @@ import numpy as np
 from .caps import DEFAULT_BUDGET_SATURATION
 from .errors import (DepthExhausted, IndexOutOfRange, InputError, LemmaViolation,
                      PreconditionUnmet)
-from .gf_linalg import LinMap, linmap
+from .gf_linalg import LinMap, linmap, unique_sorted
 from .scheme_core import Scheme
 
 
@@ -301,7 +301,7 @@ def halving_step(sch: Scheme, b: int, x: int, y: int):
     1 < |B'| <= |B|/2.  Returns (fibred scheme, block id of y, |B'|)."""
     if sch.m < 2:
         raise DepthExhausted("halving needs depth >= 2")
-    block = set(sch.level1_block_set(b))
+    block = sch.level1_block_set(b)
     if x not in block or y not in block or x == y:
         raise InputError("x, y must be distinct members of the block")
     fib = sch.fiber((x,))
@@ -352,19 +352,19 @@ def depth_measure(sch: Scheme, b: int) -> DepthTrace:
                 f"depth exhausted with tracked block of size {len(block)}", trace
             )
         best = None
-        for x in block:
+        for x in block.tolist():
             fib = cur.fiber((x,))
             bid = fib.level(1).bid
-            others = [y for y in block if y != x]
+            others = block[block != x]
             ids = bid[pos(others)]
             sizes = np.bincount(bid)
-            cand = (int(sizes[ids].max()), x, fib, others, ids.tolist(), sizes)
+            cand = (int(sizes[ids].max()), x, fib, others, ids, sizes)
             if best is None or cand[0] < best[0]:
                 best = cand
         _, x, fib, others, ids, sizes = best
-        new_ids = set(ids)
+        new_ids = unique_sorted(ids).tolist()
         tracked_id = max(new_ids, key=lambda i: (sizes[i], -i))
-        tracked = [y for y, i in zip(others, ids) if i == tracked_id]
+        tracked = others[ids == tracked_id]
         steps.append(
             DepthTraceStep(x, tuple(sorted((int(sizes[i]) for i in new_ids), reverse=True)), len(tracked))
         )

@@ -66,7 +66,17 @@ def _field(args) -> Field:
 
 
 def _parse_codes(text: str):
-    return [int(t) for t in text.replace(",", " ").split()]
+    """Point codes from a comma- or space-separated list; InputError names a
+    token that is not an integer or lies outside int64."""
+    codes = []
+    for token in text.replace(",", " ").split():
+        try:
+            codes.append(int(token))
+        except ValueError:
+            raise InputError(f"point code {token!r} is not an integer") from None
+        if not -2 ** 63 <= codes[-1] < 2 ** 63:
+            raise InputError(f"point code {token} outside int64")
+    return codes
 
 
 def _load_scheme(args) -> Scheme:

@@ -8,6 +8,8 @@ carrier order come from the scheme core.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .gf_linalg import Field
@@ -164,6 +166,16 @@ def mul_coset_scheme(ell: int, dsub: int, c: int, w: int, coset_pow: int,
     return build_orbit_scheme(G, [seed], m, materialize=False)
 
 
+# (builder, arguments, K, branch): `refine.partial_sumset_search` on block 0
+# of the built scheme at K ends in the named case-3 branch, at arity 1
+CASE3_INSTANCES = [
+    (mul_coset_scheme, (2, 10, 33, 0, 0, 12), Fraction(4), "case3-trim"),
+    (mul_coset_scheme, (2, 8, 17, 0, 0, 12), Fraction(5, 2), "case3-trim"),
+    (mul_coset_scheme, (3, 5, 22, 0, 0, 12), Fraction(3), "case3-trim"),
+    (c11_c5_scheme, (14, True), Fraction(9, 4), "case3-exit"),
+]
+
+
 # candidate grid for the sumset-gate scan: (ell, dsub, c, w, coset_pow)
 SHRINK_CANDIDATES = [
     (ell, dsub, c, w, p)
@@ -184,12 +196,10 @@ SHRINK_CANDIDATES = [
 
 def shrink_gate_holds(sch: Scheme, K) -> bool:
     """K|B| <= |B+B| <= |B|^2/K for the full carrier (A = B at arity 1)."""
-    from fractions import Fraction
-
     from .addcomb import PointSet, sumset
 
     K = Fraction(K)
-    b = PointSet.from_codes(sch.field, sch.s_codes)
+    b = PointSet.from_codes(sch.field, sch.instance.s_array)
     n = len(b)
     s = len(sumset(b, b))
     return K * n <= s and Fraction(s) <= Fraction(n * n) / K

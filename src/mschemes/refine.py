@@ -7,13 +7,20 @@ run aborts with LemmaViolation rather than papering over it.  Each driver
 returns a trace: an ordered list of steps with the branch taken and the
 inequalities checked, suitable for byte-stable JSON reports.
 
+Point sets are sorted, read-only int64 arrays (`Scheme.level1_block_set`,
+`PointSet.codes`); codes that reach a record or a report are Python ints.
+
 Contents:
   * nu_plus / shrink_weak         - sumset-window fibre shrinking
+  * z_slice_sizes                 - the per-point slice sizes of its complement branch
   * bijectivity_check             - when the coordinate sum is injective on a block
   * partial_sumset_search         - the three-case growth loop
   * scheme_power / lift_block     - power schemes on summed blocks, and lifting
   * bsg_extract                   - dense-piece extraction from high additive energy
+  * representation_counts         - the convolution behind its second bound
   * decompose / two_case_check    - heavy characters, sunflower decomposition
+  * find_constructible            - bounded (fibre, arity) constructibility search
+  * enumerate_subspaces           - every subgroup of a span, by echelon form
   * density_reduce                - iterated density / cardinality reduction
   * key_lemma_search              - bounded search for the best shrinking fibre
 """
@@ -61,12 +68,16 @@ __all__ = [
     "TrivialGate",
     "nu_plus",
     "shrink_weak",
+    "z_slice_sizes",
     "bijectivity_check",
     "partial_sumset_search",
     "scheme_power",
     "lift_block",
     "bsg_extract",
+    "representation_counts",
     "compute_heavy_set",
+    "find_constructible",
+    "enumerate_subspaces",
     "enumerate_w_family",
     "two_case_check",
     "decompose",
@@ -171,6 +182,21 @@ def _level1_union_ids(sch: Scheme, codes) -> frozenset:
     return sch.level(1).ids_as_union(sch.instance.pos(codes))
 
 
+def _blocks_inside(sch: Scheme, codes: np.ndarray) -> np.ndarray:
+    """Ids, ascending, of the level-1 blocks of sch inside the point set
+    codes (a subset of S): a block's count of members in codes equals its
+    size."""
+    bid = sch.level(1).bid
+    sizes = np.bincount(bid)
+    return np.flatnonzero(np.bincount(bid[sch.instance.pos(codes)],
+                                      minlength=len(sizes)) == sizes)
+
+
+def _block_sums(inst: SchemeInstance, k: int, rows) -> np.ndarray:
+    """Coordinate sum of each tuple of S^k at the tuple indices rows."""
+    return summation(k).apply_batch(inst.field, inst.tuples_array(k)[rows])[:, 0]
+
+
 def _le_ell_pow(lhs: Fraction, rhs: Fraction, ell: int, exp: Fraction) -> bool:
     """Exact check of lhs <= rhs * ell**exp for rational exp, positive rhs."""
     lhs, rhs, exp = Fraction(lhs), Fraction(rhs), Fraction(exp)
@@ -205,34 +231,28 @@ def nu_plus(aprime: PointSet, b: PointSet, z: int) -> int:
     return sum_histogram(aprime, b).get(int(z), 0)
 
 
-def _codes_array(codes) -> np.ndarray:
-    return np.fromiter(map(int, codes), dtype=np.int64)
+def _z_mask(field, ap: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|A'| x |B| boolean mask of x + y in Z, over code arrays."""
+    return member_mask(field.add_codes(ap[:, None], b[None, :]), z)
 
 
-def _z_mask(field, ap_codes, b_codes, z_set) -> np.ndarray:
-    """|A'| x |B| boolean mask of x + y in Z."""
-    sums = field.add_codes(_codes_array(ap_codes)[:, None],
-                           _codes_array(b_codes)[None, :])
-    return member_mask(sums, _codes_array(z_set))
-
-
-def _z_slices(field, ap_codes, b_codes, z_set, x0):
-    """The complement branch's reads of one membership mask: |Z_x| for each
-    x in A' in order, and the piece {y in B : x0 + y in Z} in B's order."""
-    mask = _z_mask(field, ap_codes, b_codes, z_set)
-    piece = _codes_array(b_codes)[mask[list(ap_codes).index(x0)]].tolist()
-    return mask.sum(axis=1).tolist(), piece
+def _z_piece(mask: np.ndarray, ap: np.ndarray, b: np.ndarray, x0) -> list:
+    """{y in B : x0 + y in Z}, in B's order, read from the mask row of x0
+    in the ascending A'."""
+    return b[mask[np.searchsorted(ap, x0)]].tolist()
 
 
 def z_slice_sizes(field, ap_codes, b_codes, z_set) -> dict:
-    """x -> |{y in B : x + y in Z}| for every x in A'.
+    """x -> |{y in B : x + y in Z}| for every x in A', keyed in A' order;
+    each argument is any iterable of codes.
 
     The complement branch of the fibre shrink relies on these sizes being
     equal for all x; exposing the computation lets that claim be probed
     independently of the branch logic."""
     ap_codes = list(ap_codes)
-    counts = _z_mask(field, ap_codes, b_codes, z_set).sum(axis=1)
-    return dict(zip(ap_codes, counts.tolist()))
+    mask = _z_mask(field, np.array(ap_codes, dtype=np.int64),
+                   np.fromiter(b_codes, np.int64), np.fromiter(z_set, np.int64))
+    return dict(zip(ap_codes, mask.sum(axis=1).tolist()))
 
 
 def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
@@ -254,18 +274,14 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
     inst = sch.instance
     f = inst.field
     b_codes = sch.level1_block_set(b)
-    b_set = set(b_codes)
-    part = sch.level(k)
-    rows = part.block(a.b)
+    rows = sch.level(k).block(a.b)
     a_tuples = inst.tuples_array(k)[rows]
-    if not all(int(c) in b_set for c in a_tuples.reshape(-1)):
+    if not member_mask(a_tuples, b_codes).all():
         raise PreconditionUnmet("A⊆B^k", "block A has coordinates outside B")
-    sig = summation(k).apply_batch(f, a_tuples)[:, 0]
-    ap_codes = sorted(set(int(c) for c in sig))
-    b_ps = PointSet.from_codes(f, b_codes)
-    ap_ps = PointSet.from_codes(f, ap_codes)
-    hist = sum_histogram(ap_ps, b_ps)
-    n_b, n_ap, n_sum = len(b_codes), len(ap_codes), len(hist)
+    sig = _block_sums(inst, k, rows)
+    ap = unique_sorted(sig)
+    hist = sum_histogram(PointSet.from_codes(f, ap), PointSet.from_codes(f, b_codes))
+    n_b, n_ap, n_sum = len(b_codes), len(ap), len(hist)
 
     gate_lo = ineq(K * n_ap, "<=", n_sum, note="K|A'|<=|A'+B|")
     gate_hi = ineq(n_sum, "<=", Fraction(n_ap * n_b) / K, note="|A'+B|<=|A'||B|/K")
@@ -286,30 +302,27 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
 
     if window:
         z = window[0]
-        b_arr = _codes_array(b_codes)
         xk1s = f.sub_codes(z, sig)
-        hits = np.flatnonzero(member_mask(xk1s, b_arr))
+        hits = np.flatnonzero(member_mask(xk1s, b_codes))
         if not len(hits):
             raise LemmaViolation("shrink_weak: no tuple of A sums with B to z")
         i = int(hits[0])
-        prefix = tuple(int(c) for c in a_tuples[i]) + (int(xk1s[i]),)
-        in_ap = member_mask(f.sub_codes(z, b_arr), _codes_array(ap_codes))
-        t_codes = b_arr[in_ap].tolist()
+        prefix = tuple(a_tuples[i].tolist()) + (int(xk1s[i]),)
+        t_codes = b_codes[member_mask(f.sub_codes(z, b_codes), ap)].tolist()
         recs = [ineq(len(t_codes), "==", hist[z], note="|T|=nu+(z)")]
         recs += _sqrt_bounds(len(t_codes), K, n_b)
         require_ineqs("shrink_weak/nu-window", recs)
-        fib = sch.fiber(prefix)
-        ids = _level1_union_ids(fib, t_codes)
+        ids = _level1_union_ids(sch.fiber(prefix), t_codes)
         steps.append(TraceStep("shrink_weak", "nu-window", prefix, {
             "z": z, "nu+(z)": hist[z], "|B'|": len(t_codes),
         }, recs))
         return ShrinkOutcome("nu-window", prefix, ids, tuple(t_codes), n_b, steps)
 
     # complement branch: every z has nu+(z) < sqrt(K) or > |B|/sqrt(K)
-    z_set = {z for z in hist if hist[z] ** 2 * kd < kn}
-    x0 = int(sig[0])
-    slice_sizes, piece = _z_slices(f, ap_codes, b_codes, z_set, x0)
-    sizes = set(slice_sizes)
+    z_codes = np.array([z for z in hist if hist[z] ** 2 * kd < kn], dtype=np.int64)
+    mask = _z_mask(f, ap, b_codes, z_codes)
+    piece = _z_piece(mask, ap, b_codes, sig[0])
+    sizes = set(mask.sum(axis=1).tolist())
     if len(sizes) != 1:
         raise LemmaViolation(
             f"shrink_weak: |Z_x| not constant over A' (saw sizes {sorted(sizes)})"
@@ -317,13 +330,12 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
     size = sizes.pop()
     recs = _sqrt_bounds(size, K, n_b)
     require_ineqs("shrink_weak/z-complement", recs)
-    prefix = tuple(int(c) for c in a_tuples[0]) + (b_codes[0],)
-    fib_full = sch.fiber(prefix)
-    ids_full = _level1_union_ids(fib_full, piece)
+    prefix = tuple(a_tuples[0].tolist()) + (int(b_codes[0]),)
+    ids = _level1_union_ids(sch.fiber(prefix), piece)
     steps.append(TraceStep("shrink_weak", "z-complement", prefix, {
-        "|Z|": len(z_set), "|Z_x|": size, "constant": True,
+        "|Z|": len(z_codes), "|Z_x|": size, "constant": True,
     }, recs))
-    return ShrinkOutcome("z-complement", prefix, ids_full, tuple(piece), n_b, steps)
+    return ShrinkOutcome("z-complement", prefix, ids, tuple(piece), n_b, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +351,9 @@ def bijectivity_check(sch: Scheme, a: BlockRef) -> bool:
     direct check raises LemmaViolation instead of returning False.
     """
     k = a.k
-    inst = sch.instance
     rows = sch.level(k).block(a.b)
-    sig = summation(k).apply_batch(inst.field, inst.tuples_array(k)[rows])[:, 0]
     n_a = len(rows)
-    n_ap = len(set(int(c) for c in sig))
+    n_ap = len(unique_sorted(_block_sums(sch.instance, k, rows)))
     injective = n_a == n_ap
     pre_depth = sch.m >= 2 * k
     # m > k + log2(|A|/|A'|)  <=>  2^(m-k) |A'| > |A|
@@ -419,10 +429,8 @@ def partial_sumset_search(sch: Scheme, b: int, K):
                    Fraction(n_a) ** 2 * K ** (k - 1),
                    note="|A|>=|B|^k/K^((k-1)/2) (squared)")
         require_ineqs("partial_sumset_search/invariant", [inv])
-        sig = summation(k).apply_batch(f, inst.tuples_array(k)[rows])[:, 0]
-        ap_codes = sorted(set(int(c) for c in sig))
-        n_ap = len(ap_codes)
-        ap_ps = PointSet.from_codes(f, ap_codes)
+        ap_ps = PointSet.from_codes(f, _block_sums(inst, k, rows))
+        n_ap = len(ap_ps)
         n_sum = len(sumset(ap_ps, b_ps))
         sizes = {"k": k, "|A|": n_a, "|A'|": n_ap, "|A'+B|": n_sum, "|B|": n_b}
 
@@ -442,7 +450,7 @@ def partial_sumset_search(sch: Scheme, b: int, K):
             if not bijectivity_check(sch, a):
                 raise LemmaViolation("case-2 block not sum-bijective")
             steps.append(TraceStep("partial_sumset", "case2", (), sizes, recs))
-            return SumsetCase2(a, tuple(ap_codes), steps)
+            return SumsetCase2(a, tuple(ap_ps.codes.tolist()), steps)
 
         # case 3: pass to arity k+1
         if k + 1 > sch.m:
@@ -452,13 +460,9 @@ def partial_sumset_search(sch: Scheme, b: int, K):
         b_rows = inst.pos(b_codes)
         prod_rows = (rows[:, None] * n + b_rows[None, :]).reshape(-1)
         prod_ids = part_hi.ids_as_union(prod_rows)  # A x B is a block union
-        small, big = [], []
-        for bid in sorted(prod_ids):
-            sz = part_hi.block_size(bid)
-            if Fraction(sz) ** 2 <= K * Fraction(n_a) ** 2:  # sz <= sqrtK |A|
-                small.append(bid)
-            else:
-                big.append(bid)
+        small = [i for i in sorted(prod_ids)  # |block| <= sqrtK |A|
+                 if part_hi.block_size(i) ** 2 <= K * Fraction(n_a) ** 2]
+        big = sorted(prod_ids - set(small))
         t_total = sum(part_hi.block_size(i) for i in small)
 
         if Fraction(t_total) ** 2 >= K * Fraction(n_a) ** 2:  # |T| >= sqrtK |A|
@@ -475,69 +479,54 @@ def partial_sumset_search(sch: Scheme, b: int, K):
                      note="|T'|<=2sqrtK|A| (squared)"),
             ]
             x_row = int(rows[0])
-            x_pts = tuple(int(c) for c in inst.tuples_array(k)[x_row])
-            keep = np.zeros(inst.tuple_count(k + 1), dtype=bool)
-            for bid in chosen:
-                keep[part_hi.blocks()[bid]] = True
-            piece = sorted(inst.s_codes[int(r % n)]
-                           for r in np.nonzero(keep)[0] if r // n == x_row)
+            x_pts = tuple(inst.tuples_array(k)[x_row].tolist())
+            t_rows = np.concatenate([part_hi.blocks()[bid] for bid in chosen])
+            piece = np.sort(inst.s_array[t_rows[t_rows // n == x_row] % n]).tolist()
             recs.append(ineq(len(piece) * n_a, "==", tot,
                              note="|B'|=|T'|/|A| (fibre constancy)"))
             recs += _sqrt_bounds(len(piece), K, n_b)
             require_ineqs("partial_sumset_search/case3-trim", recs)
-            fib = sch.fiber(x_pts)
-            ids = _level1_union_ids(fib, piece)
+            ids = _level1_union_ids(sch.fiber(x_pts), piece)
             steps.append(TraceStep("partial_sumset", "case3-trim", x_pts, {
                 **sizes, "|T|": t_total, "|T'|": tot, "|B'|": len(piece),
             }, recs))
             return ShrinkOutcome("block-trim", x_pts, ids, tuple(piece), n_b, steps)
 
         # |T| < sqrtK |A|: work in the complement U = (A x B) \ T
-        u_rows_mask = np.zeros(inst.tuple_count(k + 1), dtype=bool)
-        for bid in big:
-            u_rows_mask[part_hi.blocks()[bid]] = True
-        u_rows = np.nonzero(u_rows_mask)[0]
-        sum_hi = summation(k + 1)
-        tuples_hi = inst.tuples_array(k + 1)
-        sig_u = sum_hi.apply_batch(f, tuples_hi[u_rows])[:, 0]
-        n_sig_u = len(set(int(c) for c in sig_u))
+        u_rows = np.concatenate([part_hi.blocks()[bid] for bid in big])
+        n_sig_u = len(unique_sorted(_block_sums(inst, k + 1, u_rows)))
         rec_u = ineq(len(u_rows), "<=", 2 * K * n_sig_u,
                      note="|U|<=2K|sigma(U)|")
         require_ineqs("partial_sumset_search/case3-U", [rec_u])
-        a_star = None
-        for bid in big:
+        for bid in big:  # A*: the first block with |A*| <= 2K|sigma(A*)|
             brows = part_hi.blocks()[bid]
-            im = len(set(int(c) for c in sum_hi.apply_batch(f, tuples_hi[brows])[:, 0]))
+            im = len(unique_sorted(_block_sums(inst, k + 1, brows)))
             if len(brows) <= 2 * K * im:
-                a_star = (bid, brows, im)
                 break
-        if a_star is None:
+        else:
             raise LemmaViolation("case 3: averaging produced no block with "
                                  "|A*|<=2K|sigma(A*)|")
-        bid, brows, im = a_star
         recs = [
             ineq(len(brows), "<=", 2 * K * im, note="|A*|<=2K|sigma(A*)|"),
             ineq(len(brows), "==", im, note="sum map bijective on A*"),
         ]
         require_ineqs("partial_sumset_search/case3-A*", recs)
         x_row = int(brows[0] // n)
-        x_pts = tuple(int(c) for c in inst.tuples_array(k)[x_row])
-        piece = sorted(inst.s_codes[int(r % n)] for r in brows if r // n == x_row)
-        recs.append(ineq(len(piece) * n_a, "==", len(brows),
-                         note="|B'|=|A*|/|A| (fibre constancy)"))
-        require_ineqs("partial_sumset_search/case3-A*", recs[-1:])
-        lo_rec = ineq(K, "<=", Fraction(len(piece)) ** 2,
-                      note="sqrtK<=|B'| (squared)")
-        require_ineqs("partial_sumset_search/case3-A*", [lo_rec])
-        recs.append(lo_rec)
+        x_pts = tuple(inst.tuples_array(k)[x_row].tolist())
+        # no sort: brows is one block's ascending rows, so within the one
+        # prefix x_row the last positions r % n increase, and S is ascending
+        piece = inst.s_array[brows[brows // n == x_row] % n].tolist()
+        recs += [ineq(len(piece) * n_a, "==", len(brows),
+                      note="|B'|=|A*|/|A| (fibre constancy)"),
+                 ineq(K, "<=", Fraction(len(piece)) ** 2, note="sqrtK<=|B'| (squared)")]
+        require_ineqs("partial_sumset_search/case3-A*", recs[-2:])
         hi = Fraction(len(piece)) ** 2 * K <= n_b ** 2  # |B'| <= |B|/sqrtK
         steps.append(TraceStep("partial_sumset",
                                "case3-exit" if hi else "case3-grow", x_pts, {
                                    **sizes, "|A*|": len(brows), "|B'|": len(piece),
                                }, recs))
         if hi:
-            fib = sch.fiber(x_pts)
-            ids = _level1_union_ids(fib, piece)
+            ids = _level1_union_ids(sch.fiber(x_pts), piece)
             return ShrinkOutcome("fiber-exit", x_pts, ids, tuple(piece), n_b, steps)
         k += 1
         a = BlockRef(k, bid)
@@ -563,9 +552,8 @@ def scheme_power(sch: Scheme, a: BlockRef, mp: int) -> Scheme:
     inst = sch.instance
     n = inst.n
     rows = sch.level(k).block(a.b)
-    sig = summation(k).apply_batch(inst.field, inst.tuples_array(k)[rows])[:, 0]
-    ap_codes = tuple(sorted(int(c) for c in sig))
-    new_inst = SchemeInstance(inst.field, ap_codes)
+    sig = _block_sums(inst, k, rows)
+    new_inst = SchemeInstance(inst.field, tuple(np.sort(sig).tolist()))
     npp = new_inst.n
     img_of_row = new_inst.pos(sig)  # position of each A-row's image in the new carrier
 
@@ -614,12 +602,7 @@ def lift_block(sch: Scheme, a: BlockRef, power: Scheme, x_prefix: Sequence[int],
     r = len(x_prefix)
     inst = sch.instance
     rows = sch.level(k).block(a.b)
-    sigma = summation(k)
-    tuples = inst.tuples_array(k)
-    sig = sigma.apply_batch(inst.field, tuples[rows])[:, 0]
-    pre = {}
-    for row, c in zip(rows, sig):
-        pre.setdefault(int(c), int(row))
+    pre = dict(zip(_block_sums(inst, k, rows).tolist(), rows.tolist()))
     if len(pre) != len(rows):
         raise PreconditionUnmet("sum map bijective on A", "image collides")
     if r == 0:
@@ -627,39 +610,36 @@ def lift_block(sch: Scheme, a: BlockRef, power: Scheme, x_prefix: Sequence[int],
     for c in x_prefix:
         if int(c) not in pre:
             raise PreconditionUnmet("prefix⊆A'", f"point {c} not in A'")
-    y_tuples = [tuple(int(v) for v in tuples[pre[int(c)]])
-                for c in x_prefix]
-    y_prefix = tuple(v for tup in y_tuples for v in tup)
+    y_rows = [pre[int(c)] for c in x_prefix]
+    y_prefix = tuple(inst.tuples_array(k)[y_rows].reshape(-1).tolist())
     if k * r + k > sch.m:
         raise DepthExhausted(
             f"lift needs level {k * (r + 1)} > m={sch.m}")
     fib = sch.fiber(y_prefix)
     pfib = power.fiber(tuple(int(c) for c in x_prefix))
-    a_rows = set(int(v) for v in rows)
+    fpart = fib.level(k)
 
+    bids = unique_sorted(np.fromiter(block_ids, dtype=np.int64)).tolist()
     out_ids = set()
-    out_rows = []
-    total = 0
-    for bid in sorted(set(int(i) for i in block_ids)):
+    for bid in bids:
         u_codes = pfib.level1_block_set(bid)
-        total += len(u_codes)
-        z0p = pre[min(u_codes)]
-        fpart = fib.level(k)
-        blk = int(fpart.bid[z0p])
+        blk = int(fpart.bid[pre[int(u_codes[0])]])
         blk_rows = fpart.blocks()[blk]
-        if not all(int(v) in a_rows for v in blk_rows):
+        if not member_mask(blk_rows, rows).all():
             raise LemmaViolation("lifted block leaves A")
-        img = sorted(set(sigma.apply_batch(inst.field, tuples[blk_rows])[:, 0].tolist()))
-        if img != u_codes or len(blk_rows) != len(u_codes):
+        img = unique_sorted(_block_sums(inst, k, blk_rows))
+        if not np.array_equal(img, u_codes) or len(blk_rows) != len(u_codes):
             raise LemmaViolation(
                 f"lifted block maps to {len(img)} points, expected the "
                 f"{len(u_codes)}-point fibre block"
             )
         out_ids.add(blk)
-        out_rows.extend(int(v) for v in blk_rows)
-    if len(out_rows) != len(set(out_rows)) or len(out_rows) != total:
+    # blocks are disjoint and each has its fibre block's size: an overlap is
+    # two fibre blocks lifting to one block
+    if len(out_ids) != len(bids):
         raise LemmaViolation("lift produced overlapping blocks")
-    return y_prefix, frozenset(out_ids), tuple(sorted(out_rows))
+    lifted = np.flatnonzero(member_mask(fpart.bid, list(out_ids)))
+    return y_prefix, frozenset(out_ids), tuple(lifted.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +668,8 @@ class BsgResult:
 def _group_convolve(field, fa: dict, fb: dict) -> dict:
     """z -> sum of fa(z1) fb(z2) over z1 + z2 = z, keyed in first-hit order
     of the (z1, z2) scan in the dicts' order."""
-    sums = field.add_codes(_codes_array(fa)[:, None], _codes_array(fb)[None, :])
+    sums = field.add_codes(np.fromiter(fa, np.int64, len(fa))[:, None],
+                           np.fromiter(fb, np.int64, len(fb))[None, :])
     # int64 is exact while the total mass fits; exact Python ints beyond it
     dtype = np.int64 if sum(fa.values()) * sum(fb.values()) < 2 ** 63 else object
     weights = (np.array(list(fa.values()), dtype=dtype)[:, None]
@@ -704,17 +685,16 @@ def representation_counts(bset: PointSet) -> dict:
     """w -> #{(x_i, y_i)_{i<=4} in B^8 : (x1-y1)-(x2-y2)-(x3-y3)+(x4-y4) = w}."""
     f = bset.field
     d = diff_histogram(bset, bset)
-    dm = dict(zip(f.neg_codes(_codes_array(d)).tolist(), d.values()))
+    dm = dict(zip(f.neg_codes(np.fromiter(d, np.int64, len(d))).tolist(), d.values()))
     conv = _group_convolve(f, d, dm)
     conv = _group_convolve(f, conv, dm)
     conv = _group_convolve(f, conv, d)
     return conv
 
 
-def _difference_adjacency(field, b_codes, t_set) -> np.ndarray:
+def _difference_adjacency(field, b_codes: np.ndarray, t_codes) -> np.ndarray:
     """|B| x |B| mask of b_i - b_j in T: row i is N(b_i), column j is N'(b_j)."""
-    b_arr = _codes_array(b_codes)
-    return member_mask(field.sub_codes(b_arr[:, None], b_arr[None, :]), _codes_array(t_set))
+    return member_mask(field.sub_codes(b_codes[:, None], b_codes[None, :]), t_codes)
 
 
 def _low_degree_piece(adj, b_arr, thresh, big_n) -> list:
@@ -775,9 +755,8 @@ def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) 
         raise EnergyTooLow("E(B)>=gamma|B|^3",
                            f"E(B)={energy} < {gamma * Fraction(n) ** 3}")
     nu = diff_histogram(b_ps, b_ps)
-    t_set = {z for z, c in nu.items() if c >= gamma * n / 2}
-    b_arr = _codes_array(b_codes)
-    adj = _difference_adjacency(f, b_arr, t_set)
+    t_codes = [z for z, c in nu.items() if c >= gamma * n / 2]
+    adj = _difference_adjacency(f, b_codes, t_codes)
     n_sizes = set(adj.sum(axis=1).tolist())
     np_sizes = set(adj.sum(axis=0).tolist())
     if len(n_sizes) != 1 or len(np_sizes) != 1:
@@ -792,20 +771,20 @@ def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) 
     if sch.backend is None:
         rows = range(n)
     else:
-        _require_invariant_graph(sch, b_arr, adj)
+        _require_invariant_graph(sch, b_codes, adj)
         rows = range(1)
     for i in rows:
         fibx = sch.fiber((b_codes[i],))
-        _level1_union_ids(fibx, b_arr[adj[i]])
-        _level1_union_ids(fibx, b_arr[adj[:, i]])
+        _level1_union_ids(fibx, b_codes[adj[i]])
+        _level1_union_ids(fibx, b_codes[adj[:, i]])
 
-    x0 = b_codes[0]
-    piece = _low_degree_piece(adj, b_arr, gamma * gamma * n / 36, big_n)
+    x0 = int(b_codes[0])
+    piece = _low_degree_piece(adj, b_codes, gamma * gamma * n / 36, big_n)
     recs.append(ineq(2 * big_n, "<=", 3 * len(piece), note="|B'|>=2N/3"))
     recs.append(ineq(gamma * n, "<=", 3 * len(piece), note="|B'|>=gamma|B|/3"))
     piece_ps = PointSet.from_codes(f, piece)
-    dsize = len(difference_set(piece_ps, piece_ps))
-    recs.append(ineq(dsize, "<", Fraction(2 ** 17) * gamma ** -9 * n,
+    diffs = difference_set(piece_ps, piece_ps)
+    recs.append(ineq(len(diffs), "<", Fraction(2 ** 17) * gamma ** -9 * n,
                      note="|B'-B'|<2^17 gamma^-9 |B|"))
     require_ineqs("bsg_extract", recs)
     fib = sch.fiber((x0,))
@@ -813,9 +792,7 @@ def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) 
     if check_representations:
         conv = representation_counts(b_ps)
         bound = Fraction(gamma ** 9 * Fraction(n) ** 7, 2 ** 17)
-        p_arr = _codes_array(piece)
-        diffs = unique_sorted(f.sub_codes(p_arr[:, None], p_arr[None, :]))
-        worst = min(conv.get(d, 0) for d in diffs.tolist())
+        worst = min(conv.get(d, 0) for d in diffs.codes.tolist())
         recs.append(ineq(bound, "<", worst,
                          note="representation count > 2^-17 gamma^9 |B|^7"))
         require_ineqs("bsg_extract/representations", recs[-1:])
@@ -878,7 +855,7 @@ def compute_heavy_set(sch: Scheme, b: int, eps_prime, max_arity: int = 2,
     heavy = ctx.heavy_characters(ctx.all_coeffs(b_codes), float(eps_prime))
     out = []
     for dual, coeff in heavy:
-        kernel = frozenset(int(c) for c in ctx.kernel(dual))
+        kernel = frozenset(ctx.kernel(dual))
         found = find_constructible(sch, kernel, max_arity, max_prefix, prefix_cap)
         if found is not None:
             out.append(HeavyChar(tuple(dual), coeff, kernel,
@@ -1027,10 +1004,10 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
 
     hub = frozenset.intersection(*[h.kernel for h in heavy])
     leaves = sorted(
-        {frozenset(span_points(f, set(hub) | {x})) for x in b_codes},
+        {frozenset(span_points(f, set(hub) | {x})) for x in b_codes.tolist()},
         key=lambda s: sorted(s),
     )
-    b_set = set(b_codes)
+    b_set = set(b_codes.tolist())
     counts = [len(b_set & w) for w in leaves]
     props = []
 
@@ -1047,10 +1024,7 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
     # (4) pairwise leaf intersections equal the hub; leaves partition B
     ok4 = all(leaves[i] & leaves[j] == hub
               for i in range(len(leaves)) for j in range(i + 1, len(leaves)))
-    covered = set()
-    for w in leaves:
-        covered |= (b_set & w)
-    ok4 = ok4 and covered == b_set
+    ok4 = ok4 and b_set <= frozenset().union(*leaves)
     props.append(_prop("leaf-intersections=hub,partition", ok4, ""))
     # (5) equal leaf counts
     props.append(_prop("equal-leaf-counts", len(set(counts)) == 1,
@@ -1062,11 +1036,8 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
                        f"|C|={len(leaves)}, eps'={eps_prime}"))
     # (7) density dichotomy against the sampled (or full) subspace family
     if check_dichotomy:
-        family = []
-        for h in heavy:
-            family.append((h.kernel, h.search_arity + len(h.prefix)))
-        for w in leaves:
-            family.append((w, t + 1))
+        family = [(h.kernel, h.search_arity + len(h.prefix)) for h in heavy]
+        family += [(w, t + 1) for w in leaves]
         if full_w_family:
             for sub, found in enumerate_w_family(sch, b, kp, max_arity,
                                                  max_prefix, prefix_cap):
@@ -1129,14 +1100,11 @@ def two_case_check(sch: Scheme, b: int, k: int, eps,
                                  prefix_cap)
     if heavy:
         return "heavy", heavy
-    b_set = set(b_codes)
-    records = []
-    for sub, found in enumerate_w_family(sch, b, k, max_arity, max_prefix,
-                                         prefix_cap, subspace_cap):
-        mu_w = Fraction(len(b_set & sub), len(sub))
-        rec = ineq(abs(mu_w - mu), "<=", eps,
-                   note=f"|mu_W(B)-mu(B)|<=eps, |W|={len(sub)}")
-        records.append(rec)
+    b_set = set(b_codes.tolist())
+    records = [ineq(abs(Fraction(len(b_set & sub), len(sub)) - mu), "<=", eps,
+                    note=f"|mu_W(B)-mu(B)|<=eps, |W|={len(sub)}")
+               for sub, _ in enumerate_w_family(sch, b, k, max_arity, max_prefix,
+                                                prefix_cap, subspace_cap)]
     require_ineqs("two_case_check/pseudorandom", records)
     return "pseudorandom", records
 
@@ -1197,36 +1165,36 @@ class ReduceResult:
         }
 
 
-def _compute_w(sch: Scheme, b: int, x: int, params: RefineParams):
-    """(W, hub-or-None, heavy list) for the pseudorandomness subspace at x."""
+def _compute_w(sch: Scheme, b: int, x: int, params: RefineParams) -> np.ndarray:
+    """The pseudorandomness subspace W at x, as a sorted code array: the span
+    of x and the hub of the heavy characters, or of B when there are none."""
     f = sch.field
     eps_prime = params.eps_prime if params.eps_prime is not None else (
         params.eps / f.ell ** params.k)
     _, heavy = compute_heavy_set(sch, b, eps_prime, params.search_arity,
                                  params.search_prefix, params.prefix_cap)
-    b_codes = sch.level1_block_set(b)
     if heavy:
-        hub = frozenset.intersection(*[h.kernel for h in heavy])
-        w = frozenset(span_points(f, set(hub) | {x}))
-        return w, hub, heavy
-    w = frozenset(span_points(f, b_codes))
-    return w, None, heavy
+        gens = set(frozenset.intersection(*[h.kernel for h in heavy])) | {x}
+    else:
+        gens = sch.level1_block_set(b)
+    return np.array(span_points(f, gens), dtype=np.int64)
 
 
 def _size_split(sch: Scheme, codes, n_lo: Fraction, n_hi: Fraction):
     """Size split on a level-1 block union: a sub-union in [n_lo, n_hi], or a
     single block of size > n_hi; mirrors the minimal-union argument.
 
-    Returns ("window", union codes) or ("block", block id, codes)."""
+    Returns ("window", union codes as a tuple) or ("block", block id, its
+    code array)."""
     part = sch.level(1)
     ids = sorted(_level1_union_ids(sch, codes))
     sized = [(i, part.block_size(i)) for i in ids]
     # a single block already at least n_lo: window if <= n_hi, else carry it
     for i, sz in sized:
         if Fraction(sz) >= n_lo:
-            pts = tuple(sch.level1_block_set(i))
+            pts = sch.level1_block_set(i)
             if Fraction(sz) <= n_hi:
-                return "window", pts
+                return "window", tuple(pts.tolist())
             return "block", i, pts
     chosen, total = [], 0
     for i, sz in sized:
@@ -1237,26 +1205,24 @@ def _size_split(sch: Scheme, codes, n_lo: Fraction, n_hi: Fraction):
     if Fraction(total) < n_lo or Fraction(total) > n_hi:
         raise LemmaViolation(
             f"size split failed: reached {total} outside [{n_lo}, {n_hi}]")
-    pts = tuple(sorted(p for i in chosen for p in sch.level1_block_set(i)))
-    return "window", pts
+    pts = np.sort(np.concatenate([sch.level1_block_set(i) for i in chosen]))
+    return "window", tuple(pts.tolist())
 
 
-def _search_small_union(sch: Scheme, b_codes, x: int, lo: Fraction, hi: Fraction):
+def _search_small_union(sch: Scheme, b_codes: np.ndarray, x: int, lo: Fraction,
+                        hi: Fraction):
     """Scan fibres (x, y) for a level-1 block union inside B sized in [lo, hi]."""
-    b_set = set(b_codes)
-    for y in b_codes:
-        if sch.m < 3:
-            break
+    if sch.m < 3:
+        return None
+    for y in b_codes.tolist():
         fib = sch.fiber((x, y))
-        usable = []
-        for i in range(fib.level(1).num_blocks):
-            pts = fib.level1_block_set(i)
-            if set(pts) <= b_set and Fraction(len(pts)) <= hi:
-                usable.append((i, pts))
         total, chosen = 0, []
-        for i, pts in usable:  # first-fit under the cap
-            if Fraction(total + len(pts)) <= hi:
-                chosen.extend(pts)
+        for i in _blocks_inside(fib, b_codes):
+            pts = fib.level1_block_set(i)
+            if Fraction(len(pts)) > hi:
+                continue
+            if Fraction(total + len(pts)) <= hi:  # first-fit under the cap
+                chosen.extend(pts.tolist())
                 total += len(pts)
             if Fraction(total) >= lo:
                 return (x, y), tuple(sorted(chosen))
@@ -1311,20 +1277,18 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
     steps: list = []
     prefix: tuple = ()
     cur, cur_b, cur_codes = sch, b, b_codes
-    x = cur_codes[0]
-    w_sub, hub, heavy = _compute_w(cur, cur_b, x, params)
-    mu_w = Fraction(len(set(cur_codes) & w_sub), len(w_sub))
+    x = int(cur_codes[0])
+    w_sub = _compute_w(cur, cur_b, x, params)
+    mu_w = Fraction(int(member_mask(cur_codes, w_sub).sum()), len(w_sub))
     require("eps<=mu_W(B)/2", eps <= mu_w / 2, f"eps={eps}, mu_W(B)={mu_w}")
 
     outcome = None
-    final_pts = tuple(cur_codes)
     n_hi = Fraction(n0) / K
 
     for i in range(1, r + 1):
         if outcome:
             break
-        b_set = set(cur_codes)
-        inter = sorted(b_set & w_sub)
+        inter = cur_codes[member_mask(cur_codes, w_sub)]
         fibx = cur.fiber((x,))
         _level1_union_ids(fibx, inter)  # B ∩ W is a fibre-level block union
         sizes = {"round": i, "|B|": len(cur_codes), "|B∩W|": len(inter),
@@ -1339,7 +1303,7 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
             require_ineqs("density_reduce/case1", recs)
             steps.append(TraceStep("density_reduce", "case1-direct",
                                    prefix + (x,), sizes, recs))
-            prefix, final_pts, outcome = prefix + (x,), tuple(inter), "case1"
+            prefix, final_pts, outcome = prefix + (x,), tuple(inter.tolist()), "case1"
             break
         split = _size_split(fibx, inter, n_hi / 2, n_hi)
         if split[0] == "window":
@@ -1354,9 +1318,9 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
             prefix, final_pts, outcome = prefix + (x,), pts, "case1"
             break
         _, blk_id, blk_pts = split
-        y = blk_pts[0]
-        wp_sub, hub_p, _ = _compute_w(fibx, blk_id, y, params)
-        mu_wp = Fraction(len(set(blk_pts) & wp_sub), len(wp_sub))
+        y = int(blk_pts[0])
+        wp_sub = _compute_w(fibx, blk_id, y, params)
+        mu_wp = Fraction(int(member_mask(blk_pts, wp_sub).sum()), len(wp_sub))
         halve = ineq(mu_wp, "<=", (mu_w + eps) / 2,
                      note="mu_W'(B')<=(mu_W(B)+eps)/2")
         sizes.update({"|B'|": len(blk_pts), "|W'|": len(wp_sub),
@@ -1365,9 +1329,8 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
             steps.append(TraceStep("density_reduce", "halving",
                                    prefix + (x,), sizes, [halve]))
             prefix = prefix + (x,)
-            cur, cur_b, cur_codes = fibx, blk_id, list(blk_pts)
-            x, w_sub, hub, mu_w = y, wp_sub, hub_p, mu_wp
-            final_pts = tuple(cur_codes)
+            cur, cur_b, cur_codes = fibx, blk_id, blk_pts
+            x, w_sub, mu_w = y, wp_sub, mu_wp
             continue
         # the dichotomy then promises a small fibre piece; find one
         found = _search_small_union(cur, cur_codes, x,
@@ -1393,8 +1356,7 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
     if outcome is None:
         # cardinality reduction on U(0) = B' ∩ W
         r2 = params.r_shrink if params.r_shrink is not None else r
-        b_set = set(cur_codes)
-        u_codes = sorted(b_set & w_sub)
+        u_codes = cur_codes[member_mask(cur_codes, w_sub)]
         fibx = cur.fiber((x,))
         _level1_union_ids(fibx, u_codes)
         cur2, prefix = fibx, prefix + (x,)
@@ -1427,16 +1389,15 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
                              note="nu+(z0)<=2gamma|U|"))
             recs.append(ineq(thr, "<=", hist[z0], note="nu+(z0)>=|U|/(2K^2)"))
             require_ineqs("density_reduce/cardinality", recs)
-            u_arr = _codes_array(u_codes)
-            partners = f.sub_codes(z0, u_arr)
-            in_u = member_mask(partners, u_arr)
+            partners = f.sub_codes(z0, u_codes)
+            in_u = member_mask(partners, u_codes)
             hits = np.flatnonzero(in_u)
             if not len(hits):
                 raise LemmaViolation("z0 not representable in U + U")
-            pair = (u_codes[hits[0]], int(partners[hits[0]]))
+            pair = (int(u_codes[hits[0]]), int(partners[hits[0]]))
             if cur2.m < 3:
                 raise DepthExhausted("cardinality round needs two more levels")
-            new_u = u_arr[in_u].tolist()
+            new_u = u_codes[in_u]
             recs.append(ineq(len(new_u), "==", hist[z0], note="|U(i)|=nu+(z0)"))
             require_ineqs("density_reduce/cardinality", recs[-1:])
             fib2 = cur2.fiber(pair)
@@ -1447,7 +1408,7 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
             cur2 = fib2
             prefix = prefix + pair
             u_codes = new_u
-        final_pts = tuple(u_codes)
+        final_pts = tuple(u_codes.tolist())
         outcome = "completed"
         upper = max(Fraction(1) / K, (2 * gamma) ** r2) * n0
         recs = [ineq(len(u_codes), "<=", upper,
@@ -1496,7 +1457,6 @@ def key_lemma_search(sch: Scheme, b: int, max_prefix_len: int = 2,
     n = len(b_codes)
     if n <= 1:
         raise PreconditionUnmet("|B|>1", f"|B|={n}")
-    b_set = set(b_codes)
     best: Optional[ShrinkOutcome] = None
     best_key = None
     tried = 0
@@ -1504,22 +1464,22 @@ def key_lemma_search(sch: Scheme, b: int, max_prefix_len: int = 2,
     for length in range(1, max_prefix_len + 1):
         if length >= sch.m:
             break
-        for pts in itertools.product(b_codes, repeat=length):
+        for pts in itertools.product(b_codes.tolist(), repeat=length):
             if prefix_cap is not None and tried >= prefix_cap:
                 capped = True
                 break
             tried += 1
             fib = sch.fiber(pts)
-            for i in range(fib.level(1).num_blocks):
+            for i in _blocks_inside(fib, b_codes).tolist():
                 blk = fib.level1_block_set(i)
-                if not set(blk) <= b_set or len(blk) == n:
+                if len(blk) == n:
                     continue
                 ratio = min(Fraction(len(blk)), Fraction(n, len(blk)))
                 key = (ratio, -len(pts))
                 if best_key is None or key > best_key:
                     best_key = key
                     best = ShrinkOutcome("search", tuple(pts),
-                                         frozenset([i]), tuple(blk),
+                                         frozenset([i]), tuple(blk.tolist()),
                                          n, [])
         if capped:
             break

@@ -12,10 +12,12 @@ Tuples of S^k are indexed by their mixed-radix position over sorted S (first
 coordinate most significant), which coincides with ordering by integer tuple
 code.  Blocks are numbered by smallest contained tuple, ascending.
 
-Carrier index.  `SchemeInstance.pos` is the only map from point codes to
-positions in S (-1 for a code not in S, also outside [0, q)); it reads one
-table built once per instance.  `tuples_array(k)[rows]` is the only map from
-tuple indices back to codes.  `TuplePartition.blocks()` is the only member
+Carrier index.  `SchemeInstance.s_array` is S as one sorted, read-only
+int64 array; `level1_block_set` gathers a block's codes from it, read-only.
+`SchemeInstance.pos` is the only map from point codes to positions in S (-1
+for a code not in S, also outside [0, q)); it reads one table built once
+per instance.  `tuples_array(k)[rows]` is the only map from tuple indices
+back to codes.  `TuplePartition.blocks()` is the only member
 list of the blocks, and each entry is ascending.
 
 Every digit grid here is the radix codec of `gf_linalg`: tuple indices are
@@ -89,11 +91,18 @@ class SchemeInstance:
         return len(self.s_codes)
 
     @cached_property
+    def s_array(self) -> np.ndarray:
+        """S as a read-only int64 array, ascending."""
+        arr = np.array(self.s_codes, dtype=np.int64)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
     def _pos_table(self) -> np.ndarray:
         """Read-only: entry c < q is the position of code c in S, or -1; the
         last entry, -1, stands for every code outside [0, q)."""
         table = np.full(self.field.q + 1, -1, dtype=np.int64)
-        table[np.array(self.s_codes, dtype=np.int64)] = np.arange(self.n)
+        table[self.s_array] = np.arange(self.n)
         table.flags.writeable = False
         return table
 
@@ -117,7 +126,7 @@ class SchemeInstance:
         """(n^k, k) array of point codes, row t = tuple with index t."""
         self.check_tuple_cap(k)
         idx = np.arange(self.n ** k, dtype=np.int64)
-        return np.array(self.s_codes, dtype=np.int64)[radix_digits(idx, self.n, k)]
+        return self.s_array[radix_digits(idx, self.n, k)]
 
     def map_table(self, k: int) -> np.ndarray:
         """(n^k, ell^k) codes: column c is every tuple of S^k under the map
@@ -474,10 +483,11 @@ class Scheme:
     def is_discrete(self) -> bool:
         return self.level(1).is_discrete()
 
-    def level1_block_set(self, b: int) -> list:
-        """Point codes of a level-1 block, ascending."""
-        s_codes = self.s_codes
-        return [s_codes[i] for i in self.level(1).block(b).tolist()]
+    def level1_block_set(self, b: int) -> np.ndarray:
+        """Point codes of a level-1 block: a read-only int64 array, ascending."""
+        codes = self.instance.s_array[self.level(1).block(b)]
+        codes.flags.writeable = False
+        return codes
 
     # ---- fibre restriction -------------------------------------------
 

@@ -7,7 +7,8 @@ coordinate by coordinate mod ell in plain Python, and encodes the result.
 
 Also the other scalar definitions the tests check the library against:
 integer tuple codes (base q, first coordinate most significant), the tuple
-of S^k at a tuple index, map composition, span membership by rank, and the
+of S^k at a tuple index, the scalar walks behind the case-3 pieces of the
+partial sumset loop, map composition, span membership by rank, and the
 dual vectors of a Fourier context in `itertools.product` order.
 
 And the additive-energy quadruple loop, the oracle of the array count in
@@ -81,6 +82,25 @@ def tuple_points(inst, idx, k):
         out.append(inst.s_codes[idx % inst.n])
         idx //= inst.n
     return tuple(reversed(out))
+
+
+def trim_piece_walk(inst, part_hi, chosen, x_row):
+    """The piece of `refine.partial_sumset_search`'s case-3 trim by the
+    scalar walk: the last points of the tuples in the chosen arity-(k+1)
+    blocks whose first k points are the tuple at index x_row."""
+    n = inst.n
+    keep = np.zeros(len(part_hi.bid), dtype=bool)
+    for bid in chosen:
+        keep[part_hi.blocks()[bid]] = True
+    return sorted(inst.s_codes[int(r % n)] for r in np.nonzero(keep)[0] if r // n == x_row)
+
+
+def exit_piece_walk(inst, brows, x_row):
+    """The piece of the case-3 fibre exit by the scalar walk: the last
+    points of the tuples of block A* whose first k points are the tuple at
+    index x_row."""
+    n = inst.n
+    return sorted(inst.s_codes[int(r % n)] for r in brows if r // n == x_row)
 
 
 def compose(second, first):
@@ -214,7 +234,7 @@ def from_vectors(field, vectors):
 
 
 def vectors(a):
-    return [a.field.decode(c) for c in a.codes]
+    return [a.field.decode(c) for c in a.codes.tolist()]
 
 
 def to_json(a):

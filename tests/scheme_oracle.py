@@ -133,7 +133,7 @@ def bsg_neighbourhood_scan(sch, b, gamma):
     t_set = {z for z, c in diff_histogram(b_ps, b_ps).items()
              if c >= gamma * len(b_codes) / 2}
     b_arr = np.array(b_codes, dtype=np.int64)
-    adj = _difference_adjacency(f, b_arr, t_set)
+    adj = _difference_adjacency(f, b_arr, sorted(t_set))
     for i, x in enumerate(b_codes):
         fibx = sch.fiber((x,))
         _level1_union_ids(fibx, b_arr[adj[i]])

@@ -52,8 +52,13 @@ def test_sumset_definition(a_codes, b_codes):
 
 
 def test_from_codes_names_first_code_outside_field():
-    assert ps(F32, [8, 0, 8]).codes == (0, 8)
-    for codes, bad in (([3, -2, -1], -2), ([3, 10, 9], 9), ([-1, 9], -1)):
+    assert ps(F32, [8, 0, 8]).codes.tolist() == [0, 8]
+    assert not ps(F32, [8, 0]).codes.flags.writeable
+    # a code beyond int64 is outside the field too, not an OverflowError
+    for codes, bad in (([3, -2, -1], -2), ([3, 10, 9], 9), ([-1, 9], -1), ([-1], -1),
+                       ([2 ** 70], 2 ** 70), ([3, 2 ** 70, 9], 9),
+                       ([2 ** 70, -2 ** 70], -2 ** 70), ([-1, 2 ** 63], -1),
+                       ([2 ** 63, 5], 2 ** 63)):
         with pytest.raises(InputError, match=f"point code {bad} outside field"):
             ps(F32, codes)
 
@@ -74,7 +79,7 @@ def test_sum_histogram_and_negate_definition(a_codes, b_codes):
             z = oracle.add(F32, x, y)
             expect[z] = expect.get(z, 0) + 1
     assert list(sum_histogram(a, b).items()) == sorted(expect.items())
-    assert negate(a).codes == tuple(sorted({oracle.neg(F32, x) for x in a_codes}))
+    assert negate(a).codes.tolist() == sorted({oracle.neg(F32, x) for x in a_codes})
 
 
 def test_sum_histogram_keys_and_counts_are_python_ints():

@@ -287,6 +287,25 @@ def test_block_id_out_of_range_is_input_error(capsys, argv):
     assert "outside [0, 1) at arity 1" in err and "Traceback" not in err
 
 
+BIG = "99999999999999999999999"  # beyond int64
+GL3 = ["--ell", "2", "--dim", "3", "--group", GL]
+
+
+@pytest.mark.parametrize("argv,token", [
+    (["addcomb", "--ell", "2", "--dim", "3", "--set", "1,x"], "'x'"),
+    (["fourier", "--ell", "2", "--dim", "3", "--set", "1,y"], "'y'"),
+    (["decompose", "--ell", "2", "--dim", "4", "--group", GL, "--seed-set", "1,z",
+      "--m", "12", "--lazy"], "'z'"),
+    (["fourier", "--ell", "2", "--dim", "3", "--set", BIG], BIG),
+    (["fiber", *GL3, "--seed-set", "1", "--m", "2", "--fix", BIG], BIG),
+    (["gen-orbit", *GL3, "--seed-set", BIG, "--m", "2"], BIG),
+])
+def test_malformed_code_list_is_input_error(capsys, argv, token):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"point code {token}" in err and "Traceback" not in err
+
+
 def test_report_file_is_canonical(tmp_path, capsys):
     r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["addcomb", "--ell", "2", "--dim", "4", "--set", "1,2,4,8"]

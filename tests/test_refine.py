@@ -21,6 +21,7 @@ from mschemes.errors import (
 from mschemes.fourier import FourierContext
 from mschemes.gf_linalg import Field, span_dim
 from mschemes.instances import (
+    CASE3_INSTANCES,
     affine_coset_scheme,
     c11_c5_scheme,
     find_shrink_instances,
@@ -40,6 +41,7 @@ from mschemes.refine import (
     density_reduce,
     ineq,
     key_lemma_search,
+    partial_sumset_search,
     representation_counts,
     require_ineqs,
     scheme_power,
@@ -109,16 +111,20 @@ def test_z_slice_sizes_match_brute_force(ix, data):
 @settings(max_examples=60, deadline=None)
 def test_z_complement_mask_matches_brute_force(ix, data):
     # No carrier in the shrink-instance grids reaches the complement branch
-    # (every gated carrier has a nu+ value inside the window), so its reads
-    # of the membership mask are checked here against the defining loops.
+    # (every gated carrier has a nu+ value inside the window), so the
+    # membership mask it reads its slice sizes and its piece from is
+    # checked here against the defining loop, with the piece at an
+    # arbitrary x0 in A'.
     f = Field(*SLICE_FIELDS[ix])
     ap = sorted(_codes(f, data, 12)) or [0]
     b = sorted(_codes(f, data, 12))
     z_set = set(_codes(f, data, f.q))
     x0 = data.draw(st.sampled_from(ap))
-    sizes, piece = refine._z_slices(f, ap, b, z_set, x0)
-    assert sizes == [sum(1 for y in b if oracle.add(f, x, y) in z_set) for x in ap]
-    assert piece == sorted(y for y in b if oracle.add(f, x0, y) in z_set)
+    ap_arr, b_arr = np.array(ap, dtype=np.int64), np.array(b, dtype=np.int64)
+    mask = refine._z_mask(f, ap_arr, b_arr, np.array(sorted(z_set), dtype=np.int64))
+    assert mask.tolist() == [[oracle.add(f, x, y) in z_set for y in b] for x in ap]
+    assert refine._z_piece(mask, ap_arr, b_arr, x0) == [
+        y for y in b if oracle.add(f, x0, y) in z_set]
 
 
 def test_shrink_weak_gate_unmet_on_subgroup_like_carrier():
@@ -154,6 +160,93 @@ def test_bijectivity_check(c11_m2):
     assert bijectivity_check(c11_m2, BlockRef(1, 0))
     with pytest.raises(PreconditionUnmet):
         bijectivity_check(c11_m2, BlockRef(2, 0))  # m < 2k
+
+
+def _case3_blocks(sch, K):
+    """Arity-2 blocks of A x B for A = B = level-1 block 0, split by size
+    at sqrt(K)|A| as case 3 splits them: (A rows, small ids, big ids)."""
+    inst, part_hi = sch.instance, sch.level(2)
+    rows = sch.level(1).blocks()[0]
+    prod = (rows[:, None] * inst.n + rows[None, :]).reshape(-1)
+    small, big = [], []
+    for bid in sorted(set(part_hi.bid[prod].tolist())):
+        fits = Fraction(part_hi.block_size(bid)) ** 2 <= K * len(rows) ** 2
+        (small if fits else big).append(bid)
+    return rows, small, big
+
+
+def _check_records(records, expect):
+    """Each record is (lhs, op, rhs) as recomputed, and holds exactly."""
+    ops = {"<=": lambda x, y: x <= y, "==": lambda x, y: x == y}
+    assert [(Fraction(r["lhs"]), r["op"], Fraction(r["rhs"])) for r in records] == expect
+    assert all(r["holds"] and ops[op](x, y) for r, (x, op, y) in zip(records, expect))
+
+
+@pytest.mark.parametrize("build,args,K,branch", CASE3_INSTANCES,
+                         ids=[f"{b.__name__}{a}-K={K}" for b, a, K, _ in CASE3_INSTANCES])
+def test_case3_branches_recompute_exactly(build, args, K, branch):
+    sch = build(*args)
+    out = partial_sumset_search(sch, 0, K)
+    step = out.steps[-1]
+    assert [s.branch for s in out.steps] == [branch]
+    sizes = step.sizes
+    n_a, n_b, piece = sizes["|A|"], sizes["|B|"], sizes["|B'|"]
+    assert sizes["k"] == 1 and n_a == n_b == len(sch.level1_block_set(0))
+    rows, small, big = _case3_blocks(sch, K)
+    inst, part_hi = sch.instance, sch.level(2)
+    if branch == "case3-trim":
+        chosen, tot = [], 0
+        for bid in small:
+            chosen.append(bid)
+            tot += part_hi.block_size(bid)
+            if Fraction(tot) ** 2 >= K * n_a ** 2:
+                break
+        assert (sizes["|T|"], sizes["|T'|"]) == (
+            sum(part_hi.block_size(b) for b in small), tot)
+        _check_records(step.inequalities, [
+            (K * n_a ** 2, "<=", Fraction(tot) ** 2),
+            (Fraction(tot) ** 2, "<=", 4 * K * n_a ** 2),
+            (piece * n_a, "==", tot),
+            (K, "<=", piece ** 2),
+            (piece ** 2 * K, "<=", n_b ** 2),
+        ])
+        x_row = int(rows[0])
+        expect = oracle.trim_piece_walk(inst, part_hi, chosen, x_row)
+        assert out.case == "block-trim"
+    else:
+        f = sch.field
+        for bid in big:
+            brows = part_hi.blocks()[bid]
+            im = len({oracle.add(f, *oracle.tuple_points(inst, int(r), 2)) for r in brows})
+            if len(brows) <= 2 * K * im:
+                break
+        n_star = sizes["|A*|"]
+        assert n_star == len(brows)
+        _check_records(step.inequalities, [
+            (n_star, "<=", 2 * K * im),
+            (n_star, "==", im),
+            (piece * n_a, "==", n_star),
+            (K, "<=", piece ** 2),
+        ])
+        assert piece ** 2 * K <= n_b ** 2  # |B'| <= |B|/sqrtK: the exit
+        x_row = int(brows[0] // inst.n)
+        expect = oracle.exit_piece_walk(inst, brows, x_row)
+        assert out.case == "fiber-exit"
+    assert out.fiber_prefix == step.prefix == oracle.tuple_points(inst, x_row, 1)
+    assert list(out.points) == expect and len(expect) == piece
+    assert all(type(c) is int for c in out.fiber_prefix + out.points)
+    # the piece is the union of the reported level-1 blocks of the fibre
+    fib = sch.fiber(out.fiber_prefix)
+    assert sorted(c for i in out.result_ids for c in fib.level1_block_set(i)) == expect
+
+
+def test_blocks_inside_takes_whole_blocks_only():
+    # the fibre of C11:C5 at 85 has blocks {85}, {93, ...} and {150, ...}
+    fib = c11_c5_scheme(4, lazy=True).fiber((85,))
+    blocks = [fib.level1_block_set(i).tolist() for i in range(fib.level(1).num_blocks)]
+    for codes in ([85, 150, 172, 565, 846, 990], [85, 93, 150], blocks[1], []):
+        expect = [i for i, blk in enumerate(blocks) if set(blk) <= set(codes)]
+        assert refine._blocks_inside(fib, np.array(codes, dtype=np.int64)).tolist() == expect
 
 
 def test_scheme_power_preconditions(c11_m2):
@@ -279,7 +372,7 @@ def test_bsg_extract_matches_brute_force(params, gamma):
     f = sch.field
     b = sorted(sch.level1_block_set(0))
     t_set, neigh, coneigh, piece, worst = _bsg_oracle(sch, gamma)
-    adj = refine._difference_adjacency(f, b, t_set)
+    adj = refine._difference_adjacency(f, np.array(b), sorted(t_set))
     for i, x in enumerate(b):
         assert {b[j] for j in range(len(b)) if adj[i, j]} == neigh[x]
         assert {b[j] for j in range(len(b)) if adj[j, i]} == coneigh[x]

@@ -240,11 +240,16 @@ def test_blocks_are_ascending_and_level1_block_set_reads_them(gl2_m3, singer7_m3
             for b, rows in enumerate(part.blocks()):
                 assert np.all(np.diff(rows) > 0)
                 assert (part.bid[rows] == b).all()
+        s_array = sch.instance.s_array
+        assert s_array.dtype == np.int64 and not s_array.flags.writeable
+        assert s_array.tolist() == list(sch.s_codes)
         lev1 = sch.level(1)
         for b in range(lev1.num_blocks):
             codes = sch.level1_block_set(b)
-            assert codes == sorted(c for c in sch.s_codes
-                                   if lev1.bid[sch.instance.tuple_index((c,))] == b)
+            assert codes.dtype == np.int64 and not codes.flags.writeable
+            assert np.all(np.diff(codes) > 0)
+            assert codes.tolist() == sorted(c for c in sch.s_codes
+                                            if lev1.bid[sch.instance.tuple_index((c,))] == b)
 
 
 def test_block_ids_outside_the_level_are_rejected(trivial_m3):
@@ -258,5 +263,5 @@ def test_block_ids_outside_the_level_are_rejected(trivial_m3):
     for bad in (-1, 9):  # level 2 has nine blocks
         with pytest.raises(IndexOutOfRange, match="at arity 2"):
             sch.level(2).block(bad)
-    assert sch.level1_block_set(2) == [3]
+    assert sch.level1_block_set(2).tolist() == [3]
     assert sch.blockset_indices(1, {0, 2}).tolist() == [0, 2]
