@@ -227,7 +227,7 @@ def _forward_restriction(sch: Scheme, tau: LinMap, src: tuple, dst: tuple):
     if (src_members is None or dst_members is None
             or (tau.src_arity, tau.dst_arity) != (src[0], dst[0])):
         return None
-    img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(src[0])[src_members]))
+    img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(src[0], src_members)))
     # a bijection onto dst: the images, sorted, are dst's members
     if (img < 0).any() or not np.array_equal(np.sort(img), dst_members):
         return None

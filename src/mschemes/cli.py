@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +28,7 @@ from .addcomb import (
     covering_number,
     is_coset,
 )
-from .caps import DEFAULT_BUDGET_SATURATION
+from .caps import DEFAULT_BUDGET_SATURATION, DEFAULT_CAP_TUPLES
 from .errors import (
     CapExceeded,
     DepthExhausted,
@@ -37,7 +38,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .fourier import FourierContext
-from .gf_linalg import Field
+from .gf_linalg import Field, positive_cap
 from .group_orbits import MatrixGroup, build_orbit_scheme
 from .scheme_core import Scheme
 
@@ -50,19 +51,28 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(args, obj, human: str = ""):
+def _emit(args, obj):
     text = _dump(obj)
-    if getattr(args, "report", None):
+    if args.report:
         with open(args.report, "w") as fh:
             fh.write(text)
-        if human:
-            print(human)
     else:
         sys.stdout.write(text)
 
 
+def _tuple_cap(args) -> int:
+    """--cap if given, else $MSCHEME_CAP_TUPLES if set, else the default."""
+    if args.cap is not None:
+        return positive_cap(args.cap, "--cap")
+    text = os.environ.get("MSCHEME_CAP_TUPLES", str(DEFAULT_CAP_TUPLES))
+    try:
+        return positive_cap(int(text), "MSCHEME_CAP_TUPLES")
+    except ValueError:
+        raise InputError(f"MSCHEME_CAP_TUPLES={text!r} is not an integer") from None
+
+
 def _field(args) -> Field:
-    return Field(args.ell, args.dim)
+    return Field(args.ell, args.dim, args.cap)
 
 
 def _parse_codes(text: str):
@@ -80,17 +90,17 @@ def _parse_codes(text: str):
 
 
 def _load_scheme(args) -> Scheme:
-    """Scheme from --in (JSON file) or from --group/--seed-set/--m flags."""
-    if getattr(args, "infile", None):
+    """Scheme from --in (JSON file) or --group/--seed-set/--m, then --fix."""
+    if args.infile:
         with open(args.infile) as fh:
-            return Scheme.from_json(fh.read())
-    if not (args.group and args.seed_set and args.m):
+            sch = Scheme.from_json(fh.read(), args.cap)
+    elif not (args.group and args.seed_set and args.m is not None):
         raise InputError("need either --in FILE or --group/--seed-set/--m")
-    f = _field(args)
-    group = MatrixGroup.from_spec(f, args.group)
-    sch = build_orbit_scheme(group, _parse_codes(args.seed_set), args.m,
-                             materialize=not args.lazy)
-    if getattr(args, "fix", None):
+    else:
+        group = MatrixGroup.from_spec(_field(args), args.group)
+        sch = build_orbit_scheme(group, _parse_codes(args.seed_set), args.m,
+                                 materialize=not args.lazy)
+    if args.fix:
         sch = sch.fiber(tuple(_parse_codes(args.fix)))
     return sch
 
@@ -108,18 +118,12 @@ def _add_scheme_source(p):
 
 
 def _add_common(p):
-    p.add_argument("--out", help="output file for generated structures")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
-    p.add_argument("--cap", type=int, help="override the tuple-space cap")
+    p.add_argument("--cap", type=int, help="tuple-space cap (beats $MSCHEME_CAP_TUPLES)")
 
 
 def cmd_gen_orbit(args) -> int:
-    f = _field(args)
-    if not args.group or not args.seed_set or not args.m:
-        raise InputError("gen-orbit needs --group, --seed-set and --m")
-    group = MatrixGroup.from_spec(f, args.group)
-    sch = build_orbit_scheme(group, _parse_codes(args.seed_set), args.m,
-                             materialize=not args.lazy)
+    sch = _load_scheme(args)
     if args.lazy and args.out:
         raise InputError("cannot export a lazy scheme; drop --lazy")
     if args.out:
@@ -168,8 +172,6 @@ def cmd_antisym(args) -> int:
 
 def cmd_fiber(args) -> int:
     sch = _load_scheme(args)
-    if getattr(args, "infile", None) and args.fix:
-        sch = sch.fiber(tuple(_parse_codes(args.fix)))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(sch.to_json())
@@ -297,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-set", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--lazy", action="store_true")
+    p.add_argument("--out", help="write the scheme JSON here")
     _add_common(p)
-    p.set_defaults(func=cmd_gen_orbit)
+    p.set_defaults(func=cmd_gen_orbit, infile=None, fix=None)  # for _load_scheme
 
     p = sub.add_parser("validate", help="exhaustive axiom sweep")
     _add_scheme_source(p)
@@ -313,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fiber", help="restrict to a fibre prefix")
     _add_scheme_source(p)
+    p.add_argument("--out", help="write the fibre scheme JSON here")
     _add_common(p)
     p.set_defaults(func=cmd_fiber)
 
@@ -335,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--eps-prime", default="1/8")
+    p.add_argument("--out", help="write the coefficient CSV here")
     _add_common(p)
     p.set_defaults(func=cmd_fourier)
 
@@ -369,17 +374,10 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
-    import os
-
-    cap = getattr(args, "cap", None)
-    prev_cap = os.environ.get("MSCHEME_CAP_TUPLES")
     try:
-        if cap is not None:
-            if cap < 1:
-                raise InputError(f"--cap must be at least 1, got {cap}")
-            os.environ["MSCHEME_CAP_TUPLES"] = str(cap)
+        args.cap = _tuple_cap(args)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, PreconditionUnmet, DepthExhausted) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceeded as exc:
@@ -388,15 +386,6 @@ def main(argv=None) -> int:
     except (LemmaViolation, AssertionError) as exc:
         print(f"lemma violation: {exc}", file=sys.stderr)
         return EXIT_LEMMA
-    except (PreconditionUnmet, DepthExhausted) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except MSchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        if cap is not None:
-            if prev_cap is None:
-                os.environ.pop("MSCHEME_CAP_TUPLES", None)
-            else:
-                os.environ["MSCHEME_CAP_TUPLES"] = prev_cap

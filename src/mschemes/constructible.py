@@ -437,7 +437,7 @@ def extend_subspace(sch: Scheme, cert: Certificate, target_points, t: int):
         lifted = rows * (n ** dt) + prefix_idx  # indices of B x {prefix}
         ids = sorted(part.ids_as_union(lifted))
         rowsets = [part.blocks()[i] for i in ids]
-        for svec in digit_rows(f.ell, d).tolist():
+        for svec in digit_rows(f, d).tolist():
             coeffs = [list(row) for row in tau.coeffs] + [
                 [(svec[i] * lam) % f.ell]
                 for i, terms in enumerate(decomps)

@@ -6,7 +6,7 @@ dual vectors over that basis.  Coefficients use complex doubles; every
 threshold comparison applies a 1e-9 guard band.
 
 A coefficient vector is one complex array of length |G|, indexed like the
-dual grid `duals`, which is `gf_linalg.digit_rows(ell, r)` itself (all of
+dual grid `duals`, which is `gf_linalg.digit_rows(field, r)` itself (all of
 F_ell^r in `itertools.product` order, the sorted order of the dual vectors;
 cached and read-only); index 0 is the trivial character.  `all_coeffs`
 makes it, and `parseval_check`, `inversion_check`, `heavy_characters` and
@@ -63,7 +63,7 @@ class FourierContext:
     basis: np.ndarray          # rref rows, shape (r, dim)
     codes: np.ndarray          # (|G|,) sorted point codes of the subgroup
     coord_rows: np.ndarray = dc_field(repr=False)  # (|G|, r): coords of codes[i]
-    duals: np.ndarray = dc_field(repr=False)       # (|G|, r): digit_rows(ell, r)
+    duals: np.ndarray = dc_field(repr=False)       # (|G|, r): digit_rows(field, r)
 
     @staticmethod
     def for_generators(field: Field, codes) -> "FourierContext":
@@ -77,7 +77,7 @@ class FourierContext:
             raise CapExceeded("fourier group order", order, CAP_GROUP_ORDER)
         # every coordinate row times the basis (encode_batch reduces mod ell),
         # then sorted by point code
-        combos = digit_rows(field.ell, r)
+        combos = digit_rows(field, r)
         group = field.encode_batch(combos @ basis)
         perm = np.argsort(group)
         return FourierContext(field, basis, group[perm], combos[perm], combos)

@@ -7,11 +7,11 @@ ordering currency used everywhere (block numbering, reports, JSON).
 
 One radix codec serves every such grid, most significant digit first:
 `radix_weights(base, width)` are the place values, `radix_digits(values,
-base, width)` the digit rows of an int array, and `digit_rows(ell, r)` all of
-F_ell^r in `itertools.product` order.  Point codes, tuple indices over S
+base, width)` the digit rows of an int array, and `digit_rows(field, r)` all
+of F_ell^r in `itertools.product` order.  Point codes, tuple indices over S
 (base n), map coefficients (base ell) and dense tuple codes (base q) all go
 through them.  `digit_rows` is cached and read-only, and it checks ell^r
-against `cap_tuples()` on every call.
+against the field's tuple cap on every call.
 
 Point arithmetic has one path, `Field.add_codes/sub_codes/neg_codes`: codes
 in, codes out.  The arguments are ints or integer arrays of codes and
@@ -19,19 +19,19 @@ broadcast like numpy; a 0-d result comes back as a Python int.  Every call
 checks the point-space cap and the range [0, q) of its codes once (min and
 max), raising CapExceeded or IndexOutOfRange.  For ell = 2 addition and
 subtraction are the XOR of codes and negation is the identity; otherwise the
-codes go through `digit_rows(ell, d)` and `encode_batch`.
+codes go through `digit_rows(field, d)` and `encode_batch`.
 `decode_batch`, which turns codes into digit rows, makes the same range check.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .caps import DEFAULT_CAP_MAPS, MAX_DIM, MAX_ELL, cap_tuples
+from .caps import DEFAULT_CAP_MAPS, DEFAULT_CAP_TUPLES, MAX_DIM, MAX_ELL
 from .errors import ArityMismatch, CapExceeded, IndexOutOfRange, InputError
 
 
@@ -65,6 +65,13 @@ def member_mask(values, members) -> np.ndarray:
     return keys[np.minimum(np.searchsorted(keys, values), len(keys) - 1)] == values
 
 
+def positive_cap(value: int, name: str) -> int:
+    """value, or InputError naming its source `name` when it is below 1."""
+    if value < 1:
+        raise InputError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Field:
     """Ambient vector space F_ell^dim with point coding and point arithmetic.
@@ -72,10 +79,13 @@ class Field:
     `add_codes`, `sub_codes` and `neg_codes` take point codes (ints or
     arrays, broadcast like numpy) and return codes; codes outside [0, q)
     raise IndexOutOfRange.  For ell = 2 they are XOR and the identity.
+    `cap_tuples` bounds every enumeration over the field (`check_cap`); it
+    takes no part in equality.
     """
 
     ell: int
     dim: int
+    cap_tuples: int = dc_field(default=DEFAULT_CAP_TUPLES, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.ell):
@@ -84,10 +94,16 @@ class Field:
             raise CapExceeded("ell", self.ell, MAX_ELL)
         if not (1 <= self.dim <= MAX_DIM):
             raise InputError(f"dim={self.dim} outside [1, {MAX_DIM}]")
+        positive_cap(self.cap_tuples, "cap_tuples")
 
     @property
     def q(self) -> int:
         return self.ell ** self.dim
+
+    def check_cap(self, what: str, size: int):
+        """CapExceeded if enumerating `what`, `size` entries, exceeds the cap."""
+        if size > self.cap_tuples:
+            raise CapExceeded(what, size, self.cap_tuples)
 
     # ---- point coding -------------------------------------------------
 
@@ -114,7 +130,7 @@ class Field:
     def decode_batch(self, codes) -> np.ndarray:
         """Array of shape (n, dim) with the digit rows of the given codes;
         codes outside [0, q) raise IndexOutOfRange."""
-        table = digit_rows(self.ell, self.dim)
+        table = digit_rows(self, self.dim)
         return table[self._in_range(np.asarray(codes, dtype=np.int64))]
 
     def encode_batch(self, rows: np.ndarray) -> np.ndarray:
@@ -135,9 +151,7 @@ class Field:
     def _point_codes(self, codes) -> np.ndarray:
         """`codes` as an int64 array, after the point-space cap and the
         range check."""
-        cap = cap_tuples()
-        if self.q > cap:
-            raise CapExceeded("point space", self.q, cap)
+        self.check_cap("point space", self.q)
         return self._in_range(np.asarray(codes, dtype=np.int64))
 
     @staticmethod
@@ -148,7 +162,7 @@ class Field:
         a, b = self._point_codes(a), self._point_codes(b)
         if self.ell == 2:
             return self._codes_out(a ^ b)
-        table = digit_rows(self.ell, self.dim)
+        table = digit_rows(self, self.dim)
         return self._codes_out(self.encode_batch(table[a] + sign * table[b]))
 
     def add_codes(self, a, b):
@@ -164,7 +178,7 @@ class Field:
         a = self._point_codes(a)
         if self.ell == 2:
             return self._codes_out(a.copy())
-        return self._codes_out(self.encode_batch(-digit_rows(self.ell, self.dim)[a]))
+        return self._codes_out(self.encode_batch(-digit_rows(self, self.dim)[a]))
 
     @property
     def zero(self) -> int:
@@ -195,15 +209,13 @@ def radix_digits(values, base: int, width: int) -> np.ndarray:
     return out
 
 
-def digit_rows(ell: int, r: int) -> np.ndarray:
+def digit_rows(field: Field, r: int) -> np.ndarray:
     """All of F_ell^r as an (ell^r, r) array, row c the digits of c: the
     tuples that `itertools.product` makes of r copies of range(ell), in its
-    order.  Cached and read-only; ell^r is checked against `cap_tuples()` on
-    every call."""
-    size, cap = ell ** r, cap_tuples()
-    if size > cap:
-        raise CapExceeded("point space", size, cap)
-    return _digit_grid(ell, r)
+    order.  Cached and read-only; ell^r is checked against the field's tuple
+    cap on every call."""
+    field.check_cap("point space", field.ell ** r)
+    return _digit_grid(field.ell, r)
 
 
 @lru_cache(maxsize=64)
@@ -372,4 +384,4 @@ def span_points(field: Field, codes: Iterable[int]) -> list:
     sorted Python ints: every coefficient row over the rref basis, which are
     independent, so the points are distinct."""
     basis = span_basis(field, codes)
-    return np.sort(field.encode_batch(digit_rows(field.ell, basis.shape[0]) @ basis)).tolist()
+    return np.sort(field.encode_batch(digit_rows(field, basis.shape[0]) @ basis)).tolist()

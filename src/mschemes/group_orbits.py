@@ -266,8 +266,7 @@ class OrbitBackend:
     """Lazy level/fibre provider for orbit-induced schemes: the group as
     generator permutations of the positions of the sorted carrier S."""
 
-    def __init__(self, s_codes: tuple, perms: np.ndarray):
-        self.s_codes = s_codes
+    def __init__(self, perms: np.ndarray):
         self.perms = perms  # (g, n): perms[i][p] = position of M_i s_p
 
     def orbit_partition_raw(self, instance: SchemeInstance, k: int) -> np.ndarray:
@@ -291,12 +290,13 @@ class OrbitBackend:
                     changed = True
         return labels
 
-    def stabilizer_backend(self, pts):
-        """Backend of the pointwise stabilizer of the given point codes of S."""
+    def stabilizer_backend(self, positions):
+        """Backend of the pointwise stabilizer of the points of S at these
+        positions."""
         perms = self.perms
-        for p in np.searchsorted(self.s_codes, pts):
+        for p in positions:
             perms = point_stabilizer(perms, int(p))
-        return OrbitBackend(self.s_codes, perms)
+        return OrbitBackend(perms)
 
 
 def build_orbit_scheme(group: MatrixGroup, seed_codes, m: int,
@@ -312,7 +312,7 @@ def build_orbit_scheme(group: MatrixGroup, seed_codes, m: int,
     perms = inst.pos(group.images(s_codes))
     if (perms < 0).any():
         raise NotInGroup("S is not stable under the group")
-    backend = OrbitBackend(s_codes, perms)
+    backend = OrbitBackend(perms)
     if not materialize:
         return Scheme(inst, m, backend=backend)
     levels = [

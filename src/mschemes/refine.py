@@ -194,7 +194,14 @@ def _blocks_inside(sch: Scheme, codes: np.ndarray) -> np.ndarray:
 
 def _block_sums(inst: SchemeInstance, k: int, rows) -> np.ndarray:
     """Coordinate sum of each tuple of S^k at the tuple indices rows."""
-    return summation(k).apply_batch(inst.field, inst.tuples_array(k)[rows])[:, 0]
+    return summation(k).apply_batch(inst.field, inst.tuples_array(k, rows))[:, 0]
+
+
+def _fibre_piece(inst: SchemeInstance, rows, x_row: int) -> list:
+    """The last coordinates, ascending, of the tuples of S^(k+1) at the
+    tuple indices rows whose first k coordinates are the tuple x_row of S^k."""
+    n = inst.n
+    return np.sort(inst.s_array[rows[rows // n == x_row] % n]).tolist()
 
 
 def _le_ell_pow(lhs: Fraction, rhs: Fraction, ell: int, exp: Fraction) -> bool:
@@ -275,7 +282,7 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
     f = inst.field
     b_codes = sch.level1_block_set(b)
     rows = sch.level(k).block(a.b)
-    a_tuples = inst.tuples_array(k)[rows]
+    a_tuples = inst.tuples_array(k, rows)
     if not member_mask(a_tuples, b_codes).all():
         raise PreconditionUnmet("A⊆B^k", "block A has coordinates outside B")
     sig = _block_sums(inst, k, rows)
@@ -479,9 +486,9 @@ def partial_sumset_search(sch: Scheme, b: int, K):
                      note="|T'|<=2sqrtK|A| (squared)"),
             ]
             x_row = int(rows[0])
-            x_pts = tuple(inst.tuples_array(k)[x_row].tolist())
+            x_pts = tuple(inst.tuples_array(k, x_row).tolist())
             t_rows = np.concatenate([part_hi.blocks()[bid] for bid in chosen])
-            piece = np.sort(inst.s_array[t_rows[t_rows // n == x_row] % n]).tolist()
+            piece = _fibre_piece(inst, t_rows, x_row)
             recs.append(ineq(len(piece) * n_a, "==", tot,
                              note="|B'|=|T'|/|A| (fibre constancy)"))
             recs += _sqrt_bounds(len(piece), K, n_b)
@@ -512,10 +519,8 @@ def partial_sumset_search(sch: Scheme, b: int, K):
         ]
         require_ineqs("partial_sumset_search/case3-A*", recs)
         x_row = int(brows[0] // n)
-        x_pts = tuple(inst.tuples_array(k)[x_row].tolist())
-        # no sort: brows is one block's ascending rows, so within the one
-        # prefix x_row the last positions r % n increase, and S is ascending
-        piece = inst.s_array[brows[brows // n == x_row] % n].tolist()
+        x_pts = tuple(inst.tuples_array(k, x_row).tolist())
+        piece = _fibre_piece(inst, brows, x_row)
         recs += [ineq(len(piece) * n_a, "==", len(brows),
                       note="|B'|=|A*|/|A| (fibre constancy)"),
                  ineq(K, "<=", Fraction(len(piece)) ** 2, note="sqrtK<=|B'| (squared)")]
@@ -611,7 +616,7 @@ def lift_block(sch: Scheme, a: BlockRef, power: Scheme, x_prefix: Sequence[int],
         if int(c) not in pre:
             raise PreconditionUnmet("prefix⊆A'", f"point {c} not in A'")
     y_rows = [pre[int(c)] for c in x_prefix]
-    y_prefix = tuple(inst.tuples_array(k)[y_rows].reshape(-1).tolist())
+    y_prefix = tuple(inst.tuples_array(k, y_rows).reshape(-1).tolist())
     if k * r + k > sch.m:
         raise DepthExhausted(
             f"lift needs level {k * (r + 1)} > m={sch.m}")
@@ -684,12 +689,11 @@ def _group_convolve(field, fa: dict, fb: dict) -> dict:
 def representation_counts(bset: PointSet) -> dict:
     """w -> #{(x_i, y_i)_{i<=4} in B^8 : (x1-y1)-(x2-y2)-(x3-y3)+(x4-y4) = w}."""
     f = bset.field
+    # d(-z) = d(z) for the differences of B with itself: d stands for -d too
     d = diff_histogram(bset, bset)
-    dm = dict(zip(f.neg_codes(np.fromiter(d, np.int64, len(d))).tolist(), d.values()))
-    conv = _group_convolve(f, d, dm)
-    conv = _group_convolve(f, conv, dm)
+    conv = _group_convolve(f, d, d)
     conv = _group_convolve(f, conv, d)
-    return conv
+    return _group_convolve(f, conv, d)
 
 
 def _difference_adjacency(field, b_codes: np.ndarray, t_codes) -> np.ndarray:
@@ -895,7 +899,7 @@ def enumerate_subspaces(field, group_codes, cap: int = 4096):
             mats[:, np.arange(s), pivots] = 1
             for col, (i, j) in enumerate(free):
                 mats[:, i, j] = values[:, col]
-            pts = field.encode_batch(digit_rows(ell, s) @ mats @ basis)
+            pts = field.encode_batch(digit_rows(field, s) @ mats @ basis)
             out.extend(frozenset(row) for row in pts.tolist())
     return sorted(out, key=lambda sub: (len(sub), sorted(sub)))
 

@@ -16,19 +16,20 @@ Carrier index.  `SchemeInstance.s_array` is S as one sorted, read-only
 int64 array; `level1_block_set` gathers a block's codes from it, read-only.
 `SchemeInstance.pos` is the only map from point codes to positions in S (-1
 for a code not in S, also outside [0, q)); it reads one table built once
-per instance.  `tuples_array(k)[rows]` is the only map from tuple indices
+per instance.  `tuples_array(k, rows)` is the only map from tuple indices
 back to codes.  `TuplePartition.blocks()` is the only member
-list of the blocks, and each entry is ascending.
+list of the blocks, and each entry is ascending.  Every tuple-cap check
+is `Field.check_cap` on the instance's field.
 
 Every digit grid here is the radix codec of `gf_linalg`: tuple indices are
 `radix_digits` in base n, and dense tuple codes `radix_weights` in base q.
 
 Map table.  `SchemeInstance.map_table(k)` applies to S^k the map V^k ->
 V^(ell^k) whose column c has the base-ell digits of c as coefficients: its
-coefficient matrix is `digit_rows(ell, k)` transposed (the order of
+coefficient matrix is `digit_rows(field, k)` transposed (the order of
 `enumerate_linmaps(field, k, 1)`).  The images under tau are its columns
 cols(tau)_j = coeffs[:, j] @ radix_weights(ell, k).  Its n^k * ell^k codes
-count against `cap_tuples()`.  Maps are swept only by `_MapGroup.sweep`,
+count against the tuple cap.  Maps are swept only by `_MapGroup.sweep`,
 which reads only this table: once per k the table, rows in block order,
 becomes S-positions P, and the S^k' index of tau(x) is then the base-n
 number of the k' columns cols(tau) of P (-1 when one of them is -1).  A
@@ -54,10 +55,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .caps import cap_tuples
+from .caps import DEFAULT_CAP_TUPLES
 from .errors import (
     ArityMismatch,
-    CapExceeded,
     DepthExhausted,
     EmptyReference,
     IndexOutOfRange,
@@ -119,23 +119,22 @@ class SchemeInstance:
         return self.n ** k
 
     def check_tuple_cap(self, k: int):
-        if self.n ** k > cap_tuples():
-            raise CapExceeded(f"tuple space S^{k}", self.n ** k, cap_tuples())
+        self.field.check_cap(f"tuple space S^{k}", self.n ** k)
 
-    def tuples_array(self, k: int) -> np.ndarray:
-        """(n^k, k) array of point codes, row t = tuple with index t."""
+    def tuples_array(self, k: int, rows=None) -> np.ndarray:
+        """(n^k, k) array of point codes, row t = tuple with index t, or only
+        the rows at the tuple indices `rows`; the cap on S^k holds either way."""
         self.check_tuple_cap(k)
-        idx = np.arange(self.n ** k, dtype=np.int64)
-        return self.s_array[radix_digits(idx, self.n, k)]
+        if rows is None:
+            rows = np.arange(self.n ** k, dtype=np.int64)
+        return self.s_array[radix_digits(rows, self.n, k)]
 
     def map_table(self, k: int) -> np.ndarray:
         """(n^k, ell^k) codes: column c is every tuple of S^k under the map
         V^k -> V whose coefficients are the base-ell digits of c."""
         ell = self.field.ell
-        size = self.n ** k * ell ** k
-        if size > cap_tuples():
-            raise CapExceeded(f"map table S^{k} x F_{ell}^{k}", size, cap_tuples())
-        coeffs = tuple(map(tuple, digit_rows(ell, k).T.tolist()))
+        self.field.check_cap(f"map table S^{k} x F_{ell}^{k}", self.n ** k * ell ** k)
+        coeffs = tuple(map(tuple, digit_rows(self.field, k).T.tolist()))
         return LinMap(k, ell ** k, coeffs).apply_batch(self.field, self.tuples_array(k))
 
     def tuple_indices(self, codes: np.ndarray) -> np.ndarray:
@@ -437,7 +436,7 @@ class Scheme:
 
     Levels may be materialized eagerly (explicit schemes) or on demand from a
     backend exposing `orbit_partition_raw(instance, k)`,
-    `stabilizer_backend(point_codes)` and its generator permutations `perms`
+    `stabilizer_backend(s_positions)` and its generator permutations `perms`
     (group-action schemes whose declared depth exceeds what can be
     materialized).
     """
@@ -510,15 +509,16 @@ class Scheme:
             return self._fiber_cache[pts]
         if t >= self.m:
             raise DepthExhausted(f"cannot fix {t} points of a depth-{self.m} scheme")
-        for c, p in zip(pts, self.instance.pos(pts).tolist()):
+        positions = self.instance.pos(pts).tolist()
+        for c, p in zip(pts, positions):
             if p < 0:
                 raise IndexOutOfRange(f"fibre point {c} not in S")
         if self.backend is not None:
             parent = self._fiber_cache.get(pts[:-1])
             if parent is not None:
-                sub = parent.backend.stabilizer_backend(pts[-1:])
+                sub = parent.backend.stabilizer_backend(positions[-1:])
             else:
-                sub = self.backend.stabilizer_backend(pts)
+                sub = self.backend.stabilizer_backend(positions)
             out = Scheme(self.instance, self.m - t, backend=sub,
                          prefix=self.prefix + pts)
             self._fiber_cache[pts] = out
@@ -669,7 +669,7 @@ class Scheme:
         idx = self.blockset_indices(k, bids)
         if len(idx) == 0:
             return frozenset()
-        img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(k)[idx]))
+        img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(k, idx)))
         return self.level(kp).ids_as_union(img[img >= 0])
 
     def preimage_blockset(self, tau: LinMap, bids, k: Optional[int] = None):
@@ -700,7 +700,7 @@ class Scheme:
         ell = inst.field.ell
         profiles = set()
         basis = None
-        for pts in inst.tuples_array(k)[self.level(k).blocks()[b]]:
+        for pts in inst.tuples_array(k, self.level(k).blocks()[b]):
             mat = inst.field.decode_batch(pts)  # (k, d)
             null = nullspace_basis_mod(mat.T, ell)  # rows c with mat^T c = 0
             red, piv = rref_mod(null, ell) if null.size else (null, ())
@@ -717,8 +717,7 @@ class Scheme:
         field = inst.field
         levels = []
         for k in range(1, self.m + 1):
-            if field.q ** k > cap_tuples():
-                raise CapExceeded("dense block_of export", field.q ** k, cap_tuples())
+            field.check_cap("dense block_of export", field.q ** k)
             part = self.level(k)
             dense = np.full(field.q ** k, -1, dtype=np.int64)
             dense[inst.tuples_array(k) @ radix_weights(field.q, k)] = part.bid
@@ -733,10 +732,11 @@ class Scheme:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
-    def from_json(text: str) -> "Scheme":
+    def from_json(text: str, cap_tuples: int = DEFAULT_CAP_TUPLES) -> "Scheme":
+        """The scheme `to_json` wrote, over a field with this tuple cap."""
         try:
             obj = json.loads(text)
-            field = Field(int(obj["ell"]), int(obj["dim"]))
+            field = Field(int(obj["ell"]), int(obj["dim"]), cap_tuples)
             s_codes = tuple(sorted(field.encode(v) for v in obj["S"]))
             inst = SchemeInstance(field, s_codes)
             m = int(obj["m"])

@@ -51,6 +51,10 @@ def test_bad_input_exit_codes(capsys):
     # missing scheme source
     code, _, err = run(capsys, ["validate"])
     assert code == 2 and "input error" in err
+    # a depth below 1 is named as such, not as a missing flag
+    code, _, err = run(capsys, [
+        "gen-orbit", "--ell", "2", "--dim", "3", "--group", GL, "--seed-set", "1", "--m", "0"])
+    assert code == 2 and "depth m must be >= 1" in err
 
 
 def test_cap_exit_code(capsys):
@@ -78,6 +82,44 @@ def test_cap_below_one_is_input_error(capsys, monkeypatch, cap):
         "--seed-set", "1", "--m", "2", "--cap", cap])
     assert code == 2 and "input error" in err and "--cap" in err
     assert "MSCHEME_CAP_TUPLES" not in os.environ
+
+
+@pytest.mark.parametrize("value,code", [("100", 3), ("0", 2), ("-5", 2), ("abc", 2)])
+def test_cap_environment_is_read_by_the_cli(capsys, monkeypatch, value, code):
+    # GL on F_2^3 at m = 3: S^3 has 343 tuples
+    monkeypatch.setenv("MSCHEME_CAP_TUPLES", value)
+    got, out, err = run(capsys, [
+        "validate", "--ell", "2", "--dim", "3", "--group", GL,
+        "--seed-set", "1", "--m", "3"])
+    assert got == code and out == ""
+    if code == 2:
+        assert "input error" in err and "MSCHEME_CAP_TUPLES" in err
+
+
+SCHEME_FLAGS = ["--ell", "2", "--dim", "3", "--group", GL, "--seed-set", "1", "--m", "3"]
+
+
+@pytest.mark.parametrize("command,key,value", [("validate", "checked_maps", 26),
+                                               ("fiber", "m", 2)])
+def test_fix_applies_to_a_scheme_file(tmp_path, capsys, command, key, value):
+    # the m = 2 fibre of the m = 3 scheme, whichever way the scheme came in
+    scheme_file = tmp_path / "scheme.json"
+    assert run(capsys, ["gen-orbit", *SCHEME_FLAGS, "--out", str(scheme_file)])[0] == 0
+    from_file = run(capsys, [command, "--in", str(scheme_file), "--fix", "1"])
+    from_flags = run(capsys, [command, *SCHEME_FLAGS, "--fix", "1"])
+    assert from_file == from_flags and from_file[0] == 0
+    assert json.loads(from_file[1])[key] == value
+
+
+@pytest.mark.parametrize("command", ["validate", "antisym", "depth", "decompose",
+                                     "shrink", "addcomb"])
+def test_out_is_refused_where_nothing_is_written(tmp_path, capsys, command):
+    src = ["--ell", "2", "--dim", "3", "--set", "1,2,3"] if command == "addcomb" else SCHEME_FLAGS
+    out = tmp_path / "f.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *src, "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 def test_map_table_cap_exit_code(tmp_path, capsys):
@@ -345,6 +387,7 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
 
     def fresh(argv):
         args = cli.build_parser().parse_args(argv)
+        args.cap = cli._tuple_cap(args)  # as main resolves it
         assert args.func(args) == 0
         return capsys.readouterr().out
 

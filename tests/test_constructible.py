@@ -23,6 +23,7 @@ from mschemes.constructible import (
 )
 from mschemes.errors import CapExceeded, DepthExhausted, NotBlockUnion, PreconditionUnmet
 from mschemes.gf_linalg import Field, linmap, span_points
+from mschemes.group_orbits import build_orbit_scheme, gl_group, trivial_group
 from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
 from mschemes.scheme_core import SchemeInstance, finest_scheme
 
@@ -144,14 +145,16 @@ def test_decide_on_a_partly_grown_index_matches_oracle():
     assert index.complete
 
 
-def test_decide_checks_tuple_cap_on_every_call(monkeypatch):
+def test_decide_checks_tuple_cap_on_every_call():
     sch = instances.trivial_scheme(2, 2, 3)
     assert decide_constructible(sch, sch.s_codes, 2) is not None
-    monkeypatch.setenv("MSCHEME_CAP_TUPLES", str(sch.instance.n ** 2 - 1))
+    # the same scheme over a field whose cap is one below |S^2|
+    field = Field(2, 2, cap_tuples=sch.instance.n ** 2 - 1)
+    capped = build_orbit_scheme(trivial_group(field), sch.s_codes, 3, materialize=False)
     with pytest.raises(CapExceeded):
-        decide_constructible(sch, sch.s_codes, 2)
+        decide_constructible(capped, capped.s_codes, 2)
     with pytest.raises(DepthExhausted):
-        decide_constructible(sch, sch.s_codes, 4)
+        decide_constructible(capped, capped.s_codes, 4)
 
 
 def test_atoms_are_block_images(gl2_m3):
@@ -333,16 +336,21 @@ def test_prefix_search_matches_serial_oracle_scan(label, how):
     assert {None, 0, 3} <= positions
 
 
-def test_prefix_search_checks_tuple_cap_on_built_fibres(monkeypatch):
+def test_prefix_search_checks_tuple_cap_on_built_fibres():
     sch = instances.gl_orbit_scheme(2, 3, 4)
     _warm(sch, 2, 1, "warm")
     # {2, 3, 4} misses on every fibre, so no decide_constructible runs
     assert find_constructible_prefix(sch, [4], 2, 1) is not None
     assert find_constructible_prefix(sch, [2, 3, 4], 2, 1) is None
-    monkeypatch.setenv("MSCHEME_CAP_TUPLES", str(sch.instance.n ** 2 - 1))
+    # the same scheme over a field whose cap is one below |S^2|, every
+    # prefix-1 fibre built (building a fibre enumerates no tuples)
+    field = Field(2, 3, cap_tuples=sch.instance.n ** 2 - 1)
+    capped = build_orbit_scheme(gl_group(field), [1], 4, materialize=False)
+    for x in capped.s_codes:
+        capped.fiber((x,))
     for target in ([4], [2, 3, 4]):
         with pytest.raises(CapExceeded):
-            find_constructible_prefix(sch, target, 2, 1)
+            find_constructible_prefix(capped, target, 2, 1)
 
 
 def test_extend_subspace():

@@ -141,33 +141,35 @@ def test_point_ops_reject_codes_outside_range(ell, dim):
 
 
 @pytest.mark.parametrize("ell,dim", [(2, 4), (3, 3)])
-def test_point_ops_respect_point_space_cap(ell, dim, monkeypatch):
+def test_point_ops_respect_point_space_cap(ell, dim):
     f = Field(ell, dim)
-    assert f.add_codes(1, 2) >= 0  # warms the cached digit table
-    monkeypatch.setenv("MSCHEME_CAP_TUPLES", str(f.q - 1))
-    for call in (lambda: f.add_codes(1, 2), lambda: f.sub_codes(1, 2),
-                 lambda: f.neg_codes(1)):
+    assert f.add_codes(1, 2) >= 0  # warms the digit table that all fields share
+    capped = Field(ell, dim, cap_tuples=f.q - 1)
+    for call in (lambda: capped.add_codes(1, 2), lambda: capped.sub_codes(1, 2),
+                 lambda: capped.neg_codes(1)):
         with pytest.raises(CapExceeded):
             call()
-    monkeypatch.setenv("MSCHEME_CAP_TUPLES", str(f.q))
-    assert f.neg_codes(0) == 0
+    assert Field(ell, dim, cap_tuples=f.q).neg_codes(0) == 0
 
 
-def test_warm_digit_table_still_checks_the_cap(monkeypatch):
+def test_warm_digit_table_still_checks_the_cap():
     f = Field(3, 3)
-    assert f.decode_batch([5]).tolist() == [[0, 1, 2]]  # builds the table
-    monkeypatch.setenv("MSCHEME_CAP_TUPLES", "10")
-    for call in (lambda: f.decode_batch([5]), lambda: gf_linalg.digit_rows(3, 3)):
+    assert f.decode_batch([5]).tolist() == [[0, 1, 2]]  # builds the shared table
+    capped = Field(3, 3, cap_tuples=10)
+    assert capped == f  # the cap takes no part in equality
+    for call in (lambda: capped.decode_batch([5]), lambda: digit_rows(capped, 3)):
         with pytest.raises(CapExceeded) as exc:
             call()
         assert (exc.value.what, exc.value.needed, exc.value.cap) == ("point space", 27, 10)
-    monkeypatch.setenv("MSCHEME_CAP_TUPLES", "27")
-    assert f.decode_batch([5]).tolist() == [[0, 1, 2]]
+    assert Field(3, 3, cap_tuples=27).decode_batch([5]).tolist() == [[0, 1, 2]]
+    for bad in (0, -5):
+        with pytest.raises(InputError, match="cap_tuples must be at least 1"):
+            Field(3, 3, cap_tuples=bad)
 
 
 def test_digit_table_is_read_only():
     f = Field(3, 3)
-    table = gf_linalg.digit_rows(3, 3)
+    table = digit_rows(f, 3)
     with pytest.raises(ValueError):
         table[5, 0] = 1
     assert table[5].tolist() == [0, 1, 2] and f.add_codes(5, 1) == 3
@@ -180,7 +182,7 @@ def test_digit_table_is_read_only():
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_digit_rows_are_product_order(ell, r):
-    grid = digit_rows(ell, r)
+    grid = digit_rows(Field(ell, 1), r)
     assert grid.shape == (ell ** r, r)
     assert grid.tolist() == [list(t) for t in itertools.product(range(ell), repeat=r)]
     codes = np.arange(ell ** r)

@@ -262,10 +262,11 @@ def _closure(perms, n):
     return seen
 
 
-def _chain_order(backend, s_codes):
-    """Product of the basic orbit lengths along the base s_codes."""
+def _chain_order(backend, n):
+    """Product of the basic orbit lengths along the base 0..n-1 of
+    S-positions."""
     order = 1
-    for p, c in enumerate(s_codes):
+    for p in range(n):
         orbit = {p}
         frontier = [p]
         while frontier:
@@ -273,7 +274,7 @@ def _chain_order(backend, s_codes):
                         if int(g[x]) not in orbit]
             orbit.update(frontier)
         order *= len(orbit)
-        backend = backend.stabilizer_backend([c])
+        backend = backend.stabilizer_backend([p])
     return order
 
 
@@ -293,8 +294,8 @@ def test_sims_filter_bound_and_order(group, seed):
     kept = sims_filter(full)
     assert len(kept) <= n * (n - 1) // 2
     assert _closure(kept, n) == {tuple(p) for p in full.tolist()}
-    assert _chain_order(sch.backend, s) == len(els)
-    assert _chain_order(OrbitBackend(s, kept), s) == len(els)
+    assert _chain_order(sch.backend, n) == len(els)
+    assert _chain_order(OrbitBackend(kept), n) == len(els)
 
 
 def test_deep_gl_fibre_without_listing_the_group():

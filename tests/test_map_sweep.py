@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import scheme_oracle as oracle
-from mschemes import gf_linalg, instances, scheme_core
+from mschemes import gf_linalg, group_orbits, instances, scheme_core
 from mschemes.antisym import generator_maps, strong_antisym_check
 from mschemes.errors import CapExceeded
 from mschemes.gf_linalg import Field, enumerate_linmaps
@@ -229,12 +229,18 @@ def test_antisym_stops_before_groups_past_its_witness(monkeypatch, gl2_m3):
     assert (exc.value.needed, exc.value.cap) == (64, 63)
 
 
-def test_map_table_counts_against_tuple_cap(monkeypatch, gl2_m3):
+def _gl2_m3_capped(cap):
+    """gl2-m3 over a field with this tuple cap."""
+    field = Field(2, 2, cap_tuples=cap)
+    return group_orbits.build_orbit_scheme(group_orbits.gl_group(field), [1], 3)
+
+
+def test_map_table_counts_against_tuple_cap():
     # S^3 has 27 tuples, its map table 27 * 2^3 = 216 codes
-    monkeypatch.setenv("MSCHEME_CAP_TUPLES", "100")
-    assert len(gl2_m3.instance.tuples_array(3)) == 27
+    capped = _gl2_m3_capped(100)
+    assert len(capped.instance.tuples_array(3)) == 27
     with pytest.raises(CapExceeded) as exc:
-        gl2_m3.validate()
+        capped.validate()
     assert exc.value.what == "map table S^3 x F_2^3"
     assert (exc.value.needed, exc.value.cap) == (216, 100)
 
@@ -328,7 +334,6 @@ def test_warm_orbit_table_still_checks_the_caps(monkeypatch, gl2_m3):
             run()
         assert (exc.value.what, exc.value.needed, exc.value.cap) == ("linear maps 2->2", 16, 15)
     monkeypatch.undo()
-    monkeypatch.setenv("MSCHEME_CAP_TUPLES", "100")
     with pytest.raises(CapExceeded) as exc:
-        gl2_m3.validate()
+        _gl2_m3_capped(100).validate()
     assert (exc.value.what, exc.value.needed, exc.value.cap) == ("map table S^3 x F_2^3", 216, 100)

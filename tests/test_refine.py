@@ -10,7 +10,6 @@ import point_oracle as oracle
 import scheme_oracle
 from mschemes import refine
 from mschemes.addcomb import PointSet
-from mschemes.caps import cap_tuples
 from mschemes.errors import (
     CapExceeded,
     EnergyTooLow,
@@ -240,6 +239,24 @@ def test_case3_branches_recompute_exactly(build, args, K, branch):
     assert sorted(c for i in out.result_ids for c in fib.level1_block_set(i)) == expect
 
 
+@pytest.mark.parametrize("x_row", [0, 1, 2])
+def test_fibre_piece_sorts_interleaved_blocks(c11_m2, x_row):
+    # C11:C5 on 11 points: the two 55-tuple level-2 blocks meet each prefix
+    # in 5 tuples whose last points interleave, so their rows gathered block
+    # by block are out of order
+    inst, part = c11_m2.instance, c11_m2.level(2)
+    n = inst.n
+    pair = [b for b in range(part.num_blocks) if part.block_size(b) == 55]
+    rows = np.concatenate([part.blocks()[b] for b in pair])
+    last = rows[rows // n == x_row] % n
+    assert len(pair) == 2 and (np.diff(last) < 0).any()
+    piece = refine._fibre_piece(inst, rows, x_row)
+    assert piece == oracle.trim_piece_walk(inst, part, pair, x_row)
+    assert piece == [c for c in inst.s_codes if c != inst.s_codes[x_row]]
+    assert refine._fibre_piece(inst, part.blocks()[pair[0]], x_row) == \
+        oracle.exit_piece_walk(inst, part.blocks()[pair[0]], x_row)
+
+
 def test_blocks_inside_takes_whole_blocks_only():
     # the fibre of C11:C5 at 85 has blocks {85}, {93, ...} and {150, ...}
     fib = c11_c5_scheme(4, lazy=True).fiber((85,))
@@ -420,7 +437,7 @@ def _bsg_scheme(case):
 def _backend_free_copy(sch):
     """The scheme with its levels and no group: its JSON copy while the
     dense export fits the tuple cap, else its materialized levels."""
-    if sch.field.q ** sch.m <= cap_tuples():
+    if sch.field.q ** sch.m <= sch.field.cap_tuples:
         return Scheme.from_json(sch.to_json())
     return Scheme(sch.instance, sch.m, levels=[sch.level(k) for k in range(1, sch.m + 1)])
 

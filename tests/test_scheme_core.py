@@ -169,9 +169,15 @@ def test_validation_catches_seeded_corruption(gl3_m2):
 
 
 def test_tuple_cap_env_override(monkeypatch, gl2_m3):
+    # the tuple cap is the field's value: the environment no longer overrides it
     monkeypatch.setenv("MSCHEME_CAP_TUPLES", "5")
+    assert len(gl2_m3.instance.tuples_array(2)) == 9
+    assert gl_orbit_scheme(2, 2, 3, lazy=False).validate().ok
+    capped = SchemeInstance(Field(2, 2, cap_tuples=5), gl2_m3.s_codes)
     with pytest.raises(CapExceeded):
-        gl2_m3.instance.tuples_array(2)
+        capped.tuples_array(2)
+    with pytest.raises(CapExceeded):
+        Scheme.from_json(gl2_m3.to_json(), cap_tuples=5)
 
 
 def test_ids_as_union_rejects_indices_outside_tuple_space(trivial_m3):
@@ -225,12 +231,22 @@ def test_pos_table_is_built_once_and_read_only(gl2_m3):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_tuples_array_matches_scalar_tuple_points(k, gl2_m3, trivial_m3):
+    rng = np.random.default_rng(k)
     for sch in (gl2_m3, trivial_m3):
         inst = sch.instance
         rows = inst.tuples_array(k)
         assert [tuple(r) for r in rows.tolist()] == \
             [oracle.tuple_points(inst, i, k) for i in range(inst.tuple_count(k))]
         assert inst.tuple_indices(rows).tolist() == list(range(inst.tuple_count(k)))
+        # a gather of some rows, repeats and any order allowed, or of one row
+        for size in (0, 1, 5, 40):
+            idx = rng.integers(0, inst.tuple_count(k), size)
+            assert inst.tuples_array(k, idx).tolist() == \
+                [list(oracle.tuple_points(inst, int(i), k)) for i in idx]
+        assert inst.tuples_array(k, 2).tolist() == list(oracle.tuple_points(inst, 2, k))
+        capped = SchemeInstance(Field(2, 2, cap_tuples=inst.tuple_count(k) - 1), inst.s_codes)
+        with pytest.raises(CapExceeded, match=f"tuple space S\\^{k}"):
+            capped.tuples_array(k, np.array([0]))
 
 
 def test_blocks_are_ascending_and_level1_block_set_reads_them(gl2_m3, singer7_m3):
