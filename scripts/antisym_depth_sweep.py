@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Sweep the named instance suite: validate, run the saturation check, and
-(for antisymmetric, non-discrete instances) the iterated halving measure.
+"""Sweep the named instance suite: validate, run the strong-antisymmetry
+check (C11:C5 at m=3 ends at a multi-letter witness), and (for
+antisymmetric, non-discrete instances) the iterated halving measure.
 
 Writes one CSV row per (instance, depth).  Deterministic.
 
@@ -26,7 +27,7 @@ SUITE = [
     ("gl3", lambda m: gl_orbit_scheme(2, 3, m, lazy=False), (2,)),
     ("singer7", lambda m: singer_scheme(2, 3, m), (2, 3)),
     ("trivial", lambda m: trivial_scheme(2, 2, m), (2, 3)),
-    ("c11_c5", lambda m: c11_c5_scheme(m), (2,)),
+    ("c11_c5", lambda m: c11_c5_scheme(m), (2, 3)),
     ("c31_c5", lambda m: c31_c5_scheme(m), (2,)),
 ]
 

@@ -1,20 +1,19 @@
-"""Strong antisymmetry: block-to-block bijections, their groupoid closure,
-and the depth bounds that follow from it.
+"""Strong antisymmetry: block-to-block bijections, Schreier loops over a
+spanning forest of blocks, and the depth bounds that follow from it.
 
 A generator is a coordinate-linear map whose restriction to some block is a
 bijection onto a block.  A word in the generators and their inverses that
 permutes a block nontrivially is a witness.  The generators stream from the
-map sweep, and the first one that is a witness by itself ends the check
-with no further map swept.  Otherwise the closure of the generators and
-their inverses under composition is searched breadth-first: exhaustion
-without a witness certifies strong antisymmetry, and hitting the budget is
-reported as inconclusive.
+map sweep, and the first one that is a witness by itself ends the check.
+Otherwise one loop per generator around a spanning forest of the blocks is
+checked: the scheme is antisymmetric when every loop is the identity, and
+more generators than the budget is inconclusive.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,6 +41,9 @@ class GenStep:
             "src": {"k": self.src[0], "block": self.src[1]},
             "dst": {"k": self.dst[0], "block": self.dst[1]},
         }
+
+    def inverse(self) -> "GenStep":
+        return GenStep(self.tau, "inv" if self.direction == "fwd" else "fwd", self.dst, self.src)
 
     @staticmethod
     def from_obj(obj) -> "GenStep":
@@ -73,8 +75,10 @@ class Witness:
 @dataclass
 class SaturationResult:
     status: str  # "antisymmetric" | "witness" | "inconclusive"
+    # forward generators read plus Schreier loops checked: equal to
+    # `generators` when a forward self-map or the budget ended the check
     maps_explored: int
-    budget: int
+    budget: int  # the most forward generators the loops are checked for
     witness: Optional[Witness] = None
     # forward generators read before the verdict: all of them unless a
     # forward self-map was the witness, which is then the last one counted
@@ -117,93 +121,81 @@ def generator_maps(sch: Scheme):
 
 
 def strong_antisym_check(sch: Scheme, budget: int = DEFAULT_BUDGET_SATURATION) -> SaturationResult:
-    """Saturate the partial-bijection groupoid; cache the verdict on the scheme.
+    """Decide strong antisymmetry; cache a decided verdict on the scheme.
 
-    Forward generators are admitted as `generator_maps` yields them, and the
+    Forward generators are read as `generator_maps` yields them, and the
     check returns at the first one that permutes its block nontrivially,
-    sweeping no map after it.  Only when they run out without a witness are
-    their inverses added, in the same order, and the closure searched
-    breadth-first within the budget.
-
-    A mapping lists, per member of its source block, the position of the
-    image in its destination block: the inverse is its argsort, composition
-    is indexing, and a self-map is the identity when it equals range."""
-
-    def is_identity(mapping):
-        return mapping == tuple(range(len(mapping)))
-
-    explored = {}
-    words = []
-    queue = []
-
-    def admit(src, dst, mapping, word_entry):
-        key = (src, dst, mapping)
-        if key in explored:
-            return None
-        explored[key] = len(words)
-        words.append(word_entry)
-        queue.append(key)
-        return key
-
-    witness = None
+    sweeping no map after it.  When they run out, more than `budget` of them
+    is inconclusive; otherwise `_schreier_loops` decides."""
     gens = []
     for src, dst, mapping, step in generator_maps(sch):
-        gens.append((src, dst, mapping, step))
-        admit(src, dst, mapping, (None, step))  # generator_maps yields no repeats
-        if src == dst and not is_identity(mapping):
-            witness = (src, mapping, explored[(src, dst, mapping)])
+        gens.append((src, dst, np.array(mapping), step))
+        if src == dst and mapping != tuple(range(len(mapping))):
+            members = _members(sch, src)[gens[-1][2]]
+            result = SaturationResult("witness", len(gens), budget, generators=len(gens),
+                                      witness=Witness(src, [step], tuple(members.tolist())))
             break
-
-    if witness is None:
-        # every forward self-map is the identity, so no inverse is a witness
-        all_gens = list(gens)
-        for src, dst, mapping, step in gens:
-            inv = (dst, src, tuple(np.argsort(mapping).tolist()),
-                   GenStep(step.tau, "inv", dst, src))
-            all_gens.append(inv)
-            admit(*inv[:3], (None, inv[3]))
-
-        # index generators by source block for composition
-        by_src = {}
-        for src, dst, mapping, step in all_gens:
-            by_src.setdefault(src, []).append((dst, mapping, step))
-
-        head = 0
-        while witness is None and head < len(queue):
-            if len(explored) > budget:
-                return SaturationResult("inconclusive", len(explored), budget,
-                                        generators=len(gens))
-            src, dst, mapping = queue[head]
-            head += 1
-            parent_idx = explored[(src, dst, mapping)]
-            for gdst, gmapping, gstep in by_src.get(dst, []):
-                composed = tuple(gmapping[i] for i in mapping)
-                key = admit(src, gdst, composed, (parent_idx, gstep))
-                if key is None:
-                    continue
-                if src == gdst and not is_identity(composed):
-                    witness = (src, composed, explored[key])
-                    break
-
-    if witness is None:
-        result = SaturationResult("antisymmetric", len(explored), budget,
-                                  generators=len(gens))
     else:
-        src, mapping, idx = witness
-        word = []
-        while idx is not None:
-            parent, step = words[idx]
-            word.append(step)
-            idx = parent
-        word.reverse()
-        members = sch.level(src[0]).blocks()[src[1]]
-        result = SaturationResult(
-            "witness", len(explored), budget,
-            witness=Witness(src, word, tuple(members[list(mapping)].tolist())),
-            generators=len(gens),
-        )
+        if len(gens) > budget:
+            return SaturationResult("inconclusive", len(gens), budget, generators=len(gens))
+        result = _schreier_loops(sch, gens, budget)
     sch.antisym_verdict = result
     return result
+
+
+def _spanning_forest(gens: list):
+    """(path, tree) by a breadth-first search over the blocks gens touch,
+    along each generator and its inverse in generator order.  path[b] is
+    u_b, the positions in b of the images of its root's members, and tree[b]
+    is (parent, letter), or None at a root.  A mapping's inverse is its
+    argsort, and composition is indexing."""
+    edges = {}  # block -> indices of the generators at it, in order
+    for i, (src, dst, _, _) in enumerate(gens):
+        edges.setdefault(src, []).append(i)
+        edges.setdefault(dst, []).append(i)
+    path, tree = {}, {}
+    for root in (b for b in edges if b not in path):
+        path[root], tree[root] = np.arange(len(gens[edges[root][0]][2])), None
+        queue = [root]
+        for a in queue:
+            for i in edges[a]:
+                src, dst, mapping, step = gens[i]
+                if src == a and dst not in path:
+                    path[dst], tree[dst] = mapping[path[a]], (a, step)
+                    queue.append(dst)
+                elif dst == a and src not in path:
+                    path[src] = np.argsort(mapping)[path[a]]
+                    tree[src] = (a, step.inverse())
+                    queue.append(src)
+    return path, tree
+
+
+def _schreier_loops(sch: Scheme, gens: list, budget: int) -> SaturationResult:
+    """The verdict on gens, none of them a nontrivial self-map.  Every vertex
+    group of the groupoid is trivial exactly when g[u_src] == u_dst for each
+    generator g: src -> dst (Schreier's lemma), and the first g that fails
+    closes a loop at its root that permutes the root nontrivially."""
+    path, tree = _spanning_forest(gens)
+    for loops, (src, dst, mapping, step) in enumerate(gens, 1):
+        image = mapping[path[src]]
+        if not np.array_equal(image, path[dst]):
+            root, to_src = _tree_word(tree, src)
+            to_dst = _tree_word(tree, dst)[1]
+            word = to_src + [step] + [s.inverse() for s in reversed(to_dst)]
+            members = _members(sch, root)[np.argsort(path[dst])[image]]
+            return SaturationResult("witness", len(gens) + loops, budget, generators=len(gens),
+                                    witness=Witness(root, word, tuple(members.tolist())))
+    # every generator read and its loop checked
+    return SaturationResult("antisymmetric", 2 * len(gens), budget, generators=len(gens))
+
+
+def _tree_word(tree: dict, b: tuple):
+    """(root of b's tree, the letters of the tree path from it to b)."""
+    word = []
+    while tree[b] is not None:
+        b, step = tree[b]
+        word.append(step)
+    return b, word[::-1]
 
 
 def _members(sch: Scheme, ref: tuple):

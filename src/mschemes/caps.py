@@ -14,5 +14,5 @@ MAX_DIM = 16
 DEFAULT_CAP_TUPLES = 2 ** 24
 # linear maps V^k -> V^k' enumerated exhaustively: ell^(k*k') entries
 DEFAULT_CAP_MAPS = 2 ** 20
-# groupoid saturation: distinct partial bijections
+# strong antisymmetry: forward generators whose Schreier loops are checked
 DEFAULT_BUDGET_SATURATION = 10 ** 6

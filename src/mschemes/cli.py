@@ -187,7 +187,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_depth(args) -> int:
     sch = _load_scheme(args)
-    sch.level(1).check_block_ids((args.block,))  # before the saturation run
+    sch.level(1).check_block_ids((args.block,))  # before the antisymmetry check
     res = antisym.strong_antisym_check(sch, args.budget)
     if res.status != "antisymmetric":
         raise InputError(f"depth measure needs an antisymmetric scheme "
@@ -308,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("antisym", help="strong-antisymmetry saturation check")
+    p = sub.add_parser("antisym", help="strong-antisymmetry check by Schreier loops")
     _add_scheme_source(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_SATURATION)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_SATURATION,
+                   help="most forward generators to check; more is inconclusive")
     _add_common(p)
     p.set_defaults(func=cmd_antisym)
 
@@ -323,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("depth", help="iterated halving depth measure")
     _add_scheme_source(p)
     p.add_argument("--block", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_SATURATION)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_SATURATION,
+                   help="most forward generators to check; more is inconclusive")
     _add_common(p)
     p.set_defaults(func=cmd_depth)
 

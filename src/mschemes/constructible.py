@@ -31,6 +31,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .gf_linalg import (
+    LinMap,
     digit_rows,
     enumerate_linmaps,
     linmap,
@@ -38,7 +39,7 @@ from .gf_linalg import (
     span_basis,
     span_points,
 )
-from .scheme_core import Scheme
+from .scheme_core import Scheme, SchemeInstance
 
 
 @dataclass
@@ -70,18 +71,22 @@ def _point_mask(q: int, codes) -> tuple:
     return mask, len(inside) == len(arr)
 
 
+def _image(inst: SchemeInstance, tau: LinMap, k: int, rows) -> np.ndarray:
+    """tau's image codes of the tuples of S^k at the tuple indices rows."""
+    return tau.apply_batch(inst.field, inst.tuples_array(k, rows))[:, 0]
+
+
 def verify_certificate(sch: Scheme, cert: Certificate) -> bool:
     """Recompute every entry's image; the union must equal cert.points.  An
     entry naming a block id outside [0, num_blocks) fails the check."""
     inst = sch.instance
     part = sch.level(cert.k)
-    tuples = inst.tuples_array(cert.k)
     want, in_range = _point_mask(inst.field.q, cert.points)
     got = np.zeros_like(want)
     for tau, b in cert.entries:
         if not 0 <= b < part.num_blocks:
             return False
-        img = tau.apply_batch(inst.field, tuples[part.blocks()[b]])[:, 0]
+        img = _image(inst, tau, cert.k, part.blocks()[b])
         if not want[img].all():
             return False
         got[img] = True
@@ -300,20 +305,19 @@ def _restrict_entries(sch: Scheme, cert: Certificate, keep_points) -> Certificat
     block along the preimage (which closedness makes a block union)."""
     inst = sch.instance
     part = sch.level(cert.k)
-    tuples = inst.tuples_array(cert.k)
     keep, _ = _point_mask(inst.field.q, keep_points)
     result = np.zeros_like(keep)
     entries = []
     for tau, b in cert.entries:
         rows = part.blocks()[b]
-        img = tau.apply_batch(inst.field, tuples[rows])[:, 0]
+        img = _image(inst, tau, cert.k, rows)
         inside = rows[keep[img]]
         if len(inside) == 0:
             continue
         ids = part.ids_as_union(inside)  # raises NotBlockUnion on failure
         for d in sorted(ids):
             entries.append((tau, d))
-            result[tau.apply_batch(inst.field, tuples[part.blocks()[d]])[:, 0]] = True
+            result[_image(inst, tau, cert.k, part.blocks()[d])] = True
     return Certificate(cert.k, cert.prefix, entries,
                        frozenset(np.flatnonzero(result).tolist()))
 
@@ -431,7 +435,6 @@ def extend_subspace(sch: Scheme, cert: Certificate, target_points, t: int):
 
     entries = []
     result = np.zeros(f.q, dtype=bool)
-    tuples = inst.tuples_array(k + dt)
     for tau, b in cert.entries:
         rows = sch.level(k).blocks()[b]
         lifted = rows * (n ** dt) + prefix_idx  # indices of B x {prefix}
@@ -446,7 +449,7 @@ def extend_subspace(sch: Scheme, cert: Certificate, target_points, t: int):
             tau_s = linmap(coeffs)
             for i, rowset in zip(ids, rowsets):
                 entries.append((tau_s, i))
-                result[tau_s.apply_batch(f, tuples[rowset])[:, 0]] = True
+                result[_image(inst, tau_s, k + dt, rowset)] = True
     got = frozenset(np.flatnonzero(result).tolist())
     if got != Wp:
         raise LemmaViolation(

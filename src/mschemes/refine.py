@@ -218,6 +218,15 @@ def _le_ell_pow(lhs: Fraction, rhs: Fraction, ell: int, exp: Fraction) -> bool:
     return (lhs / rhs) ** den <= Fraction(ell) ** num
 
 
+def _floor_record(bound_text: str, bound: Fraction, size: int, ell: int,
+                  exp: Fraction, note: str) -> dict:
+    """The record bound * ell^-(1/eps'^2) <= size for exp = 1/eps'^2, exactly;
+    bound_text spells bound, and note follows the ell^(-1/eps'^2) factor."""
+    return {"lhs": f"{bound_text}*ell^-(1/eps'^2)", "op": "<=", "rhs": str(size),
+            "holds": _le_ell_pow(bound, Fraction(size), ell, exp),
+            "note": f"ell^(-1/eps'^2){note}"}
+
+
 def _sqrt_bounds(value: int, K: Fraction, upper_base: int):
     """Records for sqrt(K) <= value <= upper_base / sqrt(K), exactly (squared)."""
     v = Fraction(value)
@@ -1298,12 +1307,9 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
         sizes = {"round": i, "|B|": len(cur_codes), "|B∩W|": len(inter),
                  "|W|": len(w_sub), "mu_W(B)": str(mu_w)}
         if Fraction(len(inter)) <= n_hi:
-            recs = [ineq(len(inter), "<=", n_hi, note="|B'|<=|B|/K")]
-            lower = _le_ell_pow(Fraction(n0) / K, Fraction(len(inter)),
-                                f.ell, inv_exp)
-            recs.append({"lhs": f"{n0}/{K}*ell^-(1/eps'^2)", "op": "<=",
-                         "rhs": str(len(inter)), "holds": bool(lower),
-                         "note": "ell^(-1/eps'^2)|B|/K<=|B'|"})
+            recs = [ineq(len(inter), "<=", n_hi, note="|B'|<=|B|/K"),
+                    _floor_record(f"{n0}/{K}", Fraction(n0) / K, len(inter), f.ell,
+                                  inv_exp, "|B|/K<=|B'|")]
             require_ineqs("density_reduce/case1", recs)
             steps.append(TraceStep("density_reduce", "case1-direct",
                                    prefix + (x,), sizes, recs))
@@ -1344,12 +1350,10 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
                 "density dichotomy: halving failed and no fibre piece of size "
                 f"<= {n_hi} exists")
         (x1, y1), pts = found
-        recs = [halve, ineq(len(pts), "<=", n_hi, note="|B'|<=|B|/K")]
-        lower = _le_ell_pow(Fraction(n0) / K, Fraction(len(pts)), f.ell, inv_exp)
-        recs.append({"lhs": f"{n0}/{K}*ell^-(1/eps'^2)", "op": "<=",
-                     "rhs": str(len(pts)), "holds": bool(lower),
-                     "note": "ell^(-1/eps'^2)|B|/K<=|B'|"})
-        if not lower:
+        recs = [halve, ineq(len(pts), "<=", n_hi, note="|B'|<=|B|/K"),
+                _floor_record(f"{n0}/{K}", Fraction(n0) / K, len(pts), f.ell, inv_exp,
+                              "|B|/K<=|B'|")]
+        if not recs[-1]["holds"]:
             raise LemmaViolation("density_reduce: fibre piece below the "
                                  "ell^(-1/eps'^2)|B|/K floor")
         steps.append(TraceStep("density_reduce", "case1-search",
@@ -1417,11 +1421,8 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
         upper = max(Fraction(1) / K, (2 * gamma) ** r2) * n0
         recs = [ineq(len(u_codes), "<=", upper,
                      note="|U|<=max{1/K,(2gamma)^r}|B|")]
-        lower = _le_ell_pow(Fraction(n0) / K ** 3, Fraction(len(u_codes)),
-                            f.ell, inv_exp)
-        recs.append({"lhs": f"{n0}/K^3*ell^-(1/eps'^2)", "op": "<=",
-                     "rhs": str(len(u_codes)), "holds": bool(lower),
-                     "note": "ell^(-1/eps'^2)|B|/K^3<=|U|"})
+        recs.append(_floor_record(f"{n0}/K^3", Fraction(n0) / K ** 3, len(u_codes),
+                                  f.ell, inv_exp, "|B|/K^3<=|U|"))
         require_ineqs("density_reduce/sandwich", recs)
         steps.append(TraceStep("density_reduce", "sandwich", prefix,
                                {"|U(r)|": len(u_codes)}, recs))

@@ -457,7 +457,7 @@ class Scheme:
             missing = [k for k in range(1, m + 1) if k not in self._levels]
             if missing:
                 raise InputError(f"explicit scheme missing levels {missing}")
-        self.antisym_verdict = None  # cached by the saturation checker
+        self.antisym_verdict = None  # cached by antisym.strong_antisym_check
         self._fiber_cache: dict = {}
         self.atom_indexes: dict = {}  # arity -> constructible.AtomIndex, grown on demand
 

@@ -10,6 +10,9 @@ from mschemes.antisym import (
     GenStep,
     Witness,
     _forward_restriction,
+    _schreier_loops,
+    _spanning_forest,
+    _tree_word,
     depth_bounds_check,
     depth_measure,
     generator_maps,
@@ -150,14 +153,22 @@ ANTISYM_BUILDERS = {
 }
 
 
-def _same_verdict(got, want):
-    assert (got.status, got.maps_explored, got.budget) == \
-        (want.status, want.maps_explored, want.budget)
-    assert (got.witness is None) == (want.witness is None)
-    if got.witness is not None:
+def _same_verdict(sch, got, want):
+    """Exactly the oracle's result where its witness is one forward step;
+    elsewhere the oracle's status wherever it decides, and a witness that
+    replays."""
+    if want.witness is not None and len(want.witness.word) == 1:
+        assert (got.status, got.maps_explored, got.budget) == \
+            (want.status, want.maps_explored, want.budget)
         assert got.witness.to_json() == want.witness.to_json()
         assert got.witness.mapping == want.witness.mapping
-        assert got.generators <= want.generators
+        assert got.generators == got.maps_explored <= want.generators
+        return
+    assert got.budget == want.budget
+    if want.status != "inconclusive":
+        assert got.status == want.status
+    if got.witness is not None:
+        assert replay_witness(sch, got.witness)
 
 
 @pytest.mark.parametrize("label", sorted(ANTISYM_BUILDERS))
@@ -166,20 +177,72 @@ def test_streamed_check_matches_eager_oracle(label):
     for budget in (DEFAULT_BUDGET_SATURATION, 1500, 20):
         want = antisym_oracle.strong_antisym_check(sch, budget)
         got = strong_antisym_check(sch, budget)
-        _same_verdict(got, want)
+        _same_verdict(sch, got, want)
         if got.status != "witness" or len(got.witness.word) > 1:
             # the streamed check read every forward generator
             assert got.generators == want.generators
 
 
 def test_small_budgets_are_inconclusive_like_the_oracle(trivial_m3):
-    # the 1197 generators and their inverses are 1467 distinct mappings, so
-    # a budget of 20 stops before the first composition and one of 1500
-    # part-way through the breadth-first search (which ends at 1521)
-    for budget, explored in ((20, 1467), (1500, 1503)):
+    # the budget bounds forward generators: 20 stops after reading all 1197
+    # of them, as the oracle stops too, while 1500 checks every loop where
+    # the oracle's breadth-first search stops at 1503 of its 1521 maps
+    for budget, status, explored in ((20, "inconclusive", 1197),
+                                     (1500, "antisymmetric", 2 * 1197)):
         got = strong_antisym_check(trivial_m3, budget)
-        assert (got.status, got.maps_explored) == ("inconclusive", explored)
-        _same_verdict(got, antisym_oracle.strong_antisym_check(trivial_m3, budget))
+        want = antisym_oracle.strong_antisym_check(trivial_m3, budget)
+        assert (got.status, got.maps_explored, got.generators) == (status, explored, 1197)
+        assert want.status == "inconclusive"
+        _same_verdict(trivial_m3, got, want)
+
+
+def _generators(sch):
+    return [(src, dst, np.array(mapping), step)
+            for src, dst, mapping, step in generator_maps(sch)]
+
+
+def test_multi_letter_witness_replays():
+    # no forward generator of C11:C5 at depth 3 permutes its block, but a
+    # loop through a level-3 block does
+    sch = instances.c11_c5_scheme(3)
+    res = strong_antisym_check(sch)
+    assert res.status == "witness" and len(res.witness.word) > 1
+    assert res.maps_explored == res.generators + 70  # the 70th loop fails
+    assert replay_witness(sch, res.witness)
+    members = sch.level(res.witness.block[0]).block(res.witness.block[1])
+    assert res.witness.mapping != tuple(members.tolist())
+    # any order of the generators gives a forest whose witness replays
+    gens = _generators(sch)
+    for seed in range(6):
+        order = np.random.default_rng(seed).permutation(len(gens))
+        res = _schreier_loops(sch, [gens[i] for i in order], DEFAULT_BUDGET_SATURATION)
+        assert res.status == "witness" and replay_witness(sch, res.witness)
+
+
+def _word_positions(sch, root, word):
+    """Positions in the last block of the word of the images of root's
+    members, one letter at a time."""
+    positions = np.arange(len(sch.level(root[0]).block(root[1])))
+    for step in word:
+        tau = linmap(step.tau)
+        if step.direction == "fwd":
+            positions = _forward_restriction(sch, tau, step.src, step.dst)[positions]
+        else:
+            positions = np.argsort(_forward_restriction(sch, tau, step.dst, step.src))[positions]
+    return positions
+
+
+def test_schreier_loops_close_on_an_antisymmetric_scheme(c31_m2):
+    gens = _generators(c31_m2)
+    path, tree = _spanning_forest(gens)
+    for src, dst, mapping, _ in gens:
+        assert _tree_word(tree, src)[0] == _tree_word(tree, dst)[0]
+        assert np.array_equal(mapping[path[src]], path[dst])
+    # u_b is where b's tree word carries its root's members
+    for b in path:
+        root, word = _tree_word(tree, b)
+        assert (word[-1].dst if word else root) == b
+        assert np.array_equal(_word_positions(c31_m2, root, word), path[b])
 
 
 @pytest.mark.parametrize("label", sorted(DEPTH_BUILDERS))

@@ -31,6 +31,7 @@ from mschemes.refine import (
     BlockRef,
     RefineParams,
     TrivialGate,
+    _floor_record,
     _le_ell_pow,
     _sqrt_bounds,
     bijectivity_check,
@@ -70,6 +71,16 @@ def test_le_ell_pow_matches_float(lhs, rhs, num, den, ell):
     gap = math.log(lhs / rhs) / math.log(ell) - (num / den)
     if abs(gap) > 1e-9:  # away from ties, float and exact agree
         assert got == (gap < 0)
+
+
+def test_floor_record_spells_the_density_reduce_floor():
+    # bound * ell^-exp <= size: 6 * 2^-1 <= 3 holds, 12/8 * 2^1 <= 2 does not
+    assert _floor_record("12/2", Fraction(6), 3, 2, Fraction(1), "|B|/K<=|B'|") == {
+        "lhs": "12/2*ell^-(1/eps'^2)", "op": "<=", "rhs": "3", "holds": True,
+        "note": "ell^(-1/eps'^2)|B|/K<=|B'|"}
+    rec = _floor_record("12/K^3", Fraction(12, 8), 2, 2, Fraction(-1), "|B|/K^3<=|U|")
+    assert (rec["lhs"], rec["holds"], rec["note"]) == \
+        ("12/K^3*ell^-(1/eps'^2)", False, "ell^(-1/eps'^2)|B|/K^3<=|U|")
 
 
 @given(st.integers(1, 50), st.integers(4, 25), st.integers(1, 60))
