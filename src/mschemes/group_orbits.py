@@ -11,7 +11,10 @@ A `MatrixGroup` is only the input: its matrices act in one place,
 once; past that point a group is a (g, n) int array of generator
 permutations of the positions of S.  Point stabilizers are generated by
 Schreier generators thinned by a Sims filter, so no group is ever listed
-element by element.
+element by element.  They are computed once per orbit of S, at its least
+position r: the stabilizer of x = u(r) is u Stab(r) u^-1, and its orbits on
+S^k are u applied to those of Stab(r), so the fibre at x is transported
+from the fibre at r by one gather.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotInGroup
-from .gf_linalg import Field, radix_digits, radix_weights, rank_mod
+from .gf_linalg import Field, rank_mod
 from .scheme_core import Scheme, SchemeInstance, TuplePartition
 
 # primitive polynomials x^d + ... used for default multiplicative (Singer)
@@ -206,6 +209,36 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _on_tuples(perm: np.ndarray, k: int) -> np.ndarray:
+    """Tuple index of the image of each tuple of S^k under a permutation of
+    the positions of S, applied coordinatewise."""
+    out = perm
+    for _ in range(k - 1):
+        out = (out[:, None] * len(perm) + perm).ravel()
+    return out
+
+
+def _orbit_labels(perms: np.ndarray, k: int) -> np.ndarray:
+    """Least tuple index of each tuple's orbit on S^k under the group the
+    permutations generate.
+
+    Each round pulls the labels along every generator and its inverse, then
+    shortcuts them (L = L[L]; a label is a member of its tuple's orbit).
+    The fixpoint is constant on orbits, so it is each orbit's least index.
+    """
+    labels = np.arange(perms.shape[1] ** k, dtype=np.int64)
+    moves = [_on_tuples(p, k) for p in perms]
+    moves += [_on_tuples(_inverse(p), k) for p in perms]
+    while moves:
+        before = labels
+        for moved in moves:
+            labels = np.minimum(labels, labels[moved])
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            break
+    return labels
+
+
 def sims_filter(perms) -> np.ndarray:
     """Generators of the group the given permutations generate, at most
     n(n-1)/2 of them, in a deterministic order.
@@ -234,29 +267,40 @@ def sims_filter(perms) -> np.ndarray:
     return np.array([h for h, _ in table.values()], dtype=np.int64).reshape(-1, n)
 
 
-def point_stabilizer(perms: np.ndarray, point: int) -> np.ndarray:
+def _transversal(perms: np.ndarray, point: int):
+    """BFS over the orbit of `point`: the orbit's positions in visiting
+    order, and rows u, u^-1 with u[i](point) = orbit[i] (u[0] = identity)."""
+    n = perms.shape[1]
+    images = perms.T.tolist()  # images[x][j] = image of x under generator j
+    row = {point: 0}
+    orbit, steps = [point], []  # steps[i - 1] = (j, i') with u_i = s_j u_i'
+    for x in orbit:  # the list grows while it is read: a FIFO queue
+        for j, y in enumerate(images[x]):
+            if y not in row:
+                steps.append((j, row[x]))
+                row[y] = len(orbit)
+                orbit.append(y)
+    u = np.empty((len(orbit), n), dtype=np.int64)
+    u[0] = np.arange(n)
+    for i, (j, src) in enumerate(steps, 1):
+        u[i] = perms[j][u[src]]
+    u_inv = np.empty_like(u)
+    u_inv[np.arange(len(u))[:, None], u] = np.arange(n)
+    return np.array(orbit, dtype=np.int64), u, u_inv
+
+
+def point_stabilizer(perms: np.ndarray, point: int, transversal=None) -> np.ndarray:
     """Generators of the stabilizer of one position, by Schreier's lemma.
 
-    A BFS over the orbit of `point` gives a transversal u_x (u_x(point) = x);
-    the Schreier generators u_{s(x)}^-1 s u_x over orbit points x and
-    generators s generate the stabilizer, and `sims_filter` thins them.
+    Over the BFS transversal u of the orbit of `point` (`_transversal`; a
+    caller that keeps it passes it in), the Schreier generators
+    u_{s(x)}^-1 s u_x over orbit points x and generators s generate the
+    stabilizer, and `sims_filter` thins them.
     """
-    n = perms.shape[1]
-    trans = {point: np.arange(n)}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in perms:
-                y = int(s[x])
-                if y not in trans:
-                    trans[y] = s[trans[x]]
-                    nxt.append(y)
-        frontier = nxt
-    orbit = list(trans)
-    u = np.array([trans[x] for x in orbit], dtype=np.int64)  # (|orbit|, n)
-    u_inv = np.array([_inverse(t) for t in u], dtype=np.int64)
-    row = np.full(n, -1, dtype=np.int64)
+    if transversal is None:
+        transversal = _transversal(perms, point)
+    orbit, u, u_inv = transversal
+    row = np.full(perms.shape[1], -1, dtype=np.int64)
     row[orbit] = np.arange(len(orbit))
     schreier = [np.take_along_axis(u_inv[row[s[orbit]]], s[u], axis=1) for s in perms]
     return sims_filter(np.concatenate(schreier) if schreier else perms)
@@ -264,39 +308,80 @@ def point_stabilizer(perms: np.ndarray, point: int) -> np.ndarray:
 
 class OrbitBackend:
     """Lazy level/fibre provider for orbit-induced schemes: the group as
-    generator permutations of the positions of the sorted carrier S."""
+    generator permutations of the positions of S.
+
+    Point stabilizers are computed once per orbit of S.  For the orbit's
+    least position r the backend keeps, from first use, a BFS transversal u
+    (u_x(r) = x) and the backend of Stab(r), which keeps its orbit
+    partitions once computed.  Another point p of the orbit has
+    Stab(p) = u_p Stab(r) u_p^-1, so its backend is that conjugate: its
+    generators are u_p h u_p^-1, and its orbits on S^k are u_p applied to
+    those of Stab(r), one gather from r's partition.  A conjugate's own
+    stabilizers are conjugates of its source's, so Schreier computations
+    run only on backends that are no one's conjugate.
+    """
 
     def __init__(self, perms: np.ndarray):
         self.perms = perms  # (g, n): perms[i][p] = position of M_i s_p
+        self._source = None  # (backend B, g, g^-1) when this group is g B g^-1
+        self._kept = None  # arity -> raw partition, on a Stab(r) backend
+        self._least = None  # least position of each position's orbit on S
+        self._orbits = {}  # r -> (Stab(r) backend, orbit row of each x, u, u^-1)
 
     def orbit_partition_raw(self, instance: SchemeInstance, k: int) -> np.ndarray:
+        """Label of each tuple of S^k: the least tuple index of its orbit."""
         instance.check_tuple_cap(k)
-        n = instance.n
-        idx = np.arange(n ** k, dtype=np.int64)
-        # tuple t moves to the tuple of its images under p, coordinatewise
-        digits, radix = radix_digits(idx, n, k), radix_weights(n, k)
-        moves = [p[digits] @ radix for p in self.perms]
-        labels = idx.copy()
-        changed = True
-        while changed:
-            changed = False
-            for moved in moves:
-                pulled = labels[moved]
-                upd = np.minimum(labels, pulled)
-                # also propagate backwards along the permutation
-                np.minimum.at(upd, moved, labels)
-                if not np.array_equal(upd, labels):
-                    labels = upd
-                    changed = True
-        return labels
+        if self._source is None:
+            return self._labels(k)
+        source, _, g_inv = self._source
+        pulled = source._labels(k)[_on_tuples(g_inv, k)]
+        # the pulled labels name orbits by their least member in the
+        # source's numbering; relabel each by its least member here
+        _, first, inverse = np.unique(pulled, return_index=True, return_inverse=True)
+        return first[inverse]
+
+    def _labels(self, k: int) -> np.ndarray:
+        if self._kept is None:
+            return _orbit_labels(self.perms, k)
+        if k not in self._kept:
+            labels = _orbit_labels(self.perms, k)
+            labels.flags.writeable = False
+            self._kept[k] = labels
+        return self._kept[k]
 
     def stabilizer_backend(self, positions):
         """Backend of the pointwise stabilizer of the points of S at these
         positions."""
-        perms = self.perms
+        out = self
         for p in positions:
-            perms = point_stabilizer(perms, int(p))
-        return OrbitBackend(perms)
+            out = out._stabilizer(int(p))
+        return out
+
+    def _stabilizer(self, p: int) -> "OrbitBackend":
+        if self._source is not None:
+            source, g, g_inv = self._source
+            return source._stabilizer(int(g_inv[p]))._conjugate(g, g_inv)
+        if self._least is None:
+            self._least = _orbit_labels(self.perms, 1)
+        r = int(self._least[p])
+        if r not in self._orbits:
+            orbit, u, u_inv = trans = _transversal(self.perms, r)
+            stab = OrbitBackend(point_stabilizer(self.perms, r, trans))
+            stab._kept = {}
+            self._orbits[r] = (stab, dict(zip(orbit.tolist(), range(len(orbit)))), u, u_inv)
+        stab, row, u, u_inv = self._orbits[r]
+        i = row[p]
+        return stab if i == 0 else stab._conjugate(u[i], u_inv[i])
+
+    def _conjugate(self, g: np.ndarray, g_inv: np.ndarray) -> "OrbitBackend":
+        """Backend of g G g^-1, G this backend's group, as a conjugate of a
+        backend that is no one's conjugate."""
+        if self._source is not None:
+            source, h, h_inv = self._source
+            return source._conjugate(g[h], h_inv[g_inv])
+        out = OrbitBackend(g[self.perms[:, g_inv]])
+        out._source = (self, g, g_inv)
+        return out
 
 
 def build_orbit_scheme(group: MatrixGroup, seed_codes, m: int,

@@ -435,10 +435,13 @@ class Scheme:
     """Depth-m partition system on S^1..S^m.
 
     Levels may be materialized eagerly (explicit schemes) or on demand from a
-    backend exposing `orbit_partition_raw(instance, k)`,
-    `stabilizer_backend(s_positions)` and its generator permutations `perms`
-    (group-action schemes whose declared depth exceeds what can be
-    materialized).
+    backend exposing `orbit_partition_raw(instance, k)` (each tuple labelled
+    by the least tuple index of its block), `stabilizer_backend(s_positions)`
+    and its generator permutations `perms` (group-action schemes whose
+    declared depth exceeds what can be materialized).  The backend may keep
+    what it computes across the schemes that share it, but
+    `orbit_partition_raw` checks the tuple cap of the instance it is given
+    on every call, before it reads anything kept.
     """
 
     def __init__(self, instance: SchemeInstance, m: int, levels=None, backend=None,
@@ -500,7 +503,10 @@ class Scheme:
         """Restriction to the prefix pts in S^t: a depth (m-t) scheme on S.
 
         On a backend scheme, a prefix whose fibre at pts[:-1] is already built
-        stabilizes only its last point, in that fibre's backend."""
+        stabilizes only its last point, in that fibre's backend.  The backend
+        computes one stabilizer per orbit of S and transports it to the other
+        points of the orbit (`group_orbits.OrbitBackend`); the fibre cache
+        holds only the prefixes asked for here."""
         pts = tuple(int(c) for c in pts)
         t = len(pts)
         if t == 0:

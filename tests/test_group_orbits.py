@@ -5,7 +5,7 @@ import pytest
 import group_oracle as oracle
 import point_oracle
 from mschemes import group_orbits, instances
-from mschemes.errors import IndexOutOfRange, InputError
+from mschemes.errors import CapExceeded, IndexOutOfRange, InputError
 from mschemes.gf_linalg import Field
 from mschemes.group_orbits import (
     MatrixGroup,
@@ -20,7 +20,7 @@ from mschemes.group_orbits import (
     singer_group,
     trivial_group,
 )
-from mschemes.scheme_core import Scheme, canonical_block_ids
+from mschemes.scheme_core import Scheme, SchemeInstance, canonical_block_ids
 
 
 def test_gl_orders():
@@ -217,29 +217,102 @@ def test_fibre_from_its_built_parent_stabilizes_one_point(name, monkeypatch):
     a, b = s[0], s[-1]
     calls = []
 
-    def counted(perms, point):
-        calls.append(point)
-        return point_stabilizer(perms, point)
+    def counted(perms, point, *transversal):
+        calls.append((perms, point))
+        return point_stabilizer(perms, point, *transversal)
 
     monkeypatch.setattr(group_orbits, "point_stabilizer", counted)
-    # (a, b) before (a,): no parent is built, so the chain runs from the root
+    # (a, b) before (a,): no parent is built, so the chain runs from the
+    # root, with one Schreier computation in G and one in Stab(a)
     assert cold.built_fiber((a, b)) is None and cold.built_fiber(()) is cold
     ab_cold = cold.fiber((a, b))
     assert len(calls) == 2 and cold.built_fiber((a,)) is None
     a_fib = cold.fiber((a,))
     assert cold.built_fiber((a,)) is a_fib and cold.built_fiber([a, b]) is ab_cold
-    # with (a,) built, (a, b) and (a, a) stabilize only their last point
+    assert len(calls) == 2
+    # a scheme on the same backend finds its stabilizers computed: with (a,)
+    # built, (a, b) computes none, and (a, a) one, for the orbit {a} of Stab(a)
     warm = _fresh_like(cold)
     warm.fiber((a,))
-    del calls[:]
     ab_warm = warm.fiber((a, b))
-    aa_warm = warm.fiber((a, a))
     assert len(calls) == 2
+    aa_warm = warm.fiber((a, a))
+    assert len(calls) == 3
+    # a new backend takes the warm path on its own, to the same generators
+    fresh = BUILDERS[name]()
+    fresh.fiber((a,))
+    ab_fresh = fresh.fiber((a, b))
+    assert len(calls) == 5
     assert np.array_equal(ab_warm.backend.perms, ab_cold.backend.perms)
-    for prefix, fib in [((a, b), ab_cold), ((a,), a_fib), ((a, b), ab_warm), ((a, a), aa_warm)]:
+    assert np.array_equal(ab_fresh.backend.perms, ab_cold.backend.perms)
+    # one Schreier computation per (backend, orbit), each at the orbit's
+    # least position
+    keys = {(id(perms), point) for perms, point in calls}
+    assert len(keys) == len(calls)
+    for perms, point in calls:
+        assert point == min(_orbit(perms, point))
+    for prefix, fib in [((a, b), ab_cold), ((a,), a_fib), ((a, b), ab_warm),
+                        ((a, a), aa_warm), ((a, b), ab_fresh)]:
         want = _oracle_levels(group, s, prefix, (1, 2))
         for k, bid in zip((1, 2), want):
             assert np.array_equal(fib.level(k).bid, bid), (prefix, k)
+
+
+def _per_point(perms, positions):
+    """Oracle backend: one Schreier computation per fixed point, nothing
+    transported."""
+    for p in positions:
+        perms = point_stabilizer(perms, p)
+    return OrbitBackend(perms)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_transported_fibres_match_per_point_stabilizers(name, monkeypatch):
+    seen = _capture_group(monkeypatch)
+    sch = BUILDERS[name]()
+    (group,) = seen
+    inst = sch.instance
+    n = inst.n
+    perms = inst.pos(group.images(sch.s_codes))
+    prefixes = [(p,) for p in range(n)]
+    if n <= 15:
+        prefixes += [(p, q) for p in range(n) for q in range(n)]
+    for prefix in prefixes:
+        fib = sch.fiber([sch.s_codes[p] for p in prefix])
+        want = _per_point(perms, prefix)
+        for k in (1, 2):
+            raw = want.orbit_partition_raw(inst, k)
+            if fib.backend is not None:
+                # labels are least tuple indices, so raw labels agree too
+                assert np.array_equal(fib.backend.orbit_partition_raw(inst, k), raw)
+            assert np.array_equal(fib.level(k).bid, canonical_block_ids(raw)), (prefix, k)
+
+
+@pytest.mark.parametrize("name", sorted(set(BUILDERS) - {"trivial"}))
+def test_transported_generators_generate_the_stabilizer(name):
+    sch = BUILDERS[name]()
+    n = sch.instance.n
+    order = len(_closure(sch.backend.perms, n))
+    for p in range(n):
+        sub = sch.backend.stabilizer_backend([p])
+        want = order // len(_orbit(sch.backend.perms, p))
+        assert (sub.perms[:, p] == p).all()
+        assert len(_closure(sub.perms, n)) == want
+        assert _chain_order(sub, n) == want
+
+
+def test_tuple_cap_holds_on_kept_partitions():
+    warm = instances.gl_orbit_scheme(2, 3, 4)
+    s = warm.s_codes
+    for c in (s[0], s[3]):  # an orbit's least point, and a transported one
+        warm.fiber((c,)).level(3)
+    capped = SchemeInstance(Field(2, 3, cap_tuples=100), s)
+    sch = Scheme(capped, 4, backend=warm.backend)
+    for c in (s[0], s[3]):
+        fib = sch.fiber((c,))
+        assert np.array_equal(fib.level(2).bid, warm.fiber((c,)).level(2).bid)
+        with pytest.raises(CapExceeded):
+            fib.level(3)
 
 
 def _fresh_like(sch):
@@ -267,15 +340,18 @@ def _chain_order(backend, n):
     S-positions."""
     order = 1
     for p in range(n):
-        orbit = {p}
-        frontier = [p]
-        while frontier:
-            frontier = [int(g[x]) for x in frontier for g in backend.perms
-                        if int(g[x]) not in orbit]
-            orbit.update(frontier)
-        order *= len(orbit)
+        order *= len(_orbit(backend.perms, p))
         backend = backend.stabilizer_backend([p])
     return order
+
+
+def _orbit(perms, p):
+    orbit = {p}
+    frontier = [p]
+    while frontier:
+        frontier = [int(g[x]) for x in frontier for g in perms if int(g[x]) not in orbit]
+        orbit.update(frontier)
+    return orbit
 
 
 @pytest.mark.parametrize("group,seed", [
@@ -300,6 +376,13 @@ def test_sims_filter_bound_and_order(group, seed):
 
 def test_deep_gl_fibre_without_listing_the_group():
     # |GL_5(F_2)| = 9999360; only the 31-point action is ever built
-    fib = instances.gl_orbit_scheme(2, 5, 4).fiber((1, 2))
-    assert fib.level(1).num_blocks == 4
-    assert fib.level(2).num_blocks == 20
+    sch = instances.gl_orbit_scheme(2, 5, 4)
+    # 1 and 2 are least in their orbits under G and Stab(1); 6 is not least
+    # in G's single orbit, so its fibre is transported from that of 1
+    for prefix in [(1, 2), (6, 3)]:
+        fib = sch.fiber(prefix)
+        assert fib.level(1).num_blocks == 4
+        assert fib.level(2).num_blocks == 20
+        want = _per_point(sch.backend.perms, sch.instance.pos(prefix).tolist())
+        assert np.array_equal(fib.backend.orbit_partition_raw(sch.instance, 2),
+                              want.orbit_partition_raw(sch.instance, 2))
