@@ -89,8 +89,9 @@ def generator_maps(sch: Scheme):
     """Yield every bijective block-to-block restriction of a coordinate-linear
     map once, in (k, k', tau, block) order, as the map sweep reaches it.
 
-    Each item is (src, dst, mapping, GenStep): mapping[i] is the position in
-    block dst of the image of the i-th member of block src.  Nothing past the
+    Each item is (src, dst, positions, coeffs): positions[i] is the position
+    in block dst of the image of the i-th member of block src, and coeffs is
+    tau's (k, k') coefficient matrix, both int64 arrays.  Nothing past the
     last item read is swept, so a (k, k') group's caps fire only when the
     reader gets that far.
     """
@@ -103,9 +104,10 @@ def generator_maps(sch: Scheme):
         if not len(ts):
             continue
         if sw.kp not in rank:
-            rank[sw.kp] = np.empty(sch.instance.tuple_count(sw.kp), dtype=np.int64)
-            for rows in sch.level(sw.kp).blocks():
-                rank[sw.kp][rows] = np.arange(len(rows))
+            part = sch.level(sw.kp)
+            rank[sw.kp] = np.empty(len(part.bid), dtype=np.int64)
+            rank[sw.kp][part.order] = (np.arange(len(part.bid))
+                                       - np.repeat(part.starts, part.sizes))
         for t, b in zip(ts.tolist(), bs.tolist()):
             start = int(sw.starts[b])
             # rows of a hit block all have images in S^k'; no -1 is read
@@ -116,8 +118,13 @@ def generator_maps(sch: Scheme):
             key = (src, dst, positions.tobytes())
             if key not in seen:
                 seen.add(key)
-                yield (src, dst, tuple(positions.tolist()),
-                       GenStep(sw.tau(t).coeffs, "fwd", src, dst))
+                yield src, dst, positions, sw.coeffs[t]
+
+
+def _letter(gen) -> GenStep:
+    """The forward witness letter of a `generator_maps` item."""
+    src, dst, _, coeffs = gen
+    return GenStep(tuple(map(tuple, coeffs.tolist())), "fwd", src, dst)
 
 
 def strong_antisym_check(sch: Scheme, budget: int = DEFAULT_BUDGET_SATURATION) -> SaturationResult:
@@ -128,12 +135,14 @@ def strong_antisym_check(sch: Scheme, budget: int = DEFAULT_BUDGET_SATURATION) -
     sweeping no map after it.  When they run out, more than `budget` of them
     is inconclusive; otherwise `_schreier_loops` decides."""
     gens = []
-    for src, dst, mapping, step in generator_maps(sch):
-        gens.append((src, dst, np.array(mapping), step))
-        if src == dst and mapping != tuple(range(len(mapping))):
-            members = _members(sch, src)[gens[-1][2]]
+    for gen in generator_maps(sch):
+        gens.append(gen)
+        src, dst, positions, _ = gen
+        if src == dst and (positions != np.arange(len(positions))).any():
+            members = _members(sch, src)[positions]
             result = SaturationResult("witness", len(gens), budget, generators=len(gens),
-                                      witness=Witness(src, [step], tuple(members.tolist())))
+                                      witness=Witness(src, [_letter(gen)],
+                                                      tuple(members.tolist())))
             break
     else:
         if len(gens) > budget:
@@ -147,8 +156,8 @@ def _spanning_forest(gens: list):
     """(path, tree) by a breadth-first search over the blocks gens touch,
     along each generator and its inverse in generator order.  path[b] is
     u_b, the positions in b of the images of its root's members, and tree[b]
-    is (parent, letter), or None at a root.  A mapping's inverse is its
-    argsort, and composition is indexing."""
+    is (parent, generator index, "fwd" or "inv"), or None at a root.  A
+    mapping's inverse is its argsort, and composition is indexing."""
     edges = {}  # block -> indices of the generators at it, in order
     for i, (src, dst, _, _) in enumerate(gens):
         edges.setdefault(src, []).append(i)
@@ -159,13 +168,12 @@ def _spanning_forest(gens: list):
         queue = [root]
         for a in queue:
             for i in edges[a]:
-                src, dst, mapping, step = gens[i]
+                src, dst, positions, _ = gens[i]
                 if src == a and dst not in path:
-                    path[dst], tree[dst] = mapping[path[a]], (a, step)
+                    path[dst], tree[dst] = positions[path[a]], (a, i, "fwd")
                     queue.append(dst)
                 elif dst == a and src not in path:
-                    path[src] = np.argsort(mapping)[path[a]]
-                    tree[src] = (a, step.inverse())
+                    path[src], tree[src] = np.argsort(positions)[path[a]], (a, i, "inv")
                     queue.append(src)
     return path, tree
 
@@ -176,12 +184,13 @@ def _schreier_loops(sch: Scheme, gens: list, budget: int) -> SaturationResult:
     generator g: src -> dst (Schreier's lemma), and the first g that fails
     closes a loop at its root that permutes the root nontrivially."""
     path, tree = _spanning_forest(gens)
-    for loops, (src, dst, mapping, step) in enumerate(gens, 1):
-        image = mapping[path[src]]
+    for loops, gen in enumerate(gens, 1):
+        src, dst, positions, _ = gen
+        image = positions[path[src]]
         if not np.array_equal(image, path[dst]):
-            root, to_src = _tree_word(tree, src)
-            to_dst = _tree_word(tree, dst)[1]
-            word = to_src + [step] + [s.inverse() for s in reversed(to_dst)]
+            root, to_src = _tree_word(gens, tree, src)
+            to_dst = _tree_word(gens, tree, dst)[1]
+            word = to_src + [_letter(gen)] + [s.inverse() for s in reversed(to_dst)]
             members = _members(sch, root)[np.argsort(path[dst])[image]]
             return SaturationResult("witness", len(gens) + loops, budget, generators=len(gens),
                                     witness=Witness(root, word, tuple(members.tolist())))
@@ -189,12 +198,13 @@ def _schreier_loops(sch: Scheme, gens: list, budget: int) -> SaturationResult:
     return SaturationResult("antisymmetric", 2 * len(gens), budget, generators=len(gens))
 
 
-def _tree_word(tree: dict, b: tuple):
+def _tree_word(gens: list, tree: dict, b: tuple):
     """(root of b's tree, the letters of the tree path from it to b)."""
     word = []
     while tree[b] is not None:
-        b, step = tree[b]
-        word.append(step)
+        b, i, direction = tree[b]
+        step = _letter(gens[i])
+        word.append(step if direction == "fwd" else step.inverse())
     return b, word[::-1]
 
 
@@ -276,9 +286,7 @@ def depth_bounds_check(sch: Scheme) -> DepthBoundsReport:
     """m < dim⟨S⟩ and 2^m <= |B| for the largest block, given strong antisymmetry."""
     if sch.antisym_verdict is None or sch.antisym_verdict.status != "antisymmetric":
         raise PreconditionUnmet("strong-antisymmetry", "run strong_antisym_check first")
-    lvl1 = sch.level(1)
-    sizes = [lvl1.block_size(b) for b in range(lvl1.num_blocks)]
-    largest = max(sizes)
+    largest = int(sch.level(1).sizes.max())
     if largest < 2:
         raise PreconditionUnmet("level-1-not-discrete")
     sd = sch.instance.span_dim()
@@ -298,7 +306,7 @@ def halving_step(sch: Scheme, b: int, x: int, y: int):
         raise InputError("x, y must be distinct members of the block")
     fib = sch.fiber((x,))
     bp = int(fib.level(1).bid[sch.instance.pos(y)])
-    size = fib.level(1).block_size(bp)
+    size = int(fib.level(1).sizes[bp])
     if not (1 < size and 2 * size <= len(block)):
         raise LemmaViolation(
             f"halving failed: |B|={len(block)}, |B'|={size} for x={x}, y={y}"
@@ -346,11 +354,10 @@ def depth_measure(sch: Scheme, b: int) -> DepthTrace:
         best = None
         for x in block.tolist():
             fib = cur.fiber((x,))
-            bid = fib.level(1).bid
+            lvl = fib.level(1)
             others = block[block != x]
-            ids = bid[pos(others)]
-            sizes = np.bincount(bid)
-            cand = (int(sizes[ids].max()), x, fib, others, ids, sizes)
+            ids = lvl.bid[pos(others)]
+            cand = (int(lvl.sizes[ids].max()), x, fib, others, ids, lvl.sizes)
             if best is None or cand[0] < best[0]:
                 best = cand
         _, x, fib, others, ids, sizes = best

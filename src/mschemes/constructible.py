@@ -86,7 +86,7 @@ def verify_certificate(sch: Scheme, cert: Certificate) -> bool:
     for tau, b in cert.entries:
         if not 0 <= b < part.num_blocks:
             return False
-        img = _image(inst, tau, cert.k, part.blocks()[b])
+        img = _image(inst, tau, cert.k, part.block(b))
         if not want[img].all():
             return False
         got[img] = True
@@ -309,7 +309,7 @@ def _restrict_entries(sch: Scheme, cert: Certificate, keep_points) -> Certificat
     result = np.zeros_like(keep)
     entries = []
     for tau, b in cert.entries:
-        rows = part.blocks()[b]
+        rows = part.block(b)
         img = _image(inst, tau, cert.k, rows)
         inside = rows[keep[img]]
         if len(inside) == 0:
@@ -317,7 +317,7 @@ def _restrict_entries(sch: Scheme, cert: Certificate, keep_points) -> Certificat
         ids = part.ids_as_union(inside)  # raises NotBlockUnion on failure
         for d in sorted(ids):
             entries.append((tau, d))
-            result[_image(inst, tau, cert.k, part.blocks()[d])] = True
+            result[_image(inst, tau, cert.k, part.block(d))] = True
     return Certificate(cert.k, cert.prefix, entries,
                        frozenset(np.flatnonzero(result).tolist()))
 
@@ -436,10 +436,10 @@ def extend_subspace(sch: Scheme, cert: Certificate, target_points, t: int):
     entries = []
     result = np.zeros(f.q, dtype=bool)
     for tau, b in cert.entries:
-        rows = sch.level(k).blocks()[b]
+        rows = sch.level(k).block(b)
         lifted = rows * (n ** dt) + prefix_idx  # indices of B x {prefix}
         ids = sorted(part.ids_as_union(lifted))
-        rowsets = [part.blocks()[i] for i in ids]
+        rowsets = [part.block(i) for i in ids]
         for svec in digit_rows(f, d).tolist():
             coeffs = [list(row) for row in tau.coeffs] + [
                 [(svec[i] * lam) % f.ell]

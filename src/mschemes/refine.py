@@ -184,12 +184,12 @@ def _level1_union_ids(sch: Scheme, codes) -> frozenset:
 
 def _blocks_inside(sch: Scheme, codes: np.ndarray) -> np.ndarray:
     """Ids, ascending, of the level-1 blocks of sch inside the point set
-    codes (a subset of S): a block's count of members in codes equals its
-    size."""
-    bid = sch.level(1).bid
-    sizes = np.bincount(bid)
-    return np.flatnonzero(np.bincount(bid[sch.instance.pos(codes)],
-                                      minlength=len(sizes)) == sizes)
+    codes (a subset of S): every member of the block's run in `order` is in
+    codes."""
+    part = sch.level(1)
+    inside = np.zeros(len(part.bid), dtype=bool)
+    inside[sch.instance.pos(codes)] = True
+    return np.flatnonzero(np.logical_and.reduceat(inside[part.order], part.starts))
 
 
 def _block_sums(inst: SchemeInstance, k: int, rows) -> np.ndarray:
@@ -439,7 +439,7 @@ def partial_sumset_search(sch: Scheme, b: int, K):
     steps: list = []
     while True:
         part = sch.level(k)
-        rows = part.blocks()[a.b]
+        rows = part.block(a.b)
         n_a = len(rows)
         inv = ineq(Fraction(n_b) ** (2 * k), "<=",
                    Fraction(n_a) ** 2 * K ** (k - 1),
@@ -477,15 +477,15 @@ def partial_sumset_search(sch: Scheme, b: int, K):
         prod_rows = (rows[:, None] * n + b_rows[None, :]).reshape(-1)
         prod_ids = part_hi.ids_as_union(prod_rows)  # A x B is a block union
         small = [i for i in sorted(prod_ids)  # |block| <= sqrtK |A|
-                 if part_hi.block_size(i) ** 2 <= K * Fraction(n_a) ** 2]
+                 if int(part_hi.sizes[i]) ** 2 <= K * Fraction(n_a) ** 2]
         big = sorted(prod_ids - set(small))
-        t_total = sum(part_hi.block_size(i) for i in small)
+        t_total = int(part_hi.sizes[small].sum())
 
         if Fraction(t_total) ** 2 >= K * Fraction(n_a) ** 2:  # |T| >= sqrtK |A|
             chosen, tot = [], 0
             for bid in small:
                 chosen.append(bid)
-                tot += part_hi.block_size(bid)
+                tot += int(part_hi.sizes[bid])
                 if Fraction(tot) ** 2 >= K * Fraction(n_a) ** 2:
                     break
             recs = [
@@ -496,8 +496,7 @@ def partial_sumset_search(sch: Scheme, b: int, K):
             ]
             x_row = int(rows[0])
             x_pts = tuple(inst.tuples_array(k, x_row).tolist())
-            t_rows = np.concatenate([part_hi.blocks()[bid] for bid in chosen])
-            piece = _fibre_piece(inst, t_rows, x_row)
+            piece = _fibre_piece(inst, sch.blockset_indices(k + 1, chosen), x_row)
             recs.append(ineq(len(piece) * n_a, "==", tot,
                              note="|B'|=|T'|/|A| (fibre constancy)"))
             recs += _sqrt_bounds(len(piece), K, n_b)
@@ -509,13 +508,13 @@ def partial_sumset_search(sch: Scheme, b: int, K):
             return ShrinkOutcome("block-trim", x_pts, ids, tuple(piece), n_b, steps)
 
         # |T| < sqrtK |A|: work in the complement U = (A x B) \ T
-        u_rows = np.concatenate([part_hi.blocks()[bid] for bid in big])
+        u_rows = sch.blockset_indices(k + 1, big)
         n_sig_u = len(unique_sorted(_block_sums(inst, k + 1, u_rows)))
         rec_u = ineq(len(u_rows), "<=", 2 * K * n_sig_u,
                      note="|U|<=2K|sigma(U)|")
         require_ineqs("partial_sumset_search/case3-U", [rec_u])
         for bid in big:  # A*: the first block with |A*| <= 2K|sigma(A*)|
-            brows = part_hi.blocks()[bid]
+            brows = part_hi.block(bid)
             im = len(unique_sorted(_block_sums(inst, k + 1, brows)))
             if len(brows) <= 2 * K * im:
                 break
@@ -582,12 +581,12 @@ def scheme_power(sch: Scheme, a: BlockRef, mp: int) -> Scheme:
         bids = part.bid[cur]
         # every block touching A^i must lie inside it
         vals, counts = np.unique(bids, return_counts=True)
-        for v, c in zip(vals, counts):
-            if part.block_size(int(v)) != int(c):
-                raise LemmaViolation(
-                    f"power level {i}: block {int(v)} at arity {k * i} "
-                    "straddles the boundary of A^i"
-                )
+        straddle = vals[part.sizes[vals] != counts]
+        if len(straddle):
+            raise LemmaViolation(
+                f"power level {i}: block {int(straddle[0])} at arity {k * i} "
+                "straddles the boundary of A^i"
+            )
         raw = np.full(npp ** i, -1, dtype=np.int64)
         raw[cur_img] = bids
         if (raw < 0).any():
@@ -638,7 +637,7 @@ def lift_block(sch: Scheme, a: BlockRef, power: Scheme, x_prefix: Sequence[int],
     for bid in bids:
         u_codes = pfib.level1_block_set(bid)
         blk = int(fpart.bid[pre[int(u_codes[0])]])
-        blk_rows = fpart.blocks()[blk]
+        blk_rows = fpart.block(blk)
         if not member_mask(blk_rows, rows).all():
             raise LemmaViolation("lifted block leaves A")
         img = unique_sorted(_block_sums(inst, k, blk_rows))
@@ -735,16 +734,15 @@ def _require_invariant_graph(sch: Scheme, b_arr, adj):
                 "bsg_extract: a generator does not permute the popular-difference graph")
 
 
-def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) -> BsgResult:
+def bsg_extract(sch: Scheme, b: int, gamma) -> BsgResult:
     """Extract a dense piece with small difference set from high energy.
 
     Follows the popular-difference argument: threshold the difference
     histogram at gamma|B|/2, form the neighbourhoods N(x), filter by
     co-neighbourhood degree, and keep the low-degree part.  The output piece
     B' is a fibre-level block union with |B'| >= gamma|B|/3 and
-    |B'-B'| < 2^17 gamma^-9 |B| (checked exactly); optionally the
-    representation count behind the second bound is re-verified by exact
-    convolution.
+    |B'-B'| < 2^17 gamma^-9 |B| (checked exactly), and the representation
+    count behind the second bound is re-verified by exact convolution.
 
     Every N(x) and N'(x) must be a union of level-1 blocks of the fibre at
     x.  A scheme without a group backend (materialized, or loaded from
@@ -802,13 +800,12 @@ def bsg_extract(sch: Scheme, b: int, gamma, check_representations: bool = True) 
     require_ineqs("bsg_extract", recs)
     fib = sch.fiber((x0,))
     ids = _level1_union_ids(fib, piece)
-    if check_representations:
-        conv = representation_counts(b_ps)
-        bound = Fraction(gamma ** 9 * Fraction(n) ** 7, 2 ** 17)
-        worst = min(conv.get(d, 0) for d in diffs.codes.tolist())
-        recs.append(ineq(bound, "<", worst,
-                         note="representation count > 2^-17 gamma^9 |B|^7"))
-        require_ineqs("bsg_extract/representations", recs[-1:])
+    conv = representation_counts(b_ps)
+    bound = Fraction(gamma ** 9 * Fraction(n) ** 7, 2 ** 17)
+    worst = min(conv.get(d, 0) for d in diffs.codes.tolist())
+    recs.append(ineq(bound, "<", worst,
+                     note="representation count > 2^-17 gamma^9 |B|^7"))
+    require_ineqs("bsg_extract/representations", recs[-1:])
     return BsgResult(x0, ids, tuple(piece), n, recs)
 
 
@@ -979,7 +976,6 @@ def _prop(name: str, holds: bool, detail: str = "") -> dict:
 def decompose(sch: Scheme, b: int, kp: int, eps_prime,
               max_arity: int = 2, max_prefix: int = 2,
               prefix_cap: Optional[int] = None,
-              check_dichotomy: bool = True,
               full_w_family: bool = False):
     """Sunflower decomposition of span(B) driven by heavy characters.
 
@@ -988,8 +984,8 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
     Otherwise forms the hub H (intersection of the kernels) and the leaves
     {H + F·x : x in B}, then checks the seven structure properties:
     hub constructibility, B ∩ H = ∅, hub-as-hyperplane, pairwise leaf
-    intersections, equal leaf counts, the leaf-count bound, and (on the
-    sampled or full subspace family) the density dichotomy.
+    intersections, equal leaf counts, the leaf-count bound, and the density
+    dichotomy (on the sampled family, or the full one with full_w_family).
     """
     eps_prime = Fraction(eps_prime)
     if not 0 < eps_prime < 1:
@@ -1048,36 +1044,35 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
     props.append(_prop("leaf-count-bound", ok6,
                        f"|C|={len(leaves)}, eps'={eps_prime}"))
     # (7) density dichotomy against the sampled (or full) subspace family
-    if check_dichotomy:
-        family = [(h.kernel, h.search_arity + len(h.prefix)) for h in heavy]
-        family += [(w, t + 1) for w in leaves]
-        if full_w_family:
-            for sub, found in enumerate_w_family(sch, b, kp, max_arity,
-                                                 max_prefix, prefix_cap):
-                family.append((sub, found["arity"] + len(found["prefix"])))
-        checked = skipped = 0
-        ok7 = True
-        detail7 = ""
-        for w in leaves:
-            mu_w = Fraction(len(b_set & w), len(w))
-            for wp, kpp in family:
-                inter = w & wp
-                d = 0
-                while len(inter) * f.ell ** d < span_size:
-                    d += 1
-                if kp < kpp + d * t + 1:
-                    skipped += 1
-                    continue
-                checked += 1
-                mu_i = Fraction(len(b_set & inter), len(inter))
-                near = abs(mu_i - mu_w) <= Fraction(f.ell) ** d * eps_prime
-                zero = mu_i == 0 and inter <= hub
-                if not (near or zero):
-                    ok7 = False
-                    detail7 = (f"|W∩W'|={len(inter)}: mu={mu_i} vs {mu_w}, "
-                               f"d={d}")
-        props.append(_prop("density-dichotomy", ok7,
-                           detail7 or f"checked={checked}, gate-skipped={skipped}"))
+    family = [(h.kernel, h.search_arity + len(h.prefix)) for h in heavy]
+    family += [(w, t + 1) for w in leaves]
+    if full_w_family:
+        for sub, found in enumerate_w_family(sch, b, kp, max_arity,
+                                             max_prefix, prefix_cap):
+            family.append((sub, found["arity"] + len(found["prefix"])))
+    checked = skipped = 0
+    ok7 = True
+    detail7 = ""
+    for w in leaves:
+        mu_w = Fraction(len(b_set & w), len(w))
+        for wp, kpp in family:
+            inter = w & wp
+            d = 0
+            while len(inter) * f.ell ** d < span_size:
+                d += 1
+            if kp < kpp + d * t + 1:
+                skipped += 1
+                continue
+            checked += 1
+            mu_i = Fraction(len(b_set & inter), len(inter))
+            near = abs(mu_i - mu_w) <= Fraction(f.ell) ** d * eps_prime
+            zero = mu_i == 0 and inter <= hub
+            if not (near or zero):
+                ok7 = False
+                detail7 = (f"|W∩W'|={len(inter)}: mu={mu_i} vs {mu_w}, "
+                           f"d={d}")
+    props.append(_prop("density-dichotomy", ok7,
+                       detail7 or f"checked={checked}, gate-skipped={skipped}"))
 
     for p in props:
         if not p["holds"]:
@@ -1201,7 +1196,7 @@ def _size_split(sch: Scheme, codes, n_lo: Fraction, n_hi: Fraction):
     code array)."""
     part = sch.level(1)
     ids = sorted(_level1_union_ids(sch, codes))
-    sized = [(i, part.block_size(i)) for i in ids]
+    sized = [(i, int(part.sizes[i])) for i in ids]
     # a single block already at least n_lo: window if <= n_hi, else carry it
     for i, sz in sized:
         if Fraction(sz) >= n_lo:
@@ -1218,7 +1213,7 @@ def _size_split(sch: Scheme, codes, n_lo: Fraction, n_hi: Fraction):
     if Fraction(total) < n_lo or Fraction(total) > n_hi:
         raise LemmaViolation(
             f"size split failed: reached {total} outside [{n_lo}, {n_hi}]")
-    pts = np.sort(np.concatenate([sch.level1_block_set(i) for i in chosen]))
+    pts = sch.instance.s_array[sch.blockset_indices(1, chosen)]
     return "window", tuple(pts.tolist())
 
 

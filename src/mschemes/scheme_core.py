@@ -17,9 +17,12 @@ int64 array; `level1_block_set` gathers a block's codes from it, read-only.
 `SchemeInstance.pos` is the only map from point codes to positions in S (-1
 for a code not in S, also outside [0, q)); it reads one table built once
 per instance.  `tuples_array(k, rows)` is the only map from tuple indices
-back to codes.  `TuplePartition.blocks()` is the only member
-list of the blocks, and each entry is ascending.  Every tuple-cap check
-is `Field.check_cap` on the instance's field.
+back to codes.  A `TuplePartition` has one block layout, three read-only
+arrays built once from its block ids: `order` lists the tuple indices block
+by block, ascending within a block, and block b is its run of `sizes[b]`
+entries from `starts[b]`.  Block sizes, member lists (`block`) and the block
+order of the map sweep are all read from it.  Every tuple-cap check is
+`Field.check_cap` on the instance's field.
 
 Every digit grid here is the radix codec of `gf_linalg`: tuple indices are
 `radix_digits` in base n, and dense tuple codes `radix_weights` in base q.
@@ -30,15 +33,16 @@ coefficient matrix is `digit_rows(field, k)` transposed (the order of
 `enumerate_linmaps(field, k, 1)`).  The images under tau are its columns
 cols(tau)_j = coeffs[:, j] @ radix_weights(ell, k).  Its n^k * ell^k codes
 count against the tuple cap.  Maps are swept only by `_MapGroup.sweep`,
-which reads only this table: once per k the table, rows in block order,
-becomes S-positions P, and the S^k' index of tau(x) is then the base-n
-number of the k' columns cols(tau) of P (-1 when one of them is -1).  A
-(k, k') group's maps have flat indices in `enumerate_linmaps` order, whose
-`radix_digits` in base ell are the coefficients; `sweep` takes any list of
-them and returns one MapSweep of (T, B) per-block statistics, each an
-axis-1 reduceat over the (T, n^k) image array.  `Scheme.map_sweep`, which
-`antisym.generator_maps` reads, sweeps every map in chunks of T consecutive
-indices with T * n^k * k' within SWEEP_CHUNK_ENTRIES.  `validate` sweeps,
+which reads only this table: once per k the table, rows in the layout's
+`order`, becomes S-positions P, and the S^k' index of tau(x) is then the
+base-n number of the k' columns cols(tau) of P (-1 when one of them is -1).
+A (k, k') group's maps have flat indices in `enumerate_linmaps` order,
+whose `radix_digits` in base ell are the coefficients; `sweep` takes any
+list of them and returns one MapSweep of (T, B) per-block statistics, each
+an axis-1 reduceat at the layout's `starts` over the (T, n^k) image array.
+`Scheme.map_sweep`, which `antisym.generator_maps` reads, sweeps every map
+in chunks of T consecutive indices with T * n^k * k' within
+SWEEP_CHUNK_ENTRIES.  `validate` sweeps,
 in such chunks, only the least map of each orbit of H_k x H_k' (`map_orbits`,
 H_k from `TuplePartition.coordinate_symmetries`), and reads every other
 map's verdicts from it through a block map.  The number of maps
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -69,6 +73,11 @@ from .gf_linalg import (Field, LinMap, digit_rows, linmap, linmap_count, radix_d
 
 # bound on T * n^k * k' entries of the image arrays of one MapSweep chunk
 SWEEP_CHUNK_ENTRIES = 2 ** 17
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -93,9 +102,7 @@ class SchemeInstance:
     @cached_property
     def s_array(self) -> np.ndarray:
         """S as a read-only int64 array, ascending."""
-        arr = np.array(self.s_codes, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
+        return _read_only(np.array(self.s_codes, dtype=np.int64))
 
     @cached_property
     def _pos_table(self) -> np.ndarray:
@@ -103,8 +110,7 @@ class SchemeInstance:
         last entry, -1, stands for every code outside [0, q)."""
         table = np.full(self.field.q + 1, -1, dtype=np.int64)
         table[self.s_array] = np.arange(self.n)
-        table.flags.writeable = False
-        return table
+        return _read_only(table)
 
     def pos(self, codes) -> np.ndarray:
         """Position in S of each point code, or -1 for a code not in S."""
@@ -166,14 +172,15 @@ def canonical_block_ids(raw: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TuplePartition:
-    """A partition of S^k, stored as a block-id array over tuple indices."""
+    """A partition of S^k, stored as a block-id array over tuple indices.
+
+    Its block layout is three read-only arrays, built once from bid: `order`
+    lists the tuple indices block by block, ascending within each block, and
+    block b is order[starts[b]:starts[b] + sizes[b]]."""
 
     instance: SchemeInstance
     arity: int
     bid: np.ndarray  # shape (n^k,), canonical block ids
-
-    _blocks: Optional[list] = dc_field(default=None, repr=False)
-    _symmetries: Optional[tuple] = dc_field(default=None, repr=False)
 
     @staticmethod
     def from_raw(instance: SchemeInstance, arity: int, raw: np.ndarray) -> "TuplePartition":
@@ -181,19 +188,25 @@ class TuplePartition:
             raise ArityMismatch("block-id array length mismatch")
         return TuplePartition(instance, arity, canonical_block_ids(np.asarray(raw)))
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Read-only (B,): the number of tuples in each block."""
+        return _read_only(np.bincount(self.bid))
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Read-only (n^k,): the tuple indices grouped by block id; the stable
+        argsort keeps them ascending within a block."""
+        return _read_only(np.argsort(self.bid, kind="stable"))
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Read-only (B,): where each block's run begins in `order`."""
+        return _read_only(np.cumsum(self.sizes) - self.sizes)
+
     @property
     def num_blocks(self) -> int:
-        return int(self.bid.max()) + 1 if len(self.bid) else 0
-
-    def blocks(self) -> list:
-        """List of np arrays of tuple indices, one per block id.  Each array is
-        ascending: the stable argsort keeps tuple order within a block."""
-        if self._blocks is None:
-            order = np.argsort(self.bid, kind="stable")
-            sorted_bids = self.bid[order]
-            cuts = np.searchsorted(sorted_bids, np.arange(self.num_blocks + 1))
-            self._blocks = [order[cuts[b]:cuts[b + 1]] for b in range(self.num_blocks)]
-        return self._blocks
+        return len(self.sizes)
 
     def check_block_ids(self, ids):
         """Raise IndexOutOfRange unless every id lies in [0, num_blocks)."""
@@ -204,16 +217,15 @@ class TuplePartition:
                     f"block id {b} outside [0, {count}) at arity {self.arity}")
 
     def block(self, b: int) -> np.ndarray:
-        """Members of block b, ascending, after the range check of its id."""
+        """Members of block b, ascending and read-only, after its range check."""
         self.check_block_ids((b,))
-        return self.blocks()[b]
-
-    def block_size(self, b: int) -> int:
-        return len(self.blocks()[b])
+        start = self.starts[b]
+        return self.order[start:start + self.sizes[b]]
 
     def is_discrete(self) -> bool:
         return self.num_blocks == len(self.bid)
 
+    @cached_property
     def coordinate_symmetries(self):
         """H_k and its action on the blocks, as (perms, beta): perms are the
         permutations sigma of range(k), identity first, that carry every
@@ -222,31 +234,26 @@ class TuplePartition:
         carries block b onto.  sigma is kept when b -> beta[s, b] is well
         defined and injective; as sigma permutes S^k, it then carries each
         block onto its image, and the kept sigma form a group."""
-        if self._symmetries is None:
-            n, k, count = self.instance.n, self.arity, self.num_blocks
-            digits = radix_digits(np.arange(len(self.bid), dtype=np.int64), n, k)
-            weights = radix_weights(n, k)
-            perms, maps = [], []
-            for sigma in itertools.permutations(range(k)):
-                image = self.bid[digits[:, sigma] @ weights]
-                beta = np.empty(count, dtype=np.int64)
-                beta[self.bid] = image
-                if (beta[self.bid] == image).all() and len(unique_sorted(beta)) == count:
-                    perms.append(sigma)
-                    maps.append(beta)
-            beta = np.stack(maps)
-            beta.flags.writeable = False
-            self._symmetries = (tuple(perms), beta)
-        return self._symmetries
+        n, k, count = self.instance.n, self.arity, self.num_blocks
+        digits = radix_digits(np.arange(len(self.bid), dtype=np.int64), n, k)
+        weights = radix_weights(n, k)
+        perms, maps = [], []
+        for sigma in itertools.permutations(range(k)):
+            image = self.bid[digits[:, sigma] @ weights]
+            beta = np.empty(count, dtype=np.int64)
+            beta[self.bid] = image
+            if (beta[self.bid] == image).all() and len(unique_sorted(beta)) == count:
+                perms.append(sigma)
+                maps.append(beta)
+        return tuple(perms), _read_only(np.stack(maps))
 
     def refines(self, other: "TuplePartition") -> bool:
-        """True if every block of self lies inside a block of other."""
+        """True if every block of self lies inside a block of other: along
+        `order`, other's id is constant on each of self's runs."""
         if self.arity != other.arity or len(self.bid) != len(other.bid):
             raise ArityMismatch("refinement comparison between different spaces")
-        for rows in self.blocks():
-            if len(unique_sorted(other.bid[rows])) != 1:
-                return False
-        return True
+        ids = other.bid[self.order]
+        return bool(np.array_equal(ids, np.repeat(ids[self.starts], self.sizes)))
 
     def ids_as_union(self, tuple_indices):
         """Express a set of tuple indices as a set of block ids, or raise
@@ -255,12 +262,12 @@ class TuplePartition:
         if len(idx) and (idx[0] < 0 or idx[-1] >= len(self.bid)):
             raise NotBlockUnion(
                 f"tuple index outside [0, {len(self.bid)}) is not in S^{self.arity}")
-        ids = unique_sorted(self.bid[idx]).tolist()
-        if len(idx) != sum(self.block_size(b) for b in ids):
+        ids = unique_sorted(self.bid[idx])
+        if len(idx) != self.sizes[ids].sum():
             raise NotBlockUnion(
                 f"set of {len(idx)} tuples is not a union of arity-{self.arity} blocks"
             )
-        return frozenset(ids)
+        return frozenset(ids.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +419,7 @@ def _map_orbits(ell: int, k: int, kp: int, h_k: tuple, h_kp: tuple):
             best[less], arg[less] = image[less], s
         rep[flat], via[flat] = best, arg
     reps = unique_sorted(rep)
-    rep_row = np.searchsorted(reps, rep)
-    for arr in (reps, rep_row, via):
-        arr.flags.writeable = False
-    return reps, rep_row, via
+    return _read_only(reps), _read_only(np.searchsorted(reps, rep)), _read_only(via)
 
 
 @dataclass
@@ -487,9 +491,7 @@ class Scheme:
 
     def level1_block_set(self, b: int) -> np.ndarray:
         """Point codes of a level-1 block: a read-only int64 array, ascending."""
-        codes = self.instance.s_array[self.level(1).block(b)]
-        codes.flags.writeable = False
-        return codes
+        return _read_only(self.instance.s_array[self.level(1).block(b)])
 
     # ---- fibre restriction -------------------------------------------
 
@@ -551,18 +553,16 @@ class Scheme:
         inst = self.instance
         ell, n = inst.field.ell, inst.n
         for k in range(1, self.m + 1):
-            blocks = self.level(k).blocks()
-            sizes = np.array([len(rows) for rows in blocks], dtype=np.int64)
-            starts = np.cumsum(sizes) - sizes
-            row_block = np.repeat(np.arange(len(blocks), dtype=np.int64), sizes)
+            part = self.level(k)
+            row_block = part.bid[part.order]
             # (ell^k, N): row c holds the S-positions of column c of the table
-            pos_t = np.ascontiguousarray(
-                inst.pos(inst.map_table(k)[np.concatenate(blocks)]).T)
+            pos_t = np.ascontiguousarray(inst.pos(inst.map_table(k)[part.order]).T)
             for kp in range(1, self.m + 1):
                 total = linmap_count(inst.field, k, kp)
-                bid_kp = np.append(self.level(kp).bid, -1)  # index -1 reads -1
-                yield _MapGroup(k, kp, total, ell, n, starts, sizes, row_block, pos_t,
-                                bid_kp, np.append(np.bincount(bid_kp[:-1]), 0))
+                part_kp = self.level(kp)
+                # index -1 reads id -1 and size 0
+                yield _MapGroup(k, kp, total, ell, n, part.starts, part.sizes, row_block,
+                                pos_t, np.append(part_kp.bid, -1), np.append(part_kp.sizes, 0))
 
     def map_sweep(self):
         """Yield a MapSweep per chunk of consecutive maps: k, then k' over
@@ -594,9 +594,9 @@ class Scheme:
         checked = 0
         for group in self._map_groups():
             k, kp = group.k, group.kp
-            h_k, beta = self.level(k).coordinate_symmetries()
+            h_k, beta = self.level(k).coordinate_symmetries
             reps, rep_row, via = map_orbits(self.field, k, kp, h_k,
-                                            self.level(kp).coordinate_symmetries()[0])
+                                            self.level(kp).coordinate_symmetries[0])
             step = group.step()
             bad_rep = np.concatenate([group.sweep(reps[i:i + step]).bad()
                                       for i in range(0, len(reps), step)])
@@ -706,7 +706,7 @@ class Scheme:
         ell = inst.field.ell
         profiles = set()
         basis = None
-        for pts in inst.tuples_array(k, self.level(k).blocks()[b]):
+        for pts in inst.tuples_array(k, self.level(k).block(b)):
             mat = inst.field.decode_batch(pts)  # (k, d)
             null = nullspace_basis_mod(mat.T, ell)  # rows c with mat^T c = 0
             red, piv = rref_mod(null, ell) if null.size else (null, ())

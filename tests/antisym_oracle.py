@@ -10,10 +10,14 @@ generator, and it leaves the scheme's cached verdict alone.
 import numpy as np
 
 from mschemes.antisym import GenStep, SaturationResult, Witness, generator_maps
+from mschemes.gf_linalg import linmap
+from point_oracle import block_members
 
 
 def strong_antisym_check(sch, budget):
-    gens = list(generator_maps(sch))
+    gens = [(src, dst, tuple(positions.tolist()),
+             GenStep(linmap(coeffs).coeffs, "fwd", src, dst))
+            for src, dst, positions, coeffs in generator_maps(sch)]
     all_gens = list(gens)
     for src, dst, mapping, step in gens:
         inv_mapping = tuple(np.argsort(mapping).tolist())
@@ -73,7 +77,7 @@ def strong_antisym_check(sch, budget):
         word.append(step)
         idx = parent
     word.reverse()
-    members = sch.level(src[0]).blocks()[src[1]]
+    members = block_members(sch.level(src[0]).bid)[src[1]]
     return SaturationResult(
         "witness", len(explored), budget,
         witness=Witness(src, word, tuple(members[list(mapping)].tolist())),

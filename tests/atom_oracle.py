@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from mschemes.constructible import Certificate
 from mschemes.errors import DepthExhausted
 from mschemes.gf_linalg import LinMap, enumerate_linmaps
+from point_oracle import block_members
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,10 @@ def enumerate_atoms(sch, k):
     inst = sch.instance
     part = sch.level(k)
     tuples = inst.tuples_array(k)
+    blocks = block_members(part.bid)
     for tau in enumerate_linmaps(inst.field, k, 1):
         img = tau.apply_batch(inst.field, tuples)[:, 0]
-        for b in range(part.num_blocks):
-            rows = part.blocks()[b]
+        for b, rows in enumerate(blocks):
             yield Atom(tau, b, frozenset(int(c) for c in img[rows]))
 
 

@@ -84,14 +84,22 @@ def tuple_points(inst, idx, k):
     return tuple(reversed(out))
 
 
+def block_members(bid):
+    """The members of every block of a block-id array, grouped in one pass
+    over the tuples in index order: entry b lists block b's tuple indices,
+    ascending, as an int64 array."""
+    groups = [[] for _ in range(int(bid.max()) + 1)]
+    for t, b in enumerate(bid.tolist()):
+        groups[b].append(t)
+    return [np.array(g, dtype=np.int64) for g in groups]
+
+
 def trim_piece_walk(inst, part_hi, chosen, x_row):
     """The piece of `refine.partial_sumset_search`'s case-3 trim by the
     scalar walk: the last points of the tuples in the chosen arity-(k+1)
     blocks whose first k points are the tuple at index x_row."""
     n = inst.n
-    keep = np.zeros(len(part_hi.bid), dtype=bool)
-    for bid in chosen:
-        keep[part_hi.blocks()[bid]] = True
+    keep = np.isin(part_hi.bid, list(chosen))
     return sorted(inst.s_codes[int(r % n)] for r in np.nonzero(keep)[0] if r // n == x_row)
 
 

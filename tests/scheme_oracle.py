@@ -18,20 +18,21 @@ from mschemes.antisym import GenStep
 from mschemes.gf_linalg import enumerate_linmaps
 from mschemes.refine import _difference_adjacency, _level1_union_ids
 from mschemes.scheme_core import ValidationReport, Violation
+from point_oracle import block_members
 
 
 def validate(sch, max_violations=16):
     inst = sch.instance
     pos = np.full(inst.field.q, -1, dtype=np.int64)
     pos[np.array(inst.s_codes, dtype=np.int64)] = np.arange(inst.n)
+    members = {k: block_members(sch.level(k).bid) for k in range(1, sch.m + 1)}
     violations = []
     checked = 0
     pairs = [(k, kp) for k in range(1, sch.m + 1) for kp in range(1, sch.m + 1)]
     for k, kp in pairs:
-        part_k = sch.level(k)
         part_kp = sch.level(kp)
         tuples = inst.tuples_array(k)
-        blocks = part_k.blocks()
+        blocks = members[k]
         n = inst.n
         radix = n ** np.arange(kp - 1, -1, -1, dtype=np.int64)
         for tau in enumerate_linmaps(inst.field, k, kp):
@@ -61,7 +62,7 @@ def validate(sch, max_violations=16):
                     else:
                         bp = int(bids[0])
                         vals, counts = np.unique(tgt, return_counts=True)
-                        tgt_block = np.sort(part_kp.blocks()[bp])
+                        tgt_block = members[kp][bp]
                         if len(vals) != len(tgt_block) or not np.array_equal(
                             vals, tgt_block
                         ):
@@ -86,12 +87,12 @@ def generator_maps(sch):
     inst = sch.instance
     pos = np.full(inst.field.q, -1, dtype=np.int64)
     pos[np.array(inst.s_codes, dtype=np.int64)] = np.arange(inst.n)
+    members = {k: block_members(sch.level(k).bid) for k in range(1, sch.m + 1)}
     gens = []
     seen = set()
     for k in range(1, sch.m + 1):
         tuples = inst.tuples_array(k)
-        part_k = sch.level(k)
-        blocks = part_k.blocks()
+        blocks = members[k]
         for kp in range(1, sch.m + 1):
             part_kp = sch.level(kp)
             radix = inst.n ** np.arange(kp - 1, -1, -1, dtype=np.int64)
@@ -109,7 +110,7 @@ def generator_maps(sch):
                     if len(uniq) != len(rows):
                         continue  # not injective on the block
                     bp = int(part_kp.bid[tgt[0]])
-                    tgt_members = np.sort(sch.level(kp).blocks()[bp])
+                    tgt_members = members[kp][bp]
                     if len(tgt_members) != len(uniq) or not np.array_equal(uniq, tgt_members):
                         continue  # not onto a block
                     src = (k, b)

@@ -196,7 +196,7 @@ def test_criterion_05_depth_bounds(capfd, c11_m2, c31_m2):
         assert strong_antisym_check(sch).status == "antisymmetric"
         rep = depth_bounds_check(sch)
         assert rep.ok
-        n_b = sch.level(1).block_size(0)
+        n_b = int(sch.level(1).sizes[0])
         try:
             trace = depth_measure(sch, 0)
         except DepthExhausted as exc:
@@ -344,7 +344,7 @@ def test_criterion_09_sumset_search(capfd):
     assert isinstance(res2, refine.SumsetCase2)
     k = res2.a.k
     n_b = len(sch2.s_codes)
-    n_a = sch2.level(k).block_size(res2.a.b)
+    n_a = int(sch2.level(k).sizes[res2.a.b])
     ap = PointSet.from_codes(sch2.field, res2.aprime)
     # |A'+A'| <= K^{2k}|A'|, recomputed by direct set arithmetic
     assert Fraction(len(sumset(ap, ap))) <= K ** (2 * k) * len(ap)
@@ -372,7 +372,7 @@ def test_criterion_10_scheme_power(capfd, c11_m2, c31_m2):
     assert power.validate().ok
     # sigma bijectivity, recomputed: block rows have pairwise distinct sums
     lvl = base.level(2)
-    rows = base.instance.tuples_array(2)[lvl.blocks()[1]]
+    rows = base.instance.tuples_array(2)[lvl.block(1)]
     f = base.field
     sums = f.encode_batch((f.decode_batch(rows[:, 0]) +
                            f.decode_batch(rows[:, 1])) % f.ell)

@@ -65,7 +65,7 @@ def test_tampered_witness_rejected(gl2_m3):
     w = res.witness
     # identity mapping is not a valid witness
     members = sorted(
-        int(i) for i in gl2_m3.level(w.block[0]).blocks()[w.block[1]])
+        int(i) for i in gl2_m3.level(w.block[0]).block(w.block[1]))
     fake = Witness(w.block, w.word, tuple(members))
     assert not replay_witness(gl2_m3, fake)
     # empty word is not a valid witness
@@ -95,11 +95,12 @@ def test_witness_naming_no_block_is_rejected(singer7_m3):
 def test_inverse_steps_replay_through_the_inverse_permutation(gl2_m3):
     # a coordinate 3-cycle on the block of triples of distinct points has
     # order 3, so its inverse differs from it
-    src, _, mapping, step = next(
+    src, _, mapping, coeffs = next(
         g for g in generator_maps(gl2_m3)
         if g[0] == g[1] and tuple(g[2][i] for i in g[2]) != tuple(range(len(g[2]))))
-    members = gl2_m3.level(src[0]).blocks()[src[1]]
+    members = gl2_m3.level(src[0]).block(src[1])
     inverse = np.argsort(mapping)
+    step = GenStep(linmap(coeffs).coeffs, "fwd", src, src)
     inv_step = GenStep(step.tau, "inv", src, src)
     assert replay_witness(gl2_m3, Witness(src, [step], tuple(members[list(mapping)].tolist())))
     assert replay_witness(gl2_m3, Witness(src, [inv_step], tuple(members[inverse].tolist())))
@@ -119,14 +120,14 @@ def _depth_oracle(sch, b):
         best = None
         for x in block:
             lvl = cur.fiber((x,)).level(1)
-            largest = max(lvl.block_size(block_of(lvl, y)) for y in block if y != x)
+            largest = max(int(lvl.sizes[block_of(lvl, y)]) for y in block if y != x)
             if best is None or largest < best[0]:
                 best = (largest, x, lvl)
         _, x, lvl = best
         new_ids = {block_of(lvl, y) for y in block if y != x}
-        tracked_id = max(new_ids, key=lambda i: (lvl.block_size(i), -i))
+        tracked_id = max(new_ids, key=lambda i: (int(lvl.sizes[i]), -i))
         block = [y for y in block if y != x and block_of(lvl, y) == tracked_id]
-        steps.append((x, tuple(sorted((lvl.block_size(i) for i in new_ids), reverse=True)),
+        steps.append((x, tuple(sorted((int(lvl.sizes[i]) for i in new_ids), reverse=True)),
                       len(block)))
         cur = cur.fiber((x,))
     return steps, True
@@ -196,11 +197,6 @@ def test_small_budgets_are_inconclusive_like_the_oracle(trivial_m3):
         _same_verdict(trivial_m3, got, want)
 
 
-def _generators(sch):
-    return [(src, dst, np.array(mapping), step)
-            for src, dst, mapping, step in generator_maps(sch)]
-
-
 def test_multi_letter_witness_replays():
     # no forward generator of C11:C5 at depth 3 permutes its block, but a
     # loop through a level-3 block does
@@ -212,7 +208,7 @@ def test_multi_letter_witness_replays():
     members = sch.level(res.witness.block[0]).block(res.witness.block[1])
     assert res.witness.mapping != tuple(members.tolist())
     # any order of the generators gives a forest whose witness replays
-    gens = _generators(sch)
+    gens = list(generator_maps(sch))
     for seed in range(6):
         order = np.random.default_rng(seed).permutation(len(gens))
         res = _schreier_loops(sch, [gens[i] for i in order], DEFAULT_BUDGET_SATURATION)
@@ -233,14 +229,14 @@ def _word_positions(sch, root, word):
 
 
 def test_schreier_loops_close_on_an_antisymmetric_scheme(c31_m2):
-    gens = _generators(c31_m2)
+    gens = list(generator_maps(c31_m2))
     path, tree = _spanning_forest(gens)
     for src, dst, mapping, _ in gens:
-        assert _tree_word(tree, src)[0] == _tree_word(tree, dst)[0]
+        assert _tree_word(gens, tree, src)[0] == _tree_word(gens, tree, dst)[0]
         assert np.array_equal(mapping[path[src]], path[dst])
     # u_b is where b's tree word carries its root's members
     for b in path:
-        root, word = _tree_word(tree, b)
+        root, word = _tree_word(gens, tree, b)
         assert (word[-1].dst if word else root) == b
         assert np.array_equal(_word_positions(c31_m2, root, word), path[b])
 

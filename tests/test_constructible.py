@@ -21,7 +21,8 @@ from mschemes.constructible import (
     intersect_with_carrier,
     verify_certificate,
 )
-from mschemes.errors import CapExceeded, DepthExhausted, NotBlockUnion, PreconditionUnmet
+from mschemes.errors import (CapExceeded, DepthExhausted, IndexOutOfRange, NotBlockUnion,
+                             PreconditionUnmet)
 from mschemes.gf_linalg import Field, linmap, span_points
 from mschemes.group_orbits import build_orbit_scheme, gl_group, trivial_group
 from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
@@ -218,6 +219,21 @@ def test_boolean_operations(trivial_m3):
         boolean_intersect(trivial_m3, deep_a, type(b)(2, b.prefix, b.entries, b.points))
 
 
+@pytest.mark.parametrize("entry_point", ["intersect", "difference", "extend"])
+def test_certificate_entries_with_bad_block_ids_raise(trivial_m3, entry_point):
+    # level 1 of the trivial scheme on S = (1, 2, 3) has blocks 0..2; an
+    # entry (tau, -1) used to be read as block 2
+    zero = decide_constructible(trivial_m3, [0], 1)
+    run = {
+        "intersect": lambda cert: boolean_intersect(trivial_m3, cert, zero),
+        "difference": lambda cert: boolean_difference(trivial_m3, cert, zero),
+        "extend": lambda cert: extend_subspace(trivial_m3, cert, [0, 1], 1),
+    }[entry_point]
+    for b in (-1, 3):
+        with pytest.raises(IndexOutOfRange):
+            run(Certificate(1, (), [(zero.entries[0][0], b)], zero.points))
+
+
 def test_restrict_entries_splits_blocks_or_raises(trivial_m3, gl2_m3):
     a = decide_constructible(trivial_m3, [1, 2, 3], 1)
     # codes outside [0, q) in the kept set select nothing
@@ -234,7 +250,7 @@ def test_intersect_with_carrier(trivial_m3):
     cert = decide_constructible(trivial_m3, [1, 3], 1)
     ids = intersect_with_carrier(trivial_m3, cert)
     got = {int(trivial_m3.s_codes[i])
-           for b in ids for i in trivial_m3.level(1).blocks()[b]}
+           for b in ids for i in trivial_m3.level(1).block(b)}
     assert got == {1, 3}
 
 

@@ -103,12 +103,12 @@ def test_orbit_scheme_blocks_are_orbits():
     part = sch.level(2)
     # diagonal action orbit of a representative equals its block
     for b in range(part.num_blocks):
-        rep = point_oracle.tuple_points(inst, int(part.blocks()[b][0]), 2)
+        rep = point_oracle.tuple_points(inst, int(part.block(b)[0]), 2)
         orbit = {
             inst.tuple_index(tuple(oracle.act_code(g, mat, c) for c in rep))
             for mat in els
         }
-        assert orbit == {int(i) for i in part.blocks()[b]}
+        assert orbit == {int(i) for i in part.block(b)}
 
 
 def test_lazy_and_materialized_agree():

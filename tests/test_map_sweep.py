@@ -13,7 +13,7 @@ import pytest
 
 import scheme_oracle as oracle
 from mschemes import gf_linalg, group_orbits, instances, scheme_core
-from mschemes.antisym import generator_maps, strong_antisym_check
+from mschemes.antisym import GenStep, generator_maps, strong_antisym_check
 from mschemes.errors import CapExceeded
 from mschemes.gf_linalg import Field, enumerate_linmaps
 from mschemes.scheme_core import Scheme, SchemeInstance, TuplePartition
@@ -47,10 +47,12 @@ def _same_report(got, want):
 
 
 def _as_tuple_indices(sch, gens):
-    """Generators with each mapping read back from positions in the
-    destination block to the tuple indices there."""
-    return [(src, dst, tuple(sch.level(dst[0]).blocks()[dst[1]][list(mapping)].tolist()), step)
-            for src, dst, mapping, step in gens]
+    """Generators in the oracle's shape: each mapping read back from
+    positions in the destination block to the tuple indices there, and the
+    coefficients as a forward GenStep."""
+    return [(src, dst, tuple(sch.level(dst[0]).block(dst[1])[positions].tolist()),
+             GenStep(gf_linalg.linmap(coeffs).coeffs, "fwd", src, dst))
+            for src, dst, positions, coeffs in gens]
 
 
 def _with_level(sch, k, raw):
@@ -142,7 +144,7 @@ def _check_corrupted_levels():
             assert _as_tuple_indices(bad, generator_maps(bad)) == oracle.generator_maps(bad)
     assert kinds == set(KINDS) and early_stops == {1, 3, 16}
     for bad, h_3 in _symmetric_corruptions():
-        assert set(bad.level(3).coordinate_symmetries()[0]) == h_3
+        assert set(bad.level(3).coordinate_symmetries[0]) == h_3
         for cap in (1, 3, 16, 10 ** 6):
             _same_report(bad.validate(cap), oracle.validate(bad, cap))
         assert len(bad.validate(10 ** 6).violations) > 16
@@ -185,7 +187,7 @@ def _check_sweep_columns(sch):
         coeffs = np.concatenate([sw.coeffs for sw in sweeps])
         assert [gf_linalg.linmap(c.tolist()) for c in coeffs] == taus
         assert [sw.tau(t) for sw in sweeps for t in range(len(sw.coeffs))] == taus
-        tuples = inst.tuples_array(k)[np.concatenate(sch.level(k).blocks())]
+        tuples = inst.tuples_array(k)[sch.level(k).order]
         want = np.stack([inst.tuple_indices(tau.apply_batch(inst.field, tuples))
                          for tau in taus])
         assert np.array_equal(np.concatenate([sw.images for sw in sweeps]), want)
@@ -266,7 +268,7 @@ def _check_block_maps(part, perms, beta):
 def test_coordinate_symmetries_of_every_builder_are_all_permutations(label):
     sch = BUILDERS[label]()
     for k in range(1, sch.m + 1):
-        perms, beta = sch.level(k).coordinate_symmetries()
+        perms, beta = sch.level(k).coordinate_symmetries
         assert perms == tuple(itertools.permutations(range(k)))
         _check_block_maps(sch.level(k), perms, beta)
         assert not beta.flags.writeable
@@ -279,9 +281,9 @@ def test_corruption_shrinks_the_coordinate_symmetries():
         for seed in range(4):
             bad = _corrupt(sch, seed)
             for k in range(1, bad.m + 1):
-                perms, beta = bad.level(k).coordinate_symmetries()
+                perms, beta = bad.level(k).coordinate_symmetries
                 _check_block_maps(bad.level(k), perms, beta)
-                shrunk += len(perms) < len(sch.level(k).coordinate_symmetries()[0])
+                shrunk += len(perms) < len(sch.level(k).coordinate_symmetries[0])
     assert shrunk > 0
 
 

@@ -176,11 +176,11 @@ def _case3_blocks(sch, K):
     """Arity-2 blocks of A x B for A = B = level-1 block 0, split by size
     at sqrt(K)|A| as case 3 splits them: (A rows, small ids, big ids)."""
     inst, part_hi = sch.instance, sch.level(2)
-    rows = sch.level(1).blocks()[0]
+    rows = sch.level(1).block(0)
     prod = (rows[:, None] * inst.n + rows[None, :]).reshape(-1)
     small, big = [], []
     for bid in sorted(set(part_hi.bid[prod].tolist())):
-        fits = Fraction(part_hi.block_size(bid)) ** 2 <= K * len(rows) ** 2
+        fits = Fraction(int(part_hi.sizes[bid])) ** 2 <= K * len(rows) ** 2
         (small if fits else big).append(bid)
     return rows, small, big
 
@@ -208,11 +208,11 @@ def test_case3_branches_recompute_exactly(build, args, K, branch):
         chosen, tot = [], 0
         for bid in small:
             chosen.append(bid)
-            tot += part_hi.block_size(bid)
+            tot += int(part_hi.sizes[bid])
             if Fraction(tot) ** 2 >= K * n_a ** 2:
                 break
         assert (sizes["|T|"], sizes["|T'|"]) == (
-            sum(part_hi.block_size(b) for b in small), tot)
+            sum(int(part_hi.sizes[b]) for b in small), tot)
         _check_records(step.inequalities, [
             (K * n_a ** 2, "<=", Fraction(tot) ** 2),
             (Fraction(tot) ** 2, "<=", 4 * K * n_a ** 2),
@@ -226,7 +226,7 @@ def test_case3_branches_recompute_exactly(build, args, K, branch):
     else:
         f = sch.field
         for bid in big:
-            brows = part_hi.blocks()[bid]
+            brows = part_hi.block(bid)
             im = len({oracle.add(f, *oracle.tuple_points(inst, int(r), 2)) for r in brows})
             if len(brows) <= 2 * K * im:
                 break
@@ -257,15 +257,15 @@ def test_fibre_piece_sorts_interleaved_blocks(c11_m2, x_row):
     # by block are out of order
     inst, part = c11_m2.instance, c11_m2.level(2)
     n = inst.n
-    pair = [b for b in range(part.num_blocks) if part.block_size(b) == 55]
-    rows = np.concatenate([part.blocks()[b] for b in pair])
+    pair = [b for b in range(part.num_blocks) if part.sizes[b] == 55]
+    rows = np.concatenate([part.block(b) for b in pair])
     last = rows[rows // n == x_row] % n
     assert len(pair) == 2 and (np.diff(last) < 0).any()
     piece = refine._fibre_piece(inst, rows, x_row)
     assert piece == oracle.trim_piece_walk(inst, part, pair, x_row)
     assert piece == [c for c in inst.s_codes if c != inst.s_codes[x_row]]
-    assert refine._fibre_piece(inst, part.blocks()[pair[0]], x_row) == \
-        oracle.exit_piece_walk(inst, part.blocks()[pair[0]], x_row)
+    assert refine._fibre_piece(inst, part.block(pair[0]), x_row) == \
+        oracle.exit_piece_walk(inst, part.block(pair[0]), x_row)
 
 
 def test_blocks_inside_takes_whole_blocks_only():
@@ -293,7 +293,7 @@ def test_scheme_power_carrier_is_sum_image():
     assert power.validate().ok
     # carrier points are coordinate sums of tuples of A
     f = base.field
-    rows = base.level(2).blocks()[a.b]
+    rows = base.level(2).block(a.b)
     sums = {oracle.add(f, *oracle.tuple_points(base.instance, int(i), 2)) for i in rows}
     assert set(power.s_codes) <= sums
 

@@ -12,6 +12,7 @@ from mschemes.errors import (
     NotBlockUnion,
 )
 from mschemes.gf_linalg import Field, linmap, projection, summation, swap_map
+from mschemes import instances
 from mschemes.instances import gl_orbit_scheme
 from mschemes.scheme_core import (
     Scheme,
@@ -155,6 +156,14 @@ def test_linear_relation_profile_constancy(gl2_m3):
         assert constant
 
 
+def test_linear_relation_profile_rejects_bad_block_ids(gl2_m3):
+    # -1 used to read the last block's profile, and 99 raised a raw IndexError
+    assert gl2_m3.level(2).num_blocks == 2
+    for b in (-1, 2, 99):
+        with pytest.raises(IndexOutOfRange):
+            gl2_m3.linear_relation_profile(2, b)
+
+
 def test_validation_catches_seeded_corruption(gl3_m2):
     sch = gl3_m2
     levels = {k: sch.level(k) for k in range(1, sch.m + 1)}
@@ -249,11 +258,70 @@ def test_tuples_array_matches_scalar_tuple_points(k, gl2_m3, trivial_m3):
             capped.tuples_array(k, np.array([0]))
 
 
+# one scheme from every builder in `instances`
+LAYOUT_BUILDERS = {
+    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3, lazy=False),
+    "gl2-lazy-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
+    "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
+    "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),
+    "c11c5-m3": lambda: instances.c11_c5_scheme(3),
+    "c31c5-lazy-m3": lambda: instances.c31_c5_scheme(3, lazy=True),
+    "signed-perm-m2": lambda: instances.signed_perm_scheme(2, 2),
+    "affine-coset-m2": lambda: instances.affine_coset_scheme(4, [1, 2], 0, 2),
+    "mul-coset-m2": lambda: instances.mul_coset_scheme(5, 2, 6, 1, 0, 2),
+}
+
+
+def _layout_partitions(sch):
+    """Every level of sch and of its fibres at the first and last point."""
+    schemes = [sch] + [sch.fiber((c,)) for c in (sch.s_codes[0], sch.s_codes[-1])]
+    return [s.level(k) for s in schemes for k in range(1, s.m + 1)]
+
+
+@pytest.mark.parametrize("label", sorted(LAYOUT_BUILDERS))
+def test_block_layout_groups_bid(label):
+    for part in _layout_partitions(LAYOUT_BUILDERS[label]()):
+        bid, order, starts, sizes = part.bid, part.order, part.starts, part.sizes
+        for arr in (order, starts, sizes):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert np.array_equal(np.sort(order), np.arange(len(bid)))
+        assert np.array_equal(sizes, np.bincount(bid)) and part.num_blocks == len(sizes)
+        assert starts[0] == 0 and np.array_equal(starts[1:], np.cumsum(sizes)[:-1])
+        for b, members in enumerate(oracle.block_members(bid)):
+            run = order[starts[b]:starts[b] + sizes[b]]
+            assert np.all(np.diff(run) > 0) and (bid[run] == b).all()
+            assert np.array_equal(part.block(b), members)
+
+
+def _refines_oracle(fine, coarse):
+    return all(len(set(coarse.bid[rows].tolist())) == 1
+               for rows in oracle.block_members(fine.bid))
+
+
+@pytest.mark.parametrize("label", sorted(LAYOUT_BUILDERS))
+def test_refines_matches_per_block_oracle(label):
+    sch = LAYOUT_BUILDERS[label]()
+    fib = sch.fiber((sch.s_codes[0],))
+    verdicts = set()
+    for k in range(1, fib.m + 1):
+        n_k = sch.instance.tuple_count(k)
+        parts = [sch.level(k), fib.level(k),
+                 TuplePartition.from_raw(sch.instance, k, np.arange(n_k)),
+                 TuplePartition.from_raw(sch.instance, k, np.zeros(n_k, dtype=np.int64))]
+        for fine in parts:
+            for coarse in parts:
+                got = fine.refines(coarse)
+                assert got == _refines_oracle(fine, coarse)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_blocks_are_ascending_and_level1_block_set_reads_them(gl2_m3, singer7_m3):
     for sch in (gl2_m3, singer7_m3):
         for k in range(1, sch.m + 1):
             part = sch.level(k)
-            for b, rows in enumerate(part.blocks()):
+            for b in range(part.num_blocks):
+                rows = part.block(b)
                 assert np.all(np.diff(rows) > 0)
                 assert (part.bid[rows] == b).all()
         s_array = sch.instance.s_array
