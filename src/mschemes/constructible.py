@@ -64,11 +64,11 @@ class Certificate:
 
 def _point_mask(q: int, codes) -> tuple:
     """(mask over [0, q) of the codes in range, whether every code was)."""
-    arr = np.fromiter(codes, dtype=np.int64)
-    inside = arr[(arr >= 0) & (arr < q)]
+    codes = list(codes)
+    in_range = not codes or (min(codes) >= 0 and max(codes) < q)
     mask = np.zeros(q, dtype=bool)
-    mask[inside] = True
-    return mask, len(inside) == len(arr)
+    mask[codes if in_range else [c for c in codes if 0 <= c < q]] = True
+    return mask, in_range
 
 
 def _image(inst: SchemeInstance, tau: LinMap, k: int, rows) -> np.ndarray:
@@ -153,16 +153,6 @@ def _atom_index(sch: Scheme, k: int) -> AtomIndex:
     return index
 
 
-def _target_mask(q: int, target: frozenset) -> Optional[np.ndarray]:
-    """Mask over [0, q) of T, or None when T has a code outside [0, q), which
-    no union of atoms has."""
-    if target and (min(target) < 0 or max(target) >= q):
-        return None
-    mask = np.zeros(q, dtype=bool)
-    mask[list(target)] = True
-    return mask
-
-
 def decide_constructible(sch: Scheme, points, k: int) -> Optional[Certificate]:
     """Certificate for T as a union of arity-k atoms, or None.
 
@@ -178,8 +168,8 @@ def decide_constructible(sch: Scheme, points, k: int) -> Optional[Certificate]:
     """
     target = frozenset(int(c) for c in points)
     index = _atom_index(sch, k)
-    mask = _target_mask(sch.field.q, target)
-    if mask is None:
+    mask, in_range = _point_mask(sch.field.q, target)
+    if not in_range:  # no union of atoms has a code outside [0, q)
         return None
     covered = np.zeros_like(mask)
     inside = np.zeros(0, dtype=bool)  # per atom tested: whether it lies inside T
@@ -216,14 +206,15 @@ def decide_constructible(sch: Scheme, points, k: int) -> Optional[Certificate]:
     return Certificate(k, sch.prefix, entries, target)
 
 
-def _decide_run(run: list, target: frozenset, mask: Optional[np.ndarray], k: int):
+def _decide_run(run: list, target: frozenset, mask: np.ndarray, k: int):
     """(x, certificate) for the first hit among the (x, fibre) pairs of a run,
-    else None (always for T outside [0, q), whose mask is None).  Every
-    fibre's arity-k index must be complete, so deciding it builds nothing:
-    one reduceat tests the atoms of all of them, and one (fibres, q) table
-    counts the points of T each fibre's inside atoms cover.
+    else None (always for T with a code outside [0, q), which the mask of
+    its codes in range leaves out and no atom covers).  Every fibre's arity-k
+    index must be complete, so deciding it builds nothing: one reduceat tests
+    the atoms of all of them, and one (fibres, q) table counts the points of
+    T each fibre's inside atoms cover.
     """
-    if not run or mask is None:
+    if not run:
         return None
     indexes = [fib.atom_indexes[k] for _, fib in run]
     codes = np.concatenate([index.codes for index in indexes])
@@ -265,7 +256,7 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
             f"prefix {prefix_len} plus arity {k} exceeds depth m={sch.m}"
         )
     target = frozenset(int(c) for c in points)
-    mask = _target_mask(sch.field.q, target)
+    mask, _ = _point_mask(sch.field.q, target)
     run = []  # (x, fibre) of the prefixes that wait for one pass
     count = 0
     for x in itertools.product(sch.s_codes, repeat=prefix_len):
@@ -295,9 +286,8 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
 
 def intersect_with_carrier(sch: Scheme, cert: Certificate):
     """T ∩ S as a level-1 block-id set (closedness forces it to be one)."""
-    inst = sch.instance
-    hits = [i for i, c in enumerate(inst.s_codes) if c in cert.points]
-    return sch.level(1).ids_as_union(hits)
+    mask, _ = _point_mask(sch.field.q, cert.points)
+    return sch.level(1).ids_as_union(np.flatnonzero(mask[sch.instance.s_array]))
 
 
 def _restrict_entries(sch: Scheme, cert: Certificate, keep_points) -> Certificate:

@@ -11,7 +11,7 @@ Point sets are sorted, read-only int64 arrays (`Scheme.level1_block_set`,
 `PointSet.codes`); codes that reach a record or a report are Python ints.
 
 Contents:
-  * nu_plus / shrink_weak         - sumset-window fibre shrinking
+  * shrink_weak                   - sumset-window fibre shrinking
   * z_slice_sizes                 - the per-point slice sizes of its complement branch
   * bijectivity_check             - when the coordinate sum is injective on a block
   * partial_sumset_search         - the three-case growth loop
@@ -39,7 +39,6 @@ from .addcomb import (
     additive_energy,
     diff_histogram,
     difference_set,
-    subgroup_generated,
     sum_histogram,
     sumset,
 )
@@ -47,7 +46,6 @@ from .constructible import Certificate, decide_constructible, find_constructible
 from .errors import (
     CapExceeded,
     DepthExhausted,
-    EmptyReference,
     EnergyTooLow,
     GateUnmet,
     InputError,
@@ -66,7 +64,6 @@ __all__ = [
     "SumsetCase2",
     "Decomposition",
     "TrivialGate",
-    "nu_plus",
     "shrink_weak",
     "z_slice_sizes",
     "bijectivity_check",
@@ -240,11 +237,6 @@ def _sqrt_bounds(value: int, K: Fraction, upper_base: int):
 # ---------------------------------------------------------------------------
 # nu^+ counting and the weak shrink
 # ---------------------------------------------------------------------------
-
-
-def nu_plus(aprime: PointSet, b: PointSet, z: int) -> int:
-    """#{(x, y) in A' x B : x + y = z}, exact."""
-    return sum_histogram(aprime, b).get(int(z), 0)
 
 
 def _z_mask(field, ap: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -911,19 +903,18 @@ def enumerate_subspaces(field, group_codes, cap: int = 4096):
 
 
 def enumerate_w_family(sch: Scheme, b: int, k: int, max_arity: int = 2,
-                       max_prefix: int = 2, prefix_cap: Optional[int] = None,
-                       subspace_cap: int = 4096):
+                       max_prefix: int = 2):
     """Subspaces of span(B) with codimension <= k that pass the bounded
     constructibility search.  Returns [(subspace frozenset, search record)]."""
     f = sch.field
     b_codes = sch.level1_block_set(b)
     full = f.ell ** span_dim(f, b_codes)
     out = []
-    for sub in enumerate_subspaces(f, b_codes, cap=subspace_cap):
+    for sub in enumerate_subspaces(f, b_codes):
         codim_ok = len(sub) * f.ell ** k >= full
         if not codim_ok:
             continue
-        found = find_constructible(sch, sub, max_arity, max_prefix, prefix_cap)
+        found = find_constructible(sch, sub, max_arity, max_prefix)
         if found is not None:
             out.append((sub, found))
     return out
@@ -975,7 +966,6 @@ def _prop(name: str, holds: bool, detail: str = "") -> dict:
 
 def decompose(sch: Scheme, b: int, kp: int, eps_prime,
               max_arity: int = 2, max_prefix: int = 2,
-              prefix_cap: Optional[int] = None,
               full_w_family: bool = False):
     """Sunflower decomposition of span(B) driven by heavy characters.
 
@@ -1003,8 +993,7 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
         "|B|": len(b_codes), "mu": str(mu), "t": t, "k'": kp,
         "eps'": str(eps_prime),
     }, [])]
-    total_heavy, heavy = compute_heavy_set(sch, b, eps_prime, max_arity, max_prefix,
-                                           prefix_cap)
+    total_heavy, heavy = compute_heavy_set(sch, b, eps_prime, max_arity, max_prefix)
     if not heavy:
         steps.append(TraceStep("decompose", "trivial-gate", (), {
             "heavy_before_kernel_filter": total_heavy,
@@ -1047,8 +1036,7 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
     family = [(h.kernel, h.search_arity + len(h.prefix)) for h in heavy]
     family += [(w, t + 1) for w in leaves]
     if full_w_family:
-        for sub, found in enumerate_w_family(sch, b, kp, max_arity,
-                                             max_prefix, prefix_cap):
+        for sub, found in enumerate_w_family(sch, b, kp, max_arity, max_prefix):
             family.append((sub, found["arity"] + len(found["prefix"])))
     checked = skipped = 0
     ok7 = True
@@ -1085,10 +1073,7 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
                          counts, heavy, props, steps)
 
 
-def two_case_check(sch: Scheme, b: int, k: int, eps,
-                   max_arity: int = 2, max_prefix: int = 2,
-                   prefix_cap: Optional[int] = None,
-                   subspace_cap: int = 4096):
+def two_case_check(sch: Scheme, b: int, k: int, eps):
     """Either B is pseudorandom against every enumerated constructible
     subspace of codimension <= k (|mu_W(B) - mu(B)| <= eps), or a heavy
     character at threshold eps/ell^k with constructible kernel exists.
@@ -1104,15 +1089,13 @@ def two_case_check(sch: Scheme, b: int, k: int, eps,
     eps_prime = eps / f.ell ** k
     if sch.m < 2 * kp:
         raise PreconditionUnmet("m>=2k'", f"m={sch.m}, k'={kp}")
-    _, heavy = compute_heavy_set(sch, b, eps_prime, max_arity, max_prefix,
-                                 prefix_cap)
+    _, heavy = compute_heavy_set(sch, b, eps_prime)
     if heavy:
         return "heavy", heavy
     b_set = set(b_codes.tolist())
     records = [ineq(abs(Fraction(len(b_set & sub), len(sub)) - mu), "<=", eps,
                     note=f"|mu_W(B)-mu(B)|<=eps, |W|={len(sub)}")
-               for sub, _ in enumerate_w_family(sch, b, k, max_arity, max_prefix,
-                                                prefix_cap, subspace_cap)]
+               for sub, _ in enumerate_w_family(sch, b, k)]
     require_ineqs("two_case_check/pseudorandom", records)
     return "pseudorandom", records
 
@@ -1143,7 +1126,6 @@ class RefineParams:
     r_shrink: Optional[int] = None  # cardinality-reduction rounds (default r)
     search_arity: int = 1
     search_prefix: int = 1
-    prefix_cap: Optional[int] = None
 
     def __post_init__(self):
         self.K = Fraction(self.K)
@@ -1180,7 +1162,7 @@ def _compute_w(sch: Scheme, b: int, x: int, params: RefineParams) -> np.ndarray:
     eps_prime = params.eps_prime if params.eps_prime is not None else (
         params.eps / f.ell ** params.k)
     _, heavy = compute_heavy_set(sch, b, eps_prime, params.search_arity,
-                                 params.search_prefix, params.prefix_cap)
+                                 params.search_prefix)
     if heavy:
         gens = set(frozenset.intersection(*[h.kernel for h in heavy])) | {x}
     else:

@@ -40,14 +40,15 @@ A (k, k') group's maps have flat indices in `enumerate_linmaps` order,
 whose `radix_digits` in base ell are the coefficients; `sweep` takes any
 list of them and returns one MapSweep of (T, B) per-block statistics, each
 an axis-1 reduceat at the layout's `starts` over the (T, n^k) image array.
-`Scheme.map_sweep`, which `antisym.generator_maps` reads, sweeps every map
-in chunks of T consecutive indices with T * n^k * k' within
-SWEEP_CHUNK_ENTRIES.  `validate` sweeps,
-in such chunks, only the least map of each orbit of H_k x H_k' (`map_orbits`,
-H_k from `TuplePartition.coordinate_symmetries`), and reads every other
-map's verdicts from it through a block map.  The number of maps
-ell^(k*k') is checked against the map cap before a (k, k') group starts,
-as `enumerate_linmaps` does.
+`_MapGroup.chunks` is the one loop over a list of flat indices: it sweeps
+them T at a time, with T * n^k * k' within SWEEP_CHUNK_ENTRIES.
+`Scheme.map_sweep`, which `antisym.generator_maps` reads, runs it over
+every map.  `validate` runs it first over the least map of each orbit of
+H_k x H_k' (`map_orbits`, H_k from `TuplePartition.coordinate_symmetries`)
+until one is bad: when none is, no map of the group is, and otherwise it
+runs it over every map of the group.  The number of maps ell^(k*k') is
+checked against the map cap before a (k, k') group starts, as
+`enumerate_linmaps` does.
 """
 from __future__ import annotations
 
@@ -226,26 +227,24 @@ class TuplePartition:
         return self.num_blocks == len(self.bid)
 
     @cached_property
-    def coordinate_symmetries(self):
-        """H_k and its action on the blocks, as (perms, beta): perms are the
-        permutations sigma of range(k), identity first, that carry every
-        block onto a block, where (sigma x)_i = x_sigma[i]; beta is a
-        read-only (|H_k|, B) array, beta[s, b] the block that perms[s]
-        carries block b onto.  sigma is kept when b -> beta[s, b] is well
-        defined and injective; as sigma permutes S^k, it then carries each
-        block onto its image, and the kept sigma form a group."""
+    def coordinate_symmetries(self) -> tuple:
+        """H_k: the permutations sigma of range(k), identity first, that
+        carry every block onto a block, where (sigma x)_i = x_sigma[i].
+        sigma is kept when the block of sigma x depends only on the block of
+        x, and distinct blocks go to distinct blocks; as sigma permutes S^k,
+        it then carries each block onto a block, and the kept sigma form a
+        group."""
         n, k, count = self.instance.n, self.arity, self.num_blocks
         digits = radix_digits(np.arange(len(self.bid), dtype=np.int64), n, k)
         weights = radix_weights(n, k)
-        perms, maps = [], []
+        perms = []
         for sigma in itertools.permutations(range(k)):
             image = self.bid[digits[:, sigma] @ weights]
             beta = np.empty(count, dtype=np.int64)
             beta[self.bid] = image
             if (beta[self.bid] == image).all() and len(unique_sorted(beta)) == count:
                 perms.append(sigma)
-                maps.append(beta)
-        return tuple(perms), _read_only(np.stack(maps))
+        return tuple(perms)
 
     def refines(self, other: "TuplePartition") -> bool:
         """True if every block of self lies inside a block of other: along
@@ -338,9 +337,15 @@ class _MapGroup(NamedTuple):
     bid_kp: np.ndarray     # level-k' block ids, then -1
     kp_sizes: np.ndarray   # level-k' block sizes, then 0
 
-    def step(self) -> int:
-        """Maps per chunk: T * n^k * k' <= SWEEP_CHUNK_ENTRIES, at least one."""
-        return max(1, SWEEP_CHUNK_ENTRIES // (len(self.row_block) * self.kp))
+    def chunks(self, flat: Optional[np.ndarray] = None):
+        """Yield the MapSweep of the maps with these flat indices (every map,
+        ascending, by default), in order, T maps at a time with
+        T * n^k * k' <= SWEEP_CHUNK_ENTRIES (at least one)."""
+        if flat is None:
+            flat = np.arange(self.total, dtype=np.int64)
+        step = max(1, SWEEP_CHUNK_ENTRIES // (len(self.row_block) * self.kp))
+        for first in range(0, len(flat), step):
+            yield self.sweep(flat[first:first + step])
 
     def sweep(self, flat: np.ndarray) -> MapSweep:
         """The MapSweep of the maps with these flat indices, in this order."""
@@ -375,24 +380,22 @@ class _MapGroup(NamedTuple):
             np.maximum.reduceat(runs, run_starts).reshape(distinct.shape))
 
 
-def map_orbits(field: Field, k: int, kp: int, h_k: tuple, h_kp: tuple):
-    """The orbits of H_k x H_k' on the maps V^k -> V^k', as read-only arrays
-    (reps, rep_row, via) over flat indices in `enumerate_linmaps` order.
+def map_orbits(field: Field, k: int, kp: int, h_k: tuple, h_kp: tuple) -> np.ndarray:
+    """The least flat index of each orbit of H_k x H_k' on the maps
+    V^k -> V^k', as a read-only array, ascending.
 
     h_k and h_kp are groups of permutations of range(k) and range(k'), as
-    `TuplePartition.coordinate_symmetries` gives them.  reps lists the least
-    flat index of each orbit, ascending.  Map tau has representative
-    R = reps[rep_row[tau]], and with sigma = h_k[via[tau]] there is pi in
-    h_kp such that R[i, j] = tau[sigma[i], pi[j]] for the coefficient
-    matrices: R(sigma x) = pi(tau(x)), where (sigma x)_i = x_sigma[i] and
-    (pi y)_j = y_pi[j].  The map count is checked against the map cap first,
-    also when the table is cached."""
+    `TuplePartition.coordinate_symmetries` gives them; they carry the map
+    with coefficient matrix tau to R with R[i, j] = tau[sigma[i], pi[j]],
+    so that R(sigma x) = pi(tau(x)), where (sigma x)_i = x_sigma[i] and
+    (pi y)_j = y_pi[j].  The map count is checked against the map cap
+    first, also when the result is cached."""
     linmap_count(field, k, kp)
     return _map_orbits(field.ell, k, kp, h_k, h_kp)
 
 
 @lru_cache(maxsize=64)
-def _map_orbits(ell: int, k: int, kp: int, h_k: tuple, h_kp: tuple):
+def _map_orbits(ell: int, k: int, kp: int, h_k: tuple, h_kp: tuple) -> np.ndarray:
     total = ell ** (k * kp)
     weights = radix_weights(ell, k * kp)
     cells = np.arange(k * kp).reshape(k, kp)  # digit of coefficient (i, j)
@@ -407,19 +410,16 @@ def _map_orbits(ell: int, k: int, kp: int, h_k: tuple, h_kp: tuple):
             image = digits[:, cells[:, pi].ravel()] @ weights
             np.minimum(by_pi[flat], image, out=image)
             by_pi[flat] = image
-    # ... then the least of those over its row permutations by sigma
-    rep = by_pi.copy()
-    via = np.zeros(total, dtype=np.int64)
+    # ... then the least of those over its row permutations by sigma; a map
+    # is its orbit's least member when that is the map itself
+    reps = []
     for flat in chunks:
         digits = radix_digits(flat, ell, k * kp)
-        best, arg = rep[flat], via[flat]
-        for s, sigma in enumerate(h_k):
-            image = by_pi[digits[:, cells[sigma, :].ravel()] @ weights]
-            less = image < best
-            best[less], arg[less] = image[less], s
-        rep[flat], via[flat] = best, arg
-    reps = unique_sorted(rep)
-    return _read_only(reps), _read_only(np.searchsorted(reps, rep)), _read_only(via)
+        least = by_pi[flat]
+        for sigma in h_k:
+            np.minimum(least, by_pi[digits[:, cells[sigma, :].ravel()] @ weights], out=least)
+        reps.append(flat[least == flat])
+    return _read_only(np.concatenate(reps))
 
 
 @dataclass
@@ -570,48 +570,40 @@ class Scheme:
         per k.  A chunk holds T maps with T * n^k * k' <= SWEEP_CHUNK_ENTRIES
         (at least one map)."""
         for group in self._map_groups():
-            step = group.step()
-            for first in range(0, group.total, step):
-                yield group.sweep(np.arange(first, min(first + step, group.total),
-                                            dtype=np.int64))
+            yield from group.chunks()
 
     def validate(self, max_violations: int = 16) -> ValidationReport:
         """Exhaustive P1/P2 check of every block under every coordinate-linear
         map, in (k, k', tau, block) order; stops at max_violations.
 
-        Only one map per orbit of H_k x H_k' is swept, H_k being the
+        A (k, k') group is first swept at the least map of each orbit of
+        H_k x H_k' (`map_orbits`), until one is bad, H_k being the
         coordinate permutations that carry the blocks of S^k onto blocks
-        (`TuplePartition.coordinate_symmetries`).  Lemma: let R(sigma x) =
-        pi(tau(x)) for all x, with sigma in H_k and pi in H_k'.  sigma
-        carries block B onto a block sigma(B), and pi carries S^k' and its
-        blocks onto themselves, sizes kept; so R on sigma(B) has the inside
-        count, target block size, distinct images and fibre sizes of tau on
-        B, and breaks an axiom exactly when tau does on B.  Each
-        (map, block) verdict is read from its representative that way, so
-        every pair is still decided; a reported violation sweeps its own map
-        once for the detail string."""
+        (`TuplePartition.coordinate_symmetries`).
+        Lemma: let R(sigma x) = pi(tau(x)) for all x, with sigma in H_k and
+        pi in H_k'.  sigma carries block B onto a block sigma(B), and pi
+        carries S^k' and its blocks onto themselves, sizes kept; so R on
+        sigma(B) has the inside count, target block size, distinct images
+        and fibre sizes of tau on B, and breaks an axiom exactly when tau
+        does on B.  So when no representative is bad on any block, no map
+        of the group is, and its maps are all counted as checked.
+        Otherwise every map of the group is swept in order, and each
+        violation's detail is read from the chunk that found it."""
         violations = []
         checked = 0
         for group in self._map_groups():
             k, kp = group.k, group.kp
-            h_k, beta = self.level(k).coordinate_symmetries
-            reps, rep_row, via = map_orbits(self.field, k, kp, h_k,
-                                            self.level(kp).coordinate_symmetries[0])
-            step = group.step()
-            bad_rep = np.concatenate([group.sweep(reps[i:i + step]).bad()
-                                      for i in range(0, len(reps), step)])
-            rows = max(1, SWEEP_CHUNK_ENTRIES // beta.shape[1])
-            swept, sw = -1, None  # the last map swept for a detail string
-            for first in range(0, group.total, rows):
-                flat = np.arange(first, min(first + rows, group.total), dtype=np.int64)
-                bad = bad_rep[rep_row[flat, None], beta[via[flat]]]
-                for t, b in zip(*(axis.tolist() for axis in np.nonzero(bad))):
-                    if swept != first + t:
-                        swept, sw = first + t, group.sweep(flat[t:t + 1])
-                    violations.append(Violation(k, kp, sw.tau(0), b, self._detail(sw, 0, b)))
+            reps = map_orbits(self.field, k, kp, self.level(k).coordinate_symmetries,
+                              self.level(kp).coordinate_symmetries)
+            if not any(sw.bad().any() for sw in group.chunks(reps)):
+                checked += group.total
+                continue
+            for sw in group.chunks():
+                for t, b in zip(*(axis.tolist() for axis in np.nonzero(sw.bad()))):
+                    violations.append(Violation(k, kp, sw.tau(t), b, self._detail(sw, t, b)))
                     if len(violations) >= max_violations:
                         return ValidationReport(False, checked + t + 1, violations)
-                checked += len(flat)
+                checked += len(sw.coeffs)
         return ValidationReport(not violations, checked, violations)
 
     def _detail(self, sw: "MapSweep", t: int, b: int) -> str:

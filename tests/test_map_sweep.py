@@ -3,8 +3,9 @@
 corrupted levels that show all four violation kinds, and at every early
 stop, also when the chunk bound puts one map in each sweep record or splits
 a (k, k') group mid-way.  Corruptions that keep a nontrivial group H_k of
-block-preserving coordinate permutations send `validate` through its orbit
-expansion with violations; H_k and the orbit table are checked directly."""
+block-preserving coordinate permutations give `validate` groups with a bad
+orbit representative, which it then sweeps map by map; H_k, the orbit
+representatives and the maps each group sweeps are checked directly."""
 import itertools
 import random
 
@@ -144,7 +145,7 @@ def _check_corrupted_levels():
             assert _as_tuple_indices(bad, generator_maps(bad)) == oracle.generator_maps(bad)
     assert kinds == set(KINDS) and early_stops == {1, 3, 16}
     for bad, h_3 in _symmetric_corruptions():
-        assert set(bad.level(3).coordinate_symmetries[0]) == h_3
+        assert set(bad.level(3).coordinate_symmetries) == h_3
         for cap in (1, 3, 16, 10 ** 6):
             _same_report(bad.validate(cap), oracle.validate(bad, cap))
         assert len(bad.validate(10 ** 6).violations) > 16
@@ -247,18 +248,19 @@ def test_map_table_counts_against_tuple_cap():
     assert (exc.value.needed, exc.value.cap) == (216, 100)
 
 
-def _check_block_maps(part, perms, beta):
+def _check_block_maps(part, perms):
     """perms is a group with the identity first, and each perms[s] carries
-    every block b exactly onto block beta[s, b] of the same size."""
+    every block exactly onto a block of the same size."""
     k = part.arity
     n = part.instance.n
     assert perms[0] == tuple(range(k))
     assert all(tuple(s[i] for i in r) in perms for s in perms for r in perms)
     digits = gf_linalg.radix_digits(np.arange(len(part.bid)), n, k)
     sizes = np.bincount(part.bid)
-    assert beta.shape == (len(perms), part.num_blocks)
-    for sigma, block_map in zip(perms, beta):
+    for sigma in perms:
         image = part.bid[digits[:, list(sigma)] @ gf_linalg.radix_weights(n, k)]
+        # block b goes onto the block of its least tuple's image
+        block_map = image[part.order[part.starts]]
         assert sorted(block_map.tolist()) == list(range(part.num_blocks))
         assert np.array_equal(image, block_map[part.bid])
         assert np.array_equal(sizes[block_map], sizes)
@@ -268,10 +270,9 @@ def _check_block_maps(part, perms, beta):
 def test_coordinate_symmetries_of_every_builder_are_all_permutations(label):
     sch = BUILDERS[label]()
     for k in range(1, sch.m + 1):
-        perms, beta = sch.level(k).coordinate_symmetries
+        perms = sch.level(k).coordinate_symmetries
         assert perms == tuple(itertools.permutations(range(k)))
-        _check_block_maps(sch.level(k), perms, beta)
-        assert not beta.flags.writeable
+        _check_block_maps(sch.level(k), perms)
 
 
 def test_corruption_shrinks_the_coordinate_symmetries():
@@ -281,9 +282,9 @@ def test_corruption_shrinks_the_coordinate_symmetries():
         for seed in range(4):
             bad = _corrupt(sch, seed)
             for k in range(1, bad.m + 1):
-                perms, beta = bad.level(k).coordinate_symmetries
-                _check_block_maps(bad.level(k), perms, beta)
-                shrunk += len(perms) < len(sch.level(k).coordinate_symmetries[0])
+                perms = bad.level(k).coordinate_symmetries
+                _check_block_maps(bad.level(k), perms)
+                shrunk += len(perms) < len(sch.level(k).coordinate_symmetries)
     assert shrunk > 0
 
 
@@ -295,35 +296,77 @@ def _orbits_by_brute_force(ell, k, kp, h_k, h_kp):
                          for s in h_k for p in h_kp) for c in coeffs])
 
 
-def test_map_orbits_are_the_orbits_and_name_their_permutation():
+def test_map_orbits_are_the_least_maps_of_the_orbits():
     sym = lambda k: tuple(itertools.permutations(range(k)))
     counts = []
     for k, kp in itertools.product((1, 2, 3), repeat=2):
-        counts.append(len(scheme_core.map_orbits(Field(2, 2), k, kp, sym(k), sym(kp))[0]))
+        counts.append(len(scheme_core.map_orbits(Field(2, 2), k, kp, sym(k), sym(kp))))
     # 85 orbits for the 682 maps of depth 3 over F_2
     assert counts == [2, 3, 4, 3, 7, 13, 4, 13, 36]
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     for ell, k, kp, h_k, h_kp in ((2, 3, 3, sym(3), sym(3)), (2, 3, 2, cyclic, sym(2)),
                                   (2, 2, 3, sym(2), SUBGROUPS[False]), (3, 2, 2, sym(2), sym(2))):
         h_kp = tuple(sorted(h_kp))
-        reps, rep_row, via = scheme_core.map_orbits(Field(ell, 1), k, kp, h_k, h_kp)
-        least = _orbits_by_brute_force(ell, k, kp, h_k, h_kp)
-        assert np.array_equal(reps[rep_row], least)
-        assert np.array_equal(reps, np.unique(least))
-        coeffs = gf_linalg.radix_digits(np.arange(len(least)), ell, k * kp).reshape(-1, k, kp)
-        for c, r, s in zip(coeffs, coeffs[reps[rep_row]], via):
-            assert any(np.array_equal(r, c[list(h_k[s])][:, list(p)]) for p in h_kp)
+        reps = scheme_core.map_orbits(Field(ell, 1), k, kp, h_k, h_kp)
+        assert np.array_equal(reps, np.unique(_orbits_by_brute_force(ell, k, kp, h_k, h_kp)))
 
 
 def test_orbit_table_is_cached_bounded_and_read_only():
     sym = lambda k: tuple(itertools.permutations(range(k)))
-    table = scheme_core.map_orbits(Field(2, 2), 2, 3, sym(2), sym(3))
-    again = scheme_core.map_orbits(Field(2, 4), 2, 3, sym(2), sym(3))
-    assert all(a is b for a, b in zip(table, again))  # same ell, k, k' and groups
+    reps = scheme_core.map_orbits(Field(2, 2), 2, 3, sym(2), sym(3))
+    # same ell, k, k' and groups
+    assert scheme_core.map_orbits(Field(2, 4), 2, 3, sym(2), sym(3)) is reps
     assert scheme_core._map_orbits.cache_info().maxsize is not None
-    for arr in table:
-        with pytest.raises(ValueError):
-            arr[0] = 1
+    with pytest.raises(ValueError):
+        reps[0] = 1
+
+
+def _swept_by_validate(monkeypatch, sch):
+    """sch.validate(10 ** 6), and the flat indices of the maps that each
+    (k, k') group swept, in the order swept."""
+    swept = {}
+    sweep = scheme_core._MapGroup.sweep
+
+    def recording(group, flat):
+        swept.setdefault((group.k, group.kp), []).append(flat.copy())
+        return sweep(group, flat)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scheme_core._MapGroup, "sweep", recording)
+        report = sch.validate(10 ** 6)
+    return report, {key: np.concatenate(flats) for key, flats in swept.items()}
+
+
+def _representatives(sch, k, kp):
+    return scheme_core.map_orbits(sch.field, k, kp, sch.level(k).coordinate_symmetries,
+                                  sch.level(kp).coordinate_symmetries)
+
+
+def test_validate_sweeps_only_the_representatives_of_clean_groups(monkeypatch, gl2_m3):
+    report, swept = _swept_by_validate(monkeypatch, gl2_m3)
+    assert (report.ok, report.checked_maps) == (True, 682)
+    assert list(swept) == [(k, kp) for k in (1, 2, 3) for kp in (1, 2, 3)]
+    assert sum(len(flat) for flat in swept.values()) == 85
+    for (k, kp), flat in swept.items():
+        assert np.array_equal(flat, _representatives(gl2_m3, k, kp))
+
+
+def test_validate_sweeps_every_map_of_a_dirty_group_once(monkeypatch):
+    bad, _ = next(_symmetric_corruptions())
+    report, swept = _swept_by_validate(monkeypatch, bad)
+    _same_report(report, oracle.validate(bad, 10 ** 6))
+    dirty = {(v.k, v.kp) for v in report.violations}
+    assert dirty and len(dirty) < len(swept) == 9
+    for (k, kp), flat in swept.items():
+        reps = _representatives(bad, k, kp)
+        if (k, kp) not in dirty:
+            assert np.array_equal(flat, reps)
+            continue
+        # representatives up to the first bad one's chunk, then every map
+        total = bad.field.ell ** (k * kp)
+        head = len(flat) - total
+        assert 0 < head <= len(reps) and np.array_equal(flat[:head], reps[:head])
+        assert np.array_equal(flat[head:], np.arange(total))
 
 
 def test_warm_orbit_table_still_checks_the_caps(monkeypatch, gl2_m3):
