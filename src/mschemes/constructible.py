@@ -11,16 +11,24 @@ layout, atom a = i * num_blocks + b being tau_i(D_b) with its codes one run
 of `codes`.  It grows one tau at a time and only as far as a cover needs:
 `decide_constructible` tests every built atom in one `logical_and.reduceat`
 and builds another tau only while T is not covered.
-`find_constructible_prefix` decides each run of consecutive prefixes whose
-fibre is built and whose index is complete in one reduceat over their
-concatenated atoms; it builds exactly the fibres and atoms, and returns the
-certificate, of deciding the prefixes one by one.
+
+Prefix search.  `find_constructible_prefix` returns the prefix and the
+certificate of deciding the prefixes one by one.  On a scheme with a group
+backend it decides them an orbit of G on S^len at a time: u in G carrying
+the orbit's least prefix to x carries the atoms there to those at x, so
+u^-1 T is tested against the complete index of the least prefix's fibre,
+for all the orbit's prefixes in one pass, and a hit's certificate is
+transported back without building its fibre.  u acts on T through a basis
+of span(S) inside S (`SchemeInstance.span_chart`).  Without a backend it
+decides each run of consecutive prefixes whose fibre is built and whose
+index is complete in one reduceat over their concatenated atoms, and
+builds exactly the fibres and atoms of the one-by-one scan.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,10 +43,14 @@ from .gf_linalg import (
     digit_rows,
     enumerate_linmaps,
     linmap,
+    linmap_count,
+    radix_digits,
+    radix_weights,
     rank_mod,
     span_basis,
     span_points,
 )
+from .group_orbits import on_tuples
 from .scheme_core import Scheme, SchemeInstance
 
 
@@ -117,6 +129,9 @@ class AtomIndex:
         self.codes = np.zeros(0, dtype=np.int64)
         self.starts = np.zeros(0, dtype=np.int64)
         self.sizes = np.zeros(0, dtype=np.int64)
+        # once complete, for the prefix search: the distinct codes U of the
+        # atoms, and the (atoms, U) 0/1 matrix of which atom holds which
+        self.incidence = None
 
     @property
     def complete(self) -> bool:
@@ -189,21 +204,30 @@ def decide_constructible(sch: Scheme, points, k: int) -> Optional[Certificate]:
         if tuples is None:
             tuples = sch.instance.tuples_array(k)
         index._extend(sch.field, tuples)
-    # the atoms inside T cover it: walk them in order and take each one that
-    # adds a point, until T is covered
-    covered[:] = False
+    return Certificate(k, sch.prefix, _greedy_entries(index, inside, target, sch.field.q), target)
+
+
+def _greedy_entries(index: AtomIndex, inside: np.ndarray, target, q: int,
+                    atoms=None) -> list:
+    """The greedy cover of a target by the atoms inside it, in [0, q):
+    walk the atoms j with inside[j] in order, and take each one that adds a
+    point, until the target is covered.  Atom j is (tau_i, D_b) for
+    j = i * num_blocks + b; its points are those of atom atoms[j] of the
+    index (atom j itself by default)."""
+    covered = np.zeros(q, dtype=bool)
     left = len(target)
     entries = []
-    for a in np.flatnonzero(inside).tolist():
+    for j in np.flatnonzero(inside).tolist():
+        a = j if atoms is None else atoms[j]
         atom = index.codes[index.starts[a]:index.starts[a] + index.sizes[a]]
         fresh = len(atom) - np.count_nonzero(covered[atom])
         if fresh:
             covered[atom] = True
-            entries.append((index.maps[a // index.num_blocks], a % index.num_blocks))
+            entries.append((index.maps[j // index.num_blocks], j % index.num_blocks))
             left -= fresh
             if not left:
                 break
-    return Certificate(k, sch.prefix, entries, target)
+    return entries
 
 
 def _decide_run(run: list, target: frozenset, mask: np.ndarray, k: int):
@@ -239,14 +263,15 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
     at arity k; returns (x, certificate) for the first hit, else None.
 
     Prefixes are scanned in tuple-index order; prefix_cap bounds how many are
-    tried (None = all).  The result, and the fibres and atoms built, are
-    those of calling `decide_constructible(sch.fiber(x), T, k)` on each
-    prefix in turn until one hits.  A run of consecutive prefixes whose fibre
-    is built and whose arity-k index is complete cannot build anything, so
-    the run is decided in one pass over all its atoms; any other prefix is
-    decided alone, after the run before it.  The tuple cap is checked for
-    every prefix decided, and a hit's certificate is that of
-    `decide_constructible` on its fibre.
+    tried (None = all).  The result is that of calling
+    `decide_constructible(sch.fiber(x), T, k)` on each prefix in turn until
+    one hits, certificate included.  A scheme with a backend decides the
+    prefixes an orbit at a time on one fibre (`_scan_orbits`); any other
+    scheme decides each run of consecutive prefixes whose fibre is built and
+    whose arity-k index is complete in one pass over all its atoms, and any
+    other prefix alone, after the run before it, so it builds exactly the
+    fibres and atoms of the one-by-one scan.  Either way the tuple cap is
+    checked whenever a prefix is decided.
     """
     if prefix_len == 0:
         cert = decide_constructible(sch, points, k)
@@ -256,6 +281,8 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
             f"prefix {prefix_len} plus arity {k} exceeds depth m={sch.m}"
         )
     target = frozenset(int(c) for c in points)
+    if sch.backend is not None:
+        return _scan_orbits(sch, target, k, prefix_len, prefix_cap)
     mask, _ = _point_mask(sch.field.q, target)
     run = []  # (x, fibre) of the prefixes that wait for one pass
     count = 0
@@ -277,6 +304,165 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
         if cert is not None:
             return x, cert
     return _decide_run(run, target, mask, k)
+
+
+def _prefix(sch: Scheme, row: int, prefix_len: int) -> tuple:
+    """The prefix of S^prefix_len with this tuple index, as point codes."""
+    out = []
+    for _ in range(prefix_len):
+        row, p = divmod(row, sch.instance.n)
+        out.append(sch.s_codes[p])
+    return tuple(reversed(out))
+
+
+class _Transport(NamedTuple):
+    """Transport data of the first prefixes of S^len, in tuple-index order,
+    one read-only table per scheme and prefix length."""
+
+    reps: np.ndarray  # tuple index of the least prefix of each prefix's orbit
+    u: np.ndarray     # (rows, n): a group element carrying it to the prefix
+    lift: np.ndarray  # (rows, r, d): digit rows of u^-1 on the basis of span(S)
+    orbits: list      # (least prefix: index and codes, the orbit's prefixes)
+
+
+def _transport_table(sch: Scheme, prefix_len: int, rows: int) -> _Transport:
+    """The scheme's transport table of prefix length prefix_len, grown to at
+    least `rows` prefixes.  u comes from the backend's `transporter`, and
+    lift from `SchemeInstance.span_chart`: u^-1 applied to a point of
+    span(S) with coordinates c in the basis is c @ lift.  The table's
+    n^prefix_len * n entries at full size are checked against the tuple
+    cap before it is built or grown."""
+    table = sch.transporters.get(prefix_len)
+    have = 0 if table is None else len(table.reps)
+    if have >= rows:
+        return table
+    inst = sch.instance
+    n = inst.n
+    inst.field.check_cap(f"transporter table S^{prefix_len} x S", n ** prefix_len * n)
+    reps, perms = [], []
+    for positions in radix_digits(np.arange(have, rows), n, prefix_len).tolist():
+        rep, u = sch.backend.transporter(positions)
+        reps.append(rep)
+        perms.append(u)
+    u = np.array(perms, dtype=np.int64)
+    u_inv = np.empty_like(u)
+    u_inv[np.arange(len(u))[:, None], u] = np.arange(n)
+    lift = inst.field.decode_batch(inst.s_array[u_inv[:, inst.span_chart[0]]])
+    reps = np.array(reps, dtype=np.int64) @ radix_weights(n, prefix_len)
+    if table is not None:
+        reps = np.concatenate([table.reps, reps])
+        u, lift = np.concatenate([table.u, u]), np.concatenate([table.lift, lift])
+    # the prefixes of each orbit, ascending, the orbits by least prefix
+    order = np.argsort(reps, kind="stable")
+    firsts = np.flatnonzero(np.diff(reps[order], prepend=-1))
+    orbits = [(int(reps[order[lo]]), _prefix(sch, int(reps[order[lo]]), prefix_len), members)
+              for lo, members in zip(firsts.tolist(), np.split(order, firsts[1:]))]
+    for arr in (reps, u, lift, *(members for _, _, members in orbits)):
+        arr.flags.writeable = False
+    table = sch.transporters[prefix_len] = _Transport(reps, u, lift, orbits)
+    return table
+
+
+def _complete_index(sch: Scheme, k: int) -> AtomIndex:
+    """The scheme's arity-k atom index with the atoms of every tau built,
+    and its `incidence` set; the incidence matrix's entries are checked
+    against the tuple cap before it is built."""
+    index = _atom_index(sch, k)
+    if index.incidence is None:
+        if not index.complete:
+            tuples = sch.instance.tuples_array(k)
+            while not index.complete:
+                index._extend(sch.field, tuples)
+        codes, column = np.unique(index.codes, return_inverse=True)
+        sch.field.check_cap(f"atom incidence at arity {k}", len(index.sizes) * len(codes))
+        held = np.zeros((len(index.sizes), len(codes)))
+        held[np.repeat(np.arange(len(index.sizes)), index.sizes), column] = 1
+        index.incidence = (codes, held)
+    return index
+
+
+def _scan_orbits(sch: Scheme, target: frozenset, k: int, prefix_len: int,
+                 prefix_cap: Optional[int]):
+    """`find_constructible_prefix` on a scheme with a backend, an orbit of G
+    on S^prefix_len at a time.
+
+    G commutes with every coordinate-linear map, so for u in G carrying the
+    prefix rep to x the blocks at x are u applied to those at rep, so are
+    the atoms, and T is constructible at x exactly when u^-1 T is at rep.
+    T with a point outside span(S), which holds every atom, or outside
+    [0, q) misses everywhere, and T = ∅ hits at once; neither builds
+    anything.  Otherwise the orbits are taken in the order of their least
+    prefix rep, until rep lies past the first hit found.  The fibre at rep
+    gets a complete arity-k index, and one (prefixes, q) table holds u^-1 T
+    for the orbit's scanned prefixes.  Two products with the index's
+    atom-by-code incidence matrix decide every row: the first counts the
+    points of each atom in u^-1 T, so the atoms inside it are those where
+    the count is the atom's size, and the second marks the points the
+    atoms inside cover; u^-1 T is constructible when they are all of it.
+    The counts are integers far below 2^53, so the float products are
+    exact.  The hit's certificate is the greedy cover at x walked over the
+    rep atoms in x's (tau, block) order, where the canonical id at x of the
+    block u(D) is the rank of its least tuple; x's own fibre is not
+    built."""
+    inst = sch.instance
+    q, n = inst.field.q, inst.n
+    rows = n ** prefix_len if prefix_cap is None else min(prefix_cap, n ** prefix_len)
+    if rows <= 0:
+        return None
+    # the caps that deciding any prefix checks first
+    inst.check_tuple_cap(k)
+    linmap_count(inst.field, k, 1)
+    if not target:
+        x = _prefix(sch, 0, prefix_len)
+        return x, Certificate(k, sch.prefix + x, [], target)
+    # span(S) lies in [0, q): a code outside [0, q) is outside span(S) too
+    _, span_codes, span_coords = inst.span_chart
+    codes = np.array(sorted(target), dtype=np.int64)
+    row = np.searchsorted(span_codes, codes)
+    if row[-1] == len(span_codes) or not np.array_equal(span_codes[row], codes):
+        return None
+    coords = span_coords[row]  # (|T|, r)
+    table = _transport_table(sch, prefix_len, rows)
+    weights = radix_weights(inst.field.ell, inst.field.dim)
+    hit = None  # (x's row, fibre at rep, its index, atoms inside u^-1 T)
+    for rep, rep_prefix, members in table.orbits:
+        limit = rows if hit is None else hit[0]
+        if rep >= limit:
+            break
+        if members[-1] >= limit:
+            members = members[:np.searchsorted(members, limit)]
+        fib = sch.built_fiber(rep_prefix)
+        if fib is None:
+            fib = sch.fiber(rep_prefix)
+        index = _complete_index(fib, k)
+        held_codes, held = index.incidence
+        # row chunks of at most 2^18 entries bound the per-row arrays
+        step = max(1, 2 ** 18 // max(held.shape[0], q))
+        for lo in range(0, len(members), step):
+            chunk = members[lo:lo + step]
+            # (rows, |T|): the codes of u^-1 T, from its digits mod ell
+            moved = (coords @ table.lift[chunk]) % inst.field.ell @ weights
+            mask = np.zeros((len(chunk), q))
+            mask[np.arange(len(chunk))[:, None], moved] = 1
+            inside = mask[:, held_codes] @ held.T == index.sizes
+            covered = (inside.astype(held.dtype) @ held > 0).sum(axis=1)
+            found = covered == len(target)
+            if found.any():
+                j = int(found.argmax())
+                hit = (int(chunk[j]), fib, index, inside[j])
+                break
+    if hit is None:
+        return None
+    x_row, fib, index, inside = hit
+    part = fib.level(k)
+    least = np.minimum.reduceat(on_tuples(table.u[x_row], k)[part.order], part.starts)
+    # atom j = i * B + b at x is u applied to rep atom atoms[j], whose block
+    # is the b-th by least tuple at x
+    atoms = (np.arange(len(index.maps))[:, None] * part.num_blocks
+             + np.argsort(least)).ravel()
+    x = _prefix(sch, x_row, prefix_len)
+    entries = _greedy_entries(index, inside[atoms], target, q, atoms.tolist())
+    return x, Certificate(k, sch.prefix + x, entries, target)
 
 
 # ---------------------------------------------------------------------------

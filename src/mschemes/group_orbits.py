@@ -14,7 +14,9 @@ Schreier generators thinned by a Sims filter, so no group is ever listed
 element by element.  They are computed once per orbit of S, at its least
 position r: the stabilizer of x = u(r) is u Stab(r) u^-1, and its orbits on
 S^k are u applied to those of Stab(r), so the fibre at x is transported
-from the fibre at r by one gather.
+from the fibre at r by one gather.  The same transversals, chained down the
+stabilizers of a tuple's points, give `OrbitBackend.transporter`: the least
+tuple of a tuple's orbit on S^len, and a group element carrying it there.
 """
 from __future__ import annotations
 
@@ -209,7 +211,7 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _on_tuples(perm: np.ndarray, k: int) -> np.ndarray:
+def on_tuples(perm: np.ndarray, k: int) -> np.ndarray:
     """Tuple index of the image of each tuple of S^k under a permutation of
     the positions of S, applied coordinatewise."""
     out = perm
@@ -227,8 +229,8 @@ def _orbit_labels(perms: np.ndarray, k: int) -> np.ndarray:
     The fixpoint is constant on orbits, so it is each orbit's least index.
     """
     labels = np.arange(perms.shape[1] ** k, dtype=np.int64)
-    moves = [_on_tuples(p, k) for p in perms]
-    moves += [_on_tuples(_inverse(p), k) for p in perms]
+    moves = [on_tuples(p, k) for p in perms]
+    moves += [on_tuples(_inverse(p), k) for p in perms]
     while moves:
         before = labels
         for moved in moves:
@@ -334,7 +336,7 @@ class OrbitBackend:
         if self._source is None:
             return self._labels(k)
         source, _, g_inv = self._source
-        pulled = source._labels(k)[_on_tuples(g_inv, k)]
+        pulled = source._labels(k)[on_tuples(g_inv, k)]
         # the pulled labels name orbits by their least member in the
         # source's numbering; relabel each by its least member here
         _, first, inverse = np.unique(pulled, return_index=True, return_inverse=True)
@@ -357,21 +359,58 @@ class OrbitBackend:
             out = out._stabilizer(int(p))
         return out
 
-    def _stabilizer(self, p: int) -> "OrbitBackend":
-        if self._source is not None:
-            source, g, g_inv = self._source
-            return source._stabilizer(int(g_inv[p]))._conjugate(g, g_inv)
+    def transporter(self, positions):
+        """(rep, u): rep the least tuple of the orbit of the tuple of S at
+        these positions, as positions, and u in the group, as a permutation
+        of the positions of S, with u(rep) = the given positions.
+
+        rep is found one coordinate at a time: with u carrying rep's first
+        points to the first given ones, rep's next point is the least point
+        of the orbit of u^-1(p) under the stabilizer of rep's first points,
+        and u gains the transversal element that carries it to u^-1(p)."""
+        group, rep = self, []
+        u = u_inv = np.arange(self.perms.shape[1])
+        for p in positions:
+            r, v, v_inv = group._transversal_element(int(u_inv[p]))
+            rep.append(r)
+            u, u_inv = u[v], v_inv[u_inv]
+            group = group._stabilizer(r)
+        return tuple(rep), u
+
+    def _transversal_element(self, p: int):
+        """(r, v, v^-1): r the least point of p's orbit on S, and v in the
+        group with v(r) = p."""
         if self._least is None:
             self._least = _orbit_labels(self.perms, 1)
         r = int(self._least[p])
+        if self._source is not None:
+            # with w1(r') = g^-1(p) and w2(r') = g^-1(r) in the source,
+            # g w1 w2^-1 g^-1 carries r to p
+            source, g, g_inv = self._source
+            _, w1, w1_inv = source._transversal_element(int(g_inv[p]))
+            _, w2, w2_inv = source._transversal_element(int(g_inv[r]))
+            return r, g[w1[w2_inv[g_inv]]], g[w2[w1_inv[g_inv]]]
+        _, row, u, u_inv = self._orbit(r)
+        i = row[p]
+        return r, u[i], u_inv[i]
+
+    def _orbit(self, r: int):
+        """(Stab(r) backend, orbit row of each point, u, u^-1) for the least
+        point r of an orbit of S, made on first use."""
         if r not in self._orbits:
             orbit, u, u_inv = trans = _transversal(self.perms, r)
             stab = OrbitBackend(point_stabilizer(self.perms, r, trans))
             stab._kept = {}
             self._orbits[r] = (stab, dict(zip(orbit.tolist(), range(len(orbit)))), u, u_inv)
-        stab, row, u, u_inv = self._orbits[r]
-        i = row[p]
-        return stab if i == 0 else stab._conjugate(u[i], u_inv[i])
+        return self._orbits[r]
+
+    def _stabilizer(self, p: int) -> "OrbitBackend":
+        if self._source is not None:
+            source, g, g_inv = self._source
+            return source._stabilizer(int(g_inv[p]))._conjugate(g, g_inv)
+        r, v, v_inv = self._transversal_element(p)
+        stab = self._orbit(r)[0]
+        return stab if r == p else stab._conjugate(v, v_inv)
 
     def _conjugate(self, g: np.ndarray, g_inv: np.ndarray) -> "OrbitBackend":
         """Backend of g G g^-1, G this backend's group, as a conjugate of a

@@ -70,7 +70,7 @@ from .errors import (
     NotBlockUnion,
 )
 from .gf_linalg import (Field, LinMap, digit_rows, linmap, linmap_count, radix_digits,
-                        radix_weights, span_dim, unique_sorted)
+                        radix_weights, rref_mod, span_dim, unique_sorted)
 
 # bound on T * n^k * k' entries of the image arrays of one MapSweep chunk
 SWEEP_CHUNK_ENTRIES = 2 ** 17
@@ -121,6 +121,21 @@ class SchemeInstance:
         if codes.size and codes.view(np.uint64).max() >= q:
             codes = np.where((codes >= 0) & (codes < q), codes, q)
         return self._pos_table[codes]
+
+    @cached_property
+    def span_chart(self) -> tuple:
+        """(basis, codes, coords), read-only: the positions in S of a basis
+        of span(S), each point of S outside the span of the points before it;
+        the ell^r codes of span(S), ascending; and row i of coords, the
+        coordinates of codes[i] in that basis.  A linear map is fixed on
+        span(S) by its images of the basis."""
+        f = self.field
+        _, pivots = rref_mod(f.decode_batch(self.s_array).T, f.ell)
+        basis = np.array(pivots, dtype=np.int64)
+        coords = digit_rows(f, len(basis))
+        codes = f.encode_batch(coords @ f.decode_batch(self.s_array[basis]))
+        order = np.argsort(codes)
+        return _read_only(basis), _read_only(codes[order]), _read_only(coords[order])
 
     def tuple_count(self, k: int) -> int:
         return self.n ** k
@@ -440,10 +455,11 @@ class Scheme:
 
     Levels may be materialized eagerly (explicit schemes) or on demand from a
     backend exposing `orbit_partition_raw(instance, k)` (each tuple labelled
-    by the least tuple index of its block), `stabilizer_backend(s_positions)`
-    and its generator permutations `perms` (group-action schemes whose
-    declared depth exceeds what can be materialized).  The backend may keep
-    what it computes across the schemes that share it, but
+    by the least tuple index of its block), `stabilizer_backend(s_positions)`,
+    `transporter(s_positions)` and its generator permutations `perms`
+    (group-action schemes whose declared depth exceeds what can be
+    materialized).  The backend may keep what it computes across the
+    schemes that share it, but
     `orbit_partition_raw` checks the tuple cap of the instance it is given
     on every call, before it reads anything kept.
     """
@@ -467,6 +483,7 @@ class Scheme:
         self.antisym_verdict = None  # cached by antisym.strong_antisym_check
         self._fiber_cache: dict = {}
         self.atom_indexes: dict = {}  # arity -> constructible.AtomIndex, grown on demand
+        self.transporters: dict = {}  # prefix length -> constructible transport table
 
     # ---- basic accessors ---------------------------------------------
 
@@ -599,10 +616,13 @@ class Scheme:
                 checked += group.total
                 continue
             for sw in group.chunks():
-                for t, b in zip(*(axis.tolist() for axis in np.nonzero(sw.bad()))):
-                    violations.append(Violation(k, kp, sw.tau(t), b, self._detail(sw, t, b)))
-                    if len(violations) >= max_violations:
-                        return ValidationReport(False, checked + t + 1, violations)
+                bad = sw.bad()
+                for t in np.flatnonzero(bad.any(axis=1)).tolist():
+                    tau = sw.tau(t)  # one LinMap for all the blocks it breaks
+                    for b in np.flatnonzero(bad[t]).tolist():
+                        violations.append(Violation(k, kp, tau, b, self._detail(sw, t, b)))
+                        if len(violations) >= max_violations:
+                            return ValidationReport(False, checked + t + 1, violations)
                 checked += len(sw.coeffs)
         return ValidationReport(not violations, checked, violations)
 

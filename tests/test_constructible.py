@@ -24,8 +24,9 @@ from mschemes.constructible import (
 from mschemes.errors import (CapExceeded, DepthExhausted, IndexOutOfRange, NotBlockUnion,
                              PreconditionUnmet)
 from mschemes.gf_linalg import Field, linmap, span_points
-from mschemes.group_orbits import build_orbit_scheme, gl_group, trivial_group
+from mschemes.group_orbits import MatrixGroup, build_orbit_scheme, gl_group, trivial_group
 from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
+from mschemes.refine import enumerate_subspaces, find_constructible
 from mschemes.scheme_core import SchemeInstance, finest_scheme
 
 BUILDERS = {
@@ -268,7 +269,7 @@ def test_find_constructible_prefix(gl2_m3):
 def _serial_scan(sch, target, k, prefix_len, prefix_cap):
     """find_constructible_prefix by its definition: atom_oracle.decide on
     each fibre in product order, with decide_constructible alongside, whose
-    index growth the search must reproduce."""
+    index growth the search must reproduce on a scheme without a backend."""
     for count, x in enumerate(itertools.product(sch.s_codes, repeat=prefix_len)):
         if prefix_cap is not None and count >= prefix_cap:
             return None
@@ -293,6 +294,27 @@ def _built_state(sch, k, prefix_len):
     return state
 
 
+def _least_prefixes(sch, prefix_len):
+    """The least prefix of each orbit of the group on S^prefix_len: the least
+    member of each level-prefix_len block."""
+    part = sch.level(prefix_len)
+    s = sch.s_codes
+    n = len(s)
+    return {tuple(s[i // n ** j % n] for j in range(prefix_len - 1, -1, -1))
+            for i in part.order[part.starts].tolist()}
+
+
+def _check_orbit_fibres(sch, k, prefix_len, before, after):
+    """A search on a scheme with a backend builds fibres of this length only
+    at orbit representatives (least prefixes), each with a complete arity-k
+    index, and leaves every other fibre as it was."""
+    reps = _least_prefixes(sch, prefix_len)
+    complete = sch.field.ell ** k
+    for x, taus in after.items():
+        if x not in before or before[x] != taus:
+            assert x in reps and taus == complete, (x, before.get(x), taus)
+
+
 def _warm(sch, k, prefix_len, how):
     """Build no fibre (cold), every fibre with a complete index (warm), or
     the fibres of even scan positions i with an index of i % 4 taus, or all
@@ -308,9 +330,31 @@ def _warm(sch, k, prefix_len, how):
             index._extend(sch.field, tuples)
 
 
+def _three_orbit_scheme():
+    """The coordinate 3-cycle on F_2^3, lazily, on S = {0} ∪ its orbits of
+    1 and 3: three orbits on S."""
+    field = Field(2, 3)
+    cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    return build_orbit_scheme(MatrixGroup.from_matrices(field, [cycle]), [0, 1, 3], 4,
+                              materialize=False)
+
+
 SEARCH_BUILDERS = {
     "gl3-lazy-m4": lambda: instances.gl_orbit_scheme(2, 3, 4),
     "gl3-m3": lambda: instances.gl_orbit_scheme(2, 3, 3, lazy=False),
+    # S spans 3 of the 4 dimensions
+    "affine-lazy-m4": lambda: affine_coset_scheme(4, [0, 1], 2, 4),
+    "three-orbit-lazy-m4": _three_orbit_scheme,
+    # a fibre, whose backend is a conjugate of a point stabilizer
+    "gl3-fibre-m4": lambda: instances.gl_orbit_scheme(2, 3, 5).fiber((3,)),
+}
+
+SEARCH_POSITIONS = {
+    "gl3-lazy-m4": {None, 0, 3, 6},
+    "gl3-m3": {None, 0, 3, 6},
+    "affine-lazy-m4": {None, 0},
+    "three-orbit-lazy-m4": {None, 0, 1},
+    "gl3-fibre-m4": {None, 0, 3},
 }
 
 
@@ -324,7 +368,11 @@ def test_prefix_search_matches_serial_oracle_scan(label, how):
     # (mid-run on a warm scheme), {0, 4, 5} at the fourth of length 2, and
     # {2, 3, 4} misses on every fibre
     targets = [frozenset(), frozenset({4}), frozenset({q}), frozenset({-1, s[0]}),
-               frozenset({0, 4, 5}), frozenset({1, 2}), frozenset({2, 3, 4})]
+               frozenset({0, 4, 5}), frozenset({1, 2}), frozenset({2, 3, 4}),
+               frozenset({s[-1]})]
+    outside = sorted(set(range(q)) - set(span_points(probe.field, s)))
+    if outside:  # a point of S and one outside span(S)
+        targets.append(frozenset({s[0], outside[0]}))
     shapes = [(1, 1), (1, 2), (2, 1), (2, 2)]
     positions = set()
     for prefix_len, k in shapes:
@@ -337,6 +385,7 @@ def test_prefix_search_matches_serial_oracle_scan(label, how):
             _warm(batched, k, prefix_len, how)
             for target in targets:
                 want = _serial_scan(serial, target, k, prefix_len, cap)
+                before = _built_state(batched, k, prefix_len)
                 got = find_constructible_prefix(batched, sorted(target), k, prefix_len, cap)
                 key = (prefix_len, k, cap, sorted(target))
                 if want is None:
@@ -346,10 +395,56 @@ def test_prefix_search_matches_serial_oracle_scan(label, how):
                     assert got[0] == want[0], key
                     assert _cert_key(got[1]) == _cert_key(want[1]), key
                     positions.add(order.index(want[0]))
-                assert _built_state(batched, k, prefix_len) == _built_state(
-                    serial, k, prefix_len), key
-    # hits on the first prefix and past it, and misses
-    assert {None, 0, 3} <= positions
+                if batched.backend is None:
+                    assert _built_state(batched, k, prefix_len) == _built_state(
+                        serial, k, prefix_len), key
+                else:
+                    _check_orbit_fibres(probe, k, prefix_len, before,
+                                        _built_state(batched, k, prefix_len))
+    # hits on the first prefix and past it, and misses; translations fix no
+    # point, so every fibre of the affine scheme is the finest scheme, and a
+    # target there hits at the first prefix or at none
+    assert SEARCH_POSITIONS[label] <= positions
+
+
+def test_prefix_search_builds_one_fibre_per_orbit_on_gl42():
+    # the 67 subspaces of F_2^4, searched as the structure benchmark does:
+    # prefixes of length <= 2, arities <= 2, 24 prefixes per length
+    sch = gl_orbit_scheme(2, 4, 30)
+    subspaces = enumerate_subspaces(sch.field, sch.s_codes)
+    assert len(subspaces) == 67
+    found = [find_constructible(sch, sorted(sub), 2, 2, 24) for sub in subspaces]
+    for prefix_len in (1, 2):
+        built = {x for x in itertools.product(sch.s_codes, repeat=prefix_len)
+                 if sch.built_fiber(x) is not None}
+        assert built <= _least_prefixes(sch, prefix_len)
+    assert sum(hit is not None for hit in found) > 0
+    fresh = gl_orbit_scheme(2, 4, 30)
+    for sub, hit in zip(subspaces, found):
+        if hit is not None:
+            assert hit["cert"].points == sub
+            assert verify_certificate(fresh.fiber(hit["prefix"]), hit["cert"])
+
+
+def test_prefix_search_builds_nothing_for_targets_that_need_no_atoms():
+    # affine_coset_scheme(4, [0, 1], 2, 4): S spans 3 of the 4 dimensions
+    sch = affine_coset_scheme(4, [0, 1], 2, 4)
+    outside = min(set(range(sch.field.q)) - set(span_points(sch.field, sch.s_codes)))
+    s0 = sch.s_codes[0]
+    for k, prefix_len in ((1, 1), (2, 1), (1, 2)):
+        x, cert = find_constructible_prefix(sch, [], k, prefix_len)
+        assert x == (s0,) * prefix_len and cert.entries == [] and cert.points == frozenset()
+        assert (cert.k, cert.prefix) == (k, x)
+        for target in ([s0, outside], [s0, sch.field.q], [-1]):
+            assert find_constructible_prefix(sch, target, k, prefix_len) is None
+    assert not sch._fiber_cache and not sch.atom_indexes and not sch.transporters
+    assert find_constructible_prefix(sch, [], 1, 1, prefix_cap=0) is None
+    # the tuple cap still holds for every prefix decided: |S^2| = 49 > 48
+    capped = build_orbit_scheme(gl_group(Field(2, 3, cap_tuples=48)), [1], 4,
+                                materialize=False)
+    for target in ([], [1, 8]):
+        with pytest.raises(CapExceeded):
+            find_constructible_prefix(capped, target, 2, 1)
 
 
 def test_prefix_search_checks_tuple_cap_on_built_fibres():

@@ -151,6 +151,23 @@ def _check_corrupted_levels():
         assert len(bad.validate(10 ** 6).violations) > 16
 
 
+def test_validate_builds_one_linmap_per_violating_map(monkeypatch):
+    bad = _corrupt(BUILDERS["gl2-m3"](), 0)
+    want = oracle.validate(bad, 10 ** 6)
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return gf_linalg.linmap(coeffs)
+
+    monkeypatch.setattr(scheme_core, "linmap", counted)
+    got = bad.validate(10 ** 6)
+    _same_report(got, want)
+    distinct = {v.tau for v in got.violations}
+    assert len(got.violations) > len(distinct) > 1
+    assert len(calls) <= len(distinct)
+
+
 def test_mixed_in_s_violation_names_its_arity():
     # one block per level on S = {1, 2, 3} in F_2^2: x + y sends (1, 1) to
     # 0, outside S, and (1, 2) to 3, inside; (x, x + y) does the same in S^2
