@@ -23,8 +23,8 @@ from mschemes.instances import (
 )
 
 SUITE = [
-    ("gl2", lambda m: gl_orbit_scheme(2, 2, m, lazy=False), (2, 3)),
-    ("gl3", lambda m: gl_orbit_scheme(2, 3, m, lazy=False), (2,)),
+    ("gl2", lambda m: gl_orbit_scheme(2, 2, m), (2, 3)),
+    ("gl3", lambda m: gl_orbit_scheme(2, 3, m), (2,)),
     ("singer7", lambda m: singer_scheme(2, 3, m), (2, 3)),
     ("trivial", lambda m: trivial_scheme(2, 2, m), (2, 3)),
     ("c11_c5", lambda m: c11_c5_scheme(m), (2, 3)),

@@ -39,7 +39,7 @@ def main() -> int:
         strict=False, r_shrink=2))
     summary["dense-completed"] = res.to_obj()
 
-    frob = c11_c5_scheme(40, lazy=True)
+    frob = c11_c5_scheme(40)
     res = refine.density_reduce(frob, 0, refine.RefineParams(
         K=2, k=1, r=2, eps=Fraction(1, 4), gamma=Fraction(1, 2),
         strict=False))

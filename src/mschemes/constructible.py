@@ -19,10 +19,10 @@ the orbit's least prefix to x carries the atoms there to those at x, so
 u^-1 T is tested against the complete index of the least prefix's fibre,
 for all the orbit's prefixes in one pass, and a hit's certificate is
 transported back without building its fibre.  u acts on T through a basis
-of span(S) inside S (`SchemeInstance.span_chart`).  Without a backend it
-decides each run of consecutive prefixes whose fibre is built and whose
-index is complete in one reduceat over their concatenated atoms, and
-builds exactly the fibres and atoms of the one-by-one scan.
+of span(S) inside S (`SchemeInstance.span_chart`).  Every orbit scheme has
+a backend, whether or not its levels are built; a scheme without one (read
+from JSON, a power, or built from levels by hand) decides the prefixes one
+by one.
 """
 from __future__ import annotations
 
@@ -230,33 +230,6 @@ def _greedy_entries(index: AtomIndex, inside: np.ndarray, target, q: int,
     return entries
 
 
-def _decide_run(run: list, target: frozenset, mask: np.ndarray, k: int):
-    """(x, certificate) for the first hit among the (x, fibre) pairs of a run,
-    else None (always for T with a code outside [0, q), which the mask of
-    its codes in range leaves out and no atom covers).  Every fibre's arity-k
-    index must be complete, so deciding it builds nothing: one reduceat tests
-    the atoms of all of them, and one (fibres, q) table counts the points of
-    T each fibre's inside atoms cover.
-    """
-    if not run:
-        return None
-    indexes = [fib.atom_indexes[k] for _, fib in run]
-    codes = np.concatenate([index.codes for index in indexes])
-    sizes = np.concatenate([index.sizes for index in indexes])
-    # every index lays its atoms out back to back, and so does the run; per
-    # code: whether its atom lies inside T, and which fibre it belongs to
-    code_inside = np.repeat(
-        np.logical_and.reduceat(mask[codes], np.cumsum(sizes) - sizes), sizes)
-    owner = np.repeat(np.arange(len(run)), [len(index.codes) for index in indexes])
-    table = np.zeros((len(run), len(mask)), dtype=bool)
-    table[owner[code_inside], codes[code_inside]] = True
-    hits = np.flatnonzero(np.count_nonzero(table, axis=1) == len(target))
-    if not len(hits):
-        return None
-    x, fib = run[hits[0]]
-    return x, decide_constructible(fib, target, k)
-
-
 def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
                               prefix_cap: Optional[int] = None):
     """Search fibre prefixes x in S^prefix_len for one making T constructible
@@ -265,13 +238,10 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
     Prefixes are scanned in tuple-index order; prefix_cap bounds how many are
     tried (None = all).  The result is that of calling
     `decide_constructible(sch.fiber(x), T, k)` on each prefix in turn until
-    one hits, certificate included.  A scheme with a backend decides the
-    prefixes an orbit at a time on one fibre (`_scan_orbits`); any other
-    scheme decides each run of consecutive prefixes whose fibre is built and
-    whose arity-k index is complete in one pass over all its atoms, and any
-    other prefix alone, after the run before it, so it builds exactly the
-    fibres and atoms of the one-by-one scan.  Either way the tuple cap is
-    checked whenever a prefix is decided.
+    one hits, certificate included, which is what a scheme without a backend
+    does.  A scheme with a backend decides the prefixes an orbit at a time
+    on one fibre (`_scan_orbits`).  Either way the tuple cap is checked
+    whenever a prefix is decided.
     """
     if prefix_len == 0:
         cert = decide_constructible(sch, points, k)
@@ -283,27 +253,13 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
     target = frozenset(int(c) for c in points)
     if sch.backend is not None:
         return _scan_orbits(sch, target, k, prefix_len, prefix_cap)
-    mask, _ = _point_mask(sch.field.q, target)
-    run = []  # (x, fibre) of the prefixes that wait for one pass
-    count = 0
-    for x in itertools.product(sch.s_codes, repeat=prefix_len):
+    for count, x in enumerate(itertools.product(sch.s_codes, repeat=prefix_len)):
         if prefix_cap is not None and count >= prefix_cap:
             break
-        count += 1
-        fib = sch.built_fiber(x)
-        index = None if fib is None else fib.atom_indexes.get(k)
-        if index is not None and index.complete:
-            fib.instance.check_tuple_cap(k)
-            run.append((x, fib))
-            continue
-        hit = _decide_run(run, target, mask, k)
-        if hit is not None:
-            return hit
-        run = []
         cert = decide_constructible(sch.fiber(x), target, k)
         if cert is not None:
             return x, cert
-    return _decide_run(run, target, mask, k)
+    return None
 
 
 def _prefix(sch: Scheme, row: int, prefix_len: int) -> tuple:
@@ -431,9 +387,7 @@ def _scan_orbits(sch: Scheme, target: frozenset, k: int, prefix_len: int,
             break
         if members[-1] >= limit:
             members = members[:np.searchsorted(members, limit)]
-        fib = sch.built_fiber(rep_prefix)
-        if fib is None:
-            fib = sch.fiber(rep_prefix)
+        fib = sch.fiber(rep_prefix)
         index = _complete_index(fib, k)
         held_codes, held = index.incidence
         # row chunks of at most 2^18 entries bound the per-row arrays

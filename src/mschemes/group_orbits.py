@@ -427,9 +427,9 @@ def build_orbit_scheme(group: MatrixGroup, seed_codes, m: int,
                        materialize: bool = True) -> Scheme:
     """Scheme whose blocks are G-orbits on powers of the closure of the seed.
 
-    With materialize=True all levels are computed now (cap-guarded) and the
-    result has no backend; otherwise levels appear on demand and any declared
-    depth is allowed.
+    The result keeps G as its backend either way.  With materialize=True all
+    levels are computed now, so the tuple cap fires here; otherwise levels
+    appear on demand and any declared depth is allowed.
     """
     s_codes = group.close_set(seed_codes)
     inst = SchemeInstance(group.field, s_codes)
@@ -443,4 +443,4 @@ def build_orbit_scheme(group: MatrixGroup, seed_codes, m: int,
         TuplePartition.from_raw(inst, k, backend.orbit_partition_raw(inst, k))
         for k in range(1, m + 1)
     ]
-    return Scheme(inst, m, levels=levels)
+    return Scheme(inst, m, levels=levels, backend=backend)

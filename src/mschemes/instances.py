@@ -1,10 +1,10 @@
 """Named desk-scale instances used by the experiment scripts and the test
 suite.
 
-Each builder returns an orbit scheme (lazy by default, so large declared
-depths are allowed) together with whatever auxiliary data the construction
-fixes.  Everything here is deterministic: no randomness, block numbering and
-carrier order come from the scheme core.
+Each builder returns an orbit scheme whose levels appear on demand, so
+large declared depths are allowed, except `trivial_scheme`, whose levels
+are built at once.  Everything here is deterministic: no randomness, block
+numbering and carrier order come from the scheme core.
 """
 from __future__ import annotations
 
@@ -40,16 +40,16 @@ def _poly(ell: int, d: int):
         return EXTRA_PRIMITIVE_POLY[(ell, d)]
 
 
-def gl_orbit_scheme(ell: int, dim: int, m: int, lazy: bool = True) -> Scheme:
+def gl_orbit_scheme(ell: int, dim: int, m: int) -> Scheme:
     """GL_dim(F_ell) acting on the nonzero vectors."""
     f = Field(ell, dim)
-    return build_orbit_scheme(gl_group(f), [1], m, materialize=not lazy)
+    return build_orbit_scheme(gl_group(f), [1], m, materialize=False)
 
 
-def singer_scheme(ell: int, dim: int, m: int, lazy: bool = False) -> Scheme:
+def singer_scheme(ell: int, dim: int, m: int) -> Scheme:
     """Cyclic Singer action (regular on the nonzero vectors)."""
     f = Field(ell, dim)
-    return build_orbit_scheme(singer_group(f), [1], m, materialize=not lazy)
+    return build_orbit_scheme(singer_group(f), [1], m, materialize=False)
 
 
 def trivial_scheme(ell: int, dim: int, m: int) -> Scheme:
@@ -58,7 +58,7 @@ def trivial_scheme(ell: int, dim: int, m: int) -> Scheme:
     return build_orbit_scheme(trivial_group(f), list(range(1, f.q)), m)
 
 
-def c11_c5_scheme(m: int, lazy: bool = False) -> Scheme:
+def c11_c5_scheme(m: int) -> Scheme:
     """Order-55 Frobenius group C11:C5 on the 11th roots of unity in F_2^10.
 
     Antisymmetric and non-discrete: the 11-point orbit splits under point
@@ -69,10 +69,10 @@ def c11_c5_scheme(m: int, lazy: bool = False) -> Scheme:
     Fm = frobenius_matrix(f)
     gens = [np.linalg.matrix_power(C, 93) % 2, np.linalg.matrix_power(Fm, 2) % 2]
     return build_orbit_scheme(MatrixGroup.from_matrices(f, gens), [512], m,
-                              materialize=not lazy)
+                              materialize=False)
 
 
-def c31_c5_scheme(m: int, lazy: bool = False) -> Scheme:
+def c31_c5_scheme(m: int) -> Scheme:
     """Order-155 Frobenius group C31:C5 (Singer cycle extended by the
     Frobenius square) on all 31 nonzero vectors of F_2^5.
 
@@ -83,7 +83,7 @@ def c31_c5_scheme(m: int, lazy: bool = False) -> Scheme:
     C = companion_matrix(f, _poly(2, 5))
     Fm = frobenius_matrix(f)
     return build_orbit_scheme(MatrixGroup.from_matrices(f, [C, Fm]), [16], m,
-                              materialize=not lazy)
+                              materialize=False)
 
 
 def signed_perm_scheme(dim: int, m: int, seed_basis_index: int = 0) -> Scheme:
@@ -172,7 +172,7 @@ CASE3_INSTANCES = [
     (mul_coset_scheme, (2, 10, 33, 0, 0, 12), Fraction(4), "case3-trim"),
     (mul_coset_scheme, (2, 8, 17, 0, 0, 12), Fraction(5, 2), "case3-trim"),
     (mul_coset_scheme, (3, 5, 22, 0, 0, 12), Fraction(3), "case3-trim"),
-    (c11_c5_scheme, (14, True), Fraction(9, 4), "case3-exit"),
+    (c11_c5_scheme, (14,), Fraction(9, 4), "case3-exit"),
 ]
 
 

@@ -737,14 +737,15 @@ def bsg_extract(sch: Scheme, b: int, gamma) -> BsgResult:
     count behind the second bound is re-verified by exact convolution.
 
     Every N(x) and N'(x) must be a union of level-1 blocks of the fibre at
-    x.  A scheme without a group backend (materialized, or loaded from
-    JSON) checks every x in B.  With a backend, each generator g must map B
-    onto itself and permute the popular-difference graph (else
-    LemmaViolation); then N(g x) = g N(x), N'(g x) = g N'(x), and the fibre
-    at g x is g applied to the fibre at x, since its blocks are the orbits
-    of Stab(g x) = g Stab(x) g^-1.  So g x passes exactly when x does, and
-    as B, a level-1 block, is one orbit, only x0 = min B is checked.  It is
-    the first x the full check reads, so a failure raises the same error.
+    x.  A scheme without a group backend (loaded from JSON, a power, or
+    built from levels by hand) checks every x in B.  With a backend, each
+    generator g must map B onto itself and permute the popular-difference
+    graph (else LemmaViolation); then N(g x) = g N(x), N'(g x) = g N'(x),
+    and the fibre at g x is g applied to the fibre at x, since its blocks
+    are the orbits of Stab(g x) = g Stab(x) g^-1.  So g x passes exactly
+    when x does, and as B, a level-1 block, is one orbit, only x0 = min B
+    is checked.  It is the first x the full check reads, so a failure
+    raises the same error.
     """
     gamma = Fraction(gamma)
     if sch.m < 4:

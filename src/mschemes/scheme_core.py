@@ -453,15 +453,17 @@ class ValidationReport:
 class Scheme:
     """Depth-m partition system on S^1..S^m.
 
-    Levels may be materialized eagerly (explicit schemes) or on demand from a
-    backend exposing `orbit_partition_raw(instance, k)` (each tuple labelled
-    by the least tuple index of its block), `stabilizer_backend(s_positions)`,
-    `transporter(s_positions)` and its generator permutations `perms`
-    (group-action schemes whose declared depth exceeds what can be
-    materialized).  The backend may keep what it computes across the
-    schemes that share it, but
-    `orbit_partition_raw` checks the tuple cap of the instance it is given
-    on every call, before it reads anything kept.
+    An orbit scheme has a backend, its group G: it exposes
+    `orbit_partition_raw(instance, k)` (each tuple labelled by the least
+    tuple index of its block), `stabilizer_backend(s_positions)`,
+    `transporter(s_positions)` and its generator permutations `perms`.
+    Levels not given are computed from it on demand, and fibres are built
+    from its stabilizers, whether or not any levels were given.  A scheme
+    with no group (read from JSON, a power, or built from levels by hand)
+    has no backend, must be given every level, and slices its fibres from
+    them.  The backend may keep what it computes across the schemes that
+    share it, but `orbit_partition_raw` checks the tuple cap of the
+    instance it is given on every call, before it reads anything kept.
     """
 
     def __init__(self, instance: SchemeInstance, m: int, levels=None, backend=None,

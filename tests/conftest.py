@@ -16,12 +16,12 @@ from mschemes.instances import (
 
 @pytest.fixture(scope="session")
 def gl2_m3():
-    return gl_orbit_scheme(2, 2, 3, lazy=False)
+    return gl_orbit_scheme(2, 2, 3)
 
 
 @pytest.fixture(scope="session")
 def gl3_m2():
-    return gl_orbit_scheme(2, 3, 2, lazy=False)
+    return gl_orbit_scheme(2, 3, 2)
 
 
 @pytest.fixture(scope="session")
@@ -47,12 +47,12 @@ def axiom_suite(gl2_m3, gl3_m2, singer7_m3, trivial_m3):
 
 @pytest.fixture(scope="session")
 def c11_m2():
-    return c11_c5_scheme(2, lazy=False)
+    return c11_c5_scheme(2)
 
 
 @pytest.fixture(scope="session")
 def c31_m2():
-    return c31_c5_scheme(2, lazy=False)
+    return c31_c5_scheme(2)
 
 
 def records_hold(records):

@@ -167,7 +167,7 @@ def test_criterion_04_antisym_engine(capfd, gl2_m3):
     assert strong_antisym_check(finest).status == "antisymmetric"
 
     suite = [
-        ("gl2-m3", lambda: gl_orbit_scheme(2, 2, 3, lazy=False)),
+        ("gl2-m3", lambda: gl_orbit_scheme(2, 2, 3)),
         ("singer7-m3", lambda: singer_scheme(2, 3, 3)),
         ("finest", lambda: trivial_scheme(2, 2, 3)),
         ("c11c5-m2", lambda: c11_c5_scheme(2)),
@@ -365,7 +365,7 @@ def test_criterion_09_sumset_search(capfd):
 
 def test_criterion_10_scheme_power(capfd, c11_m2, c31_m2):
     # witness-verdict base: power validates and sigma is bijective per block
-    base = c11_c5_scheme(8, lazy=True)
+    base = c11_c5_scheme(8)
     a = refine.BlockRef(2, 1)
     assert refine.bijectivity_check(base, a)
     power = refine.scheme_power(base, a, 2)  # m = 8 >= 2*k*m' = 8
@@ -550,7 +550,7 @@ def test_criterion_13_density_reduce(capfd):
     assert refine._le_ell_pow(Fraction(n0) / K ** 3, Fraction(n_u), 2, inv)
 
     # case-1 run: the split branch fires with N/2 <= |B'| <= N
-    schA = c11_c5_scheme(40, lazy=True)
+    schA = c11_c5_scheme(40)
     p_a = refine.RefineParams(K=2, k=1, r=2, eps=Fraction(1, 4),
                               gamma=Fraction(1, 2), strict=False)
     res_a = refine.density_reduce(schA, 0, p_a)

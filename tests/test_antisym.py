@@ -138,7 +138,7 @@ DEPTH_BUILDERS = {
     "c11c5-m2": lambda: instances.c11_c5_scheme(2),
     "c31c5-m2": lambda: instances.c31_c5_scheme(2),
     "gl3-lazy-m3": lambda: instances.gl_orbit_scheme(2, 3, 3),
-    "gl-f3-m2": lambda: instances.gl_orbit_scheme(3, 2, 2, lazy=False),
+    "gl-f3-m2": lambda: instances.gl_orbit_scheme(3, 2, 2),
     "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
     "signed-perm-m2": lambda: instances.signed_perm_scheme(2, 2),
     "affine-coset-m3": lambda: instances.affine_coset_scheme(4, [1, 2], 0, 3),
@@ -149,7 +149,7 @@ DEPTH_BUILDERS = {
 # one scheme from every builder in `instances`
 ANTISYM_BUILDERS = {
     **DEPTH_BUILDERS,
-    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3, lazy=False),
+    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
     "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),
 }
 

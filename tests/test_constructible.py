@@ -27,12 +27,12 @@ from mschemes.gf_linalg import Field, linmap, span_points
 from mschemes.group_orbits import MatrixGroup, build_orbit_scheme, gl_group, trivial_group
 from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
 from mschemes.refine import enumerate_subspaces, find_constructible
-from mschemes.scheme_core import SchemeInstance, finest_scheme
+from mschemes.scheme_core import Scheme, SchemeInstance, finest_scheme
 
 BUILDERS = {
-    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3, lazy=False),
+    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
     "gl2-lazy-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
-    "gl-f3-m3": lambda: instances.gl_orbit_scheme(3, 2, 3, lazy=False),
+    "gl-f3-m3": lambda: instances.gl_orbit_scheme(3, 2, 3),
     "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
     "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),
     "c11c5-m2": lambda: instances.c11_c5_scheme(2),
@@ -341,7 +341,9 @@ def _three_orbit_scheme():
 
 SEARCH_BUILDERS = {
     "gl3-lazy-m4": lambda: instances.gl_orbit_scheme(2, 3, 4),
-    "gl3-m3": lambda: instances.gl_orbit_scheme(2, 3, 3, lazy=False),
+    "gl3-m3": lambda: instances.gl_orbit_scheme(2, 3, 3),
+    # no group: the search decides its prefixes one by one
+    "gl3-json-m3": lambda: Scheme.from_json(instances.gl_orbit_scheme(2, 3, 3).to_json()),
     # S spans 3 of the 4 dimensions
     "affine-lazy-m4": lambda: affine_coset_scheme(4, [0, 1], 2, 4),
     "three-orbit-lazy-m4": _three_orbit_scheme,
@@ -352,6 +354,7 @@ SEARCH_BUILDERS = {
 SEARCH_POSITIONS = {
     "gl3-lazy-m4": {None, 0, 3, 6},
     "gl3-m3": {None, 0, 3, 6},
+    "gl3-json-m3": {None, 0, 3, 6},
     "affine-lazy-m4": {None, 0},
     "three-orbit-lazy-m4": {None, 0, 1},
     "gl3-fibre-m4": {None, 0, 3},

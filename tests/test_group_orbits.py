@@ -112,12 +112,21 @@ def test_orbit_scheme_blocks_are_orbits():
 
 
 def test_lazy_and_materialized_agree():
-    from mschemes.instances import gl_orbit_scheme
-
-    lazy = gl_orbit_scheme(2, 2, 3, lazy=True)
-    full = gl_orbit_scheme(2, 2, 3, lazy=False)
+    group = gl_group(Field(2, 2))
+    lazy = build_orbit_scheme(group, [1], 3, materialize=False)
+    full = build_orbit_scheme(group, [1], 3, materialize=True)
+    assert full.backend is not None
     for k in (1, 2, 3):
         assert np.array_equal(lazy.level(k).bid, full.level(k).bid)
+    for x in full.s_codes:
+        for k in (1, 2):
+            assert np.array_equal(lazy.fiber((x,)).level(k).bid,
+                                  full.fiber((x,)).level(k).bid)
+    # |S^3| = 27 exceeds a cap of 26: only the materialized build raises
+    capped = gl_group(Field(2, 2, cap_tuples=26))
+    build_orbit_scheme(capped, [1], 3, materialize=False)
+    with pytest.raises(CapExceeded):
+        build_orbit_scheme(capped, [1], 3, materialize=True)
 
 
 def test_from_spec_kinds():
@@ -182,10 +191,10 @@ def _oracle_levels(group, s_codes, prefix, arities):
 BUILDERS = {
     "gl_2_3": lambda: instances.gl_orbit_scheme(2, 3, 4),
     "gl_3_2": lambda: instances.gl_orbit_scheme(3, 2, 4),
-    "singer": lambda: instances.singer_scheme(2, 4, 4, lazy=True),
+    "singer": lambda: instances.singer_scheme(2, 4, 4),
     "trivial": lambda: instances.trivial_scheme(2, 2, 4),
-    "c11_c5": lambda: instances.c11_c5_scheme(4, lazy=True),
-    "c31_c5": lambda: instances.c31_c5_scheme(4, lazy=True),
+    "c11_c5": lambda: instances.c11_c5_scheme(4),
+    "c31_c5": lambda: instances.c31_c5_scheme(4),
     "signed_perm": lambda: instances.signed_perm_scheme(3, 4),
     "affine_coset": lambda: instances.affine_coset_scheme(4, (0, 1), 2, 4),
     "mul_coset": lambda: instances.mul_coset_scheme(5, 2, 6, 1, 0, 4),

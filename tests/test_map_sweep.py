@@ -20,10 +20,10 @@ from mschemes.gf_linalg import Field, enumerate_linmaps
 from mschemes.scheme_core import Scheme, SchemeInstance, TuplePartition
 
 BUILDERS = {
-    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3, lazy=False),
+    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
     "gl2-lazy-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
-    "gl3-m2": lambda: instances.gl_orbit_scheme(2, 3, 2, lazy=False),
-    "gl-f3-m2": lambda: instances.gl_orbit_scheme(3, 2, 2, lazy=False),
+    "gl3-m2": lambda: instances.gl_orbit_scheme(2, 3, 2),
+    "gl-f3-m2": lambda: instances.gl_orbit_scheme(3, 2, 2),
     "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
     "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),
     "c11c5-m2": lambda: instances.c11_c5_scheme(2),

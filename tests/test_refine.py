@@ -270,7 +270,7 @@ def test_fibre_piece_sorts_interleaved_blocks(c11_m2, x_row):
 
 def test_blocks_inside_takes_whole_blocks_only():
     # the fibre of C11:C5 at 85 has blocks {85}, {93, ...} and {150, ...}
-    fib = c11_c5_scheme(4, lazy=True).fiber((85,))
+    fib = c11_c5_scheme(4).fiber((85,))
     blocks = [fib.level1_block_set(i).tolist() for i in range(fib.level(1).num_blocks)]
     for codes in ([85, 150, 172, 565, 846, 990], [85, 93, 150], blocks[1], []):
         expect = [i for i, blk in enumerate(blocks) if set(blk) <= set(codes)]
@@ -286,7 +286,7 @@ def test_scheme_power_preconditions(c11_m2):
 
 
 def test_scheme_power_carrier_is_sum_image():
-    base = c11_c5_scheme(8, lazy=True)
+    base = c11_c5_scheme(8)
     a = BlockRef(2, 1)
     power = scheme_power(base, a, 2)
     assert power.m == 2

@@ -1,4 +1,6 @@
 """Partition-system core: axioms, closedness operations, serialization."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -181,7 +183,7 @@ def test_tuple_cap_env_override(monkeypatch, gl2_m3):
     # the tuple cap is the field's value: the environment no longer overrides it
     monkeypatch.setenv("MSCHEME_CAP_TUPLES", "5")
     assert len(gl2_m3.instance.tuples_array(2)) == 9
-    assert gl_orbit_scheme(2, 2, 3, lazy=False).validate().ok
+    assert gl_orbit_scheme(2, 2, 3).validate().ok
     capped = SchemeInstance(Field(2, 2, cap_tuples=5), gl2_m3.s_codes)
     with pytest.raises(CapExceeded):
         capped.tuples_array(2)
@@ -228,6 +230,18 @@ def test_pos_maps_codes_outside_the_field_to_minus_one(trivial_m3):
     assert inst.pos([-4, -2]).tolist() == [-1, -1]  # below 0 but not above q
 
 
+def test_sliced_fibres_match_orbit_fibres(axiom_suite):
+    # a JSON copy has no group, so its fibres are sliced from its levels
+    for label, sch in axiom_suite:
+        copy = Scheme.from_json(sch.to_json())
+        assert copy.backend is None and sch.backend is not None
+        for t in (1, 2) if sch.m >= 3 else (1,):
+            for x in itertools.product(sch.s_codes, repeat=t):
+                for k in range(1, sch.m - t + 1):
+                    assert np.array_equal(copy.fiber(x).level(k).bid,
+                                          sch.fiber(x).level(k).bid), (label, x, k)
+
+
 def test_pos_table_is_built_once_and_read_only(gl2_m3):
     inst = gl2_m3.instance
     first = inst.pos(list(inst.s_codes))
@@ -260,12 +274,12 @@ def test_tuples_array_matches_scalar_tuple_points(k, gl2_m3, trivial_m3):
 
 # one scheme from every builder in `instances`
 LAYOUT_BUILDERS = {
-    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3, lazy=False),
+    "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
     "gl2-lazy-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
     "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
     "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),
     "c11c5-m3": lambda: instances.c11_c5_scheme(3),
-    "c31c5-lazy-m3": lambda: instances.c31_c5_scheme(3, lazy=True),
+    "c31c5-lazy-m3": lambda: instances.c31_c5_scheme(3),
     "signed-perm-m2": lambda: instances.signed_perm_scheme(2, 2),
     "affine-coset-m2": lambda: instances.affine_coset_scheme(4, [1, 2], 0, 2),
     "mul-coset-m2": lambda: instances.mul_coset_scheme(5, 2, 6, 1, 0, 2),
