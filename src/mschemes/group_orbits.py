@@ -6,27 +6,33 @@ satisfy the P-axioms at any declared depth, which is what lets deep
 instances exist without materializing S^m: levels are computed on demand and
 fibre restrictions are the orbit partitions of point stabilizers.
 
-A `MatrixGroup` is only the input: its matrices act in one place,
-`MatrixGroup.images`.  `build_orbit_scheme` restricts the generators to S
-once; past that point a group is a (g, n) int array of generator
-permutations of the positions of S.  Point stabilizers are generated by
-Schreier generators thinned by a Sims filter, so no group is ever listed
-element by element.  They are computed once per orbit of S, at its least
-position r: the stabilizer of x = u(r) is u Stab(r) u^-1, and its orbits on
-S^k are u applied to those of Stab(r), so the fibre at x is transported
-from the fibre at r by one gather.  The same transversals, chained down the
-stabilizers of a tuple's points, give `OrbitBackend.transporter`: the least
-tuple of a tuple's orbit on S^len, and a group element carrying it there.
+A `MatrixGroup` is only the input: its matrices act in two places.
+`MatrixGroup.close_set` grows the seed to the carrier S by generator
+doubling, one matrix square per doubling, so an orbit of length c under a
+generator costs about log2 c products.  `MatrixGroup.images` gives the
+generators' images of S, which `build_orbit_scheme` turns into
+permutations once; past that point a group is a (g, n) int array of
+generator permutations of the positions of S.  Point stabilizers are
+generated by Schreier generators thinned by a Sims filter, so no group is
+ever listed element by element.  They are computed once per orbit of S, at
+its least position r: the stabilizer of x = u(r) is u Stab(r) u^-1, and its
+orbits on S^k are u applied to those of Stab(r), so the fibre at x is
+transported from the fibre at r by one gather.  The same transversals,
+chained down the stabilizers of a tuple's points, give
+`OrbitBackend.transporter`: the least tuple of a tuple's orbit on S^len,
+and a group element carrying it there.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, NotInGroup
-from .gf_linalg import Field, rank_mod
+from .gf_linalg import Field, digit_rows, rank_mod
 from .scheme_core import Scheme, SchemeInstance, TuplePartition
 
 # primitive polynomials x^d + ... used for default multiplicative (Singer)
@@ -68,21 +74,49 @@ class MatrixGroup:
             gens.append(_mat_key(arr))
         return MatrixGroup(field, tuple(sorted(set(gens))))
 
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """(g, dim, dim) read-only stack of the generator matrices."""
+        d = self.field.dim
+        mats = np.array(self.generators, dtype=np.int64).reshape(-1, d, d)
+        mats.flags.writeable = False
+        return mats
+
     def images(self, codes) -> np.ndarray:
         """(g, n) array: code of M_i x for each generator M_i and each given
         code x.  Codes outside [0, q) raise IndexOutOfRange."""
         f = self.field
-        mats = np.array(self.generators, dtype=np.int64).reshape(-1, f.dim, f.dim)
-        return f.encode_batch(f.decode_batch(codes) @ mats.transpose(0, 2, 1))
+        return f.encode_batch(f.decode_batch(codes) @ self.matrices.transpose(0, 2, 1))
 
     def close_set(self, codes) -> tuple:
-        """Smallest G-stable superset of the given point codes, sorted."""
-        out = set(int(c) for c in codes)
-        frontier = sorted(out)
-        while frontier:
-            frontier = sorted(set(self.images(frontier).ravel().tolist()) - out)
-            out.update(frontier)
-        return tuple(sorted(out))
+        """Smallest G-stable superset of the given point codes, sorted.
+        Codes outside [0, q) raise IndexOutOfRange.
+
+        The set is a mask over [0, q), closed under one generator g at a
+        time by doubling: from S_0, step j adds g^(2^j) S_j, so S_j is the
+        union of g^i S_0 over i < 2^j.  Then g S_j lies in S_j together with
+        g^(2^j) S_0, so the first step that adds nothing proves S_j g-closed,
+        and an orbit of length c under g costs about log2 c products.  The
+        generators are taken in turn until the set has not grown since each
+        of them last closed it.
+        """
+        f = self.field
+        seen = np.zeros(f.q, dtype=bool)
+        seen[f._in_range(np.fromiter(codes, dtype=np.int64))] = True
+        rows = digit_rows(f, f.dim)
+        closed = 0  # generators in a row under which the set is closed
+        for mat in itertools.cycle(self.matrices):
+            if closed == len(self.matrices):
+                break
+            closed += 1
+            while True:
+                img = f.encode_batch(rows[np.flatnonzero(seen)] @ mat.T)
+                if seen[img].all():
+                    break
+                seen[img] = True
+                closed = 1
+                mat = mat @ mat % f.ell
+        return tuple(np.flatnonzero(seen).tolist())
 
     # ---- group-spec JSON ----------------------------------------------
 
@@ -271,11 +305,13 @@ def sims_filter(perms) -> np.ndarray:
 
 def _transversal(perms: np.ndarray, point: int):
     """BFS over the orbit of `point`: the orbit's positions in visiting
-    order, and rows u, u^-1 with u[i](point) = orbit[i] (u[0] = identity)."""
+    order, rows u, u^-1 with u[i](point) = orbit[i] (u[0] = identity), and
+    the tree, an (len(orbit) - 1, 2) array: row i - 1 is (j, i') with
+    u[i] = s_j u[i']."""
     n = perms.shape[1]
     images = perms.T.tolist()  # images[x][j] = image of x under generator j
     row = {point: 0}
-    orbit, steps = [point], []  # steps[i - 1] = (j, i') with u_i = s_j u_i'
+    orbit, steps = [point], []
     for x in orbit:  # the list grows while it is read: a FIFO queue
         for j, y in enumerate(images[x]):
             if y not in row:
@@ -288,7 +324,8 @@ def _transversal(perms: np.ndarray, point: int):
         u[i] = perms[j][u[src]]
     u_inv = np.empty_like(u)
     u_inv[np.arange(len(u))[:, None], u] = np.arange(n)
-    return np.array(orbit, dtype=np.int64), u, u_inv
+    tree = np.array(steps, dtype=np.int64).reshape(-1, 2)
+    return np.array(orbit, dtype=np.int64), u, u_inv, tree
 
 
 def point_stabilizer(perms: np.ndarray, point: int, transversal=None) -> np.ndarray:
@@ -297,15 +334,21 @@ def point_stabilizer(perms: np.ndarray, point: int, transversal=None) -> np.ndar
     Over the BFS transversal u of the orbit of `point` (`_transversal`; a
     caller that keeps it passes it in), the Schreier generators
     u_{s(x)}^-1 s u_x over orbit points x and generators s generate the
-    stabilizer, and `sims_filter` thins them.
+    stabilizer, and `sims_filter` thins them.  On a tree edge,
+    u_{s(x)} = s u_x, so its generator is the identity and is skipped;
+    `sims_filter` drops identity rows before anything else, so it sees the
+    same rows in the same order either way.
     """
     if transversal is None:
         transversal = _transversal(perms, point)
-    orbit, u, u_inv = transversal
+    orbit, u, u_inv, tree = transversal
     row = np.full(perms.shape[1], -1, dtype=np.int64)
     row[orbit] = np.arange(len(orbit))
-    schreier = [np.take_along_axis(u_inv[row[s[orbit]]], s[u], axis=1) for s in perms]
-    return sims_filter(np.concatenate(schreier) if schreier else perms)
+    dest = row[perms[:, orbit]]  # (g, len(orbit)): row of s(x)
+    keep = np.ones(dest.shape, dtype=bool)
+    keep[tree[:, 0], tree[:, 1]] = False
+    j, x = np.nonzero(keep)  # generator by generator, each in orbit order
+    return sims_filter(u_inv[dest[j, x][:, None], perms[j[:, None], u[x]]])
 
 
 class OrbitBackend:
@@ -398,7 +441,7 @@ class OrbitBackend:
         """(Stab(r) backend, orbit row of each point, u, u^-1) for the least
         point r of an orbit of S, made on first use."""
         if r not in self._orbits:
-            orbit, u, u_inv = trans = _transversal(self.perms, r)
+            orbit, u, u_inv, _ = trans = _transversal(self.perms, r)
             stab = OrbitBackend(point_stabilizer(self.perms, r, trans))
             stab._kept = {}
             self._orbits[r] = (stab, dict(zip(orbit.tolist(), range(len(orbit)))), u, u_inv)

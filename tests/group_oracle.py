@@ -5,8 +5,14 @@ the test oracle for the permutation representation in `group_orbits`.
 `stabilizer` keeps the listed elements that fix every given code, and
 `act_code` applies one matrix to one point code digit by digit.  Nothing
 here is capped, so keep the groups small.
+
+`close_layered` and `schreier_stabilizer` are the plain forms of
+`MatrixGroup.close_set` (one BFS layer per step) and of
+`point_stabilizer` (every Schreier generator formed, tree edges too).
 """
 import numpy as np
+
+from mschemes import group_orbits
 
 
 def _key(mat):
@@ -60,3 +66,25 @@ def perms_on(group, keys, s_codes):
     pos = {c: i for i, c in enumerate(s_codes)}
     return [tuple(pos[act_code(group, matrix(group, e), c)] for c in s_codes)
             for e in keys]
+
+
+def close_layered(group, codes):
+    """Smallest G-stable superset of the codes, sorted: a BFS that applies
+    every generator to each new layer of points."""
+    out = set(int(c) for c in codes)
+    frontier = sorted(out)
+    while frontier:
+        frontier = sorted(set(group.images(frontier).ravel().tolist()) - out)
+        out.update(frontier)
+    return tuple(sorted(out))
+
+
+def schreier_stabilizer(perms, point):
+    """Generators of the stabilizer of one position: every Schreier
+    generator u_{s(x)}^-1 s u_x over the library's BFS transversal, tree
+    edges included, thinned by `sims_filter`."""
+    orbit, u, u_inv = group_orbits._transversal(perms, point)[:3]
+    row = np.full(perms.shape[1], -1, dtype=np.int64)
+    row[orbit] = np.arange(len(orbit))
+    schreier = [np.take_along_axis(u_inv[row[s[orbit]]], s[u], axis=1) for s in perms]
+    return group_orbits.sims_filter(np.concatenate(schreier) if schreier else perms)

@@ -31,7 +31,9 @@ from mschemes.scheme_core import Scheme, SchemeInstance, finest_scheme
 
 BUILDERS = {
     "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
-    "gl2-lazy-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
+    # levels built at once, with the group kept as the backend
+    "gl2-lazy-m3": lambda: build_orbit_scheme(gl_group(Field(2, 2)), [1], 3,
+                                              materialize=True),
     "gl-f3-m3": lambda: instances.gl_orbit_scheme(3, 2, 3),
     "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
     "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),

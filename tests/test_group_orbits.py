@@ -395,3 +395,51 @@ def test_deep_gl_fibre_without_listing_the_group():
         want = _per_point(sch.backend.perms, sch.instance.pos(prefix).tolist())
         assert np.array_equal(fib.backend.orbit_partition_raw(sch.instance, 2),
                               want.orbit_partition_raw(sch.instance, 2))
+
+
+def test_close_set_matches_layered_oracle(monkeypatch):
+    # every closure the shrink grid and the builders make, captured without
+    # building their schemes
+    seeded = []
+    monkeypatch.setattr(instances, "build_orbit_scheme",
+                        lambda group, seed, *args, **kwargs: seeded.append((group, seed)))
+    for params in instances.SHRINK_CANDIDATES:
+        instances.mul_coset_scheme(*params, 6)
+    for name in sorted(BUILDERS):
+        BUILDERS[name]()
+    assert len(seeded) == len(instances.SHRINK_CANDIDATES) + len(BUILDERS)
+    for group, seed in seeded:
+        assert group.close_set(seed) == oracle.close_layered(group, seed)
+
+
+@pytest.mark.parametrize("group", [
+    gl_group(Field(2, 3)),
+    gl_group(Field(3, 2)),
+    singer_group(Field(2, 4)),
+    semilinear_group(Field(2, 3)),
+    trivial_group(Field(2, 3)),
+], ids=["gl_2_3", "gl_3_2", "singer", "semilinear", "trivial"])
+def test_close_set_multi_point_and_empty_seeds(group):
+    q = group.field.q
+    for seed in ([], [0], [0, 1], [q - 1, 3, 3], {2, 5, q - 2}, list(range(q))):
+        assert group.close_set(seed) == oracle.close_layered(group, seed), seed
+    for bad in ([-1], [q], [1, -1], [q, 1]):
+        with pytest.raises(IndexOutOfRange):
+            group.close_set(bad)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_point_stabilizer_matches_schreier_oracle(name):
+    sch = BUILDERS[name]()
+    n = sch.instance.n
+    # G, Stab(0), and the stabilizer of a point that is not least in its
+    # orbit, a conjugate of that orbit's
+    backends = [sch.backend, sch.backend.stabilizer_backend([0])]
+    moved = [p for p in range(n) if min(_orbit(sch.backend.perms, p)) != p]
+    if moved:
+        backends.append(sch.backend.stabilizer_backend(moved[:1]))
+        assert backends[-1]._source is not None
+    for backend in backends:
+        for p in range(n):
+            assert np.array_equal(point_stabilizer(backend.perms, p),
+                                  oracle.schreier_stabilizer(backend.perms, p)), p

@@ -15,6 +15,7 @@ from mschemes.errors import (
 )
 from mschemes.gf_linalg import Field, linmap, projection, summation, swap_map
 from mschemes import instances
+from mschemes.group_orbits import build_orbit_scheme, gl_group
 from mschemes.instances import gl_orbit_scheme
 from mschemes.scheme_core import (
     Scheme,
@@ -275,7 +276,9 @@ def test_tuples_array_matches_scalar_tuple_points(k, gl2_m3, trivial_m3):
 # one scheme from every builder in `instances`
 LAYOUT_BUILDERS = {
     "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
-    "gl2-lazy-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
+    # levels built at once, with the group kept as the backend
+    "gl2-lazy-m3": lambda: build_orbit_scheme(gl_group(Field(2, 2)), [1], 3,
+                                              materialize=True),
     "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
     "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),
     "c11c5-m3": lambda: instances.c11_c5_scheme(3),
@@ -363,3 +366,4 @@ def test_block_ids_outside_the_level_are_rejected(trivial_m3):
             sch.level(2).block(bad)
     assert sch.level1_block_set(2).tolist() == [3]
     assert sch.blockset_indices(1, {0, 2}).tolist() == [0, 2]
+
