@@ -1,6 +1,6 @@
 """Resource caps.
 
-All enumeration-heavy operations check a cap before materializing anything
+All enumeration-heavy operations check a cap before building anything
 big, so a typo in parameters fails fast instead of hanging.  The tuple-space
 cap is a value of each `Field` (`Field(ell, dim, cap_tuples=...)`, default
 DEFAULT_CAP_TUPLES); every tuple-cap check reads it from the field in hand.

@@ -75,6 +75,14 @@ def _field(args) -> Field:
     return Field(args.ell, args.dim, args.cap)
 
 
+def _fraction(text: str, flag: str) -> Fraction:
+    """Fraction from a flag's text; InputError names the flag."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{flag} {text!r} is not a fraction") from None
+
+
 def _parse_codes(text: str):
     """Point codes from a comma- or space-separated list; InputError names a
     token that is not an integer or lies outside int64."""
@@ -98,8 +106,7 @@ def _load_scheme(args) -> Scheme:
         raise InputError("need either --in FILE or --group/--seed-set/--m")
     else:
         group = MatrixGroup.from_spec(_field(args), args.group)
-        sch = build_orbit_scheme(group, _parse_codes(args.seed_set), args.m,
-                                 materialize=not args.lazy)
+        sch = build_orbit_scheme(group, _parse_codes(args.seed_set), args.m)
     if args.fix:
         sch = sch.fiber(tuple(_parse_codes(args.fix)))
     return sch
@@ -113,8 +120,8 @@ def _add_scheme_source(p):
     p.add_argument("--seed-set", help="seed point codes, comma separated")
     p.add_argument("--m", type=int)
     p.add_argument("--fix", help="fibre prefix point codes")
-    p.add_argument("--lazy", action="store_true",
-                   help="orbit levels on demand (allows large declared m)")
+    # accepted and ignored: orbit levels are always built on demand
+    p.add_argument("--lazy", action="store_true", help=argparse.SUPPRESS)
 
 
 def _add_common(p):
@@ -122,13 +129,18 @@ def _add_common(p):
     p.add_argument("--cap", type=int, help="tuple-space cap (beats $MSCHEME_CAP_TUPLES)")
 
 
+def _export(sch: Scheme, path) -> None:
+    """Write the scheme JSON to path, if given; a failed export (say, past
+    the tuple cap) leaves no file."""
+    if path:
+        text = sch.to_json()
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def cmd_gen_orbit(args) -> int:
     sch = _load_scheme(args)
-    if args.lazy and args.out:
-        raise InputError("cannot export a lazy scheme; drop --lazy")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(sch.to_json())
+    _export(sch, args.out)
     _emit(args, {
         "command": "gen-orbit",
         "carrier": len(sch.s_codes),
@@ -172,9 +184,7 @@ def cmd_antisym(args) -> int:
 
 def cmd_fiber(args) -> int:
     sch = _load_scheme(args)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(sch.to_json())
+    _export(sch, args.out)
     _emit(args, {
         "command": "fiber",
         "prefix": list(sch.prefix),
@@ -248,7 +258,7 @@ def cmd_fourier(args) -> int:
     coeffs = ctx.all_coeffs(codes)
     pl, pr, perr = ctx.parseval_check(codes, coeffs)
     ierr = ctx.inversion_check(codes, coeffs)
-    heavy = ctx.heavy_characters(coeffs, float(Fraction(args.eps_prime)))
+    heavy = ctx.heavy_characters(coeffs, float(_fraction(args.eps_prime, "--eps-prime")))
     obj = {
         "command": "fourier",
         "group_order": ctx.order,
@@ -266,14 +276,15 @@ def cmd_fourier(args) -> int:
 
 def cmd_decompose(args) -> int:
     sch = _load_scheme(args)
-    res = refine.decompose(sch, args.block, args.k, Fraction(args.eps_prime))
+    res = refine.decompose(sch, args.block, args.k,
+                           _fraction(args.eps_prime, "--eps-prime"))
     _emit(args, {"command": "decompose", **res.to_obj()})
     return 0
 
 
 def cmd_shrink(args) -> int:
     sch = _load_scheme(args)
-    K = Fraction(args.K)
+    K = _fraction(args.K, "--K")
     if args.search:
         out = refine.partial_sumset_search(sch, args.block, K)
     else:
@@ -298,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--seed-set", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lazy", action="store_true")
+    # accepted and ignored, as in _add_scheme_source
+    p.add_argument("--lazy", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out", help="write the scheme JSON here")
     _add_common(p)
     p.set_defaults(func=cmd_gen_orbit, infile=None, fix=None)  # for _load_scheme
@@ -390,4 +402,7 @@ def main(argv=None) -> int:
         return EXIT_LEMMA
     except MSchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

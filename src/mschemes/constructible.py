@@ -20,9 +20,8 @@ u^-1 T is tested against the complete index of the least prefix's fibre,
 for all the orbit's prefixes in one pass, and a hit's certificate is
 transported back without building its fibre.  u acts on T through a basis
 of span(S) inside S (`SchemeInstance.span_chart`).  Every orbit scheme has
-a backend, whether or not its levels are built; a scheme without one (read
-from JSON, a power, or built from levels by hand) decides the prefixes one
-by one.
+a backend; a scheme without one (read from JSON, a power, or built from
+levels by hand) decides the prefixes one by one.
 """
 from __future__ import annotations
 

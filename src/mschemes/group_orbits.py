@@ -3,7 +3,7 @@
 Blocks at arity k are the orbits of the diagonal action of G <= GL(V) on
 S^k.  Equivariance of every coordinate-linear map makes these partitions
 satisfy the P-axioms at any declared depth, which is what lets deep
-instances exist without materializing S^m: levels are computed on demand and
+instances exist without listing S^m: levels are computed on demand and
 fibre restrictions are the orbit partitions of point stabilizers.
 
 A `MatrixGroup` is only the input: its matrices act in two places.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InputError, NotInGroup
 from .gf_linalg import Field, digit_rows, rank_mod
-from .scheme_core import Scheme, SchemeInstance, TuplePartition
+from .scheme_core import Scheme, SchemeInstance
 
 # primitive polynomials x^d + ... used for default multiplicative (Singer)
 # groups; coefficients of the monic polynomial, constant term last
@@ -122,19 +122,40 @@ class MatrixGroup:
 
     @staticmethod
     def from_spec(field: Field, obj) -> "MatrixGroup":
+        """Group from a spec object (or its JSON text); InputError when the
+        spec is not JSON, not an object, lacks a key or holds a non-integer
+        entry."""
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            try:
+                obj = json.loads(obj)
+            except ValueError as exc:
+                raise InputError(f"group spec is not JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise InputError("group spec is not a JSON object")
         kind = obj.get("kind")
         if kind == "trivial":
             return trivial_group(field)
         if kind == "gl":
             return gl_group(field)
         if kind == "singer":
-            poly = tuple(obj["poly"]) if obj.get("poly") else None
+            poly = None if obj.get("poly") is None else _spec_ints(obj, "poly", 1).tolist()
             return singer_group(field, poly)
         if kind == "custom":
-            return MatrixGroup.from_matrices(field, obj["generators"])
+            return MatrixGroup.from_matrices(field, _spec_ints(obj, "generators", 3))
         raise InputError(f"unknown group kind {kind!r}")
+
+
+def _spec_ints(obj: dict, key: str, ndim: int) -> np.ndarray:
+    """A group spec's entry as an ndim-dimensional int64 array."""
+    if key not in obj:
+        raise InputError(f"group spec lacks {key!r}")
+    try:
+        arr = np.array(obj[key])
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.dtype.kind != "i":
+        raise InputError(f"group spec {key!r} is not a {ndim}-deep list of integers")
+    return arr.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -466,24 +487,16 @@ class OrbitBackend:
         return out
 
 
-def build_orbit_scheme(group: MatrixGroup, seed_codes, m: int,
-                       materialize: bool = True) -> Scheme:
+def build_orbit_scheme(group: MatrixGroup, seed_codes, m: int) -> Scheme:
     """Scheme whose blocks are G-orbits on powers of the closure of the seed.
 
-    The result keeps G as its backend either way.  With materialize=True all
-    levels are computed now, so the tuple cap fires here; otherwise levels
-    appear on demand and any declared depth is allowed.
+    The result keeps G as its backend, and each level is built from it the
+    first time it is read, so any declared depth is allowed and the tuple
+    cap fires only at a level that is read.
     """
     s_codes = group.close_set(seed_codes)
     inst = SchemeInstance(group.field, s_codes)
     perms = inst.pos(group.images(s_codes))
     if (perms < 0).any():
         raise NotInGroup("S is not stable under the group")
-    backend = OrbitBackend(perms)
-    if not materialize:
-        return Scheme(inst, m, backend=backend)
-    levels = [
-        TuplePartition.from_raw(inst, k, backend.orbit_partition_raw(inst, k))
-        for k in range(1, m + 1)
-    ]
-    return Scheme(inst, m, levels=levels, backend=backend)
+    return Scheme(inst, m, backend=OrbitBackend(perms))

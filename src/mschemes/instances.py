@@ -1,10 +1,9 @@
 """Named desk-scale instances used by the experiment scripts and the test
 suite.
 
-Each builder returns an orbit scheme whose levels appear on demand, so
-large declared depths are allowed, except `trivial_scheme`, whose levels
-are built at once.  Everything here is deterministic: no randomness, block
-numbering and carrier order come from the scheme core.
+Each builder returns an orbit scheme whose levels are built on demand, so
+large declared depths are allowed.  Everything here is deterministic: no
+randomness, block numbering and carrier order come from the scheme core.
 """
 from __future__ import annotations
 
@@ -43,13 +42,13 @@ def _poly(ell: int, d: int):
 def gl_orbit_scheme(ell: int, dim: int, m: int) -> Scheme:
     """GL_dim(F_ell) acting on the nonzero vectors."""
     f = Field(ell, dim)
-    return build_orbit_scheme(gl_group(f), [1], m, materialize=False)
+    return build_orbit_scheme(gl_group(f), [1], m)
 
 
 def singer_scheme(ell: int, dim: int, m: int) -> Scheme:
     """Cyclic Singer action (regular on the nonzero vectors)."""
     f = Field(ell, dim)
-    return build_orbit_scheme(singer_group(f), [1], m, materialize=False)
+    return build_orbit_scheme(singer_group(f), [1], m)
 
 
 def trivial_scheme(ell: int, dim: int, m: int) -> Scheme:
@@ -68,8 +67,7 @@ def c11_c5_scheme(m: int) -> Scheme:
     C = companion_matrix(f, _poly(2, 10))
     Fm = frobenius_matrix(f)
     gens = [np.linalg.matrix_power(C, 93) % 2, np.linalg.matrix_power(Fm, 2) % 2]
-    return build_orbit_scheme(MatrixGroup.from_matrices(f, gens), [512], m,
-                              materialize=False)
+    return build_orbit_scheme(MatrixGroup.from_matrices(f, gens), [512], m)
 
 
 def c31_c5_scheme(m: int) -> Scheme:
@@ -82,8 +80,7 @@ def c31_c5_scheme(m: int) -> Scheme:
     f = Field(2, 5)
     C = companion_matrix(f, _poly(2, 5))
     Fm = frobenius_matrix(f)
-    return build_orbit_scheme(MatrixGroup.from_matrices(f, [C, Fm]), [16], m,
-                              materialize=False)
+    return build_orbit_scheme(MatrixGroup.from_matrices(f, [C, Fm]), [16], m)
 
 
 def signed_perm_scheme(dim: int, m: int, seed_basis_index: int = 0) -> Scheme:
@@ -106,8 +103,7 @@ def signed_perm_scheme(dim: int, m: int, seed_basis_index: int = 0) -> Scheme:
     e = np.zeros(dim, dtype=np.int64)
     e[seed_basis_index] = 1
     seed = int(f.encode_batch(e[None, :])[0])
-    return build_orbit_scheme(MatrixGroup.from_matrices(f, gens), [seed], m,
-                              materialize=False)
+    return build_orbit_scheme(MatrixGroup.from_matrices(f, gens), [seed], m)
 
 
 def affine_coset_scheme(amb_dim: int, sub_dims, shift_index: int, m: int,
@@ -129,8 +125,7 @@ def affine_coset_scheme(amb_dim: int, sub_dims, shift_index: int, m: int,
     vec[shift_index] = 1
     vec[amb_dim - 1] = 1
     seed = int(f.encode_batch(vec[None, :])[0])
-    return build_orbit_scheme(MatrixGroup.from_matrices(f, gens), [seed], m,
-                              materialize=False)
+    return build_orbit_scheme(MatrixGroup.from_matrices(f, gens), [seed], m)
 
 
 def mul_coset_scheme(ell: int, dsub: int, c: int, w: int, coset_pow: int,
@@ -163,7 +158,7 @@ def mul_coset_scheme(ell: int, dsub: int, c: int, w: int, coset_pow: int,
     vec[:dsub] = u[:, 0]
     vec[D - 1] = 1
     seed = int(f.encode_batch(vec[None, :])[0])
-    return build_orbit_scheme(G, [seed], m, materialize=False)
+    return build_orbit_scheme(G, [seed], m)
 
 
 # (builder, arguments, K, branch): `refine.partial_sumset_search` on block 0

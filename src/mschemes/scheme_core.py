@@ -453,17 +453,18 @@ class ValidationReport:
 class Scheme:
     """Depth-m partition system on S^1..S^m.
 
+    There are two kinds, and no caller passes both levels and a backend.
     An orbit scheme has a backend, its group G: it exposes
     `orbit_partition_raw(instance, k)` (each tuple labelled by the least
     tuple index of its block), `stabilizer_backend(s_positions)`,
     `transporter(s_positions)` and its generator permutations `perms`.
-    Levels not given are computed from it on demand, and fibres are built
-    from its stabilizers, whether or not any levels were given.  A scheme
-    with no group (read from JSON, a power, or built from levels by hand)
-    has no backend, must be given every level, and slices its fibres from
-    them.  The backend may keep what it computes across the schemes that
-    share it, but `orbit_partition_raw` checks the tuple cap of the
-    instance it is given on every call, before it reads anything kept.
+    Each level is computed from it the first time it is read, and fibres
+    are built from its stabilizers.  An explicit scheme (read from JSON, a
+    power, or built from levels by hand) has no backend, is given every
+    level, and slices its fibres from them.  The backend may keep what it
+    computes across the schemes that share it, but `orbit_partition_raw`
+    checks the tuple cap of the instance it is given on every call, before
+    it reads anything kept.
     """
 
     def __init__(self, instance: SchemeInstance, m: int, levels=None, backend=None,
@@ -764,6 +765,8 @@ class Scheme:
             seen = set()
             for lev in obj["levels"]:
                 k = int(lev["k"])
+                if k in seen:
+                    raise InputError(f"level {k} repeated")
                 seen.add(k)
                 dense = np.array(lev["block_of"], dtype=np.int64)
                 if len(dense) != field.q ** k:
@@ -784,12 +787,3 @@ class Scheme:
             return Scheme(inst, m, levels=levels)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad scheme JSON: {exc}") from exc
-
-
-def finest_scheme(instance: SchemeInstance, m: int) -> Scheme:
-    """The all-singletons scheme (orbit scheme of the trivial group)."""
-    levels = [
-        TuplePartition.from_raw(instance, k, np.arange(instance.tuple_count(k)))
-        for k in range(1, m + 1)
-    ]
-    return Scheme(instance, m, levels=levels)

@@ -635,9 +635,9 @@ def test_criterion_14_cli_determinism(capfd, tmp_path):
                     "--eps-prime", "1/8"],
         "decompose": ["decompose", "--ell", "2", "--dim", "4", "--group",
                       '{"kind":"gl"}', "--seed-set", "1", "--m", "8",
-                      "--lazy", "--k", "2", "--eps-prime", "1/4"],
+                      "--k", "2", "--eps-prime", "1/4"],
         "shrink": ["shrink", "--ell", "2", "--dim", "4", "--group",
-                   '{"kind":"gl"}', "--seed-set", "1", "--m", "7", "--lazy",
+                   '{"kind":"gl"}', "--seed-set", "1", "--m", "7",
                    "--K", "2", "--search"],
     }
     identical = 0

@@ -35,12 +35,45 @@ def test_gen_orbit_and_validate_roundtrip(tmp_path, capsys):
     assert code == 0 and json.loads(out)["ok"]
 
 
-def test_gen_orbit_lazy_export_rejected(tmp_path, capsys):
-    code, _, err = run(capsys, [
-        "gen-orbit", "--ell", "2", "--dim", "3", "--group", GL,
-        "--seed-set", "1", "--m", "2", "--lazy",
-        "--out", str(tmp_path / "x.json")])
-    assert code == 2 and "lazy" in err
+def test_gen_orbit_lazy_flag_is_ignored(tmp_path, capsys):
+    argv = ["gen-orbit", "--ell", "2", "--dim", "3", "--group", GL,
+            "--seed-set", "1", "--m", "2"]
+    files = []
+    for extra in ([], ["--lazy"]):
+        files.append(tmp_path / f"scheme{len(files)}.json")
+        assert run(capsys, [*argv, *extra, "--out", str(files[-1])])[0] == 0
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
+# the README's examples: levels are built on demand, so S^8 (2,562,890,625
+# tuples) is never listed, with or without the ignored --lazy
+README_DEEP = [
+    ["decompose", "--ell", "2", "--dim", "4", "--group", GL, "--seed-set", "1",
+     "--m", "8", "--k", "2", "--eps-prime", "1/4"],
+    ["shrink", "--ell", "2", "--dim", "4", "--group", GL, "--seed-set", "1",
+     "--m", "7", "--K", "2", "--search"],
+]
+
+
+@pytest.mark.parametrize("argv", README_DEEP, ids=["decompose", "shrink"])
+def test_readme_deep_examples_run_with_or_without_lazy(capsys, argv):
+    plain = run(capsys, argv)
+    assert plain[0] == 0 and plain[2] == ""
+    assert run(capsys, [*argv, "--lazy"]) == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-orbit", "--ell", "2", "--dim", "5", "--group", '{"kind":"trivial"}',
+     "--seed-set", "1", "--m", "5"],
+    ["fiber", "--ell", "2", "--dim", "5", "--group", '{"kind":"trivial"}',
+     "--seed-set", "1", "--m", "6", "--fix", "1"],
+], ids=["gen-orbit", "fiber"])
+def test_failed_export_writes_no_file(tmp_path, capsys, argv):
+    # the dense block_of export at arity 5 has 2^25 entries, over the 2^24 cap
+    out = tmp_path / "f.json"
+    code, stdout, err = run(capsys, [*argv, "--out", str(out)])
+    assert (code, stdout) == (3, "") and "dense block_of export" in err
+    assert not out.exists()
 
 
 def test_bad_input_exit_codes(capsys):
@@ -309,16 +342,15 @@ def test_shrink_gate_unmet_is_input_error(capsys):
     assert code == 2
 
 
-GL42_LAZY = ["--ell", "2", "--dim", "4", "--group", GL, "--seed-set", "1",
-             "--m", "12", "--lazy"]
+GL42 = ["--ell", "2", "--dim", "4", "--group", GL, "--seed-set", "1", "--m", "12"]
 SHRINK_GL3 = ["shrink", "--ell", "2", "--dim", "3", "--group", GL, "--seed-set", "1",
               "--m", "4", "--K", "4", "--k", "1"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["decompose", *GL42_LAZY, "--block", "-1"],
-    ["decompose", *GL42_LAZY, "--block", "1"],  # level 1 is the one orbit
-    ["depth", *GL42_LAZY[:-3], "--m", "2", "--block", "-1"],
+    ["decompose", *GL42, "--block", "-1"],
+    ["decompose", *GL42, "--block", "1"],  # level 1 is the one orbit
+    ["depth", *GL42[:-2], "--m", "2", "--block", "-1"],
     [*SHRINK_GL3, "--block", "1"],
     [*SHRINK_GL3, "--a-block", "-1"],
     [*SHRINK_GL3, "--a-block", "1"],
@@ -337,7 +369,7 @@ GL3 = ["--ell", "2", "--dim", "3", "--group", GL]
     (["addcomb", "--ell", "2", "--dim", "3", "--set", "1,x"], "'x'"),
     (["fourier", "--ell", "2", "--dim", "3", "--set", "1,y"], "'y'"),
     (["decompose", "--ell", "2", "--dim", "4", "--group", GL, "--seed-set", "1,z",
-      "--m", "12", "--lazy"], "'z'"),
+      "--m", "12"], "'z'"),
     (["fourier", "--ell", "2", "--dim", "3", "--set", BIG], BIG),
     (["fiber", *GL3, "--seed-set", "1", "--m", "2", "--fix", BIG], BIG),
     (["gen-orbit", *GL3, "--seed-set", BIG, "--m", "2"], BIG),
@@ -346,6 +378,34 @@ def test_malformed_code_list_is_input_error(capsys, argv, token):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert f"point code {token}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fourier", *GL3[:4], "--set", "1,2", "--eps-prime", "abc"], "--eps-prime 'abc'"),
+    (["fourier", *GL3[:4], "--set", "1,2", "--eps-prime", "1/0"], "--eps-prime '1/0'"),
+    (["decompose", *GL42, "--eps-prime", "1/0"], "--eps-prime '1/0'"),
+    ([*SHRINK_GL3, "--K", "x"], "--K 'x'"),
+    (["validate", *GL3[:4], "--group", '{"kind":"gl"', "--seed-set", "1", "--m", "2"],
+     "not JSON"),
+    (["validate", *GL3[:4], "--group", "[1]", "--seed-set", "1", "--m", "2"],
+     "not a JSON object"),
+    (["validate", *GL3[:4], "--group", '{"kind":"custom"}', "--seed-set", "1", "--m", "2"],
+     "lacks 'generators'"),
+    (["validate", *GL3[:4], "--group", '{"kind":"custom","generators":[["a"]]}',
+      "--seed-set", "1", "--m", "2"], "'generators' is not a 3-deep list of integers"),
+    (["validate", *GL3[:4], "--group", '{"kind":"singer","poly":[1,0.5,0,1]}',
+      "--seed-set", "1", "--m", "2"], "'poly' is not a 1-deep list of integers"),
+    (["validate", *GL3[:4], "--group", '{"kind":"singer","poly":0}',
+      "--seed-set", "1", "--m", "2"], "'poly' is not a 1-deep list of integers"),
+    (["validate", "--in", "no-such-scheme.json"], "no-such-scheme.json"),
+    (["validate", "--in", "."], "directory"),
+], ids=["eps-abc", "eps-zero-den", "decompose-eps", "K-x", "spec-json", "spec-list",
+        "spec-no-generators", "spec-str-entry", "spec-float-poly", "spec-zero-poly",
+        "in-missing", "in-dir"])
+def test_malformed_flag_value_is_input_error(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "input error" in err and message in err and "Traceback" not in err
 
 
 def test_report_file_is_canonical(tmp_path, capsys):

@@ -27,13 +27,12 @@ from mschemes.gf_linalg import Field, linmap, span_points
 from mschemes.group_orbits import MatrixGroup, build_orbit_scheme, gl_group, trivial_group
 from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
 from mschemes.refine import enumerate_subspaces, find_constructible
-from mschemes.scheme_core import Scheme, SchemeInstance, finest_scheme
+from mschemes.scheme_core import Scheme
 
 BUILDERS = {
     "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
-    # levels built at once, with the group kept as the backend
-    "gl2-lazy-m3": lambda: build_orbit_scheme(gl_group(Field(2, 2)), [1], 3,
-                                              materialize=True),
+    # a backend-free copy: every level given, prefixes decided one by one
+    "gl2-lazy-m3": lambda: Scheme.from_json(instances.gl_orbit_scheme(2, 2, 3).to_json()),
     "gl-f3-m3": lambda: instances.gl_orbit_scheme(3, 2, 3),
     "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
     "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),
@@ -136,7 +135,7 @@ def test_atom_index_grows_only_as_far_as_the_cover():
 def test_decide_on_a_partly_grown_index_matches_oracle():
     # S = {1, 2} in F_2^2, every tuple its own block: {1} is covered by the
     # second map (x, y) -> y, {3} = {1 + 2} only by the fourth, x + y
-    sch = finest_scheme(SchemeInstance(Field(2, 2), (1, 2)), 3)
+    sch = build_orbit_scheme(trivial_group(Field(2, 2)), (1, 2), 3)
     index = _atom_index(sch, 2)
     for target, grown in [([1], 2), ([0, 3], 4), ([1], 4), ([3, 1], 4), ([1, 2, 3], 4)]:
         want = atom_oracle.decide(sch, target, 2)
@@ -154,7 +153,7 @@ def test_decide_checks_tuple_cap_on_every_call():
     assert decide_constructible(sch, sch.s_codes, 2) is not None
     # the same scheme over a field whose cap is one below |S^2|
     field = Field(2, 2, cap_tuples=sch.instance.n ** 2 - 1)
-    capped = build_orbit_scheme(trivial_group(field), sch.s_codes, 3, materialize=False)
+    capped = build_orbit_scheme(trivial_group(field), sch.s_codes, 3)
     with pytest.raises(CapExceeded):
         decide_constructible(capped, capped.s_codes, 2)
     with pytest.raises(DepthExhausted):
@@ -337,8 +336,7 @@ def _three_orbit_scheme():
     1 and 3: three orbits on S."""
     field = Field(2, 3)
     cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-    return build_orbit_scheme(MatrixGroup.from_matrices(field, [cycle]), [0, 1, 3], 4,
-                              materialize=False)
+    return build_orbit_scheme(MatrixGroup.from_matrices(field, [cycle]), [0, 1, 3], 4)
 
 
 SEARCH_BUILDERS = {
@@ -445,8 +443,7 @@ def test_prefix_search_builds_nothing_for_targets_that_need_no_atoms():
     assert not sch._fiber_cache and not sch.atom_indexes and not sch.transporters
     assert find_constructible_prefix(sch, [], 1, 1, prefix_cap=0) is None
     # the tuple cap still holds for every prefix decided: |S^2| = 49 > 48
-    capped = build_orbit_scheme(gl_group(Field(2, 3, cap_tuples=48)), [1], 4,
-                                materialize=False)
+    capped = build_orbit_scheme(gl_group(Field(2, 3, cap_tuples=48)), [1], 4)
     for target in ([], [1, 8]):
         with pytest.raises(CapExceeded):
             find_constructible_prefix(capped, target, 2, 1)
@@ -461,7 +458,7 @@ def test_prefix_search_checks_tuple_cap_on_built_fibres():
     # the same scheme over a field whose cap is one below |S^2|, every
     # prefix-1 fibre built (building a fibre enumerates no tuples)
     field = Field(2, 3, cap_tuples=sch.instance.n ** 2 - 1)
-    capped = build_orbit_scheme(gl_group(field), [1], 4, materialize=False)
+    capped = build_orbit_scheme(gl_group(field), [1], 4)
     for x in capped.s_codes:
         capped.fiber((x,))
     for target in ([4], [2, 3, 4]):

@@ -97,7 +97,7 @@ def test_trivial_group_and_finest_orbits():
 def test_orbit_scheme_blocks_are_orbits():
     f = Field(2, 3)
     g = gl_group(f)
-    sch = build_orbit_scheme(g, [1], 2, materialize=True)
+    sch = build_orbit_scheme(g, [1], 2)
     inst = sch.instance
     els = [oracle.matrix(g, e) for e in oracle.elements(g)]
     part = sch.level(2)
@@ -111,22 +111,16 @@ def test_orbit_scheme_blocks_are_orbits():
         assert orbit == {int(i) for i in part.block(b)}
 
 
-def test_lazy_and_materialized_agree():
-    group = gl_group(Field(2, 2))
-    lazy = build_orbit_scheme(group, [1], 3, materialize=False)
-    full = build_orbit_scheme(group, [1], 3, materialize=True)
-    assert full.backend is not None
-    for k in (1, 2, 3):
-        assert np.array_equal(lazy.level(k).bid, full.level(k).bid)
-    for x in full.s_codes:
-        for k in (1, 2):
-            assert np.array_equal(lazy.fiber((x,)).level(k).bid,
-                                  full.fiber((x,)).level(k).bid)
-    # |S^3| = 27 exceeds a cap of 26: only the materialized build raises
-    capped = gl_group(Field(2, 2, cap_tuples=26))
-    build_orbit_scheme(capped, [1], 3, materialize=False)
-    with pytest.raises(CapExceeded):
-        build_orbit_scheme(capped, [1], 3, materialize=True)
+def test_levels_are_built_on_demand_under_the_cap():
+    # |S^3| = 27 exceeds a cap of 26: the build and levels 1-2 succeed, and
+    # only reading level 3 raises
+    group = gl_group(Field(2, 2, cap_tuples=26))
+    sch = build_orbit_scheme(group, [1], 3)
+    assert sch.backend is not None
+    for k, want in zip((1, 2), _oracle_levels(group, sch.s_codes, (), (1, 2))):
+        assert np.array_equal(sch.level(k).bid, want), k
+    with pytest.raises(CapExceeded, match="tuple space S\\^3"):
+        sch.level(3)
 
 
 def test_from_spec_kinds():
@@ -371,7 +365,7 @@ def _orbit(perms, p):
 ])
 def test_sims_filter_bound_and_order(group, seed):
     # the carriers span V, so the action on S is faithful
-    sch = build_orbit_scheme(group, [seed], 1, materialize=False)
+    sch = build_orbit_scheme(group, [seed], 1)
     s = sch.s_codes
     n = len(s)
     els = oracle.elements(group)

@@ -21,9 +21,8 @@ from mschemes.scheme_core import Scheme, SchemeInstance, TuplePartition
 
 BUILDERS = {
     "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
-    # levels built at once, with the group kept as the backend
-    "gl2-lazy-m3": lambda: group_orbits.build_orbit_scheme(
-        group_orbits.gl_group(Field(2, 2)), [1], 3, materialize=True),
+    # a backend-free copy: every level given, fibres sliced from them
+    "gl2-lazy-m3": lambda: Scheme.from_json(instances.gl_orbit_scheme(2, 2, 3).to_json()),
     "gl3-m2": lambda: instances.gl_orbit_scheme(2, 3, 2),
     "gl-f3-m2": lambda: instances.gl_orbit_scheme(3, 2, 2),
     "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),

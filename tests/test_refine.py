@@ -447,7 +447,7 @@ def _bsg_scheme(case):
 
 def _backend_free_copy(sch):
     """The scheme with its levels and no group: its JSON copy while the
-    dense export fits the tuple cap, else its materialized levels."""
+    dense export fits the tuple cap, else its levels, built from the group."""
     if sch.field.q ** sch.m <= sch.field.cap_tuples:
         return Scheme.from_json(sch.to_json())
     return Scheme(sch.instance, sch.m, levels=[sch.level(k) for k in range(1, sch.m + 1)])

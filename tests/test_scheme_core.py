@@ -1,5 +1,6 @@
 """Partition-system core: axioms, closedness operations, serialization."""
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -15,14 +16,13 @@ from mschemes.errors import (
 )
 from mschemes.gf_linalg import Field, linmap, projection, summation, swap_map
 from mschemes import instances
-from mschemes.group_orbits import build_orbit_scheme, gl_group
+from mschemes.group_orbits import build_orbit_scheme, trivial_group
 from mschemes.instances import gl_orbit_scheme
 from mschemes.scheme_core import (
     Scheme,
     SchemeInstance,
     TuplePartition,
     canonical_block_ids,
-    finest_scheme,
 )
 
 
@@ -44,7 +44,7 @@ def test_canonical_block_ids_first_occurrence_order():
 
 def test_finest_scheme_validates_and_is_discrete():
     f = Field(2, 2)
-    sch = finest_scheme(SchemeInstance(f, (1, 2, 3)), 2)
+    sch = build_orbit_scheme(trivial_group(f), (1, 2, 3), 2)
     assert sch.validate().ok
     assert sch.is_discrete()
     for k in (1, 2):
@@ -73,6 +73,13 @@ def test_json_roundtrip(gl2_m3):
 def test_from_json_rejects_garbage():
     with pytest.raises(InputError):
         Scheme.from_json("{\"m\": 2}")
+    obj = json.loads(gl_orbit_scheme(2, 2, 2).to_json())
+    level1 = obj["levels"][0]
+    assert level1["k"] == 1 and max(level1["block_of"]) == 0  # one orbit
+    # a second level 1, discrete, must not replace the first
+    obj["levels"].append({"k": 1, "block_of": [-1, 0, 1, 2]})
+    with pytest.raises(InputError, match="level 1 repeated"):
+        Scheme.from_json(json.dumps(obj))
 
 
 def test_image_blockset_matches_brute_force(gl2_m3):
@@ -276,9 +283,8 @@ def test_tuples_array_matches_scalar_tuple_points(k, gl2_m3, trivial_m3):
 # one scheme from every builder in `instances`
 LAYOUT_BUILDERS = {
     "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
-    # levels built at once, with the group kept as the backend
-    "gl2-lazy-m3": lambda: build_orbit_scheme(gl_group(Field(2, 2)), [1], 3,
-                                              materialize=True),
+    # a backend-free copy: every level given, fibres sliced from them
+    "gl2-lazy-m3": lambda: Scheme.from_json(instances.gl_orbit_scheme(2, 2, 3).to_json()),
     "singer7-m3": lambda: instances.singer_scheme(2, 3, 3),
     "trivial-m3": lambda: instances.trivial_scheme(2, 2, 3),
     "c11c5-m3": lambda: instances.c11_c5_scheme(3),
