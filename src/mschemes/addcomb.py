@@ -193,40 +193,31 @@ def check_covering(a: PointSet):
     return h, bound, h <= bound
 
 
-def check_freiman_ruzsa(a: PointSet, K: Fraction | None = None):
+def check_freiman_ruzsa(a: PointSet):
     """Small doubling |A+A| <= K|A| forces |⟨A⟩| <= ell^{2K} |A|; exact check.
 
-    With K rational p/q the conclusion is compared as
+    K is the doubling constant |A+A|/|A| itself: the conclusion weakens as
+    K grows, so the least K that the hypothesis allows is the strongest
+    check.  With K = p/q the conclusion is compared as
     |⟨A⟩|^q <= ell^{2p} * |A|^q  (integer arithmetic, no rounding).
     Returns (K, ok).
     """
     if not len(a):
         raise EmptyReference("growth check on empty set")
-    dbl = len(sumset(a, a))
-    if K is None:
-        K = Fraction(dbl, len(a))
-    else:
-        K = Fraction(K)
-        if dbl > K * len(a):
-            raise PreconditionUnmet("doubling<=K", f"|A+A|={dbl} > K|A|")
+    K = Fraction(len(sumset(a, a)), len(a))
     span_size = len(subgroup_generated(a))
     p, q = K.numerator, K.denominator
     ok = span_size ** q <= a.field.ell ** (2 * p) * len(a) ** q
     return K, ok
 
 
-def check_plunnecke(a: PointSet, b: PointSet, k: int, K: Fraction | None = None):
-    """|A+B| <= K|A| forces |kB| <= K^k |A|; exact check. Returns (K, ok)."""
+def check_plunnecke(a: PointSet, b: PointSet, k: int):
+    """|A+B| <= K|A| forces |kB| <= K^k |A|; exact check at the least such
+    K, |A+B|/|A|, where the conclusion is strongest. Returns (K, ok)."""
     _require_same_field(a, b)
     if not len(a) or not len(b):
         raise EmptyReference("growth check on empty set")
-    ab = len(sumset(a, b))
-    if K is None:
-        K = Fraction(ab, len(a))
-    else:
-        K = Fraction(K)
-        if ab > K * len(a):
-            raise PreconditionUnmet("sumset<=K|A|", f"|A+B|={ab} > K|A|")
+    K = Fraction(len(sumset(a, b)), len(a))
     kb = len(iterated_sumset(k, b))
     ok = Fraction(kb) <= K ** k * len(a)
     return K, ok

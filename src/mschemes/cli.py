@@ -14,8 +14,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import antisym, refine
 from .addcomb import (
     PointSet,
@@ -24,8 +22,6 @@ from .addcomb import (
     check_covering,
     check_freiman_ruzsa,
     check_plunnecke,
-    covering_bound,
-    covering_number,
     is_coset,
 )
 from .caps import DEFAULT_BUDGET_SATURATION, DEFAULT_CAP_TUPLES
@@ -159,7 +155,7 @@ def cmd_validate(args) -> int:
         "command": "validate",
         "ok": rep.ok,
         "checked_maps": rep.checked_maps,
-        "partial": rep.partial,
+        "partial": False,  # a cap that would stop the sweep raises instead
         "violations": [v.describe() for v in rep.violations],
     })
     return 0 if rep.ok else EXIT_LEMMA

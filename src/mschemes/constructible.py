@@ -261,15 +261,6 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
     return None
 
 
-def _prefix(sch: Scheme, row: int, prefix_len: int) -> tuple:
-    """The prefix of S^prefix_len with this tuple index, as point codes."""
-    out = []
-    for _ in range(prefix_len):
-        row, p = divmod(row, sch.instance.n)
-        out.append(sch.s_codes[p])
-    return tuple(reversed(out))
-
-
 class _Transport(NamedTuple):
     """Transport data of the first prefixes of S^len, in tuple-index order,
     one read-only table per scheme and prefix length."""
@@ -310,8 +301,10 @@ def _transport_table(sch: Scheme, prefix_len: int, rows: int) -> _Transport:
     # the prefixes of each orbit, ascending, the orbits by least prefix
     order = np.argsort(reps, kind="stable")
     firsts = np.flatnonzero(np.diff(reps[order], prepend=-1))
-    orbits = [(int(reps[order[lo]]), _prefix(sch, int(reps[order[lo]]), prefix_len), members)
-              for lo, members in zip(firsts.tolist(), np.split(order, firsts[1:]))]
+    least = reps[order[firsts]]
+    codes = inst.s_array[radix_digits(least, n, prefix_len)].tolist()
+    orbits = [(rep, tuple(x), members) for rep, x, members
+              in zip(least.tolist(), codes, np.split(order, firsts[1:]))]
     for arr in (reps, u, lift, *(members for _, _, members in orbits)):
         arr.flags.writeable = False
     table = sch.transporters[prefix_len] = _Transport(reps, u, lift, orbits)
@@ -368,7 +361,7 @@ def _scan_orbits(sch: Scheme, target: frozenset, k: int, prefix_len: int,
     inst.check_tuple_cap(k)
     linmap_count(inst.field, k, 1)
     if not target:
-        x = _prefix(sch, 0, prefix_len)
+        x = tuple(inst.s_array[radix_digits(0, n, prefix_len)].tolist())
         return x, Certificate(k, sch.prefix + x, [], target)
     # span(S) lies in [0, q): a code outside [0, q) is outside span(S) too
     _, span_codes, span_coords = inst.span_chart
@@ -413,7 +406,7 @@ def _scan_orbits(sch: Scheme, target: frozenset, k: int, prefix_len: int,
     # is the b-th by least tuple at x
     atoms = (np.arange(len(index.maps))[:, None] * part.num_blocks
              + np.argsort(least)).ravel()
-    x = _prefix(sch, x_row, prefix_len)
+    x = tuple(inst.s_array[radix_digits(x_row, n, prefix_len)].tolist())
     entries = _greedy_entries(index, inside[atoms], target, q, atoms.tolist())
     return x, Certificate(k, sch.prefix + x, entries, target)
 

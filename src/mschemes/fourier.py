@@ -151,12 +151,11 @@ class FourierContext:
         indicator[self._member_rows(subset)] = 1.0
         return float(np.max(np.abs(values - indicator)))
 
-    def heavy_characters(self, coeffs, eps: float, include_trivial: bool = False):
-        """[(dual vector, coefficient)] for |coeff| >= eps (1e-9 guard band),
-        sorted by dual vector."""
+    def heavy_characters(self, coeffs, eps: float):
+        """[(dual vector, coefficient)] for the nontrivial characters with
+        |coeff| >= eps (1e-9 guard band), sorted by dual vector."""
         heavy = moduli(coeffs) >= eps - GUARD
-        if not include_trivial:
-            heavy[0] = False  # index 0 is the trivial character
+        heavy[0] = False  # index 0 is the trivial character
         idx = np.flatnonzero(heavy)
         return [(tuple(d), c) for d, c in zip(self.duals[idx].tolist(), coeffs[idx].tolist())]
 

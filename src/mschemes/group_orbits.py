@@ -36,7 +36,8 @@ from .gf_linalg import Field, digit_rows, rank_mod
 from .scheme_core import Scheme, SchemeInstance
 
 # primitive polynomials x^d + ... used for default multiplicative (Singer)
-# groups; coefficients of the monic polynomial, constant term last
+# groups and by the instance builders; coefficients of the monic
+# polynomial, constant term last
 DEFAULT_PRIMITIVE_POLY = {
     (2, 2): (1, 1, 1),
     (2, 3): (1, 0, 1, 1),
@@ -48,6 +49,9 @@ DEFAULT_PRIMITIVE_POLY = {
     (3, 2): (1, 1, 2),
     (3, 3): (1, 0, 2, 1),
     (3, 4): (1, 0, 0, 1, 2),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (5, 2): (1, 1, 2),
+    (7, 2): (1, 1, 3),
 }
 
 

@@ -24,20 +24,6 @@ from .group_orbits import (
 )
 from .scheme_core import Scheme
 
-# primitive polynomials beyond the shared defaults, used by instance builders
-EXTRA_PRIMITIVE_POLY = {
-    (3, 5): (1, 0, 0, 0, 2, 1),
-    (5, 2): (1, 1, 2),
-    (7, 2): (1, 1, 3),
-}
-
-
-def _poly(ell: int, d: int):
-    try:
-        return DEFAULT_PRIMITIVE_POLY[(ell, d)]
-    except KeyError:
-        return EXTRA_PRIMITIVE_POLY[(ell, d)]
-
 
 def gl_orbit_scheme(ell: int, dim: int, m: int) -> Scheme:
     """GL_dim(F_ell) acting on the nonzero vectors."""
@@ -64,7 +50,7 @@ def c11_c5_scheme(m: int) -> Scheme:
     fixings without any partial self-bijections appearing.
     """
     f = Field(2, 10)
-    C = companion_matrix(f, _poly(2, 10))
+    C = companion_matrix(f, DEFAULT_PRIMITIVE_POLY[(2, 10)])
     Fm = frobenius_matrix(f)
     gens = [np.linalg.matrix_power(C, 93) % 2, np.linalg.matrix_power(Fm, 2) % 2]
     return build_orbit_scheme(MatrixGroup.from_matrices(f, gens), [512], m)
@@ -78,14 +64,14 @@ def c31_c5_scheme(m: int) -> Scheme:
     single non-discrete level-1 block, but with a larger carrier.
     """
     f = Field(2, 5)
-    C = companion_matrix(f, _poly(2, 5))
+    C = companion_matrix(f, DEFAULT_PRIMITIVE_POLY[(2, 5)])
     Fm = frobenius_matrix(f)
     return build_orbit_scheme(MatrixGroup.from_matrices(f, [C, Fm]), [16], m)
 
 
-def signed_perm_scheme(dim: int, m: int, seed_basis_index: int = 0) -> Scheme:
-    """Signed coordinate permutations on F_3^dim; orbit of a basis vector is
-    the 2*dim-point cross-polytope {±e_i}, concentrated on the coordinate
+def signed_perm_scheme(dim: int, m: int) -> Scheme:
+    """Signed coordinate permutations on F_3^dim; orbit of e_0 is the
+    2*dim-point cross-polytope {±e_i}, concentrated on the coordinate
     lines."""
     f = Field(3, dim)
     gens = []
@@ -101,21 +87,21 @@ def signed_perm_scheme(dim: int, m: int, seed_basis_index: int = 0) -> Scheme:
             Q[[0, 1]] = Q[[1, 0]]
             gens.append(Q)
     e = np.zeros(dim, dtype=np.int64)
-    e[seed_basis_index] = 1
+    e[0] = 1
     seed = int(f.encode_batch(e[None, :])[0])
     return build_orbit_scheme(MatrixGroup.from_matrices(f, gens), [seed], m)
 
 
-def affine_coset_scheme(amb_dim: int, sub_dims, shift_index: int, m: int,
-                        ell: int = 2) -> Scheme:
+def affine_coset_scheme(amb_dim: int, sub_dims, shift_index: int, m: int) -> Scheme:
     """Translations by a coordinate subspace U, applied through an affine
-    marker coordinate; the orbit of (e_shift, 1) is the coset (e_shift+U, 1).
+    marker coordinate of F_2^amb_dim; the orbit of (e_shift, 1) is the coset
+    (e_shift+U, 1).
 
     The carrier is a coset of a subgroup, so its indicator has exactly the
     subgroup-kernel heavy characters: the canonical hyperplane-concentrated
     example.
     """
-    f = Field(ell, amb_dim)
+    f = Field(2, amb_dim)
     gens = []
     for j in sub_dims:
         T = np.eye(amb_dim, dtype=np.int64)
@@ -138,7 +124,7 @@ def mul_coset_scheme(ell: int, dsub: int, c: int, w: int, coset_pow: int,
     gate of the shrinking step needs at desk scale.
     """
     fsub = Field(ell, dsub)
-    Cp = companion_matrix(fsub, _poly(ell, dsub))
+    Cp = companion_matrix(fsub, DEFAULT_PRIMITIVE_POLY[(ell, dsub)])
     order = ell ** dsub - 1
     if order % c:
         raise ValueError(f"no subgroup of order {c} in F_{ell}^{dsub}*")
@@ -200,13 +186,13 @@ def shrink_gate_holds(sch: Scheme, K) -> bool:
     return K * n <= s and Fraction(s) <= Fraction(n * n) / K
 
 
-def find_shrink_instances(K, count: int, m: int = 6):
+def find_shrink_instances(K, count: int):
     """First `count` candidates from the fixed grid whose carrier passes the
-    sumset gate for K.  Returns [(params, scheme)]."""
+    sumset gate for K.  Returns [(params, scheme)], each scheme of depth 6."""
     out = []
     for params in SHRINK_CANDIDATES:
         ell, dsub, c, w, p = params
-        sch = mul_coset_scheme(ell, dsub, c, w, p, m)
+        sch = mul_coset_scheme(ell, dsub, c, w, p, 6)
         if shrink_gate_holds(sch, K):
             out.append((params, sch))
             if len(out) >= count:

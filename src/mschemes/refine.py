@@ -1110,19 +1110,17 @@ def two_case_check(sch: Scheme, b: int, k: int, eps):
 class RefineParams:
     """Caller-supplied parameters for the reduction drivers.
 
-    The derived relations (t from K and the density, k' = k(t+2),
-    eps' = eps/ell^k) are asserted against the supplied values; `strict`
-    controls whether an unmet precondition aborts (the default) or is
-    recorded in the trace while the desk-scale run proceeds."""
+    The lemma's derived values are computed, not supplied: t =
+    floor(3K/(2mu(B))) + 1 from K and the density of B, k' = k(t+2) and
+    eps' = eps/ell^k.  `strict` controls whether an unmet precondition
+    aborts (the default) or is recorded in the trace while the desk-scale
+    run proceeds."""
 
     K: Fraction
     k: int
     r: int
     eps: Fraction
     gamma: Fraction
-    t: Optional[int] = None
-    kp: Optional[int] = None
-    eps_prime: Optional[Fraction] = None
     strict: bool = True
     r_shrink: Optional[int] = None  # cardinality-reduction rounds (default r)
     search_arity: int = 1
@@ -1132,8 +1130,6 @@ class RefineParams:
         self.K = Fraction(self.K)
         self.eps = Fraction(self.eps)
         self.gamma = Fraction(self.gamma)
-        if self.eps_prime is not None:
-            self.eps_prime = Fraction(self.eps_prime)
 
 
 @dataclass
@@ -1160,8 +1156,7 @@ def _compute_w(sch: Scheme, b: int, x: int, params: RefineParams) -> np.ndarray:
     """The pseudorandomness subspace W at x, as a sorted code array: the span
     of x and the hub of the heavy characters, or of B when there are none."""
     f = sch.field
-    eps_prime = params.eps_prime if params.eps_prime is not None else (
-        params.eps / f.ell ** params.k)
+    eps_prime = params.eps / f.ell ** params.k
     _, heavy = compute_heavy_set(sch, b, eps_prime, params.search_arity,
                                  params.search_prefix)
     if heavy:
@@ -1236,10 +1231,9 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
     n0 = len(b_codes)
     span0 = f.ell ** span_dim(f, b_codes)
     mu = Fraction(n0, span0)
-    t_expected = int(3 * K / (2 * mu)) + 1
-    t = params.t if params.t is not None else t_expected
-    kp = params.kp if params.kp is not None else k * (t + 2)
-    eps_prime = params.eps_prime if params.eps_prime is not None else eps / f.ell ** k
+    t = int(3 * K / (2 * mu)) + 1
+    kp = k * (t + 2)
+    eps_prime = eps / f.ell ** k
     checks = []
 
     def require(name: str, holds: bool, detail: str = ""):
@@ -1251,11 +1245,7 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
     require("K>1", K > 1, f"K={K}")
     require("0<eps<1", 0 < eps < 1, f"eps={eps}")
     require("0<gamma", gamma > 0, f"gamma={gamma}")
-    require("t=floor(3K/(2mu(B)))+1", t == t_expected,
-            f"t={t}, expected {t_expected}")
     require("k>=2t", k >= 2 * t, f"k={k}, t={t}")
-    require("k'=k(t+2)", kp == k * (t + 2), f"k'={kp}")
-    require("eps'=eps/ell^k", eps_prime == eps / f.ell ** k, f"eps'={eps_prime}")
     require("m>=4k'+2", sch.m >= 4 * kp + 2, f"m={sch.m}, k'={kp}")
     require("|B|>K", n0 > K, f"|B|={n0}")
     require("|B|>=|<B>|/K", Fraction(n0) * K >= span0,

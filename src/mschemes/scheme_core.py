@@ -16,10 +16,12 @@ Carrier index.  `SchemeInstance.s_array` is S as one sorted, read-only
 int64 array; `level1_block_set` gathers a block's codes from it, read-only.
 `SchemeInstance.pos` is the only map from point codes to positions in S (-1
 for a code not in S, also outside [0, q)); it reads one table built once
-per instance.  `tuples_array(k, rows)` is the only map from tuple indices
-back to codes.  A `TuplePartition` has one block layout, three read-only
-arrays built once from its block ids: `order` lists the tuple indices block
-by block, ascending within a block, and block b is its run of `sizes[b]`
+per instance.  Tuple indices go back to codes only as the gather
+`s_array[radix_digits(rows, n, k)]`; `tuples_array(k, rows)` is that
+gather behind the cap on S^k.  `tuple_index` is `tuple_indices` on one
+tuple.  A `TuplePartition` has one block layout, three read-only arrays
+built once from its block ids: `order` lists the tuple indices block by
+block, ascending within a block, and block b is its run of `sizes[b]`
 entries from `starts[b]`.  Block sizes, member lists (`block`) and the block
 order of the map sweep are all read from it.  Every tuple-cap check is
 `Field.check_cap` on the instance's field.
@@ -166,11 +168,12 @@ class SchemeInstance:
         return np.where((pos >= 0).all(axis=1), pos @ radix_weights(self.n, codes.shape[1]), -1)
 
     def tuple_index(self, pts: Sequence[int]) -> int:
-        idx = 0
-        for c, p in zip(pts, self.pos(list(pts)).tolist()):
-            if p < 0:
-                raise IndexOutOfRange(f"point code {c} not in S")
-            idx = idx * self.n + p
+        """Index in S^k of one tuple of k point codes."""
+        codes = np.array([pts], dtype=np.int64)
+        idx = int(self.tuple_indices(codes)[0])
+        if idx < 0:
+            bad = next(c for c, p in zip(pts, self.pos(codes[0]).tolist()) if p < 0)
+            raise IndexOutOfRange(f"point code {bad} not in S")
         return idx
 
     def span_dim(self) -> int:
@@ -442,9 +445,6 @@ class ValidationReport:
     ok: bool
     checked_maps: int
     violations: list
-    # Always False: a cap that would stop the sweep raises CapExceeded
-    # instead.  Kept so that `validate` reports keep their "partial" key.
-    partial: bool = False
 
     def first(self) -> Optional[Violation]:
         return self.violations[0] if self.violations else None
@@ -553,7 +553,7 @@ class Scheme:
             return out
         inst = self.instance
         n = inst.n
-        prefix_idx = inst.tuple_index(pts)
+        prefix_idx = int(np.array(positions, dtype=np.int64) @ radix_weights(n, t))
         levels = []
         for k in range(1, self.m - t + 1):
             parent = self.level(t + k)
@@ -693,12 +693,10 @@ class Scheme:
         img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(k, idx)))
         return self.level(kp).ids_as_union(img[img >= 0])
 
-    def preimage_blockset(self, tau: LinMap, bids, k: Optional[int] = None):
-        """tau^{-1}(union of blocks) ∩ S^k, as a block-id set at arity k."""
-        k = k if k is not None else tau.src_arity
-        if k != tau.src_arity:
-            raise ArityMismatch("preimage arity mismatch")
-        kp = tau.dst_arity
+    def preimage_blockset(self, tau: LinMap, bids):
+        """tau^{-1}(union of blocks) ∩ S^k, as a block-id set at arity k, the
+        source arity of tau."""
+        k, kp = tau.src_arity, tau.dst_arity
         inst = self.instance
         img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(k)))
         member = np.zeros(inst.tuple_count(kp), dtype=bool)

@@ -28,7 +28,7 @@ from mschemes.addcomb import (
     sumset,
     symmetrized,
 )
-from mschemes.errors import FieldMismatch, InputError, PreconditionUnmet
+from mschemes.errors import FieldMismatch, InputError
 from mschemes.gf_linalg import Field, span_points
 
 F23 = Field(2, 3)
@@ -213,11 +213,12 @@ def test_certificates_hold(a_codes):
     assert pl_ok
 
 
-def test_plunnecke_rejects_false_constant():
-    a = ps(F23, [1, 2, 4])
-    # K below the true sumset ratio violates the hypothesis
-    with pytest.raises(PreconditionUnmet):
-        check_plunnecke(a, a, 2, K=Fraction(1, 100))
+def test_growth_checks_take_the_tight_constant():
+    # each conclusion weakens as K grows, so the checks use the least K that
+    # the hypothesis allows: |A+A|/|A| and |A+B|/|A|
+    a, b = ps(F23, [1, 2, 4]), ps(F23, [1, 2])
+    assert check_freiman_ruzsa(a)[0] == Fraction(len(sumset(a, a)), len(a))
+    assert check_plunnecke(a, b, 2)[0] == Fraction(len(sumset(a, b)), len(a))
 
 
 def test_density_and_json_roundtrip():

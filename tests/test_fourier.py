@@ -167,9 +167,10 @@ def test_group_at_the_order_cap():
     assert ctx.parseval_check(subset, coeffs)[2] <= 1e-9
     assert ctx.inversion_check(subset, coeffs) <= 1e-9
     eps = 64 / CAP_GROUP_ORDER  # the trivial coefficient, |A|/|G|
-    heavy = ctx.heavy_characters(coeffs, eps, include_trivial=True)
-    assert heavy[0] == ((0,) * dim, eps)
-    assert all(abs(c) >= eps - GUARD for _, c in heavy)
+    assert coeffs[0] == eps
+    heavy = ctx.heavy_characters(coeffs, eps)  # never the trivial character
+    assert len(heavy) == int((np.hypot(coeffs.real, coeffs.imag) >= eps - GUARD).sum()) - 1
+    assert all(any(d) and abs(c) >= eps - GUARD for d, c in heavy)
 
 
 @given(case_ix, st.data())

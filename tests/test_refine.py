@@ -552,6 +552,43 @@ def test_density_reduce_strict_aborts_on_bad_k():
     assert exc.value.name
 
 
+def test_density_reduce_case1_search_recomputes():
+    # B is all 15 nonzero vectors of F_2^4; its fibre at x = 1 splits it
+    # into {1} and a block B' of 14 > |B|/K = 15/2, and B' fails to halve,
+    # so the dichotomy's small fibre piece is searched for
+    sch = gl_orbit_scheme(2, 4, 30)
+    K, eps = Fraction(2), Fraction(1, 4)
+    params = RefineParams(K=K, k=1, r=2, eps=eps, gamma=Fraction(19, 20),
+                          strict=False, r_shrink=0)
+    res = density_reduce(sch, 0, params)
+    assert (res.outcome, res.fiber_prefix, res.points) == ("case1", (1, 1), (1,))
+    step, = res.steps
+    assert step.branch == "case1-search" and step.prefix == (1, 1)
+    b = sch.level1_block_set(0)
+    n0 = len(b)
+    # eps' = eps/ell^k = 1/8 and no character of B is that heavy, so
+    # W = span(B) = F_2^4; W' has 16 points, so it is F_2^4 too
+    ctx = FourierContext.for_generators(sch.field, b)
+    assert not ctx.heavy_characters(ctx.all_coeffs(b), 1 / 8)
+    mu_w = Fraction(n0, 16)
+    blk = step.sizes["|B'|"]
+    assert (n0, blk, step.sizes["|W'|"]) == (15, 14, 16) and blk > n0 / K
+    mu_wp = Fraction(blk, 16)
+    assert (step.sizes["mu_W(B)"], step.sizes["mu_W'(B')"]) == (str(mu_w), str(mu_wp))
+    halve, size, floor = step.inequalities
+    assert (halve["lhs"], halve["rhs"]) == (str(mu_wp), str((mu_w + eps) / 2))
+    assert not halve["holds"] and mu_wp > (mu_w + eps) / 2
+    piece = len(res.points)
+    assert (size["lhs"], size["rhs"], size["holds"]) == ("1", "15/2", True)
+    assert Fraction(piece) <= n0 / K
+    assert floor["holds"] and _le_ell_pow(n0 / K, Fraction(piece), 2, Fraction(8) ** 2)
+    # the piece is a union of level-1 blocks of the fibre at the prefix
+    fib = sch.fiber(res.fiber_prefix)
+    ids = {int(fib.level(1).bid[fib.instance.tuple_index((c,))]) for c in res.points}
+    union = sorted(c for i in ids for c in fib.level1_block_set(i).tolist())
+    assert union == sorted(res.points) and set(union) <= set(b.tolist())
+
+
 def test_heavy_count_is_taken_before_the_kernel_filter():
     sch = gl_orbit_scheme(2, 3, 8)
     b = sch.level1_block_set(0)
