@@ -1,5 +1,12 @@
 """Additive combinatorics over F_ell^d: sumsets, energy, covering, growth checks.
 
+Point sets and histograms are counted over [0, q), not sorted: a sumset is
+a boolean mask set at the |A||B| pair sums, a sum histogram one `np.bincount`
+of them, so each costs O(q + |A||B|) time and one q-entry array (q is under
+the point-space cap, which `Field.add_codes` checks).  Each `PointSet` keeps
+its own A + A counts and its span ⟨A⟩, computed on first use, so the energy,
+doubling, covering and growth checks of one set build each once.
+
 All ratio/density comparisons are exact (fractions.Fraction / big integers);
 nothing here touches floating point.
 """
@@ -7,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyReference, FieldMismatch, InputError, PreconditionUnmet
-from .gf_linalg import Field, member_mask, span_points, unique_sorted
+from .errors import EmptyReference, FieldMismatch, InputError
+from .gf_linalg import Field, member_mask, span_dim, span_points, unique_sorted
 
 # comparisons per chunk of the energy oracle's quadruple count: its boolean
 # temporary stays near 8 MB whatever |A| is
@@ -22,7 +30,8 @@ ORACLE_CHUNK = 1 << 23
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """A finite subset of F_ell^dim, stored as its point codes: one sorted,
-    duplicate-free, read-only int64 array."""
+    duplicate-free, read-only int64 array.  Its A + A counts and its span
+    ⟨A⟩ are computed on first use and kept."""
 
     field: Field
     codes: np.ndarray
@@ -51,6 +60,16 @@ class PointSet:
         i = np.searchsorted(self.codes, code)
         return bool(i < len(self.codes) and self.codes[i] == code)
 
+    @cached_property
+    def _doubling(self):
+        """(codes, counts) of A + A: each sum that occurs, ascending, and
+        #{(x, y) in A x A : x + y = z}, both read-only int64 arrays."""
+        return _counted(self.field, _pair_sums(self.field, self, self))
+
+    @cached_property
+    def _span(self) -> "PointSet":
+        return PointSet(self.field, np.array(span_points(self.field, self.codes), dtype=np.int64))
+
 
 def _require_same_field(*sets: PointSet):
     f = sets[0].field
@@ -65,13 +84,34 @@ def _pair_sums(field: Field, a: PointSet, b: PointSet) -> np.ndarray:
     return field.add_codes(a.codes[:, None], b.codes[None, :]).reshape(-1)
 
 
+def _marked(field: Field, *codes) -> PointSet:
+    """The set of the given code arrays' entries, by a boolean mask over
+    [0, q); the entries are codes in range."""
+    mask = np.zeros(field.q, dtype=bool)
+    for c in codes:
+        mask[c] = True
+    return PointSet(field, np.flatnonzero(mask))
+
+
+def _counted(field: Field, codes: np.ndarray):
+    """(codes, counts): the distinct entries of a code array, ascending, and
+    how often each occurs, by one `np.bincount` over [0, q); read-only."""
+    counts = np.bincount(codes, minlength=field.q)
+    support = np.flatnonzero(counts)
+    counts = counts[support]
+    support.flags.writeable = counts.flags.writeable = False
+    return support, counts
+
+
 def sumset(a: PointSet, b: PointSet) -> PointSet:
     field = _require_same_field(a, b)
-    return PointSet(field, unique_sorted(_pair_sums(field, a, b)))
+    if a is b:
+        return PointSet(field, a._doubling[0])
+    return _marked(field, _pair_sums(field, a, b))
 
 
 def negate(a: PointSet) -> PointSet:
-    return PointSet(a.field, unique_sorted(a.field.neg_codes(a.codes)))
+    return _marked(a.field, a.field.neg_codes(a.codes))
 
 
 def difference_set(a: PointSet, b: PointSet) -> PointSet:
@@ -90,14 +130,14 @@ def iterated_sumset(k: int, a: PointSet) -> PointSet:
 
 def symmetrized(a: PointSet) -> PointSet:
     """A^± = A ∪ (−A) ∪ {0}."""
-    return PointSet(a.field, unique_sorted(np.concatenate([a.codes, negate(a).codes, [0]])))
+    return _marked(a.field, a.codes, a.field.neg_codes(a.codes), 0)
 
 
 def subgroup_generated(a: PointSet) -> PointSet:
-    """⟨A⟩: over a prime field this is the F_ell-span."""
+    """⟨A⟩: over a prime field this is the F_ell-span; kept on A."""
     if not len(a):
         raise EmptyReference("subgroup generated by empty set")
-    return PointSet(a.field, np.array(span_points(a.field, a.codes), dtype=np.int64))
+    return a._span
 
 
 def density_in(a: PointSet, b: PointSet) -> Fraction:
@@ -110,14 +150,14 @@ def density_in(a: PointSet, b: PointSet) -> Fraction:
 
 def density(a: PointSet) -> Fraction:
     """mu(A) = |A| / |⟨A⟩|."""
-    return density_in(a, subgroup_generated(a))
+    return Fraction(len(a), len(subgroup_generated(a)))
 
 
 def sum_histogram(a: PointSet, b: PointSet):
-    """dict z -> #{(x,y) in A x B : x + y = z}."""
+    """dict z -> #{(x,y) in A x B : x + y = z}, keys ascending, Python ints."""
     field = _require_same_field(a, b)
-    vals, counts = np.unique(_pair_sums(field, a, b), return_counts=True)
-    return dict(zip(vals.tolist(), counts.tolist()))
+    codes, counts = a._doubling if a is b else _counted(field, _pair_sums(field, a, b))
+    return dict(zip(codes.tolist(), counts.tolist()))
 
 
 def diff_histogram(a: PointSet, b: PointSet):
@@ -126,9 +166,13 @@ def diff_histogram(a: PointSet, b: PointSet):
 
 
 def additive_energy(a: PointSet) -> int:
-    """E(A) = #{(a1,a2,a3,a4) in A^4 : a1 + a2 = a3 + a4} = sum_z r(z)^2."""
-    hist = sum_histogram(a, a)
-    return sum(c * c for c in hist.values())
+    """E(A) = #{(a1,a2,a3,a4) in A^4 : a1 + a2 = a3 + a4} = sum_z r(z)^2,
+    exact: in int64 while |A|^3, which bounds E(A), is below 2^63, in
+    Python ints beyond."""
+    counts = a._doubling[1]
+    if len(a) ** 3 >= 2 ** 63:
+        counts = counts.astype(object)
+    return int(counts @ counts)
 
 
 def additive_energy_oracle(a: PointSet) -> int:
@@ -160,22 +204,27 @@ def is_coset(a: PointSet) -> bool:
     """True iff A is a coset of a subgroup of V."""
     if not len(a):
         return False
-    shifted = unique_sorted(a.field.sub_codes(a.codes, a.codes[0]))
-    return shifted.tolist() == span_points(a.field, shifted)
+    # A - a0 has |A| distinct points inside its span: a subgroup iff as many
+    return len(a) == a.field.ell ** span_dim(a.field, a.field.sub_codes(a.codes, a.codes[0]))
 
 
-def covering_number(a: PointSet, cap: int = 10 ** 4) -> int:
-    """Least h with h * A^± = ⟨A⟩ (h-fold sumset of the symmetrized set)."""
+def covering_number(a: PointSet) -> int:
+    """Least h with h * A^± = ⟨A⟩ (h-fold sumset of the symmetrized set).
+
+    The loop ends by h = r * floor(ell/2), r = dim ⟨A⟩: take a basis
+    b_1..b_r of ⟨A⟩ from A; every point of ⟨A⟩ is sum_i c_i b_i with
+    |c_i| <= floor(ell/2), a sum of r * floor(ell/2) points of A^± once
+    0 ∈ A^± pads it.  So h <= 16 * 125 = 2000 within MAX_DIM and MAX_ELL.
+    Every h * A^± lies in ⟨A⟩, so sizes decide equality.
+    """
     if not len(a):
         raise EmptyReference("covering number of empty set")
-    target = subgroup_generated(a).codes
+    target = len(subgroup_generated(a))
     apm = symmetrized(a)
     cur = apm
     h = 1
-    while not np.array_equal(cur.codes, target):
+    while len(cur) < target:
         h += 1
-        if h > cap:
-            raise PreconditionUnmet("covering-terminates", "cap hit")
         cur = sumset(cur, apm)
     return h
 

@@ -47,7 +47,7 @@ def is_prime(n: int) -> bool:
 def unique_sorted(values) -> np.ndarray:
     """The distinct entries of an array, ascending and flat, as a plain
     `np.unique` gives them, by a sort and a drop of adjacent repeats.  A
-    plain `np.unique` imports `numpy.ma` (about 13 ms) on its first call."""
+    plain `np.unique` imports `numpy.ma` (10–14 ms) on its first call."""
     arr = np.sort(np.asarray(values).reshape(-1))
     keep = np.ones(len(arr), dtype=bool)
     np.not_equal(arr[1:], arr[:-1], out=keep[1:])
@@ -56,8 +56,10 @@ def unique_sorted(values) -> np.ndarray:
 
 def member_mask(values, members) -> np.ndarray:
     """Boolean array, shaped like values, of which entries lie in members:
-    `np.isin` by a binary search of the sorted members (np.isin calls a
-    plain `np.unique` on most inputs)."""
+    `np.isin` by a binary search of the sorted members.  Faster than
+    `np.isin` below about a thousand values (7 against 17 us at 15 values
+    on a 2-vCPU x86_64 VM, numpy 2.4.6), slower beyond; `np.isin` imports
+    no `numpy.ma` there."""
     keys = unique_sorted(members)
     values = np.asarray(values)
     if not len(keys):

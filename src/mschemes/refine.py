@@ -37,7 +37,6 @@ import numpy as np
 from .addcomb import (
     PointSet,
     additive_energy,
-    diff_histogram,
     difference_set,
     sum_histogram,
     sumset,
@@ -224,6 +223,13 @@ def _floor_record(bound_text: str, bound: Fraction, size: int, ell: int,
             "note": f"ell^(-1/eps'^2){note}"}
 
 
+def _sqrt_window(K: Fraction, upper_base: int):
+    """(lo, hi): the integers v with sqrt(K) <= v <= upper_base / sqrt(K)
+    are exactly lo <= v <= hi (K >= 1)."""
+    return (math.isqrt(math.ceil(K) - 1) + 1,
+            math.isqrt(upper_base * upper_base * K.denominator // K.numerator))
+
+
 def _sqrt_bounds(value: int, K: Fraction, upper_base: int):
     """Records for sqrt(K) <= value <= upper_base / sqrt(K), exactly (squared)."""
     v = Fraction(value)
@@ -240,8 +246,11 @@ def _sqrt_bounds(value: int, K: Fraction, upper_base: int):
 
 
 def _z_mask(field, ap: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|A'| x |B| boolean mask of x + y in Z, over code arrays."""
-    return member_mask(field.add_codes(ap[:, None], b[None, :]), z)
+    """|A'| x |B| boolean mask of x + y in Z, over code arrays, read from the
+    indicator of Z over [0, q); a code of Z outside [0, q) is in no sum."""
+    in_z = np.zeros(field.q, dtype=bool)
+    in_z[z[(z >= 0) & (z < field.q)]] = True
+    return in_z[field.add_codes(ap[:, None], b[None, :])]
 
 
 def _z_piece(mask: np.ndarray, ap: np.ndarray, b: np.ndarray, x0) -> list:
@@ -288,8 +297,9 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
         raise PreconditionUnmet("A⊆B^k", "block A has coordinates outside B")
     sig = _block_sums(inst, k, rows)
     ap = unique_sorted(sig)
-    hist = sum_histogram(PointSet.from_codes(f, ap), PointSet.from_codes(f, b_codes))
-    n_b, n_ap, n_sum = len(b_codes), len(ap), len(hist)
+    # nu+(z) = #{(x, y) in A' x B : x + y = z}, counted over [0, q)
+    nu = np.bincount(f.add_codes(ap[:, None], b_codes[None, :]).reshape(-1), minlength=f.q)
+    n_b, n_ap, n_sum = len(b_codes), len(ap), int(np.count_nonzero(nu))
 
     gate_lo = ineq(K * n_ap, "<=", n_sum, note="K|A'|<=|A'+B|")
     gate_hi = ineq(n_sum, "<=", Fraction(n_ap * n_b) / K, note="|A'+B|<=|A'||B|/K")
@@ -297,19 +307,18 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
         raise GateUnmet("K|A'|<=|A'+B|", f"{K * n_ap} > {n_sum}")
     if not gate_hi["holds"]:
         raise GateUnmet("|A'+B|<=|A'||B|/K", f"{n_sum} > {Fraction(n_ap * n_b) / K}")
-    if sum(hist.values()) != n_ap * n_b:
+    if int(nu.sum()) != n_ap * n_b:
         raise LemmaViolation("nu+ mass: sum_z nu+(z) != |A'||B|")
 
-    # sqrt(K) <= nu+(z) <= |B|/sqrt(K), squared and cleared of K's denominator
-    kn, kd = K.numerator, K.denominator
-    window = [z for z in sorted(hist)
-              if hist[z] ** 2 * kd >= kn and hist[z] ** 2 * kn <= n_b ** 2 * kd]
+    nu_lo, nu_hi = _sqrt_window(K, n_b)
+    window = np.flatnonzero((nu >= nu_lo) & (nu <= nu_hi))
     steps = [TraceStep("shrink_weak", "gate", (), {
         "|B|": n_b, "|A'|": n_ap, "|A'+B|": n_sum, "k": k,
     }, [gate_lo, gate_hi])]
 
-    if window:
-        z = window[0]
+    if len(window):
+        z = int(window[0])
+        nu_z = int(nu[z])
         xk1s = f.sub_codes(z, sig)
         hits = np.flatnonzero(member_mask(xk1s, b_codes))
         if not len(hits):
@@ -317,17 +326,17 @@ def shrink_weak(sch: Scheme, b: int, a: BlockRef, K) -> ShrinkOutcome:
         i = int(hits[0])
         prefix = tuple(a_tuples[i].tolist()) + (int(xk1s[i]),)
         t_codes = b_codes[member_mask(f.sub_codes(z, b_codes), ap)].tolist()
-        recs = [ineq(len(t_codes), "==", hist[z], note="|T|=nu+(z)")]
+        recs = [ineq(len(t_codes), "==", nu_z, note="|T|=nu+(z)")]
         recs += _sqrt_bounds(len(t_codes), K, n_b)
         require_ineqs("shrink_weak/nu-window", recs)
         ids = _level1_union_ids(sch.fiber(prefix), t_codes)
         steps.append(TraceStep("shrink_weak", "nu-window", prefix, {
-            "z": z, "nu+(z)": hist[z], "|B'|": len(t_codes),
+            "z": z, "nu+(z)": nu_z, "|B'|": len(t_codes),
         }, recs))
         return ShrinkOutcome("nu-window", prefix, ids, tuple(t_codes), n_b, steps)
 
     # complement branch: every z has nu+(z) < sqrt(K) or > |B|/sqrt(K)
-    z_codes = np.array([z for z in hist if hist[z] ** 2 * kd < kn], dtype=np.int64)
+    z_codes = np.flatnonzero((nu > 0) & (nu < nu_lo))
     mask = _z_mask(f, ap, b_codes, z_codes)
     piece = _z_piece(mask, ap, b_codes, sig[0])
     sizes = set(mask.sum(axis=1).tolist())
@@ -670,35 +679,43 @@ class BsgResult:
         }
 
 
-def _group_convolve(field, fa: dict, fb: dict) -> dict:
-    """z -> sum of fa(z1) fb(z2) over z1 + z2 = z, keyed in first-hit order
-    of the (z1, z2) scan in the dicts' order."""
-    sums = field.add_codes(np.fromiter(fa, np.int64, len(fa))[:, None],
-                           np.fromiter(fb, np.int64, len(fb))[None, :])
-    # int64 is exact while the total mass fits; exact Python ints beyond it
-    dtype = np.int64 if sum(fa.values()) * sum(fb.values()) < 2 ** 63 else object
-    weights = (np.array(list(fa.values()), dtype=dtype)[:, None]
-               * np.array(list(fb.values()), dtype=dtype)[None, :])
-    keys, first, inverse = np.unique(sums.reshape(-1), return_index=True,
-                                     return_inverse=True)
-    totals = np.zeros(len(keys), dtype=dtype)
-    np.add.at(totals, inverse, weights.reshape(-1))
-    return {int(keys[j]): int(totals[j]) for j in np.argsort(first)}
+def _difference_counts(field, b_codes: np.ndarray):
+    """(diffs, nu): the |B| x |B| table of b_i - b_j and its count vector
+    over [0, q), nu(z) = #{(x, y) in B^2 : x - y = z}."""
+    diffs = field.sub_codes(b_codes[:, None], b_codes[None, :])
+    return diffs, np.bincount(diffs.reshape(-1), minlength=field.q)
+
+
+def _group_convolve(field, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Count vector over [0, q) of z -> sum of fa(z1) fb(z2) over
+    z1 + z2 = z, for count vectors fa, fb over [0, q); exact: int64 while
+    the total mass fits, Python ints beyond it."""
+    za, zb = np.flatnonzero(fa), np.flatnonzero(fb)
+    dtype = np.int64 if int(fa.sum()) * int(fb.sum()) < 2 ** 63 else object
+    out = np.zeros(field.q, dtype=dtype)
+    np.add.at(out, field.add_codes(za[:, None], zb[None, :]).reshape(-1),
+              (fa[za].astype(dtype)[:, None] * fb[zb].astype(dtype)[None, :]).reshape(-1))
+    return out
 
 
 def representation_counts(bset: PointSet) -> dict:
-    """w -> #{(x_i, y_i)_{i<=4} in B^8 : (x1-y1)-(x2-y2)-(x3-y3)+(x4-y4) = w}."""
+    """w -> #{(x_i, y_i)_{i<=4} in B^8 : (x1-y1)-(x2-y2)-(x3-y3)+(x4-y4) = w},
+    keys ascending, Python ints."""
     f = bset.field
     # d(-z) = d(z) for the differences of B with itself: d stands for -d too
-    d = diff_histogram(bset, bset)
+    d = _difference_counts(f, bset.codes)[1]
     conv = _group_convolve(f, d, d)
     conv = _group_convolve(f, conv, d)
-    return _group_convolve(f, conv, d)
+    conv = _group_convolve(f, conv, d)
+    support = np.flatnonzero(conv)
+    return dict(zip(support.tolist(), conv[support].tolist()))
 
 
-def _difference_adjacency(field, b_codes: np.ndarray, t_codes) -> np.ndarray:
-    """|B| x |B| mask of b_i - b_j in T: row i is N(b_i), column j is N'(b_j)."""
-    return member_mask(field.sub_codes(b_codes[:, None], b_codes[None, :]), t_codes)
+def _popular_difference_graph(field, b_codes: np.ndarray, gamma: Fraction) -> np.ndarray:
+    """|B| x |B| mask of b_i - b_j in T = {z : nu(z) >= gamma|B|/2}: row i
+    is N(b_i), column j is N'(b_j)."""
+    diffs, nu = _difference_counts(field, b_codes)
+    return (nu >= math.ceil(gamma * len(b_codes) / 2))[diffs]
 
 
 def _low_degree_piece(adj, b_arr, thresh, big_n) -> list:
@@ -758,9 +775,7 @@ def bsg_extract(sch: Scheme, b: int, gamma) -> BsgResult:
     if energy < gamma * n ** 3:
         raise EnergyTooLow("E(B)>=gamma|B|^3",
                            f"E(B)={energy} < {gamma * Fraction(n) ** 3}")
-    nu = diff_histogram(b_ps, b_ps)
-    t_codes = [z for z, c in nu.items() if c >= gamma * n / 2]
-    adj = _difference_adjacency(f, b_codes, t_codes)
+    adj = _popular_difference_graph(f, b_codes, gamma)
     n_sizes = set(adj.sum(axis=1).tolist())
     np_sizes = set(adj.sum(axis=0).tolist())
     if len(n_sizes) != 1 or len(np_sizes) != 1:
@@ -1197,7 +1212,19 @@ def _size_split(sch: Scheme, codes, n_lo: Fraction, n_hi: Fraction):
 
 def _search_small_union(sch: Scheme, b_codes: np.ndarray, x: int, lo: Fraction,
                         hi: Fraction):
-    """Scan fibres (x, y) for a level-1 block union inside B sized in [lo, hi]."""
+    """Scan fibres (x, y) for a level-1 block union inside B sized in [lo, hi].
+
+    `density_reduce` calls it with x = min B and lo = 1, so at its first
+    fibre, (x, x), it returns ((x, x), (x,)) whenever sch.m >= 3 and
+    hi >= 1: on an orbit scheme {x} is a level-1 block of that fibre, as
+    Stab(x) fixes x, and it has the least id of the blocks inside B, as ids
+    follow each block's least member.  (An explicit scheme does the same
+    whenever {x} is such a block.)  So None, and the LemmaViolation that
+    `density_reduce` raises on it, take m < 3 (sch.m < 3, or the fibre
+    after sch.m - 2 halvings) or hi = |B|/K < 1, that is K > |B|.  A start
+    with sch.m < 3 or K > |B| fails the precondition m >= 4k'+2 or
+    |B| > K, which `strict` raises on.
+    """
     if sch.m < 3:
         return None
     for y in b_codes.tolist():

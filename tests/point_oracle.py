@@ -13,7 +13,10 @@ dual vectors of a Fourier context in `itertools.product` order.
 
 And the additive-energy quadruple loop, the oracle of the array count in
 `addcomb.additive_energy_oracle`, with the JSON and vector interchange of
-point sets that only the tests use; the scalar Gauss-Jordan loop, the
+point sets that only the tests use; the sort-based point-set arithmetic
+that counting over [0, q) replaced in `addcomb` and `refine` (`np.unique`
+sumsets and dict histograms of the pair sums, the dict group convolution
+and the representation counts and covering number built on them); the scalar Gauss-Jordan loop, the
 oracle of the whole-row updates in `gf_linalg.rref_mod`; the defining
 Fourier sum, one character value per member, the oracle of
 `FourierContext.all_coeffs`; and the breadth-first closure of subgroups, the
@@ -261,3 +264,71 @@ def from_json(text):
         return from_vectors(field, obj["points"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad point-set JSON: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# sort-based point-set arithmetic: the oracles of the counting paths
+# ---------------------------------------------------------------------------
+
+
+def pair_sums(a, b):
+    """x + y over (x, y) in A x B, x-major."""
+    return a.field.add_codes(a.codes[:, None], b.codes[None, :]).reshape(-1)
+
+
+def sorted_set(f, codes):
+    """The set of the given codes by `np.unique`: a sort, not a mask."""
+    return PointSet(f, np.unique(np.asarray(codes, dtype=np.int64)))
+
+
+def sumset(a, b):
+    return sorted_set(a.field, pair_sums(a, b))
+
+
+def negate(a):
+    return sorted_set(a.field, a.field.neg_codes(a.codes))
+
+
+def symmetrized(a):
+    return sorted_set(a.field, np.concatenate([a.codes, negate(a).codes, [0]]))
+
+
+def sum_histogram(a, b):
+    """dict z -> #{(x,y) in A x B : x + y = z} from `np.unique` counts."""
+    vals, counts = np.unique(pair_sums(a, b), return_counts=True)
+    return dict(zip(vals.tolist(), counts.tolist()))
+
+
+def group_convolve(field, fa, fb):
+    """z -> sum of fa(z1) fb(z2) over z1 + z2 = z for dict histograms,
+    keyed in first-hit order of the (z1, z2) scan in the dicts' order; exact
+    (int64 while the total mass fits, Python ints beyond it)."""
+    sums = field.add_codes(np.fromiter(fa, np.int64, len(fa))[:, None],
+                           np.fromiter(fb, np.int64, len(fb))[None, :])
+    dtype = np.int64 if sum(fa.values()) * sum(fb.values()) < 2 ** 63 else object
+    weights = (np.array(list(fa.values()), dtype=dtype)[:, None]
+               * np.array(list(fb.values()), dtype=dtype)[None, :])
+    keys, first, inverse = np.unique(sums.reshape(-1), return_index=True,
+                                     return_inverse=True)
+    totals = np.zeros(len(keys), dtype=dtype)
+    np.add.at(totals, inverse, weights.reshape(-1))
+    return {int(keys[j]): int(totals[j]) for j in np.argsort(first)}
+
+
+def representation_counts(bset):
+    """The 4-fold convolution of the difference histogram of B by dicts."""
+    f = bset.field
+    d = sum_histogram(bset, negate(bset))
+    conv = group_convolve(f, d, d)
+    conv = group_convolve(f, conv, d)
+    return group_convolve(f, conv, d)
+
+
+def covering_number(a):
+    """Least h with h * A^± = ⟨A⟩ by iterated sorted sumsets."""
+    target = span_points(a.field, a.codes)
+    apm = symmetrized(a)
+    cur, h = apm, 1
+    while cur.codes.tolist() != target:
+        cur, h = sumset(cur, apm), h + 1
+    return h

@@ -16,7 +16,7 @@ import numpy as np
 from mschemes.addcomb import PointSet, diff_histogram
 from mschemes.antisym import GenStep
 from mschemes.gf_linalg import enumerate_linmaps
-from mschemes.refine import _difference_adjacency, _level1_union_ids
+from mschemes.refine import _level1_union_ids
 from mschemes.scheme_core import ValidationReport, Violation
 from point_oracle import block_members
 
@@ -134,7 +134,7 @@ def bsg_neighbourhood_scan(sch, b, gamma):
     t_set = {z for z, c in diff_histogram(b_ps, b_ps).items()
              if c >= gamma * len(b_codes) / 2}
     b_arr = np.array(b_codes, dtype=np.int64)
-    adj = _difference_adjacency(f, b_arr, sorted(t_set))
+    adj = np.isin(f.sub_codes(b_arr[:, None], b_arr[None, :]), sorted(t_set))
     for i, x in enumerate(b_codes):
         fibx = sch.fiber((x,))
         _level1_union_ids(fibx, b_arr[adj[i]])

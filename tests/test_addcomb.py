@@ -2,9 +2,8 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import point_oracle as oracle
 from mschemes import addcomb
@@ -90,10 +89,49 @@ def test_sum_histogram_keys_and_counts_are_python_ints():
         a = ps(f, rng.sample(range(f.q), size))
         b = ps(f, rng.sample(range(f.q), max(1, size // 2)))
         hist = sum_histogram(a, b)
-        vals, counts = np.unique(addcomb._pair_sums(f, a, b), return_counts=True)
-        assert hist == {int(z): int(c) for z, c in zip(vals, counts)}
+        assert hist == oracle.sum_histogram(a, b)
         assert list(hist) == sorted(hist)
         assert all(type(z) is int and type(c) is int for z, c in hist.items())
+
+
+# ell in {2, 3, 5, 7}, and F_2^16, the largest q at ell = 2
+COUNT_FIELDS = [Field(2, 5), Field(3, 3), Field(5, 2), Field(7, 2), Field(2, 16)]
+
+
+@st.composite
+def counted_sets(draw, f, max_size):
+    """Point sets of F with the end codes 0 and q - 1 drawn often; may be empty."""
+    codes = st.one_of(st.sampled_from([0, f.q - 1]), st.integers(0, f.q - 1))
+    return ps(f, draw(st.lists(codes, max_size=max_size)))
+
+
+@given(st.sampled_from(COUNT_FIELDS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_counting_paths_match_sort_oracles(f, data):
+    a, b = data.draw(counted_sets(f, 12)), data.draw(counted_sets(f, 12))
+    copy = ps(f, a.codes)  # the same set without a's kept A + A
+    empty = ps(f, [])
+    for x, y in ((a, b), (b, a), (a, a), (a, copy), (a, empty), (empty, empty)):
+        assert sumset(x, y).codes.tolist() == oracle.sumset(x, y).codes.tolist()
+        hist = sum_histogram(x, y)
+        assert list(hist.items()) == list(oracle.sum_histogram(x, y).items())
+        assert all(type(z) is int and type(c) is int for z, c in hist.items())
+        assert (difference_set(x, y).codes.tolist()
+                == oracle.sumset(x, oracle.negate(y)).codes.tolist())
+    energy = sum(c * c for c in oracle.sum_histogram(a, a).values())
+    assert additive_energy(a) == additive_energy(copy) == energy
+    assert additive_energy(empty) == 0 and not len(sumset(empty, a))
+    assert negate(a).codes.tolist() == oracle.negate(a).codes.tolist()
+    assert symmetrized(a).codes.tolist() == oracle.symmetrized(a).codes.tolist()
+
+
+def test_energy_takes_python_ints_past_int64(monkeypatch):
+    # E(A) <= |A|^3 stays exact in int64; past 2^63 the counts turn into
+    # Python ints, which is checked here by faking a huge |A|
+    a = ps(F23, [1, 2, 4, 7])
+    want = additive_energy(ps(F23, [1, 2, 4, 7]))
+    monkeypatch.setattr(PointSet, "__len__", lambda self: 2 ** 21)
+    assert additive_energy(a) == want and type(additive_energy(a)) is int
 
 
 @given(subsets32, subsets32)
@@ -200,6 +238,14 @@ def test_covering_number_definition(a_codes):
     if h > 1:
         assert set(iterated_sumset(h - 1, base).codes) != target
     assert h <= covering_bound(a)
+
+
+@pytest.mark.parametrize("ell, dim, h", [(101, 2, 100), (2, 16, 16)])
+def test_covering_number_of_a_basis(ell, dim, h):
+    # a basis needs every sum of r * floor(ell/2) basis points: the bound
+    # that ends covering_number's loop is reached
+    a = ps(Field(ell, dim), [ell ** i for i in range(dim)])
+    assert covering_number(a) == oracle.covering_number(a) == dim * (ell // 2) == h
 
 
 @given(subsets23)

@@ -91,6 +91,13 @@ def test_sqrt_bounds_exactness(value, K, base):
     assert both == (K <= value * value and value * value * K <= base * base)
 
 
+@given(st.integers(0, 60), st.fractions(1, 100), st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_sqrt_window_is_the_sqrt_bounds(value, K, base):
+    lo, hi = refine._sqrt_window(K, base)
+    assert (lo <= value <= hi) == all(r["holds"] for r in _sqrt_bounds(value, K, base))
+
+
 def test_z_slice_sizes_definition():
     f = Field(2, 3)
     sizes = z_slice_sizes(f, [1, 2], [1, 2, 3], {0, 3})
@@ -320,6 +327,12 @@ def test_representation_counts_vs_loop():
     assert conv == expect
 
 
+def _count_vector(f, hist: dict) -> np.ndarray:
+    vec = np.zeros(f.q, dtype=np.int64)
+    vec[list(hist)] = list(hist.values())
+    return vec
+
+
 def test_group_convolve_matches_loop():
     f = Field(3, 2)
     rng = random.Random(5)
@@ -333,9 +346,24 @@ def test_group_convolve_matches_loop():
                 for z2, c2 in fb.items():
                     z = oracle.add(f, z1, z2)
                     expect[z] = expect.get(z, 0) + c1 * c2
-            got = refine._group_convolve(f, fa, fb)
-            assert list(got.items()) == list(expect.items())
-            assert all(type(k) is int and type(v) is int for k, v in got.items())
+            got = refine._group_convolve(f, _count_vector(f, fa), _count_vector(f, fb))
+            assert got.dtype == (object if big > 1 and fa and fb else np.int64)
+            support = np.flatnonzero(got)
+            hist = dict(zip(support.tolist(), got[support].tolist()))
+            assert hist == expect == oracle.group_convolve(f, fa, fb)
+            assert all(type(k) is int and type(v) is int for k, v in hist.items())
+
+
+@given(st.sampled_from([Field(2, 4), Field(3, 2), Field(5, 2), Field(7, 2), Field(2, 16)]),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_representation_counts_match_dict_convolution(f, data):
+    codes = st.one_of(st.sampled_from([0, f.q - 1]), st.integers(0, f.q - 1))
+    bset = PointSet.from_codes(f, data.draw(st.lists(codes, max_size=5)))
+    got = representation_counts(bset)
+    assert got == oracle.representation_counts(bset)
+    assert list(got) == sorted(got)
+    assert all(type(w) is int and type(c) is int for w, c in got.items())
 
 
 def _bsg_oracle(sch, gamma):
@@ -399,8 +427,8 @@ def test_bsg_extract_matches_brute_force(params, gamma):
     sch = mul_coset_scheme(*params, m=4)
     f = sch.field
     b = sorted(sch.level1_block_set(0))
-    t_set, neigh, coneigh, piece, worst = _bsg_oracle(sch, gamma)
-    adj = refine._difference_adjacency(f, np.array(b), sorted(t_set))
+    _, neigh, coneigh, piece, worst = _bsg_oracle(sch, gamma)
+    adj = refine._popular_difference_graph(f, np.array(b), gamma)
     for i, x in enumerate(b):
         assert {b[j] for j in range(len(b)) if adj[i, j]} == neigh[x]
         assert {b[j] for j in range(len(b)) if adj[j, i]} == coneigh[x]
@@ -408,6 +436,20 @@ def test_bsg_extract_matches_brute_force(params, gamma):
     assert len(piece) < len(b)
     assert res.points == tuple(piece) and res.x == b[0]
     assert res.inequalities[-1]["rhs"] == str(worst)
+
+
+def test_popular_difference_graph_threshold_is_inclusive():
+    # gamma|B|/2 set to each count nu(z) in turn: z with nu(z) equal to it is in T
+    sch = mul_coset_scheme(3, 4, 10, 1, 0, m=4)
+    f = sch.field
+    b = sch.level1_block_set(0).tolist()
+    nu = {}
+    for x in b:
+        for y in b:
+            nu[oracle.sub(f, x, y)] = nu.get(oracle.sub(f, x, y), 0) + 1
+    for c in sorted(set(nu.values())):
+        adj = refine._popular_difference_graph(f, np.array(b), Fraction(2 * c, len(b)))
+        assert adj.tolist() == [[nu[oracle.sub(f, x, y)] >= c for y in b] for x in b]
 
 
 def test_bsg_energy_gate():
@@ -587,6 +629,34 @@ def test_density_reduce_case1_search_recomputes():
     ids = {int(fib.level(1).bid[fib.instance.tuple_index((c,))]) for c in res.points}
     union = sorted(c for i in ids for c in fib.level1_block_set(i).tolist())
     assert union == sorted(res.points) and set(union) <= set(b.tolist())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gl_orbit_scheme(2, 4, 3), lambda: gl_orbit_scheme(3, 2, 3),
+    lambda: c11_c5_scheme(3), lambda: mul_coset_scheme(2, 6, 9, 1, 0, m=3),
+], ids=["gl-2-4", "gl-3-2", "c11-c5", "mul-coset"])
+def test_search_small_union_returns_min_point_singleton(build):
+    # at m >= 3 and hi >= 1 the first fibre, (x, x) with x = min B, holds
+    # {x} as its least block inside B; at m = 2 or hi < 1 the scan finds none
+    sch = build()
+    b = sch.level1_block_set(0)
+    x = int(b[0])
+    for hi in (Fraction(1), Fraction(len(b))):
+        assert refine._search_small_union(sch, b, x, Fraction(1), hi) == ((x, x), (x,))
+    assert refine._search_small_union(sch, b, x, Fraction(1), Fraction(1, 2)) is None
+    two = Scheme(sch.instance, 2, levels=[sch.level(1), sch.level(2)])
+    assert refine._search_small_union(two, b, x, Fraction(1), Fraction(len(b))) is None
+
+
+@pytest.mark.parametrize("m, K", [(2, 2), (30, 16)])
+def test_density_reduce_case1_search_fails_at_m2_or_k_above_b(m, K):
+    # the pinned case1-search instance at m = 2, or with K = 16 > |B| = 15
+    # (hi = 15/16 < 1): halving still fails and the fibre search finds no piece
+    sch = gl_orbit_scheme(2, 4, m)
+    params = RefineParams(K=K, k=1, r=2, eps=Fraction(1, 4), gamma=Fraction(19, 20),
+                          strict=False, r_shrink=0)
+    with pytest.raises(LemmaViolation, match="halving failed and no fibre piece"):
+        density_reduce(sch, 0, params)
 
 
 def test_heavy_count_is_taken_before_the_kernel_filter():

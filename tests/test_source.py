@@ -1,4 +1,6 @@
-"""Every name a module of `mschemes` imports is used in that module."""
+"""Source checks on `mschemes`: every name a module imports is used in that
+module, and no call to `np.unique` is a plain one (without a `return_*`
+keyword), which imports `numpy.ma` on its first call, 10–14 ms."""
 import ast
 import pathlib
 
@@ -31,3 +33,26 @@ def test_no_unused_imports():
     unused = {path.name: found for path in modules
               if (found := _unused_imports(ast.parse(path.read_text())))}
     assert not unused
+
+
+def _plain_unique_calls(tree: ast.Module) -> list:
+    """Lines of the calls to `np.unique` or `numpy.unique` that pass no
+    `return_*` keyword."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and not any((k.arg or "").startswith("return_") for k in node.keywords)]
+
+
+def test_scan_finds_a_plain_unique():
+    tree = ast.parse("np.unique(a)\nnp.unique(a, return_counts=True)\n"
+                     "numpy.unique(a, axis=0)\nnp.unique(a, return_inverse=k)\n")
+    assert _plain_unique_calls(tree) == [1, 3]
+
+
+def test_no_plain_np_unique():
+    modules = sorted(PACKAGE.glob("*.py"))
+    plain = {path.name: found for path in modules
+             if (found := _plain_unique_calls(ast.parse(path.read_text())))}
+    assert not plain
