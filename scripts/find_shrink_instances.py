@@ -13,7 +13,7 @@ import sys
 import time
 
 from mschemes import refine
-from mschemes.instances import find_shrink_instances, mul_coset_scheme
+from mschemes.instances import find_shrink_instances
 
 
 def main() -> int:

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyReference, FieldMismatch, InputError
-from .gf_linalg import Field, member_mask, span_dim, span_points, unique_sorted
+from .gf_linalg import Field, span_dim, span_points, unique_sorted
 
 # comparisons per chunk of the energy oracle's quadruple count: its boolean
 # temporary stays near 8 MB whatever |A| is
@@ -68,7 +68,7 @@ class PointSet:
 
     @cached_property
     def _span(self) -> "PointSet":
-        return PointSet(self.field, np.array(span_points(self.field, self.codes), dtype=np.int64))
+        return PointSet(self.field, span_points(self.field, self.codes))
 
 
 def _require_same_field(*sets: PointSet):
@@ -138,14 +138,6 @@ def subgroup_generated(a: PointSet) -> PointSet:
     if not len(a):
         raise EmptyReference("subgroup generated by empty set")
     return a._span
-
-
-def density_in(a: PointSet, b: PointSet) -> Fraction:
-    """mu_B(A) = |A ∩ B| / |B|, exact."""
-    _require_same_field(a, b)
-    if not len(b):
-        raise EmptyReference("density relative to empty set")
-    return Fraction(int(member_mask(a.codes, b.codes).sum()), len(b))
 
 
 def density(a: PointSet) -> Fraction:

@@ -45,9 +45,8 @@ from .gf_linalg import (
     linmap_count,
     radix_digits,
     radix_weights,
-    rank_mod,
-    span_basis,
-    span_points,
+    rref_mod,
+    span_dim,
 )
 from .group_orbits import on_tuples
 from .scheme_core import Scheme, SchemeInstance
@@ -444,28 +443,28 @@ def _restrict_entries(sch: Scheme, cert: Certificate, keep_points) -> Certificat
                        frozenset(np.flatnonzero(result).tolist()))
 
 
-def boolean_intersect(sch: Scheme, a: Certificate, b: Certificate) -> Certificate:
-    """Intersection certificate; needs a.k + b.k <= m."""
+def _boolean(sch: Scheme, a: Certificate, b: Certificate, points: frozenset,
+             name: str, formula: str) -> Certificate:
+    """Certificate for `points`, a subset of A built from A and B, by
+    restricting A's entries to it; needs a.k + b.k <= m."""
     if a.prefix != b.prefix or a.prefix != sch.prefix:
         raise InputError("certificates live on different fibres")
     if a.k + b.k > sch.m:
         raise PreconditionUnmet("k+k'<=m", f"{a.k}+{b.k} > {sch.m}")
-    out = _restrict_entries(sch, a, a.points & b.points)
-    if out.points != a.points & b.points:
-        raise LemmaViolation("intersection certificate does not reproduce A ∩ B")
+    out = _restrict_entries(sch, a, points)
+    if out.points != points:
+        raise LemmaViolation(f"{name} certificate does not reproduce {formula}")
     return out
+
+
+def boolean_intersect(sch: Scheme, a: Certificate, b: Certificate) -> Certificate:
+    """Intersection certificate; needs a.k + b.k <= m."""
+    return _boolean(sch, a, b, a.points & b.points, "intersection", "A ∩ B")
 
 
 def boolean_difference(sch: Scheme, a: Certificate, b: Certificate) -> Certificate:
     """Difference certificate A \\ B; needs a.k + b.k <= m."""
-    if a.prefix != b.prefix or a.prefix != sch.prefix:
-        raise InputError("certificates live on different fibres")
-    if a.k + b.k > sch.m:
-        raise PreconditionUnmet("k+k'<=m", f"{a.k}+{b.k} > {sch.m}")
-    out = _restrict_entries(sch, a, a.points - b.points)
-    if out.points != a.points - b.points:
-        raise LemmaViolation("difference certificate does not reproduce A \\ B")
-    return out
+    return _boolean(sch, a, b, a.points - b.points, "difference", "A \\ B")
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +507,16 @@ def _sum_decomposition(sch: Scheme, target: int, t: int):
     return terms
 
 
+def _extension_points(field, W, Wp) -> list:
+    """Points of W' that extend a basis of W to one of W', ascending: each is
+    the least point of W' outside the span of W and the points before it,
+    that is a pivot column past |W| of the points of W, then of W'
+    ascending, as columns."""
+    points = sorted(W) + sorted(Wp)
+    _, pivots = rref_mod(field.decode_batch(points).T, field.ell)
+    return [points[p] for p in pivots if p >= len(W)]
+
+
 def extend_subspace(sch: Scheme, cert: Certificate, target_points, t: int):
     """From a constructible subspace W to a larger W' ⊆ W + t(F·S).
 
@@ -519,29 +528,20 @@ def extend_subspace(sch: Scheme, cert: Certificate, target_points, t: int):
     Wp = frozenset(int(c) for c in target_points)
     if not W <= Wp:
         raise PreconditionUnmet("W⊆W'", "target does not contain W")
-    basis_w = span_basis(f, W)
-    basis_wp = span_basis(f, Wp)
-    if set(span_points(f, W)) != set(W) or set(span_points(f, Wp)) != set(Wp):
+    dim_w, dim_wp = span_dim(f, W), span_dim(f, Wp)
+    # a set lies in its span, so it is a subspace iff it is as large
+    if len(W) != f.ell ** dim_w or len(Wp) != f.ell ** dim_wp:
         raise InputError("extend_subspace needs actual subspaces")
-    d = basis_wp.shape[0] - basis_w.shape[0]
+    d = dim_wp - dim_w
     if d == 0:
         return (), cert
     k = cert.k
     if k + 2 * d * t > sch.m:
         raise PreconditionUnmet("k+2dt<=m", f"{k}+2*{d}*{t} > {sch.m}")
 
-    # pick basis vectors of W' over W and decompose each into t cone terms
-    reps = []
-    have = list(f.decode_batch(sorted(W)))
-    for c in sorted(Wp):
-        aug = np.vstack(have + [f.decode_batch([c])[0]])
-        if rank_mod(aug, f.ell) > rank_mod(np.vstack(have), f.ell):
-            reps.append(c)
-            have.append(f.decode_batch([c])[0])
-        if len(reps) == d:
-            break
+    # each basis point of W' over W as a sum of t cone terms
     decomps = []
-    for c in reps:
+    for c in _extension_points(f, W, Wp):
         terms = _sum_decomposition(sch, c, t)
         if terms is None:
             raise PreconditionUnmet("W'⊆W+t(F·S)", f"point {c} not a {t}-fold cone sum")

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ArityMismatch, CapExceeded, EmptyReference
-from .gf_linalg import Field, digit_rows, member_mask, span_basis
+from .gf_linalg import Field, digit_rows, member_mask, span_basis, span_grid
 
 GUARD = 1e-9
 CAP_GROUP_ORDER = 2 ** 16
@@ -75,12 +75,8 @@ class FourierContext:
         order = field.ell ** r
         if order > CAP_GROUP_ORDER:
             raise CapExceeded("fourier group order", order, CAP_GROUP_ORDER)
-        # every coordinate row times the basis (encode_batch reduces mod ell),
-        # then sorted by point code
-        combos = digit_rows(field, r)
-        group = field.encode_batch(combos @ basis)
-        perm = np.argsort(group)
-        return FourierContext(field, basis, group[perm], combos[perm], combos)
+        group, coords = span_grid(field, basis)
+        return FourierContext(field, basis, group, coords, digit_rows(field, r))
 
     @property
     def rank(self) -> int:

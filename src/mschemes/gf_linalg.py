@@ -352,19 +352,13 @@ def nullspace_basis_mod(matrix, ell: int) -> np.ndarray:
         n = mat.shape[1] if mat.ndim == 2 else 0
         return np.eye(n, dtype=np.int64)
     red, pivots = rref_mod(mat, ell)
-    ncols = red.shape[1]
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        vec = np.zeros(ncols, dtype=np.int64)
-        vec[f] = 1
-        for r, p in enumerate(pivots):
-            vec[p] = (-red[r, f]) % ell
-        basis.append(vec)
-    if not basis:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.stack(basis)
+    pivots = list(pivots)
+    free = np.delete(np.arange(red.shape[1]), pivots)
+    # row i: 1 at free column free[i], -red[r, free[i]] at pivot column r
+    basis = np.zeros((len(free), red.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -red[:len(pivots), free].T % ell
+    return basis
 
 
 def span_basis(field: Field, codes: Iterable[int]) -> np.ndarray:
@@ -381,9 +375,18 @@ def span_dim(field: Field, codes: Iterable[int]) -> int:
     return span_basis(field, codes).shape[0]
 
 
-def span_points(field: Field, codes: Iterable[int]) -> list:
-    """All point codes of the subgroup generated by the given points, as
-    sorted Python ints: every coefficient row over the rref basis, which are
-    independent, so the points are distinct."""
-    basis = span_basis(field, codes)
-    return np.sort(field.encode_batch(digit_rows(field, basis.shape[0]) @ basis)).tolist()
+def span_grid(field: Field, basis: np.ndarray):
+    """(codes, coords) of the span of r independent rows: its ell^r point
+    codes, ascending, and row i of coords, the coordinates of codes[i] over
+    those rows.  The coordinate rows are `digit_rows(field, r)`, reordered;
+    independence makes the codes distinct."""
+    coords = digit_rows(field, basis.shape[0])
+    codes = field.encode_batch(coords @ basis)
+    order = np.argsort(codes)
+    return codes[order], coords[order]
+
+
+def span_points(field: Field, codes: Iterable[int]) -> np.ndarray:
+    """All point codes of the subgroup generated by the given points, as a
+    sorted int64 array."""
+    return span_grid(field, span_basis(field, codes))[0]

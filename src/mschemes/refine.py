@@ -178,6 +178,19 @@ def _level1_union_ids(sch: Scheme, codes) -> frozenset:
     return sch.level(1).ids_as_union(sch.instance.pos(codes))
 
 
+def _span_density(field, codes, K=1):
+    """(|<B>|, mu(B) = |B|/|<B>|, t = floor(3K/(2 mu(B))) + 1) for the point
+    codes of B, exactly."""
+    span_size = field.ell ** span_dim(field, codes)
+    mu = Fraction(len(codes), span_size)
+    return span_size, mu, int(3 * K / (2 * mu)) + 1
+
+
+def _hub(heavy) -> frozenset:
+    """H, the intersection of the kernels of the heavy characters."""
+    return frozenset.intersection(*[h.kernel for h in heavy])
+
+
 def _blocks_inside(sch: Scheme, codes: np.ndarray) -> np.ndarray:
     """Ids, ascending, of the level-1 blocks of sch inside the point set
     codes (a subset of S): every member of the block's run in `order` is in
@@ -425,7 +438,9 @@ def partial_sumset_search(sch: Scheme, b: int, K):
     f = inst.field
     b_codes = sch.level1_block_set(b)
     n_b = len(b_codes)
-    span_size = f.ell ** span_dim(f, b_codes)
+    span_size, _, _ = _span_density(f, b_codes)
+    if K <= 0:
+        raise PreconditionUnmet("K>0", f"K={K}")
     if n_b < 2 * K * K:
         raise PreconditionUnmet("|B|>=2K^2", f"|B|={n_b}, K={K}")
     rho = math.log2(n_b) / math.log2(span_size) if span_size > 1 else 1.0
@@ -924,7 +939,7 @@ def enumerate_w_family(sch: Scheme, b: int, k: int, max_arity: int = 2,
     constructibility search.  Returns [(subspace frozenset, search record)]."""
     f = sch.field
     b_codes = sch.level1_block_set(b)
-    full = f.ell ** span_dim(f, b_codes)
+    full, _, _ = _span_density(f, b_codes)
     out = []
     for sub in enumerate_subspaces(f, b_codes):
         codim_ok = len(sub) * f.ell ** k >= full
@@ -998,9 +1013,7 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
         raise PreconditionUnmet("0<eps'<1", f"eps'={eps_prime}")
     f = sch.field
     b_codes = sch.level1_block_set(b)
-    span_size = f.ell ** span_dim(f, b_codes)
-    mu = Fraction(len(b_codes), span_size)
-    t = int(Fraction(3, 2) / mu) + 1
+    span_size, mu, t = _span_density(f, b_codes)
     if sch.m < 2 * t + 2:
         raise PreconditionUnmet("m>=2t+2", f"m={sch.m}, t={t}")
     if not 1 <= kp <= sch.m // 4:
@@ -1016,9 +1029,9 @@ def decompose(sch: Scheme, b: int, kp: int, eps_prime,
         }, []))
         return TrivialGate(eps_prime, total_heavy, steps)
 
-    hub = frozenset.intersection(*[h.kernel for h in heavy])
+    hub = _hub(heavy)
     leaves = sorted(
-        {frozenset(span_points(f, set(hub) | {x})) for x in b_codes.tolist()},
+        {frozenset(span_points(f, hub | {x}).tolist()) for x in b_codes.tolist()},
         key=lambda s: sorted(s),
     )
     b_set = set(b_codes.tolist())
@@ -1099,8 +1112,7 @@ def two_case_check(sch: Scheme, b: int, k: int, eps):
     eps = Fraction(eps)
     f = sch.field
     b_codes = sch.level1_block_set(b)
-    mu = Fraction(len(b_codes), f.ell ** span_dim(f, b_codes))
-    t = int(Fraction(3, 2) / mu) + 1
+    _, mu, t = _span_density(f, b_codes)
     kp = k * (t + 1)
     eps_prime = eps / f.ell ** k
     if sch.m < 2 * kp:
@@ -1175,10 +1187,10 @@ def _compute_w(sch: Scheme, b: int, x: int, params: RefineParams) -> np.ndarray:
     _, heavy = compute_heavy_set(sch, b, eps_prime, params.search_arity,
                                  params.search_prefix)
     if heavy:
-        gens = set(frozenset.intersection(*[h.kernel for h in heavy])) | {x}
+        gens = _hub(heavy) | {x}
     else:
         gens = sch.level1_block_set(b)
-    return np.array(span_points(f, gens), dtype=np.int64)
+    return span_points(f, gens)
 
 
 def _size_split(sch: Scheme, codes, n_lo: Fraction, n_hi: Fraction):
@@ -1256,9 +1268,7 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
     K, k, r, eps, gamma = params.K, params.k, params.r, params.eps, params.gamma
     b_codes = sch.level1_block_set(b)
     n0 = len(b_codes)
-    span0 = f.ell ** span_dim(f, b_codes)
-    mu = Fraction(n0, span0)
-    t = int(3 * K / (2 * mu)) + 1
+    span0, mu, t = _span_density(f, b_codes, K)
     kp = k * (t + 2)
     eps_prime = eps / f.ell ** k
     checks = []
@@ -1290,12 +1300,9 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
     mu_w = Fraction(int(member_mask(cur_codes, w_sub).sum()), len(w_sub))
     require("eps<=mu_W(B)/2", eps <= mu_w / 2, f"eps={eps}, mu_W(B)={mu_w}")
 
-    outcome = None
     n_hi = Fraction(n0) / K
 
     for i in range(1, r + 1):
-        if outcome:
-            break
         inter = cur_codes[member_mask(cur_codes, w_sub)]
         fibx = cur.fiber((x,))
         _level1_union_ids(fibx, inter)  # B ∩ W is a fibre-level block union
@@ -1308,8 +1315,8 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
             require_ineqs("density_reduce/case1", recs)
             steps.append(TraceStep("density_reduce", "case1-direct",
                                    prefix + (x,), sizes, recs))
-            prefix, final_pts, outcome = prefix + (x,), tuple(inter.tolist()), "case1"
-            break
+            return ReduceResult("case1", prefix + (x,), tuple(inter.tolist()), n0,
+                                steps, checks)
         split = _size_split(fibx, inter, n_hi / 2, n_hi)
         if split[0] == "window":
             pts = split[1]
@@ -1320,8 +1327,7 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
             require_ineqs("density_reduce/split", recs)
             steps.append(TraceStep("density_reduce", "case1-split",
                                    prefix + (x,), sizes, recs))
-            prefix, final_pts, outcome = prefix + (x,), pts, "case1"
-            break
+            return ReduceResult("case1", prefix + (x,), pts, n0, steps, checks)
         _, blk_id, blk_pts = split
         y = int(blk_pts[0])
         wp_sub = _compute_w(fibx, blk_id, y, params)
@@ -1353,76 +1359,71 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
                                  "ell^(-1/eps'^2)|B|/K floor")
         steps.append(TraceStep("density_reduce", "case1-search",
                                prefix + (x1, y1), sizes, recs))
-        prefix, final_pts, outcome = prefix + (x1, y1), pts, "case1"
-        break
+        return ReduceResult("case1", prefix + (x1, y1), pts, n0, steps, checks)
 
-    if outcome is None:
-        # cardinality reduction on U(0) = B' ∩ W
-        r2 = params.r_shrink if params.r_shrink is not None else r
-        u_codes = cur_codes[member_mask(cur_codes, w_sub)]
-        fibx = cur.fiber((x,))
-        _level1_union_ids(fibx, u_codes)
-        cur2, prefix = fibx, prefix + (x,)
-        for i in range(1, r2 + 1):
-            n_u = len(u_codes)
-            sizes = {"round": i, "|U|": n_u}
-            if Fraction(n_u) <= n_hi:
-                steps.append(TraceStep("density_reduce", "carry", prefix, sizes, []))
-                continue
-            u_ps = PointSet.from_codes(f, u_codes)
-            energy = additive_energy(u_ps)
-            egate = ineq(energy, "<", gamma * Fraction(n_u) ** 3,
-                         note="E(U)<gamma|U|^3")
-            if not egate["holds"]:
-                raise PreconditionUnmet(
-                    "E(U)<gamma|U|^3",
-                    f"E={energy} >= {gamma * Fraction(n_u) ** 3}; the "
-                    "high-energy branch needs the asymptotic gamma regime")
-            hist = sum_histogram(u_ps, u_ps)
-            sum_support = len(hist)
-            recs = [egate,
-                    ineq(sum_support, "<=", K * K * n_u, note="|U+U|<=K^2|U|")]
-            thr = Fraction(n_u) / (2 * K * K)
-            t_zs = sorted(z for z, c in hist.items() if Fraction(c) >= thr)
-            mass = sum(hist[z] for z in t_zs)
-            recs.append(ineq(Fraction(n_u) ** 2, "<=", 2 * mass,
-                             note="sum_T nu+>=|U|^2/2"))
-            z0 = min(t_zs, key=lambda z: (hist[z], z))
-            recs.append(ineq(hist[z0], "<=", 2 * gamma * n_u,
-                             note="nu+(z0)<=2gamma|U|"))
-            recs.append(ineq(thr, "<=", hist[z0], note="nu+(z0)>=|U|/(2K^2)"))
-            require_ineqs("density_reduce/cardinality", recs)
-            partners = f.sub_codes(z0, u_codes)
-            in_u = member_mask(partners, u_codes)
-            hits = np.flatnonzero(in_u)
-            if not len(hits):
-                raise LemmaViolation("z0 not representable in U + U")
-            pair = (int(u_codes[hits[0]]), int(partners[hits[0]]))
-            if cur2.m < 3:
-                raise DepthExhausted("cardinality round needs two more levels")
-            new_u = u_codes[in_u]
-            recs.append(ineq(len(new_u), "==", hist[z0], note="|U(i)|=nu+(z0)"))
-            require_ineqs("density_reduce/cardinality", recs[-1:])
-            fib2 = cur2.fiber(pair)
-            _level1_union_ids(fib2, new_u)
-            steps.append(TraceStep("density_reduce", "cardinality",
-                                   prefix + pair, {**sizes, "z0": z0,
-                                                   "nu+(z0)": hist[z0]}, recs))
-            cur2 = fib2
-            prefix = prefix + pair
-            u_codes = new_u
-        final_pts = tuple(u_codes.tolist())
-        outcome = "completed"
-        upper = max(Fraction(1) / K, (2 * gamma) ** r2) * n0
-        recs = [ineq(len(u_codes), "<=", upper,
-                     note="|U|<=max{1/K,(2gamma)^r}|B|")]
-        recs.append(_floor_record(f"{n0}/K^3", Fraction(n0) / K ** 3, len(u_codes),
-                                  f.ell, inv_exp, "|B|/K^3<=|U|"))
-        require_ineqs("density_reduce/sandwich", recs)
-        steps.append(TraceStep("density_reduce", "sandwich", prefix,
-                               {"|U(r)|": len(u_codes)}, recs))
-
-    return ReduceResult(outcome, prefix, final_pts, n0, steps, checks)
+    # cardinality reduction on U(0) = B' ∩ W
+    r2 = params.r_shrink if params.r_shrink is not None else r
+    u_codes = cur_codes[member_mask(cur_codes, w_sub)]
+    fibx = cur.fiber((x,))
+    _level1_union_ids(fibx, u_codes)
+    cur2, prefix = fibx, prefix + (x,)
+    for i in range(1, r2 + 1):
+        n_u = len(u_codes)
+        sizes = {"round": i, "|U|": n_u}
+        if Fraction(n_u) <= n_hi:
+            steps.append(TraceStep("density_reduce", "carry", prefix, sizes, []))
+            continue
+        u_ps = PointSet.from_codes(f, u_codes)
+        energy = additive_energy(u_ps)
+        egate = ineq(energy, "<", gamma * Fraction(n_u) ** 3,
+                     note="E(U)<gamma|U|^3")
+        if not egate["holds"]:
+            raise PreconditionUnmet(
+                "E(U)<gamma|U|^3",
+                f"E={energy} >= {gamma * Fraction(n_u) ** 3}; the "
+                "high-energy branch needs the asymptotic gamma regime")
+        hist = sum_histogram(u_ps, u_ps)
+        sum_support = len(hist)
+        recs = [egate,
+                ineq(sum_support, "<=", K * K * n_u, note="|U+U|<=K^2|U|")]
+        thr = Fraction(n_u) / (2 * K * K)
+        t_zs = sorted(z for z, c in hist.items() if Fraction(c) >= thr)
+        mass = sum(hist[z] for z in t_zs)
+        recs.append(ineq(Fraction(n_u) ** 2, "<=", 2 * mass,
+                         note="sum_T nu+>=|U|^2/2"))
+        z0 = min(t_zs, key=lambda z: (hist[z], z))
+        recs.append(ineq(hist[z0], "<=", 2 * gamma * n_u,
+                         note="nu+(z0)<=2gamma|U|"))
+        recs.append(ineq(thr, "<=", hist[z0], note="nu+(z0)>=|U|/(2K^2)"))
+        require_ineqs("density_reduce/cardinality", recs)
+        partners = f.sub_codes(z0, u_codes)
+        in_u = member_mask(partners, u_codes)
+        hits = np.flatnonzero(in_u)
+        if not len(hits):
+            raise LemmaViolation("z0 not representable in U + U")
+        pair = (int(u_codes[hits[0]]), int(partners[hits[0]]))
+        if cur2.m < 3:
+            raise DepthExhausted("cardinality round needs two more levels")
+        new_u = u_codes[in_u]
+        recs.append(ineq(len(new_u), "==", hist[z0], note="|U(i)|=nu+(z0)"))
+        require_ineqs("density_reduce/cardinality", recs[-1:])
+        fib2 = cur2.fiber(pair)
+        _level1_union_ids(fib2, new_u)
+        steps.append(TraceStep("density_reduce", "cardinality",
+                               prefix + pair, {**sizes, "z0": z0,
+                                               "nu+(z0)": hist[z0]}, recs))
+        cur2 = fib2
+        prefix = prefix + pair
+        u_codes = new_u
+    upper = max(Fraction(1) / K, (2 * gamma) ** r2) * n0
+    recs = [ineq(len(u_codes), "<=", upper,
+                 note="|U|<=max{1/K,(2gamma)^r}|B|")]
+    recs.append(_floor_record(f"{n0}/K^3", Fraction(n0) / K ** 3, len(u_codes),
+                              f.ell, inv_exp, "|B|/K^3<=|U|"))
+    require_ineqs("density_reduce/sandwich", recs)
+    steps.append(TraceStep("density_reduce", "sandwich", prefix,
+                           {"|U(r)|": len(u_codes)}, recs))
+    return ReduceResult("completed", prefix, tuple(u_codes.tolist()), n0, steps, checks)
 
 
 # ---------------------------------------------------------------------------

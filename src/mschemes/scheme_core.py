@@ -72,7 +72,7 @@ from .errors import (
     NotBlockUnion,
 )
 from .gf_linalg import (Field, LinMap, digit_rows, linmap, linmap_count, radix_digits,
-                        radix_weights, rref_mod, span_dim, unique_sorted)
+                        radix_weights, rref_mod, span_dim, span_grid, unique_sorted)
 
 # bound on T * n^k * k' entries of the image arrays of one MapSweep chunk
 SWEEP_CHUNK_ENTRIES = 2 ** 17
@@ -134,10 +134,8 @@ class SchemeInstance:
         f = self.field
         _, pivots = rref_mod(f.decode_batch(self.s_array).T, f.ell)
         basis = np.array(pivots, dtype=np.int64)
-        coords = digit_rows(f, len(basis))
-        codes = f.encode_batch(coords @ f.decode_batch(self.s_array[basis]))
-        order = np.argsort(codes)
-        return _read_only(basis), _read_only(codes[order]), _read_only(coords[order])
+        codes, coords = span_grid(f, f.decode_batch(self.s_array[basis]))
+        return _read_only(basis), _read_only(codes), _read_only(coords)
 
     def tuple_count(self, k: int) -> int:
         return self.n ** k

@@ -17,7 +17,10 @@ point sets that only the tests use; the sort-based point-set arithmetic
 that counting over [0, q) replaced in `addcomb` and `refine` (`np.unique`
 sumsets and dict histograms of the pair sums, the dict group convolution
 and the representation counts and covering number built on them); the scalar Gauss-Jordan loop, the
-oracle of the whole-row updates in `gf_linalg.rref_mod`; the defining
+oracle of the whole-row updates in `gf_linalg.rref_mod`, with the
+column-by-column null-space basis and the rank test per point that picks a
+basis of W' over W, the oracles of the rref forms in
+`gf_linalg.nullspace_basis_mod` and `constructible._extension_points`; the defining
 Fourier sum, one character value per member, the oracle of
 `FourierContext.all_coeffs`; and the breadth-first closure of subgroups, the
 oracle of the echelon-form `refine.enumerate_subspaces`.
@@ -30,7 +33,7 @@ import numpy as np
 
 from mschemes.addcomb import PointSet
 from mschemes.errors import CapExceeded, FieldMismatch, InputError
-from mschemes.gf_linalg import Field, linmap, rank_mod, span_points
+from mschemes.gf_linalg import Field, linmap, rank_mod, span_basis, span_points
 
 
 def add(f, a, b):
@@ -129,6 +132,40 @@ def in_span(f, basis, code):
         return code == 0
     aug = np.vstack([basis, f.decode_batch([code])[0]])
     return rank_mod(aug, f.ell) == basis.shape[0]
+
+
+def extension_points_loop(f, W, Wp):
+    """The points of W' that extend a basis of W to one of W', by one rank
+    test per point: each point of W', ascending, is kept when it raises the
+    rank of W and the points kept before it; the oracle of
+    `constructible._extension_points`."""
+    d = span_basis(f, Wp).shape[0] - span_basis(f, W).shape[0]
+    reps = []
+    have = list(f.decode_batch(sorted(W)))
+    for c in sorted(Wp):
+        if len(reps) == d:
+            break
+        row = f.decode_batch([c])[0]
+        if rank_mod(np.vstack(have + [row]), f.ell) > rank_mod(np.vstack(have), f.ell):
+            reps.append(c)
+            have.append(row)
+    return reps
+
+
+def nullspace_basis_loop(matrix, ell):
+    """Basis rows of {x : matrix @ x = 0 (mod ell)}, one per free column of
+    the rref, built column by column; the oracle of
+    `gf_linalg.nullspace_basis_mod`."""
+    red, pivots = rref_mod_loop(matrix, ell)
+    ncols = red.shape[1]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = np.zeros(ncols, dtype=np.int64)
+        vec[f] = 1
+        for r, p in enumerate(pivots):
+            vec[p] = (-red[r, f]) % ell
+        basis.append(vec)
+    return np.stack(basis) if basis else np.zeros((0, ncols), dtype=np.int64)
 
 
 def rref_mod_loop(matrix, ell):
@@ -326,7 +363,7 @@ def representation_counts(bset):
 
 def covering_number(a):
     """Least h with h * A^± = ⟨A⟩ by iterated sorted sumsets."""
-    target = span_points(a.field, a.codes)
+    target = span_points(a.field, a.codes).tolist()
     apm = symmetrized(a)
     cur, h = apm, 1
     while cur.codes.tolist() != target:

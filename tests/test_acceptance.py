@@ -39,7 +39,7 @@ from mschemes.antisym import (
     strong_antisym_check,
 )
 from mschemes.caps import DEFAULT_BUDGET_SATURATION
-from mschemes.errors import DepthExhausted, EnergyTooLow, GateUnmet, PreconditionUnmet
+from mschemes.errors import DepthExhausted, EnergyTooLow, PreconditionUnmet
 from mschemes.fourier import FourierContext
 from mschemes.gf_linalg import Field, enumerate_linmaps, span_points
 from mschemes.group_orbits import DEFAULT_PRIMITIVE_POLY, companion_matrix, frobenius_matrix

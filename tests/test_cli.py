@@ -208,8 +208,9 @@ def test_addcomb_report(capsys):
     assert obj["covering_ok"] and obj["freiman_ruzsa_ok"] and obj["plunnecke_ok"]
 
 
-# one shrink_weak, one bsg_extract and one addcomb past the oracle's 64
-# points, in a fresh interpreter
+# one shrink_weak, one bsg_extract, one addcomb past the oracle's 64 points,
+# then every subcommand on a scheme file and the point-set commands, in one
+# fresh interpreter; it prints whether numpy.ma is loaded after each step
 NO_MASKED_ARRAYS = """
 import contextlib, io, sys
 from fractions import Fraction
@@ -218,21 +219,42 @@ from mschemes.instances import find_shrink_instances, gl_orbit_scheme
 (_, sch), = find_shrink_instances(4, 1)
 refine.shrink_weak(sch, 0, refine.BlockRef(1, 0), 4)
 refine.bsg_extract(gl_orbit_scheme(7, 2, 4), 0, Fraction(1, 3))
-argv = ["addcomb", "--ell", "3", "--dim", "4", "--set", ",".join(map(str, range(1, 66)))]
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(argv) == 0
-print("numpy.ma" in sys.modules)
+print("library", "numpy.ma" in sys.modules)
+GL = '{"kind":"gl"}'
+path = sys.argv[1]
+for argv in [
+    ["addcomb", "--ell", "3", "--dim", "4", "--set", ",".join(map(str, range(1, 66)))],
+    ["gen-orbit", "--ell", "2", "--dim", "3", "--group", GL, "--seed-set", "1",
+     "--m", "2", "--out", path],
+    ["validate", "--in", path],
+    ["antisym", "--in", path],
+    ["fiber", "--in", path, "--fix", "1"],
+    ["addcomb", "--ell", "2", "--dim", "3", "--set", "1,2,3"],
+    ["fourier", "--ell", "2", "--dim", "2", "--set", "1,2,3", "--eps-prime", "1/8"],
+    ["decompose", "--ell", "2", "--dim", "4", "--group", GL, "--seed-set", "1",
+     "--m", "8", "--k", "2", "--eps-prime", "1/4"],
+    ["shrink", "--ell", "2", "--dim", "4", "--group", GL, "--seed-set", "1",
+     "--m", "7", "--K", "2", "--search"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    print(argv[0], "numpy.ma" in sys.modules)
 """
 
 
-def test_library_never_imports_numpy_ma():
-    # a plain np.unique imports numpy.ma (about 13 ms) on its first call
+def test_library_never_imports_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma (about 13 ms) on its first call, and
+    # so can np.intersect1d, np.setdiff1d and np.union1d, which the source
+    # scan does not see
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(mschemes.__file__)))
     env = dict(os.environ, PYTHONPATH=src_dir)
-    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], capture_output=True,
-                          env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS,
+                           str(tmp_path / "scheme.json")],
+                          capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    assert proc.stdout.decode().split() == ["False"]
+    assert proc.stdout.decode().splitlines() == [
+        f"{step} False" for step in ["library", "addcomb", "gen-orbit", "validate", "antisym",
+                                     "fiber", "addcomb", "fourier", "decompose", "shrink"]]
 
 
 def test_addcomb_energy_oracle_gate_at_64_points(capsys):
@@ -385,6 +407,8 @@ def test_malformed_code_list_is_input_error(capsys, argv, token):
     (["fourier", *GL3[:4], "--set", "1,2", "--eps-prime", "1/0"], "--eps-prime '1/0'"),
     (["decompose", *GL42, "--eps-prime", "1/0"], "--eps-prime '1/0'"),
     ([*SHRINK_GL3, "--K", "x"], "--K 'x'"),
+    ([*README_DEEP[1][:-2], "0", "--search"], "K>0 (K=0)"),
+    ([*README_DEEP[1][:-2], "-1", "--search"], "K>0 (K=-1)"),
     (["validate", *GL3[:4], "--group", '{"kind":"gl"', "--seed-set", "1", "--m", "2"],
      "not JSON"),
     (["validate", *GL3[:4], "--group", "[1]", "--seed-set", "1", "--m", "2"],
@@ -399,7 +423,8 @@ def test_malformed_code_list_is_input_error(capsys, argv, token):
       "--seed-set", "1", "--m", "2"], "'poly' is not a 1-deep list of integers"),
     (["validate", "--in", "no-such-scheme.json"], "no-such-scheme.json"),
     (["validate", "--in", "."], "directory"),
-], ids=["eps-abc", "eps-zero-den", "decompose-eps", "K-x", "spec-json", "spec-list",
+], ids=["eps-abc", "eps-zero-den", "decompose-eps", "K-x", "search-K-zero",
+        "search-K-negative", "spec-json", "spec-list",
         "spec-no-generators", "spec-str-entry", "spec-float-poly", "spec-zero-poly",
         "in-missing", "in-dir"])
 def test_malformed_flag_value_is_input_error(capsys, argv, message):

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import atom_oracle
 import point_oracle as oracle
@@ -11,6 +12,7 @@ from mschemes import instances
 from mschemes.constructible import (
     Certificate,
     _atom_index,
+    _extension_points,
     _restrict_entries,
     _sum_decomposition,
     boolean_difference,
@@ -483,6 +485,28 @@ def test_extend_subspace():
     assert [(tuple(row[0] for row in tau.coeffs), b) for tau, b in cert.entries] == [
         (col, b) for col in [(0, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 1, 1, 0, 0), (0, 1, 1, 1, 1)]
         for b in (18, 274, 530, 786)]
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(field, W, W') over F_ell^d, ell in {2, 3, 5}: W spanned by up to two
+    drawn points, W' by those and up to three more."""
+    ell = draw(st.sampled_from([2, 3, 5]))
+    f = Field(ell, draw(st.integers(1, {2: 4, 3: 3, 5: 2}[ell])))
+    codes = st.lists(st.integers(0, f.q - 1), max_size=3)
+    gens_w = draw(codes)[:2]
+    gens_wp = gens_w + draw(codes)
+    return (f, frozenset(span_points(f, gens_w).tolist()),
+            frozenset(span_points(f, gens_wp).tolist()))
+
+
+@given(subspace_pairs())
+@settings(max_examples=150, deadline=None)
+def test_extension_points_match_rank_loop(case):
+    f, W, Wp = case
+    got = _extension_points(f, W, Wp)
+    assert got == oracle.extension_points_loop(f, W, Wp)
+    assert all(type(c) is int for c in got)
 
 
 def _sum_layers_oracle(sch, t):

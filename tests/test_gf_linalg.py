@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import point_oracle as oracle
-from mschemes import gf_linalg
 from mschemes.errors import CapExceeded, IndexOutOfRange, InputError
 from mschemes.gf_linalg import (
     Field,
@@ -296,10 +295,10 @@ def test_rank_nullspace(prime_ix, data):
 
 
 @st.composite
-def matrices_mod(draw):
+def matrices_mod(draw, primes=(2, 3, 5, 7, 251)):
     """(matrix, ell) with 0-5 rows and 0-5 columns: empty, wide, tall, and
     rank-deficient ones (rows drawn as combinations of a few others)."""
-    ell = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    ell = draw(st.sampled_from(primes))
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     entries = st.integers(0, ell - 1)
     mat = np.array([[draw(entries) for _ in range(cols)] for _ in range(rows)],
@@ -325,13 +324,25 @@ def test_rref_mod_matches_scalar_gauss_jordan(case):
     assert np.array_equal(got, want)
 
 
+@given(matrices_mod((2, 3, 5)))
+@example((np.zeros((0, 3), dtype=np.int64), 5))
+@example((np.zeros((3, 0), dtype=np.int64), 2))
+@example((np.array([[1, 2, 0], [2, 4, 0]]), 5))
+@settings(max_examples=150, deadline=None)
+def test_nullspace_basis_matches_column_loop(case):
+    mat, ell = case
+    want = oracle.nullspace_basis_loop(mat, ell)
+    got = nullspace_basis_mod(mat, ell)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_span_membership():
     f = Field(2, 4)
     codes = [3, 5]
     pts = span_points(f, codes)
     assert len(pts) == 2 ** span_dim(f, codes)
-    assert pts == sorted(set(pts)) and all(type(c) is int for c in pts)
-    assert span_points(f, []) == span_points(f, [0]) == [0]
+    assert pts.dtype == np.int64 and (np.diff(pts) > 0).all()
+    assert span_points(f, []).tolist() == span_points(f, [0]).tolist() == [0]
     basis = span_basis(f, codes)
     for c in range(f.q):
-        assert oracle.in_span(f, basis, c) == (c in set(int(p) for p in pts))
+        assert oracle.in_span(f, basis, c) == (c in set(pts.tolist()))

@@ -1,12 +1,16 @@
-"""Source checks on `mschemes`: every name a module imports is used in that
-module, and no call to `np.unique` is a plain one (without a `return_*`
-keyword), which imports `numpy.ma` on its first call, 10–14 ms."""
+"""Source checks: every name a module of `mschemes`, `scripts/` or `tests/`
+imports is used in that module; every function, class and method that
+`mschemes` defines is named somewhere in the source, script, benchmark or
+test trees; and no call to `np.unique` in `mschemes` is a plain one (without
+a `return_*` keyword), which imports `numpy.ma` on its first call, 10–14 ms."""
 import ast
 import pathlib
 
 import mschemes
 
 PACKAGE = pathlib.Path(mschemes.__file__).parent
+ROOT = PACKAGE.parent.parent
+TREES = [PACKAGE, ROOT / "scripts", ROOT / "perfbench", ROOT / "tests"]
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -28,11 +32,46 @@ def test_scan_finds_an_unused_import():
 
 
 def test_no_unused_imports():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert modules
-    unused = {path.name: found for path in modules
+    modules = [path for tree in (PACKAGE, ROOT / "scripts", ROOT / "tests")
+               for path in sorted(tree.glob("*.py"))]
+    assert len({path.parent for path in modules}) == 3
+    unused = {str(path.relative_to(ROOT)): found for path in modules
               if (found := _unused_imports(ast.parse(path.read_text())))}
     assert not unused
+
+
+def _definitions(tree: ast.Module) -> list:
+    """(line, name) of each function, class and method a module defines,
+    at any depth; dunder methods are called by the language, not by name."""
+    return [(node.lineno, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _named(tree: ast.Module) -> set:
+    """Every name an expression reads, bare (`f`) or as an attribute (`x.f`)."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_scan_finds_an_unnamed_definition():
+    tree = ast.parse("class A:\n    def used(self): pass\n    def __len__(self): pass\n"
+                     "def dead(): pass\ndef f(): A().used()\nf()\n")
+    named = _named(tree)
+    assert [d for d in _definitions(tree) if d[1] not in named] == [(4, "dead")]
+
+
+def test_every_definition_is_named():
+    named = set()
+    for tree in TREES:
+        paths = sorted(tree.glob("*.py"))
+        assert paths, tree
+        for path in paths:
+            named |= _named(ast.parse(path.read_text()))
+    unnamed = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
+               if (found := [d for d in _definitions(ast.parse(path.read_text()))
+                             if d[1] not in named])}
+    assert not unnamed
 
 
 def _plain_unique_calls(tree: ast.Module) -> list:
