@@ -13,6 +13,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 from . import antisym, refine
 from .addcomb import (
@@ -290,16 +291,7 @@ def cmd_shrink(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="mscheme",
-        description="linear m-scheme toolkit: generation, validation, "
-                    "antisymmetry, fibres, additive combinatorics, Fourier "
-                    "decomposition and refinement drivers",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-orbit", help="build an orbit scheme and export it")
+def _gen_orbit_args(p):
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--group", required=True)
@@ -311,25 +303,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_gen_orbit, infile=None, fix=None)  # for _load_scheme
 
-    p = sub.add_parser("validate", help="exhaustive axiom sweep")
+
+def _validate_args(p):
     _add_scheme_source(p)
     _add_common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("antisym", help="strong-antisymmetry check by Schreier loops")
+
+def _antisym_args(p):
     _add_scheme_source(p)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_SATURATION,
                    help="most forward generators to check; more is inconclusive")
     _add_common(p)
     p.set_defaults(func=cmd_antisym)
 
-    p = sub.add_parser("fiber", help="restrict to a fibre prefix")
+
+def _fiber_args(p):
     _add_scheme_source(p)
     p.add_argument("--out", help="write the fibre scheme JSON here")
     _add_common(p)
     p.set_defaults(func=cmd_fiber)
 
-    p = sub.add_parser("depth", help="iterated halving depth measure")
+
+def _depth_args(p):
     _add_scheme_source(p)
     p.add_argument("--block", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_SATURATION,
@@ -337,14 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_depth)
 
-    p = sub.add_parser("addcomb", help="additive-combinatorics report on a set")
+
+def _addcomb_args(p):
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--set", required=True, help="point codes")
     _add_common(p)
     p.set_defaults(func=cmd_addcomb)
 
-    p = sub.add_parser("fourier", help="character table / heavy characters")
+
+def _fourier_args(p):
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--set", required=True)
@@ -353,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_fourier)
 
-    p = sub.add_parser("decompose", help="sunflower decomposition of a block")
+
+def _decompose_args(p):
     _add_scheme_source(p)
     p.add_argument("--block", type=int, default=0)
     p.add_argument("--k", type=int, default=4, help="nominal family arity")
@@ -361,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("shrink", help="fibre shrinking of a block")
+
+def _shrink_args(p):
     _add_scheme_source(p)
     p.add_argument("--block", type=int, default=0)
     p.add_argument("--K", default="4")
@@ -372,18 +372,64 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_shrink)
 
+
+# subcommand -> (its help line, the function adding its arguments), in the
+# order `mscheme --help` lists them
+COMMANDS = {
+    "gen-orbit": ("build an orbit scheme and export it", _gen_orbit_args),
+    "validate": ("exhaustive axiom sweep", _validate_args),
+    "antisym": ("strong-antisymmetry check by Schreier loops", _antisym_args),
+    "fiber": ("restrict to a fibre prefix", _fiber_args),
+    "depth": ("iterated halving depth measure", _depth_args),
+    "addcomb": ("additive-combinatorics report on a set", _addcomb_args),
+    "fourier": ("character table / heavy characters", _fourier_args),
+    "decompose": ("sunflower decomposition of a block", _decompose_args),
+    "shrink": ("fibre shrinking of a block", _shrink_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `mscheme` parser; given a subcommand's name, the parser holding
+    that subcommand alone, which parses its command lines as the full one
+    does (`_parse` leaves every other command line to the full parser)."""
+    ap = argparse.ArgumentParser(
+        prog="mscheme",
+        description="linear m-scheme toolkit: generation, validation, "
+                    "antisymmetry, fibres, additive combinatorics, Fourier "
+                    "decomposition and refinement drivers",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in COMMANDS.items():
+        if command in (None, name):
+            add_args(sub.add_parser(name, help=help_line))
     return ap
 
 
-@lru_cache(maxsize=1)
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser `main` reuses: parsing keeps no state in it (no append
-    actions, no mutable defaults), so one build serves every call."""
-    return build_parser()
+@lru_cache(maxsize=None)
+def _shared_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser `main` reuses for a subcommand (None: the full parser):
+    parsing keeps no state in it (no append actions, no mutable defaults),
+    so one build serves every call."""
+    return build_parser(command)
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed as the full parser parses it.  A command line naming a
+    subcommand first is parsed by that subcommand's parser alone, which
+    prints the same help and errors; only an argument it does not
+    recognize, which argparse reports with the full parser's usage, is
+    parsed again by the full parser.  So is any other command line: help,
+    no command or an unknown one."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, extra = _shared_parser(argv[0]).parse_known_args(argv)
+        if not extra:
+            return args
+    return _shared_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         args.cap = _tuple_cap(args)
         return args.func(args)

@@ -21,7 +21,12 @@ for all the orbit's prefixes in one pass, and a hit's certificate is
 transported back without building its fibre.  u acts on T through a basis
 of span(S) inside S (`SchemeInstance.span_chart`).  Every orbit scheme has
 a backend; a scheme without one (read from JSON, a power, or built from
-levels by hand) decides the prefixes one by one.
+levels by hand) decides the prefixes one by one.  On a backend scheme one
+scan decides all the arities asked of a prefix length, largest first
+(`find_constructible_arities`): every fibre of an orbit scheme satisfies
+P1, so an arity-k atom tau(D) is also the arity-(k+1) atom (tau∘pi)(D')
+of each block D' over D (pi drops the last coordinate), and a smaller
+arity is decided only on the prefixes where the next larger one hit.
 """
 from __future__ import annotations
 
@@ -241,16 +246,14 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
     on one fibre (`_scan_orbits`).  Either way the tuple cap is checked
     whenever a prefix is decided.
     """
+    if sch.backend is not None:
+        found = find_constructible_arities(sch, points, (k,), prefix_len, prefix_cap)
+        return found and found[1:]
     if prefix_len == 0:
         cert = decide_constructible(sch, points, k)
         return ((), cert) if cert else None
-    if prefix_len + k > sch.m:
-        raise DepthExhausted(
-            f"prefix {prefix_len} plus arity {k} exceeds depth m={sch.m}"
-        )
+    _check_depth(sch, prefix_len, k)
     target = frozenset(int(c) for c in points)
-    if sch.backend is not None:
-        return _scan_orbits(sch, target, k, prefix_len, prefix_cap)
     for count, x in enumerate(itertools.product(sch.s_codes, repeat=prefix_len)):
         if prefix_cap is not None and count >= prefix_cap:
             break
@@ -258,6 +261,42 @@ def find_constructible_prefix(sch: Scheme, points, k: int, prefix_len: int,
         if cert is not None:
             return x, cert
     return None
+
+
+def _check_depth(sch: Scheme, prefix_len: int, k: int):
+    if prefix_len + k > sch.m:
+        raise DepthExhausted(
+            f"prefix {prefix_len} plus arity {k} exceeds depth m={sch.m}"
+        )
+
+
+def find_constructible_arities(sch: Scheme, points, arities, prefix_len: int,
+                               prefix_cap: Optional[int] = None):
+    """The least of the ascending `arities` at which some prefix of S^prefix_len
+    makes T constructible, on a scheme with a backend: (k, x, certificate),
+    the (x, certificate) being what `find_constructible_prefix` returns at
+    arity k, or None if no arity hits.
+
+    The largest arity is decided first, and each smaller one only where the
+    next larger one hit: every fibre of an orbit scheme satisfies P1, so a
+    prefix where T misses at arity k + 1 misses at arity k too.  Prefix
+    length 0 runs `decide_constructible` from the largest arity down, until
+    one misses; a longer prefix scans its orbits once for all the arities
+    (`_scan_orbits`).  A scheme without a backend need not satisfy P1, and
+    is not passed here.  The caps checked are those of the largest arity,
+    which may trip where deciding the smaller arities alone would not.
+    """
+    if prefix_len == 0:
+        found = None
+        for k in reversed(arities):
+            cert = decide_constructible(sch, points, k)
+            if cert is None:
+                break
+            found = k, (), cert
+        return found
+    _check_depth(sch, prefix_len, arities[-1])
+    target = frozenset(int(c) for c in points)
+    return _scan_orbits(sch, target, arities, prefix_len, prefix_cap)
 
 
 class _Transport(NamedTuple):
@@ -328,10 +367,10 @@ def _complete_index(sch: Scheme, k: int) -> AtomIndex:
     return index
 
 
-def _scan_orbits(sch: Scheme, target: frozenset, k: int, prefix_len: int,
+def _scan_orbits(sch: Scheme, target: frozenset, arities, prefix_len: int,
                  prefix_cap: Optional[int]):
-    """`find_constructible_prefix` on a scheme with a backend, an orbit of G
-    on S^prefix_len at a time.
+    """`find_constructible_arities` at prefix length prefix_len > 0, an orbit
+    of G on S^prefix_len at a time.
 
     G commutes with every coordinate-linear map, so for u in G carrying the
     prefix rep to x the blocks at x are u applied to those at rep, so are
@@ -339,29 +378,31 @@ def _scan_orbits(sch: Scheme, target: frozenset, k: int, prefix_len: int,
     T with a point outside span(S), which holds every atom, or outside
     [0, q) misses everywhere, and T = ∅ hits at once; neither builds
     anything.  Otherwise the orbits are taken in the order of their least
-    prefix rep, until rep lies past the first hit found.  The fibre at rep
-    gets a complete arity-k index, and one (prefixes, q) table holds u^-1 T
-    for the orbit's scanned prefixes.  Two products with the index's
-    atom-by-code incidence matrix decide every row: the first counts the
-    points of each atom in u^-1 T, so the atoms inside it are those where
-    the count is the atom's size, and the second marks the points the
-    atoms inside cover; u^-1 T is constructible when they are all of it.
-    The counts are integers far below 2^53, so the float products are
-    exact.  The hit's certificate is the greedy cover at x walked over the
-    rep atoms in x's (tau, block) order, where the canonical id at x of the
-    block u(D) is the rank of its least tuple; x's own fibre is not
-    built."""
+    prefix rep, until rep lies past the first hit of the smallest arity.
+    The fibre at rep gets a complete index at each arity, and one
+    (prefixes, q) table holds u^-1 T for the orbit's scanned prefixes.  Two
+    products with an index's atom-by-code incidence matrix decide a row:
+    the first counts the points of each atom in u^-1 T, so the atoms inside
+    it are those where the count is the atom's size, and the second marks
+    the points the atoms inside cover; u^-1 T is constructible when they
+    are all of it.  The counts are integers far below 2^53, so the float
+    products are exact.  Every row is decided at the largest arity, and
+    each smaller arity decides only the rows where the next larger one hit.
+    The first hit x of the least arity that hits gives the certificate:
+    the greedy cover at x walked over the rep atoms in x's (tau, block)
+    order, where the canonical id at x of the block u(D) is the rank of its
+    least tuple; x's own fibre is not built."""
     inst = sch.instance
     q, n = inst.field.q, inst.n
     rows = n ** prefix_len if prefix_cap is None else min(prefix_cap, n ** prefix_len)
     if rows <= 0:
         return None
-    # the caps that deciding any prefix checks first
-    inst.check_tuple_cap(k)
-    linmap_count(inst.field, k, 1)
+    # the caps that deciding any prefix checks first, which grow with the arity
+    inst.check_tuple_cap(arities[-1])
+    linmap_count(inst.field, arities[-1], 1)
     if not target:
         x = tuple(inst.s_array[radix_digits(0, n, prefix_len)].tolist())
-        return x, Certificate(k, sch.prefix + x, [], target)
+        return arities[0], x, Certificate(arities[0], sch.prefix + x, [], target)
     # span(S) lies in [0, q): a code outside [0, q) is outside span(S) too
     _, span_codes, span_coords = inst.span_chart
     codes = np.array(sorted(target), dtype=np.int64)
@@ -371,33 +412,51 @@ def _scan_orbits(sch: Scheme, target: frozenset, k: int, prefix_len: int,
     coords = span_coords[row]  # (|T|, r)
     table = _transport_table(sch, prefix_len, rows)
     weights = radix_weights(inst.field.ell, inst.field.dim)
-    hit = None  # (x's row, fibre at rep, its index, atoms inside u^-1 T)
+    # per arity, its first hit: (x's row, fibre at rep, its index, atoms
+    # inside u^-1 T)
+    hits = [None] * len(arities)
     for rep, rep_prefix, members in table.orbits:
-        limit = rows if hit is None else hit[0]
+        limit = rows if hits[0] is None else hits[0][0]
         if rep >= limit:
             break
         if members[-1] >= limit:
             members = members[:np.searchsorted(members, limit)]
         fib = sch.fiber(rep_prefix)
-        index = _complete_index(fib, k)
-        held_codes, held = index.incidence
+        indexes = [_complete_index(fib, k) for k in arities]
         # row chunks of at most 2^18 entries bound the per-row arrays
-        step = max(1, 2 ** 18 // max(held.shape[0], q))
+        step = max(1, 2 ** 18 // max(len(indexes[-1].sizes), q))
         for lo in range(0, len(members), step):
             chunk = members[lo:lo + step]
             # (rows, |T|): the codes of u^-1 T, from its digits mod ell
             moved = (coords @ table.lift[chunk]) % inst.field.ell @ weights
             mask = np.zeros((len(chunk), q))
             mask[np.arange(len(chunk))[:, None], moved] = 1
-            inside = mask[:, held_codes] @ held.T == index.sizes
-            covered = (inside.astype(held.dtype) @ held > 0).sum(axis=1)
-            found = covered == len(target)
-            if found.any():
-                j = int(found.argmax())
-                hit = (int(chunk[j]), fib, index, inside[j])
+            # the rows the next larger arity hit, and their rows of mask
+            live = np.arange(len(chunk))
+            for i in reversed(range(len(arities))):
+                index = indexes[i]
+                held_codes, held = index.incidence
+                inside = mask[:, held_codes] @ held.T == index.sizes
+                covered = (inside.astype(held.dtype) @ held > 0).sum(axis=1)
+                found = covered == len(target)
+                live, inside, mask = live[found], inside[found], mask[found]
+                if not len(live):
+                    break
+                if hits[i] is None or chunk[live[0]] < hits[i][0]:
+                    hits[i] = (int(chunk[live[0]]), fib, index, inside[0])
+            if len(live):  # the smallest arity hit: later rows lie past it
                 break
-    if hit is None:
-        return None
+    for k, hit in zip(arities, hits):
+        if hit is not None:
+            return (k, *_transported_certificate(sch, table, prefix_len, k, hit, target))
+    return None
+
+
+def _transported_certificate(sch: Scheme, table: _Transport, prefix_len: int,
+                             k: int, hit, target: frozenset):
+    """(x, certificate at x) from a hit (x's row, fibre at rep, its arity-k
+    index, atoms inside u^-1 T) of the scan of `table`."""
+    inst = sch.instance
     x_row, fib, index, inside = hit
     part = fib.level(k)
     least = np.minimum.reduceat(on_tuples(table.u[x_row], k)[part.order], part.starts)
@@ -405,8 +464,8 @@ def _scan_orbits(sch: Scheme, target: frozenset, k: int, prefix_len: int,
     # is the b-th by least tuple at x
     atoms = (np.arange(len(index.maps))[:, None] * part.num_blocks
              + np.argsort(least)).ravel()
-    x = tuple(inst.s_array[radix_digits(x_row, n, prefix_len)].tolist())
-    entries = _greedy_entries(index, inside[atoms], target, q, atoms.tolist())
+    x = tuple(inst.s_array[radix_digits(x_row, inst.n, prefix_len)].tolist())
+    entries = _greedy_entries(index, inside[atoms], target, inst.field.q, atoms.tolist())
     return x, Certificate(k, sch.prefix + x, entries, target)
 
 

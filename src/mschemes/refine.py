@@ -41,7 +41,12 @@ from .addcomb import (
     sum_histogram,
     sumset,
 )
-from .constructible import Certificate, decide_constructible, find_constructible_prefix
+from .constructible import (
+    Certificate,
+    decide_constructible,
+    find_constructible_arities,
+    find_constructible_prefix,
+)
 from .errors import (
     CapExceeded,
     DepthExhausted,
@@ -860,16 +865,43 @@ def find_constructible(sch: Scheme, points, max_arity: int, max_prefix: int,
                        prefix_cap: Optional[int] = None):
     """Bounded search for a (fiber, arity) pair making `points` constructible.
 
-    Tries prefix lengths 0..max_prefix and arities 1..max_arity in increasing
-    total depth; a hit at any depth certifies membership at every larger
-    nominal arity (extra fixed points and arities only add atoms).
+    The stages (prefix length p, arity a), p <= max_prefix, a <= max_arity,
+    p + a <= m, are tried in increasing total depth p + a, then increasing
+    p, and the first stage where `find_constructible_prefix` hits is
+    returned.  On a scheme satisfying P1 a hit at arity k is one at every
+    larger arity on the same fibre: an arity-k atom tau(D) is also the
+    arity-(k+1) atom (tau∘pi)(D') of each level-(k+1) block D' over D, pi
+    dropping the last coordinate.  Every fibre of a scheme with a group
+    backend satisfies P1, so there the first stage of each prefix length
+    decides all of its arities at once, largest first
+    (`find_constructible_arities`); if that trips a cap, the prefix length
+    decides its arities stage by stage instead, so every input gets the
+    result or the exception of the stage-by-stage search.  A scheme without
+    a backend need not satisfy P1 (an explicit scheme with a discrete level
+    1 and a one-block level 2 has arity-1 atoms that are no arity-2 atom),
+    and decides every stage on its own.
     """
     tried = sorted(
         ((p + a, p, a) for p in range(max_prefix + 1)
          for a in range(1, max_arity + 1) if p + a <= sch.m),
     )
+    # prefix length -> (arity, prefix, cert) of its least arity that hits,
+    # or None; the stages of one prefix length come in ascending arity, so
+    # that arity's stage is the only one of them that can hit
+    least = {}
+    by_stage = set()  # prefix lengths decided stage by stage
     for _, plen, arity in tried:
-        res = find_constructible_prefix(sch, points, arity, plen, prefix_cap)
+        if sch.backend is not None and plen not in least and plen not in by_stage:
+            arities = range(1, min(max_arity, sch.m - plen) + 1)
+            try:
+                least[plen] = find_constructible_arities(sch, points, arities, plen, prefix_cap)
+            except CapExceeded:
+                by_stage.add(plen)
+        if plen in least:
+            hit = least[plen]
+            res = hit[1:] if hit is not None and hit[0] == arity else None
+        else:
+            res = find_constructible_prefix(sch, points, arity, plen, prefix_cap)
         if res:
             prefix, cert = res
             return {"prefix": tuple(prefix), "arity": arity, "cert": cert}

@@ -456,19 +456,20 @@ def test_console_script_maps_to_cli_main():
     assert getattr(importlib.import_module(module_name), attr) is main
 
 
-def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+def test_parser_is_built_once_per_command_and_reused(tmp_path, capsys, monkeypatch):
     from mschemes import cli
 
     built = []
 
-    def counting_build():
-        built.append(1)
-        return cli.build_parser()
+    def counting_build(command=None):
+        built.append(command)
+        return cli.build_parser(command)
 
     argv_a = ["addcomb", "--ell", "3", "--dim", "2", "--set", "1,2,4"]
     argv_b = ["fourier", "--ell", "2", "--dim", "3", "--set", "1,2,4",
               "--out", str(tmp_path / "c.csv")]
     bad = ["addcomb", "--ell", "three", "--dim", "2", "--set", "1"]
+    unknown = argv_a + ["--bogus"]
 
     def fresh(argv):
         args = cli.build_parser().parse_args(argv)
@@ -477,18 +478,87 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
         return capsys.readouterr().out
 
     expect = {tuple(argv): fresh(argv) for argv in (argv_a, argv_b)}
-    with pytest.raises(SystemExit) as fresh_exit:
-        cli.build_parser().parse_args(bad)
-    capsys.readouterr()
+    fresh_exits = []
+    for argv in (bad, unknown):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.build_parser().parse_args(argv)
+        fresh_exits.append((exit_info.value.code, capsys.readouterr().err))
 
     monkeypatch.setattr(cli, "_shared_parser",
-                        functools.lru_cache(maxsize=1)(counting_build))
+                        functools.lru_cache(maxsize=None)(counting_build))
     for argv in (argv_a, argv_b, argv_a, argv_b):
         code, out, _ = run(capsys, argv)
         assert code == 0 and out == expect[tuple(argv)]
-    with pytest.raises(SystemExit) as shared_exit:
-        main(bad)
-    assert shared_exit.value.code == fresh_exit.value.code == 2
+    for argv, (fresh_code, fresh_err) in zip((bad, unknown), fresh_exits):
+        with pytest.raises(SystemExit) as shared_exit:
+            main(argv)
+        assert shared_exit.value.code == fresh_code == 2
+        assert capsys.readouterr().err == fresh_err
     code, out, _ = run(capsys, argv_a)
     assert code == 0 and out == expect[tuple(argv_a)]
-    assert len(built) == 1
+    # one parser per command; the full one only for the unrecognized argument
+    assert built == ["addcomb", "fourier", None]
+
+
+HELP_AND_ERRORS = {
+    "help": ["--help"],
+    "help-short": ["-h"],
+    **{f"help-{name}": [name, "--help"] for name in
+       ("gen-orbit", "validate", "antisym", "fiber", "depth", "addcomb",
+        "fourier", "decompose", "shrink")},
+    "no-command": [],
+    "unknown-command": ["factor", "--ell", "2"],
+    "option-before-command": ["--ell", "2", "addcomb"],
+    "unrecognized-argument": ["fourier", "--ell", "2", "--dim", "3", "--set", "1",
+                              "--bogus"],
+    "unrecognized-positional": ["validate", "--in", "x.json", "extra"],
+    "bad-int": ["addcomb", "--ell", "three", "--dim", "2", "--set", "1"],
+    "missing-required": ["addcomb", "--ell", "2", "--dim", "3"],
+    "missing-value": ["decompose", "--block"],
+}
+
+
+def _exit_of(capsys, call):
+    """(exit code, stdout, stderr) of a call that argparse ends."""
+    with pytest.raises(SystemExit) as exit_info:
+        call()
+    out = capsys.readouterr()
+    return exit_info.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("case", sorted(HELP_AND_ERRORS))
+def test_help_and_argparse_errors_match_the_full_parser(capsys, monkeypatch, case, columns):
+    # argparse wraps its usage lines to $COLUMNS
+    monkeypatch.setenv("COLUMNS", columns)
+    from mschemes import cli
+
+    argv = HELP_AND_ERRORS[case]
+    want = _exit_of(capsys, lambda: cli.build_parser().parse_args(argv))
+    got = _exit_of(capsys, lambda: main(argv))
+    assert got == want
+    code, out, err = want
+    # help goes to stdout and exits 0, an error to stderr and exits 2
+    assert (code, bool(out), bool(err)) == ((0, True, False) if "help" in case
+                                            else (2, False, True))
+    if case in ("unrecognized-argument", "unrecognized-positional"):
+        # reported with the full usage, which lists every subcommand
+        assert "{gen-orbit,validate," in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-orbit", "--ell", "2", "--dim", "3", "--group", GL, "--seed-set", "1",
+     "--m", "3"],
+    ["validate", "--in", "x.json"],
+    ["antisym", "--in", "x.json", "--budget", "5"],
+    ["fiber", "--in=x.json", "--fi", "1"],  # an abbreviated option
+    ["depth", "--in", "x.json", "--block", "2"],
+    ["addcomb", "--ell", "3", "--dim", "2", "--set", "1,2,4"],
+    ["fourier", "--ell", "2", "--dim", "3", "--set", "1,2,4", "--cap", "64"],
+    ["decompose", "--dim", "4", "--m", "4", "--k", "2", "--lazy"],
+    ["shrink", "--in", "x.json", "--K", "3", "--search"],
+], ids=lambda argv: argv[0])
+def test_each_command_parses_as_the_full_parser(argv):
+    from mschemes import cli
+
+    assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))

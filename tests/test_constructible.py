@@ -19,17 +19,18 @@ from mschemes.constructible import (
     boolean_intersect,
     decide_constructible,
     extend_subspace,
+    find_constructible_arities,
     find_constructible_prefix,
     intersect_with_carrier,
     verify_certificate,
 )
-from mschemes.errors import (CapExceeded, DepthExhausted, IndexOutOfRange, NotBlockUnion,
-                             PreconditionUnmet)
+from mschemes.errors import (CapExceeded, DepthExhausted, IndexOutOfRange, MSchemeError,
+                             NotBlockUnion, PreconditionUnmet)
 from mschemes.gf_linalg import Field, linmap, span_points
 from mschemes.group_orbits import MatrixGroup, build_orbit_scheme, gl_group, trivial_group
 from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
 from mschemes.refine import enumerate_subspaces, find_constructible
-from mschemes.scheme_core import Scheme
+from mschemes.scheme_core import Scheme, SchemeInstance, TuplePartition
 
 BUILDERS = {
     "gl2-m3": lambda: instances.gl_orbit_scheme(2, 2, 3),
@@ -466,6 +467,129 @@ def test_prefix_search_checks_tuple_cap_on_built_fibres():
     for target in ([4], [2, 3, 4]):
         with pytest.raises(CapExceeded):
             find_constructible_prefix(capped, target, 2, 1)
+
+
+# the builders above whose schemes have no backend
+EXPLICIT = {"gl2-lazy-m3", "gl3-json-m3"}
+ORBIT_BUILDERS = {label: make for label, make in {**BUILDERS, **SEARCH_BUILDERS}.items()
+                  if label not in EXPLICIT}
+
+
+@pytest.mark.parametrize("label", sorted(ORBIT_BUILDERS))
+def test_arity_k_atoms_are_arity_k_plus_1_atoms(label):
+    # P1 maps each level-(k+1) block D' over D onto D under pi, the map
+    # dropping the last coordinate, so tau(D) = (tau∘pi)(D') is an atom at
+    # arity k + 1: the lemma the search's largest-arity-first scan rests on
+    sch = ORBIT_BUILDERS[label]()
+    assert sch.backend is not None
+    checked = 0
+    for prefix_len in range(3):
+        for x in itertools.product(sch.s_codes, repeat=prefix_len):
+            if prefix_len + 2 > sch.m:
+                break
+            fib = sch.fiber(x)
+            atoms = [{a.points for a in atom_oracle.enumerate_atoms(fib, k)}
+                     for k in range(1, min(3, fib.m) + 1)]
+            for smaller, larger in zip(atoms, atoms[1:]):
+                assert smaller <= larger, (x, len(smaller - larger))
+                checked += 1
+    assert checked
+
+
+def test_explicit_scheme_breaking_p1_keeps_the_stage_order():
+    # S = {1, 2, 4} in F_2^3, level 1 discrete, levels 2 and 3 one block
+    # each: the projection of S^2 is S, no level-1 block, so P1 fails, and
+    # the arity-1 atom {1} is no arity-2 atom
+    inst = SchemeInstance(Field(2, 3), (1, 2, 4))
+    sch = Scheme(inst, 3, levels=[
+        TuplePartition.from_raw(inst, 1, np.arange(3)),
+        TuplePartition.from_raw(inst, 2, np.zeros(9, dtype=np.int64)),
+        TuplePartition.from_raw(inst, 3, np.zeros(27, dtype=np.int64)),
+    ])
+    assert not sch.validate().ok
+    assert decide_constructible(sch, [1], 1) is not None
+    assert decide_constructible(sch, [1], 2) is None
+    found = find_constructible(sch, [1], 2, 1)
+    assert (found["prefix"], found["arity"]) == ((), 1)
+    assert _cert_key(found["cert"]) == _cert_key(atom_oracle.decide(sch, [1], 1))
+    # deciding arity 2 first would miss {1} at arity 1: without a backend,
+    # so without P1, the search decides each stage on its own
+    assert find_constructible_arities(sch, [1], (1, 2), 0) is None
+
+
+def _search_outcome(search, sch, target, max_arity, max_prefix, cap):
+    """What a search returns, as (prefix, arity, certificate), or the type
+    of the library error it raises."""
+    try:
+        found = search(sch, sorted(target), max_arity, max_prefix, cap)
+    except MSchemeError as exc:
+        return type(exc)
+    if found is None:
+        return None
+    cert = found["cert"]
+    return found["prefix"], found["arity"], cert.describe(), cert.points
+
+
+ORACLE_SCHEMES = {
+    "gl42-m30": lambda: gl_orbit_scheme(2, 4, 30),
+    "gl23-m6": lambda: gl_orbit_scheme(2, 3, 6),
+    "gl32-m6": lambda: gl_orbit_scheme(3, 2, 6),
+    "gl25-m8": lambda: gl_orbit_scheme(2, 5, 8),
+    "affine-m6": lambda: affine_coset_scheme(4, [0, 1], 2, 6),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_SCHEMES))
+def test_search_matches_stage_order_oracle(label):
+    make = ORACLE_SCHEMES[label]
+    sch, oracle_sch = make(), make()
+    rng = random.Random(f"search:{label}")
+    q, s = sch.field.q, list(sch.s_codes)
+    span = span_points(sch.field, s).tolist()
+    targets = enumerate_subspaces(sch.field, s)
+    targets += [frozenset(), frozenset({-1}), frozenset({q}), frozenset({s[0], q})]
+    outside = sorted(set(range(q)) - set(span))
+    if outside:
+        targets.append(frozenset({s[0], outside[0]}))
+    for _ in range(12):
+        targets.append(frozenset(rng.sample(span, rng.randint(1, len(span)))))
+    seen = set()
+    for max_arity in (2, 3):
+        for max_prefix in (0, 1, 2):
+            # a prefix cap changes nothing when no prefix is scanned
+            for cap in (None, 0, 1, 24) if max_prefix else (None,):
+                for target in targets:
+                    args = (target, max_arity, max_prefix, cap)
+                    want = _search_outcome(atom_oracle.find_constructible_in_order,
+                                           oracle_sch, *args)
+                    got = _search_outcome(find_constructible, sch, *args)
+                    assert got == want, (max_arity, max_prefix, cap, sorted(target))
+                    seen.add(want if want is None else want[:2])
+    # hits at prefix length 0 and past it, and misses
+    assert None in seen and ((), 1) in seen and any(len(hit[0]) for hit in seen if hit)
+
+
+@pytest.mark.parametrize("cap, max_arity, hit", [
+    # admits q = 8 >= |S| but not |S|^2: S hits at (0, 1) before arity 2
+    # trips it
+    (8, 2, ((), 1)),
+    # admits |S|^2 but not |S|^3: {1} hits at (1, 1) before arity 3 trips it
+    (49, 3, ((1,), 1)),
+])
+def test_search_decides_in_stage_order_where_a_larger_arity_trips_a_cap(cap, max_arity,
+                                                                        hit):
+    def make():
+        return build_orbit_scheme(gl_group(Field(2, 3, cap_tuples=cap)), [1], 4)
+
+    target = frozenset(make().s_codes) if hit == ((), 1) else frozenset({1})
+    for points in (target, frozenset({2, 3, 4})):
+        args = (points, max_arity, 1, None)
+        want = _search_outcome(atom_oracle.find_constructible_in_order, make(), *args)
+        assert _search_outcome(find_constructible, make(), *args) == want
+        if points == target:
+            assert want[:2] == hit
+        else:  # a miss reaches the stage whose arity trips the cap
+            assert want is CapExceeded
 
 
 def test_extend_subspace():
