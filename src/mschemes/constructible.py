@@ -8,9 +8,14 @@ T = union of the atoms contained in T.  Certificates list the contributing
 
 Atom index.  A scheme's `AtomIndex` at arity k holds its atoms in one flat
 layout, atom a = i * num_blocks + b being tau_i(D_b) with its codes one run
-of `codes`.  It grows one tau at a time and only as far as a cover needs:
-`decide_constructible` tests every built atom in one `logical_and.reduceat`
-and builds another tau only while T is not covered.
+of `codes`.  It grows a batch of taus per numpy pass: S^k is mapped by
+one `LinMap` whose columns are the batch's taus, and one sort of (atom,
+code) keys appends their atoms.  A batch holds at most 2^18 / |S^k| taus,
+or one tau where that is below 1.  `decide_constructible` tests every
+built atom in one `logical_and.reduceat`, and grows the index only while
+T is not covered, each batch as large as the index (at least one tau), so
+a cover that needs the first j taus builds fewer than 2j of them.  The
+prefix search builds every tau, in as few batches as the bound allows.
 
 Prefix search.  `find_constructible_prefix` returns the prefix and the
 certificate of deciding the prefixes one by one.  On a scheme with a group
@@ -109,8 +114,8 @@ def verify_certificate(sch: Scheme, cert: Certificate) -> bool:
 
 
 class AtomIndex:
-    """The atoms tau(D) of one scheme at arity k, in one flat layout, built
-    one tau at a time.
+    """The atoms tau(D) of one scheme at arity k, in one flat layout, grown
+    a batch of taus at a time.
 
     Atom a = i * num_blocks + b is tau_i(D_b), for tau_i the i-th map of
     `enumerate_linmaps(field, k, 1)` and D_b the block with id b: its distinct
@@ -141,19 +146,30 @@ class AtomIndex:
         """Whether the atoms of every tau are built."""
         return len(self.maps) == self.size
 
-    def _extend(self, field, tuples: np.ndarray):
-        """Append the atoms of the next tau, from the (n^k, k) tuple array."""
-        tau = next(self._pending)
-        # slices of at most 2^16 tuples bound apply_batch's digit arrays
-        img = np.concatenate([tau.apply_batch(field, tuples[lo:lo + 2 ** 16])[:, 0]
-                              for lo in range(0, len(tuples), 2 ** 16)])
-        # the sorted distinct (block, code) pairs, as keys block * q + code
-        key = np.sort(img + self.bid * field.q)
+    def _extend(self, field, tuples: np.ndarray, count: int):
+        """Append the atoms of the next `count` taus, from the (n^k, k) tuple
+        array, in one pass; fewer if fewer are left, or if more than
+        max(1, 2^18 // n^k), which bounds the pass's (tuple, tau) arrays."""
+        count = min(count, max(1, 2 ** 18 // len(tuples)))
+        taus = list(itertools.islice(self._pending, count))
+        # one map V^k -> V^len(taus) whose j-th column is the j-th tau
+        batch = LinMap(tuples.shape[1], len(taus),
+                       tuple(zip(*(sum(tau.coeffs, ()) for tau in taus))))
+        # slices of at most 2^16 (tuple, tau) pairs bound apply_batch's
+        # digit arrays
+        step = max(1, 2 ** 16 // len(taus))
+        img = np.concatenate([batch.apply_batch(field, tuples[lo:lo + step])
+                              for lo in range(0, len(tuples), step)])
+        # the sorted distinct (atom, code) pairs, as keys atom * q + code,
+        # the j-th tau's atom of block b being j * num_blocks + b; the bound
+        # on count keeps them below max(2^18, n^k) * q
+        atom = self.bid[:, None] + np.arange(len(taus)) * self.num_blocks
+        key = np.sort(img + atom * field.q, axis=None)
         new = np.ones(len(key), dtype=bool)
         np.not_equal(key[1:], key[:-1], out=new[1:])
-        blocks, codes = np.divmod(key[new], field.q)
-        sizes = np.bincount(blocks, minlength=self.num_blocks)
-        self.maps.append(tau)
+        atoms, codes = np.divmod(key[new], field.q)
+        sizes = np.bincount(atoms, minlength=len(taus) * self.num_blocks)
+        self.maps += taus
         self.starts = np.concatenate([self.starts, np.cumsum(sizes) - sizes + len(self.codes)])
         self.codes = np.concatenate([self.codes, codes])
         self.sizes = np.concatenate([self.sizes, sizes])
@@ -176,15 +192,28 @@ def decide_constructible(sch: Scheme, points, k: int) -> Optional[Certificate]:
 
     Entries are a greedy cover in (tau, block) order: an atom is taken when
     it lies inside T and adds a point not yet covered, and the cover stops
-    once T is covered, so reruns give identical certificates.
-
-    The decision comes first: every built atom is tested against T with one
-    `logical_and.reduceat`, and the atoms inside T are marked covered.  While
-    T is not covered, the index grows by one tau and only that tau's atoms
-    are tested, so it grows only as far as the cover, or until the maps run
-    out.  Only a hit walks its atoms one by one for the greedy entries.
+    once T is covered, so reruns give identical certificates.  The decision
+    is `_decide`'s; only a hit walks its atoms one by one for the greedy
+    entries.
     """
     target = frozenset(int(c) for c in points)
+    found = _decide(sch, target, k)
+    if found is None:
+        return None
+    return Certificate(k, sch.prefix, _greedy_entries(*found, target, sch.field.q), target)
+
+
+def _decide(sch: Scheme, target: frozenset, k: int):
+    """(the arity-k atom index, which of its atoms lie inside T) if T is a
+    union of arity-k atoms, else None.
+
+    Every built atom is tested against T with one `logical_and.reduceat`,
+    and the atoms inside T are marked covered.  While T is not covered, the
+    index grows by a batch of as many taus as it holds (at least 1, within
+    `AtomIndex._extend`'s bound), and only the batch's atoms are tested;
+    so it grows to the first batch boundary at or past the cover, or until
+    the maps run out.
+    """
     index = _atom_index(sch, k)
     mask, in_range = _point_mask(sch.field.q, target)
     if not in_range:  # no union of atoms has a code outside [0, q)
@@ -201,13 +230,12 @@ def decide_constructible(sch: Scheme, points, k: int) -> Optional[Certificate]:
             covered[codes[np.repeat(hits, index.sizes[first:])]] = True
             inside = np.concatenate([inside, hits])
         if np.count_nonzero(covered) == len(target):
-            break
+            return index, inside
         if index.complete:
             return None
         if tuples is None:
             tuples = sch.instance.tuples_array(k)
-        index._extend(sch.field, tuples)
-    return Certificate(k, sch.prefix, _greedy_entries(index, inside, target, sch.field.q), target)
+        index._extend(sch.field, tuples, max(1, len(index.maps)))
 
 
 def _greedy_entries(index: AtomIndex, inside: np.ndarray, target, q: int,
@@ -280,22 +308,27 @@ def find_constructible_arities(sch: Scheme, points, arities, prefix_len: int,
     The largest arity is decided first, and each smaller one only where the
     next larger one hit: every fibre of an orbit scheme satisfies P1, so a
     prefix where T misses at arity k + 1 misses at arity k too.  Prefix
-    length 0 runs `decide_constructible` from the largest arity down, until
-    one misses; a longer prefix scans its orbits once for all the arities
-    (`_scan_orbits`).  A scheme without a backend need not satisfy P1, and
-    is not passed here.  The caps checked are those of the largest arity,
-    which may trip where deciding the smaller arities alone would not.
+    length 0 decides the arities from the largest down, until one misses,
+    and walks the greedy cover once, for the least arity that hit; a longer
+    prefix scans its orbits once for all the arities (`_scan_orbits`).  A
+    scheme without a backend need not satisfy P1, and is not passed here.
+    The caps checked are those of the largest arity, which may trip where
+    deciding the smaller arities alone would not.
     """
-    if prefix_len == 0:
-        found = None
-        for k in reversed(arities):
-            cert = decide_constructible(sch, points, k)
-            if cert is None:
-                break
-            found = k, (), cert
-        return found
-    _check_depth(sch, prefix_len, arities[-1])
     target = frozenset(int(c) for c in points)
+    if prefix_len == 0:
+        hit = None
+        for k in reversed(arities):
+            found = _decide(sch, target, k)
+            if found is None:
+                break
+            hit = k, found
+        if hit is None:
+            return None
+        k, found = hit
+        entries = _greedy_entries(*found, target, sch.field.q)
+        return k, (), Certificate(k, sch.prefix, entries, target)
+    _check_depth(sch, prefix_len, arities[-1])
     return _scan_orbits(sch, target, arities, prefix_len, prefix_cap)
 
 
@@ -358,7 +391,7 @@ def _complete_index(sch: Scheme, k: int) -> AtomIndex:
         if not index.complete:
             tuples = sch.instance.tuples_array(k)
             while not index.complete:
-                index._extend(sch.field, tuples)
+                index._extend(sch.field, tuples, index.size)
         codes, column = np.unique(index.codes, return_inverse=True)
         sch.field.check_cap(f"atom incidence at arity {k}", len(index.sizes) * len(codes))
         held = np.zeros((len(index.sizes), len(codes)))

@@ -912,16 +912,24 @@ def compute_heavy_set(sch: Scheme, b: int, eps_prime, max_arity: int = 2,
                       max_prefix: int = 2, prefix_cap: Optional[int] = None):
     """Nontrivial heavy characters of the block indicator whose kernels are
     constructible (bounded search).  Returns (number of heavy characters
-    before the kernel filter, [HeavyChar])."""
+    before the kernel filter, [HeavyChar]).
+
+    Each distinct kernel is searched once, at its first heavy dual, and the
+    result serves every dual with that kernel (a dual and its nonzero
+    multiples share one)."""
     eps_prime = Fraction(eps_prime)
     f = sch.field
     b_codes = sch.level1_block_set(b)
     ctx = FourierContext.for_generators(f, b_codes)
     heavy = ctx.heavy_characters(ctx.all_coeffs(b_codes), float(eps_prime))
     out = []
+    searched = {}  # kernel -> find_constructible's result
     for dual, coeff in heavy:
         kernel = frozenset(ctx.kernel(dual))
-        found = find_constructible(sch, kernel, max_arity, max_prefix, prefix_cap)
+        if kernel not in searched:
+            searched[kernel] = find_constructible(sch, kernel, max_arity, max_prefix,
+                                                  prefix_cap)
+        found = searched[kernel]
         if found is not None:
             out.append(HeavyChar(tuple(dual), coeff, kernel,
                                  found["arity"], found["prefix"], found["cert"]))

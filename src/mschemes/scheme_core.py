@@ -483,7 +483,7 @@ class Scheme:
                 raise InputError(f"explicit scheme missing levels {missing}")
         self.antisym_verdict = None  # cached by antisym.strong_antisym_check
         self._fiber_cache: dict = {}
-        self.atom_indexes: dict = {}  # arity -> constructible.AtomIndex, grown on demand
+        self.atom_indexes: dict = {}  # arity -> constructible.AtomIndex, grown by batches of maps
         self.transporters: dict = {}  # prefix length -> constructible transport table
 
     # ---- basic accessors ---------------------------------------------

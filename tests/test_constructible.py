@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import atom_oracle
 import point_oracle as oracle
-from mschemes import instances
+from mschemes import constructible, instances
 from mschemes.constructible import (
     Certificate,
     _atom_index,
@@ -95,27 +95,57 @@ def test_decide_matches_frozenset_oracle(label):
     assert hits and misses
 
 
+def _assert_index_matches_oracle(sch, k, index):
+    """The complete arity-k index holds `atom_oracle.enumerate_atoms`' atoms,
+    map for map, in the flat layout."""
+    assert index.complete
+    nb = index.num_blocks
+    assert nb == sch.level(k).num_blocks
+    # flat layout: atom a = i * nb + b is tau_i(D_b), its codes one run
+    assert len(index.sizes) == len(index.starts) == len(index.maps) * nb
+    assert np.array_equal(index.starts, np.cumsum(index.sizes) - index.sizes)
+    assert index.sizes.sum() == len(index.codes)
+    atoms = [index.codes[lo:lo + size]
+             for lo, size in zip(index.starts.tolist(), index.sizes.tolist())]
+    want = list(atom_oracle.enumerate_atoms(sch, k))
+    assert [(a.tau, a.block) for a in want] == [
+        (index.maps[a // nb], a % nb) for a in range(len(atoms))]
+    assert [a.points for a in want] == [frozenset(atom.tolist()) for atom in atoms]
+    assert all(np.all(np.diff(atom) > 0) for atom in atoms)
+
+
 @pytest.mark.parametrize("label", ["gl-f3-m3", "singer7-m3", "mul-coset-m2"])
 def test_atom_index_matches_oracle(label):
     sch = BUILDERS[label]()
     for k in range(1, sch.m + 1):
         index = _atom_index(sch, k)
+        # every tau in one batch
+        index._extend(sch.field, sch.instance.tuples_array(k), index.size)
+        _assert_index_matches_oracle(sch, k, index)
+
+
+@pytest.mark.parametrize("split", ["ones", "doubling", "random"])
+@pytest.mark.parametrize("label", ["gl-f3-m3", "singer7-m3", "mul-coset-m2"])
+def test_atom_index_in_every_batch_split_matches_oracle(label, split):
+    # batches of one tau, the 1 + 1 + 2 + 4 + ... taus of decide_constructible,
+    # or seeded sizes of 1 to 5 taus (test_atom_index_matches_oracle takes
+    # every tau in one batch)
+    sch = BUILDERS[label]()
+    rng = random.Random(label)
+    for k in range(1, sch.m + 1):
+        index = _atom_index(sch, k)
         tuples = sch.instance.tuples_array(k)
+        batches = []
         while not index.complete:
-            index._extend(sch.field, tuples)
-        nb = index.num_blocks
-        assert nb == sch.level(k).num_blocks
-        # flat layout: atom a = i * nb + b is tau_i(D_b), its codes one run
-        assert len(index.sizes) == len(index.starts) == len(index.maps) * nb
-        assert np.array_equal(index.starts, np.cumsum(index.sizes) - index.sizes)
-        assert index.sizes.sum() == len(index.codes)
-        atoms = [index.codes[lo:lo + size]
-                 for lo, size in zip(index.starts.tolist(), index.sizes.tolist())]
-        want = list(atom_oracle.enumerate_atoms(sch, k))
-        assert [(a.tau, a.block) for a in want] == [
-            (index.maps[a // nb], a % nb) for a in range(len(atoms))]
-        assert [a.points for a in want] == [frozenset(atom.tolist()) for atom in atoms]
-        assert all(np.all(np.diff(atom) > 0) for atom in atoms)
+            count = {"ones": 1, "doubling": max(1, len(index.maps)),
+                     "random": rng.randint(1, 5)}[split]
+            before = len(index.maps)
+            index._extend(sch.field, tuples, count)
+            batches.append(len(index.maps) - before)
+            assert batches[-1] == min(count, index.size - before)
+        if split == "ones":
+            assert batches == [1] * index.size
+        _assert_index_matches_oracle(sch, k, index)
 
 
 def test_decide_matches_oracle_beyond_one_apply_slice():
@@ -124,31 +154,57 @@ def test_decide_matches_oracle_beyond_one_apply_slice():
     for target in (sch.s_codes, [0], [0, *sch.s_codes]):
         want = atom_oracle.decide(sch, target, 11)
         assert _cert_key(decide_constructible(sch, target, 11)) == _cert_key(want)
+    # and in batches of one tau: 2^18 // 3^11 is 0
+    index = _atom_index(sch, 11)
+    built = len(index.maps)
+    assert not index.complete
+    index._extend(sch.field, sch.instance.tuples_array(11), index.size)
+    assert len(index.maps) == built + 1
 
 
 def test_atom_index_grows_only_as_far_as_the_cover():
+    # the index grows in batches of 1, 1, 2, 4, ... taus, each as large as
+    # the index, to the first batch boundary at or past the cover
     sch = instances.trivial_scheme(2, 2, 3)
     # (x, y) -> y is the second map at arity 2, and the blocks are singletons
     cert = decide_constructible(sch, [1], 2)
     assert [(tau.coeffs, b) for tau, b in cert.entries] == [(((0,), (1,)), 0)]
     index = _atom_index(sch, 2)
     assert len(index.maps) == 2 < index.size == 4
+    # S = {1} in F_3, one tuple (1, 1): (x, y) -> 2y, the third of 9 maps,
+    # is the first to reach {2}, and the boundary past it is the fourth
+    sch = build_orbit_scheme(trivial_group(Field(3, 1)), (1,), 2)
+    cert = decide_constructible(sch, [2], 2)
+    assert [(tau.coeffs, b) for tau, b in cert.entries] == [(((0,), (2,)), 0)]
+    index = _atom_index(sch, 2)
+    assert len(index.maps) == 4 < index.size == 9
 
 
 def test_decide_on_a_partly_grown_index_matches_oracle():
-    # S = {1, 2} in F_2^2, every tuple its own block: {1} is covered by the
-    # second map (x, y) -> y, {3} = {1 + 2} only by the fourth, x + y
-    sch = build_orbit_scheme(trivial_group(Field(2, 2)), (1, 2), 3)
-    index = _atom_index(sch, 2)
-    for target, grown in [([1], 2), ([0, 3], 4), ([1], 4), ([3, 1], 4), ([1, 2, 3], 4)]:
-        want = atom_oracle.decide(sch, target, 2)
-        got = decide_constructible(sch, target, 2)
-        assert len(index.maps) == grown, target
-        if want is None:
-            assert got is None, target
-        else:
-            assert _cert_key(got) == _cert_key(want), target
-    assert index.complete
+    # each decision grows the index to the first batch boundary at or past
+    # its cover (1, 2, 4, ... taus), or not at all where it is covered
+    cases = [
+        # S = {1, 2} in F_2^2, every tuple its own block: {1} is covered by
+        # the second map (x, y) -> y, {3} = {1 + 2} only by the fourth, x + y
+        (Field(2, 2), (1, 2),
+         [([1], 2), ([0, 3], 4), ([1], 4), ([3, 1], 4), ([1, 2, 3], 4)]),
+        # S = {1} in F_3: {0} by the first map, {1} by the second, y, and
+        # {2} by the third, 2y, which the batch of the third and fourth builds
+        (Field(3, 1), (1,),
+         [([0], 1), ([1], 2), ([0, 1], 2), ([2], 4), ([0, 2], 4), ([3], 4)]),
+    ]
+    for field, seeds, steps in cases:
+        sch = build_orbit_scheme(trivial_group(field), seeds, 3)
+        index = _atom_index(sch, 2)
+        for target, grown in steps:
+            want = atom_oracle.decide(sch, target, 2)
+            got = decide_constructible(sch, target, 2)
+            assert len(index.maps) == grown, target
+            if want is None:
+                assert got is None, target
+            else:
+                assert _cert_key(got) == _cert_key(want), target
+        assert index.complete == (field.ell == 2)
 
 
 def test_decide_checks_tuple_cap_on_every_call():
@@ -331,7 +387,8 @@ def _warm(sch, k, prefix_len, how):
             continue
         index = _atom_index(sch.fiber(x), k)
         while not index.complete and (how == "warm" or len(index.maps) < i % 4):
-            index._extend(sch.field, tuples)
+            index._extend(sch.field, tuples,
+                          index.size if how == "warm" else i % 4 - len(index.maps))
 
 
 def _three_orbit_scheme():
@@ -515,6 +572,29 @@ def test_explicit_scheme_breaking_p1_keeps_the_stage_order():
     # deciding arity 2 first would miss {1} at arity 1: without a backend,
     # so without P1, the search decides each stage on its own
     assert find_constructible_arities(sch, [1], (1, 2), 0) is None
+
+
+def test_prefix_zero_decides_each_arity_and_walks_one_cover(monkeypatch):
+    # on GL(4, 2), {0} and F_2^4 hit at arity 2 and at arity 1 without a
+    # prefix: both arities are decided, and only the arity-1 cover is walked
+    targets = ([0], list(range(16)))
+    fresh = gl_orbit_scheme(2, 4, 30)
+    want = [atom_oracle.find_constructible_in_order(fresh, t, 2, 0) for t in targets]
+    sch = gl_orbit_scheme(2, 4, 30)
+    walked = []
+    greedy = constructible._greedy_entries
+
+    def counted(index, *args):
+        walked.append(index)
+        return greedy(index, *args)
+
+    monkeypatch.setattr(constructible, "_greedy_entries", counted)
+    for target, hit in zip(targets, want):
+        k, x, cert = find_constructible_arities(sch, target, (1, 2), 0)
+        assert (x, k) == (hit["prefix"], hit["arity"]) == ((), 1)
+        assert _cert_key(cert) == _cert_key(hit["cert"])
+        assert walked == [sch.atom_indexes[1]] and 2 in sch.atom_indexes
+        walked.clear()
 
 
 def _search_outcome(search, sch, target, max_arity, max_prefix, cap):

@@ -19,6 +19,7 @@ from mschemes.errors import (
 )
 from mschemes.fourier import FourierContext
 from mschemes.gf_linalg import Field, span_dim
+from mschemes.group_orbits import MatrixGroup, build_orbit_scheme
 from mschemes.instances import (
     CASE3_INSTANCES,
     affine_coset_scheme,
@@ -26,6 +27,7 @@ from mschemes.instances import (
     find_shrink_instances,
     gl_orbit_scheme,
     mul_coset_scheme,
+    signed_perm_scheme,
 )
 from mschemes.refine import (
     BlockRef,
@@ -39,6 +41,7 @@ from mschemes.refine import (
     compute_heavy_set,
     decompose,
     density_reduce,
+    find_constructible,
     ineq,
     key_lemma_search,
     partial_sumset_search,
@@ -672,6 +675,65 @@ def test_heavy_count_is_taken_before_the_kernel_filter():
                      eps_prime=Fraction(1, 4), max_arity=1, max_prefix=0)
     assert isinstance(gate, TrivialGate) and gate.heavy_total == 1
     assert gate.to_obj()["heavy_before_kernel_filter"] == 1
+
+
+def _translation_scheme(ell, dim, sub_dims, shift, m):
+    """The orbit of e_shift + e_(dim-1) under the translations by e_j,
+    j in sub_dims, through the marker coordinate dim - 1: a coset of the
+    span of those e_j (`affine_coset_scheme` over F_ell)."""
+    field = Field(ell, dim)
+    gens = []
+    for j in sub_dims:
+        t = np.eye(dim, dtype=np.int64)
+        t[j, dim - 1] = 1
+        gens.append(t)
+    vec = np.zeros(dim, dtype=np.int64)
+    vec[shift] = vec[dim - 1] = 1
+    seed = int(field.encode_batch(vec[None, :])[0])
+    return build_orbit_scheme(MatrixGroup.from_matrices(field, gens), [seed], m)
+
+
+HEAVY_CASES = {
+    # the four shapes of decompose in the structure benchmark
+    "affine-f2^4": (lambda: affine_coset_scheme(4, [1, 2], 0, 40), Fraction(1, 4)),
+    "affine-f2^5": (lambda: affine_coset_scheme(5, [1, 3], 2, 40), Fraction(1, 4)),
+    "affine-f3^4": (lambda: _translation_scheme(3, 4, [2], 0, 40), Fraction(1, 4)),
+    "signed-perm-f3^2": (lambda: signed_perm_scheme(2, 200), Fraction(1, 9)),
+    # a line's coset in F_5^3: its four heavy duals share one kernel
+    "affine-f5^3": (lambda: _translation_scheme(5, 3, [0], 1, 8), Fraction(1, 9)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(HEAVY_CASES))
+def test_heavy_set_searches_each_kernel_once(label, monkeypatch):
+    make, eps = HEAVY_CASES[label]
+    # the definition: one search per heavy dual, on a scheme of its own
+    sch = make()
+    b = sch.level1_block_set(0)
+    ctx = FourierContext.for_generators(sch.field, b)
+    heavy = ctx.heavy_characters(ctx.all_coeffs(b), float(eps))
+    want = []
+    for dual, coeff in heavy:
+        kernel = frozenset(ctx.kernel(dual))
+        found = find_constructible(sch, kernel, 2, 2)
+        if found is not None:
+            want.append((tuple(dual), coeff, kernel, found["arity"], found["prefix"],
+                         found["cert"].describe()))
+    kernels = {frozenset(ctx.kernel(dual)) for dual, _ in heavy}
+    searched = []
+
+    def counted(sch, points, *args):
+        searched.append(frozenset(points))
+        return find_constructible(sch, points, *args)
+
+    monkeypatch.setattr(refine, "find_constructible", counted)
+    total, got = compute_heavy_set(make(), 0, eps)
+    assert total == len(heavy)
+    assert [(h.dual, h.coeff, h.kernel, h.search_arity, h.prefix, h.certificate.describe())
+            for h in got] == want
+    assert sorted(searched, key=sorted) == sorted(kernels, key=sorted)
+    # on these carriers every nonzero multiple of a heavy dual is heavy
+    assert len(heavy) == (sch.field.ell - 1) * len(kernels)
 
 
 # (ell, dim, generators, number of subgroups of their span)
