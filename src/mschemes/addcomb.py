@@ -152,11 +152,6 @@ def sum_histogram(a: PointSet, b: PointSet):
     return dict(zip(codes.tolist(), counts.tolist()))
 
 
-def diff_histogram(a: PointSet, b: PointSet):
-    """dict z -> #{(x,y) in A x B : x - y = z}."""
-    return sum_histogram(a, negate(b))
-
-
 def additive_energy(a: PointSet) -> int:
     """E(A) = #{(a1,a2,a3,a4) in A^4 : a1 + a2 = a3 + a4} = sum_z r(z)^2,
     exact: in int64 while |A|^3, which bounds E(A), is below 2^63, in

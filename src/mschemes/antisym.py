@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .caps import DEFAULT_BUDGET_SATURATION
-from .errors import (DepthExhausted, IndexOutOfRange, InputError, LemmaViolation,
+from .errors import (DepthExhausted, IndexOutOfRange, LemmaViolation,
                      PreconditionUnmet)
 from .gf_linalg import LinMap, linmap, unique_sorted
 from .scheme_core import Scheme
@@ -44,15 +44,6 @@ class GenStep:
 
     def inverse(self) -> "GenStep":
         return GenStep(self.tau, "inv" if self.direction == "fwd" else "fwd", self.dst, self.src)
-
-    @staticmethod
-    def from_obj(obj) -> "GenStep":
-        return GenStep(
-            tuple(tuple(int(c) for c in row) for row in obj["tau"]),
-            obj["direction"],
-            (int(obj["src"]["k"]), int(obj["src"]["block"])),
-            (int(obj["dst"]["k"]), int(obj["dst"]["block"])),
-        )
 
 
 @dataclass
@@ -294,24 +285,6 @@ def depth_bounds_check(sch: Scheme) -> DepthBoundsReport:
     return DepthBoundsReport(
         sch.m, sd, largest, sd - sch.m, math.log2(largest) - sch.m, ok
     )
-
-
-def halving_step(sch: Scheme, b: int, x: int, y: int):
-    """Fix x in block b; the sub-block containing y must satisfy
-    1 < |B'| <= |B|/2.  Returns (fibred scheme, block id of y, |B'|)."""
-    if sch.m < 2:
-        raise DepthExhausted("halving needs depth >= 2")
-    block = sch.level1_block_set(b)
-    if x not in block or y not in block or x == y:
-        raise InputError("x, y must be distinct members of the block")
-    fib = sch.fiber((x,))
-    bp = int(fib.level(1).bid[sch.instance.pos(y)])
-    size = int(fib.level(1).sizes[bp])
-    if not (1 < size and 2 * size <= len(block)):
-        raise LemmaViolation(
-            f"halving failed: |B|={len(block)}, |B'|={size} for x={x}, y={y}"
-        )
-    return fib, bp, size
 
 
 @dataclass

@@ -41,23 +41,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    DepthExhausted,
-    InputError,
-    LemmaViolation,
-    PreconditionUnmet,
-)
-from .gf_linalg import (
-    LinMap,
-    digit_rows,
-    enumerate_linmaps,
-    linmap,
-    linmap_count,
-    radix_digits,
-    radix_weights,
-    rref_mod,
-    span_dim,
-)
+from .errors import DepthExhausted
+from .gf_linalg import LinMap, enumerate_linmaps, linmap_count, radix_digits, radix_weights
 from .group_orbits import on_tuples
 from .scheme_core import Scheme, SchemeInstance
 
@@ -500,173 +485,3 @@ def _transported_certificate(sch: Scheme, table: _Transport, prefix_len: int,
     x = tuple(inst.s_array[radix_digits(x_row, inst.n, prefix_len)].tolist())
     entries = _greedy_entries(index, inside[atoms], target, inst.field.q, atoms.tolist())
     return x, Certificate(k, sch.prefix + x, entries, target)
-
-
-# ---------------------------------------------------------------------------
-# closure operations
-# ---------------------------------------------------------------------------
-
-
-def intersect_with_carrier(sch: Scheme, cert: Certificate):
-    """T ∩ S as a level-1 block-id set (closedness forces it to be one)."""
-    mask, _ = _point_mask(sch.field.q, cert.points)
-    return sch.level(1).ids_as_union(np.flatnonzero(mask[sch.instance.s_array]))
-
-
-def _restrict_entries(sch: Scheme, cert: Certificate, keep_points) -> Certificate:
-    """Certificate for {x in T : x in keep_points} by splitting each entry
-    block along the preimage (which closedness makes a block union)."""
-    inst = sch.instance
-    part = sch.level(cert.k)
-    keep, _ = _point_mask(inst.field.q, keep_points)
-    result = np.zeros_like(keep)
-    entries = []
-    for tau, b in cert.entries:
-        rows = part.block(b)
-        img = _image(inst, tau, cert.k, rows)
-        inside = rows[keep[img]]
-        if len(inside) == 0:
-            continue
-        ids = part.ids_as_union(inside)  # raises NotBlockUnion on failure
-        for d in sorted(ids):
-            entries.append((tau, d))
-            result[_image(inst, tau, cert.k, part.block(d))] = True
-    return Certificate(cert.k, cert.prefix, entries,
-                       frozenset(np.flatnonzero(result).tolist()))
-
-
-def _boolean(sch: Scheme, a: Certificate, b: Certificate, points: frozenset,
-             name: str, formula: str) -> Certificate:
-    """Certificate for `points`, a subset of A built from A and B, by
-    restricting A's entries to it; needs a.k + b.k <= m."""
-    if a.prefix != b.prefix or a.prefix != sch.prefix:
-        raise InputError("certificates live on different fibres")
-    if a.k + b.k > sch.m:
-        raise PreconditionUnmet("k+k'<=m", f"{a.k}+{b.k} > {sch.m}")
-    out = _restrict_entries(sch, a, points)
-    if out.points != points:
-        raise LemmaViolation(f"{name} certificate does not reproduce {formula}")
-    return out
-
-
-def boolean_intersect(sch: Scheme, a: Certificate, b: Certificate) -> Certificate:
-    """Intersection certificate; needs a.k + b.k <= m."""
-    return _boolean(sch, a, b, a.points & b.points, "intersection", "A ∩ B")
-
-
-def boolean_difference(sch: Scheme, a: Certificate, b: Certificate) -> Certificate:
-    """Difference certificate A \\ B; needs a.k + b.k <= m."""
-    return _boolean(sch, a, b, a.points - b.points, "difference", "A \\ B")
-
-
-# ---------------------------------------------------------------------------
-# subspace extension
-# ---------------------------------------------------------------------------
-
-
-def _sum_decomposition(sch: Scheme, target: int, t: int):
-    """target as sum of exactly t scaled carrier points; returns a list of
-    (coefficient, point code) of length t, or None."""
-    f = sch.field
-    s_codes = list(sch.s_codes)
-    # scaled[j, lam] is the code of lam * s_j
-    lams = np.arange(f.ell, dtype=np.int64)
-    scaled = f.encode_batch(lams[None, :, None] * f.decode_batch(s_codes)[:, None, :])
-    # BFS layers with parent pointers over exact r-fold sums (coefficient 0
-    # terms allowed, so reachability is monotone in r); each layer keys its
-    # sums in first-hit order of the (value, carrier point, lam) scan
-    layers = [{0: None}]
-    for _ in range(t):
-        vals = list(layers[-1])
-        sums = f.add_codes(np.asarray(vals, dtype=np.int64)[:, None, None],
-                           scaled[None])
-        keys, first = np.unique(sums.reshape(-1), return_index=True)
-        nxt = {}
-        for j in np.argsort(first).tolist():
-            v, rest = divmod(int(first[j]), len(s_codes) * f.ell)
-            c, lam = divmod(rest, f.ell)
-            nxt[int(keys[j])] = (vals[v], lam, s_codes[c])
-        layers.append(nxt)
-    if target not in layers[t]:
-        return None
-    terms = []
-    cur = target
-    for r in range(t, 0, -1):
-        prev, lam, c = layers[r][cur]
-        terms.append((lam, c))
-        cur = prev
-    terms.reverse()
-    return terms
-
-
-def _extension_points(field, W, Wp) -> list:
-    """Points of W' that extend a basis of W to one of W', ascending: each is
-    the least point of W' outside the span of W and the points before it,
-    that is a pivot column past |W| of the points of W, then of W'
-    ascending, as columns."""
-    points = sorted(W) + sorted(Wp)
-    _, pivots = rref_mod(field.decode_batch(points).T, field.ell)
-    return [points[p] for p in pivots if p >= len(W)]
-
-
-def extend_subspace(sch: Scheme, cert: Certificate, target_points, t: int):
-    """From a constructible subspace W to a larger W' ⊆ W + t(F·S).
-
-    Returns (prefix x in S^{d*t}, certificate on sch.fiber(x) at arity
-    cert.k + d*t), where d = dim W' - dim W.  Requires cert.k + 2dt <= m.
-    """
-    f = sch.field
-    W = cert.points
-    Wp = frozenset(int(c) for c in target_points)
-    if not W <= Wp:
-        raise PreconditionUnmet("W⊆W'", "target does not contain W")
-    dim_w, dim_wp = span_dim(f, W), span_dim(f, Wp)
-    # a set lies in its span, so it is a subspace iff it is as large
-    if len(W) != f.ell ** dim_w or len(Wp) != f.ell ** dim_wp:
-        raise InputError("extend_subspace needs actual subspaces")
-    d = dim_wp - dim_w
-    if d == 0:
-        return (), cert
-    k = cert.k
-    if k + 2 * d * t > sch.m:
-        raise PreconditionUnmet("k+2dt<=m", f"{k}+2*{d}*{t} > {sch.m}")
-
-    # each basis point of W' over W as a sum of t cone terms
-    decomps = []
-    for c in _extension_points(f, W, Wp):
-        terms = _sum_decomposition(sch, c, t)
-        if terms is None:
-            raise PreconditionUnmet("W'⊆W+t(F·S)", f"point {c} not a {t}-fold cone sum")
-        decomps.append(terms)
-
-    prefix = tuple(pt for terms in decomps for _, pt in terms)
-    fib = sch.fiber(prefix)
-    inst = sch.instance
-    n = inst.n
-    dt = d * t
-    part = fib.level(k + dt)
-    prefix_idx = inst.tuple_index(prefix)
-
-    entries = []
-    result = np.zeros(f.q, dtype=bool)
-    for tau, b in cert.entries:
-        rows = sch.level(k).block(b)
-        lifted = rows * (n ** dt) + prefix_idx  # indices of B x {prefix}
-        ids = sorted(part.ids_as_union(lifted))
-        rowsets = [part.block(i) for i in ids]
-        for svec in digit_rows(f, d).tolist():
-            coeffs = [list(row) for row in tau.coeffs] + [
-                [(svec[i] * lam) % f.ell]
-                for i, terms in enumerate(decomps)
-                for lam, _ in terms
-            ]
-            tau_s = linmap(coeffs)
-            for i, rowset in zip(ids, rowsets):
-                entries.append((tau_s, i))
-                result[_image(inst, tau_s, k + dt, rowset)] = True
-    got = frozenset(np.flatnonzero(result).tolist())
-    if got != Wp:
-        raise LemmaViolation(
-            f"extension produced {len(got)} points, expected |W'|={len(Wp)}"
-        )
-    return prefix, Certificate(k + dt, fib.prefix, entries, Wp)

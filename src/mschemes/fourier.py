@@ -86,11 +86,6 @@ class FourierContext:
     def order(self) -> int:
         return len(self.codes)
 
-    @property
-    def elements(self) -> list:
-        """Sorted point codes of the subgroup, as Python ints."""
-        return self.codes.tolist()
-
     def _member_rows(self, subset) -> np.ndarray:
         """Ascending indices into codes of the codes of subset in the group."""
         subset = np.fromiter(subset, dtype=np.int64)

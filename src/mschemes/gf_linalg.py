@@ -268,23 +268,9 @@ def linmap(coeffs) -> LinMap:
     return LinMap(len(rows), len(rows[0]) if rows else 0, rows)
 
 
-def projection(k: int, i: int) -> LinMap:
-    """pi_{k,i}: (x_1..x_k) -> x_i (1-based i)."""
-    if not (1 <= i <= k):
-        raise IndexOutOfRange(f"projection index {i} outside [1, {k}]")
-    return linmap([[1 if r == i - 1 else 0] for r in range(k)])
-
-
 def summation(k: int) -> LinMap:
     """sigma_k: (x_1..x_k) -> x_1 + ... + x_k."""
     return linmap([[1]] * k)
-
-
-def swap_map(k: int, i: int, j: int) -> LinMap:
-    """Transposition of coordinates i and j (1-based) of V^k."""
-    perm = list(range(k))
-    perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    return linmap([[1 if perm[c] == r else 0 for c in range(k)] for r in range(k)])
 
 
 def linmap_count(field: Field, k: int, kp: int) -> int:
@@ -343,22 +329,6 @@ def rref_mod(matrix, ell: int):
 
 def rank_mod(matrix, ell: int) -> int:
     return len(rref_mod(matrix, ell)[1])
-
-
-def nullspace_basis_mod(matrix, ell: int) -> np.ndarray:
-    """Basis rows of {x : matrix @ x = 0 (mod ell)}."""
-    mat = np.array(matrix, dtype=np.int64) % ell
-    if mat.size == 0:
-        n = mat.shape[1] if mat.ndim == 2 else 0
-        return np.eye(n, dtype=np.int64)
-    red, pivots = rref_mod(mat, ell)
-    pivots = list(pivots)
-    free = np.delete(np.arange(red.shape[1]), pivots)
-    # row i: 1 at free column free[i], -red[r, free[i]] at pivot column r
-    basis = np.zeros((len(free), red.shape[1]), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -red[:len(pivots), free].T % ell
-    return basis
 
 
 def span_basis(field: Field, codes: Iterable[int]) -> np.ndarray:

@@ -19,6 +19,7 @@ from .group_orbits import (
     companion_matrix,
     frobenius_matrix,
     gl_group,
+    semilinear_group,
     singer_group,
     trivial_group,
 )
@@ -63,10 +64,7 @@ def c31_c5_scheme(m: int) -> Scheme:
     Like the order-55 instance, strongly antisymmetric at depth 2 with a
     single non-discrete level-1 block, but with a larger carrier.
     """
-    f = Field(2, 5)
-    C = companion_matrix(f, DEFAULT_PRIMITIVE_POLY[(2, 5)])
-    Fm = frobenius_matrix(f)
-    return build_orbit_scheme(MatrixGroup.from_matrices(f, [C, Fm]), [16], m)
+    return build_orbit_scheme(semilinear_group(Field(2, 5)), [16], m)
 
 
 def signed_perm_scheme(dim: int, m: int) -> Scheme:

@@ -22,7 +22,6 @@ Contents:
   * find_constructible            - bounded (fibre, arity) constructibility search
   * enumerate_subspaces           - every subgroup of a span, by echelon form
   * density_reduce                - iterated density / cardinality reduction
-  * key_lemma_search              - bounded search for the best shrinking fibre
 """
 from __future__ import annotations
 
@@ -83,7 +82,6 @@ __all__ = [
     "two_case_check",
     "decompose",
     "density_reduce",
-    "key_lemma_search",
 ]
 
 
@@ -1465,63 +1463,3 @@ def density_reduce(sch: Scheme, b: int, params: RefineParams) -> ReduceResult:
                            {"|U(r)|": len(u_codes)}, recs))
     return ReduceResult("completed", prefix, tuple(u_codes.tolist()), n0, steps, checks)
 
-
-# ---------------------------------------------------------------------------
-# bounded best-fibre search
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class KeySearchResult:
-    best: Optional[ShrinkOutcome]
-    prefixes_tried: int
-    capped: bool
-
-    def to_obj(self):
-        return {
-            "best": self.best.to_obj() if self.best else None,
-            "prefixes_tried": self.prefixes_tried,
-            "capped": self.capped,
-        }
-
-
-def key_lemma_search(sch: Scheme, b: int, max_prefix_len: int = 2,
-                     prefix_cap: Optional[int] = None) -> KeySearchResult:
-    """BFS over fibre prefixes from B, maximizing min{|B'|, |B|/|B'|}.
-
-    A measurement, not an asymptotic claim: scans prefixes x in B^len for
-    len = 1..max_prefix_len (cap on the number of prefixes; when hit, the
-    best found so far is returned flagged) and inspects every level-1 block
-    of the fibre contained in B.
-    """
-    b_codes = sch.level1_block_set(b)
-    n = len(b_codes)
-    if n <= 1:
-        raise PreconditionUnmet("|B|>1", f"|B|={n}")
-    best: Optional[ShrinkOutcome] = None
-    best_key = None
-    tried = 0
-    capped = False
-    for length in range(1, max_prefix_len + 1):
-        if length >= sch.m:
-            break
-        for pts in itertools.product(b_codes.tolist(), repeat=length):
-            if prefix_cap is not None and tried >= prefix_cap:
-                capped = True
-                break
-            tried += 1
-            fib = sch.fiber(pts)
-            for i in _blocks_inside(fib, b_codes).tolist():
-                blk = fib.level1_block_set(i)
-                if len(blk) == n:
-                    continue
-                ratio = min(Fraction(len(blk)), Fraction(n, len(blk)))
-                key = (ratio, -len(pts))
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = ShrinkOutcome("search", tuple(pts),
-                                         frozenset([i]), tuple(blk.tolist()),
-                                         n, [])
-        if capped:
-            break
-    return KeySearchResult(best, tried, capped)

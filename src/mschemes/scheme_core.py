@@ -18,13 +18,12 @@ int64 array; `level1_block_set` gathers a block's codes from it, read-only.
 for a code not in S, also outside [0, q)); it reads one table built once
 per instance.  Tuple indices go back to codes only as the gather
 `s_array[radix_digits(rows, n, k)]`; `tuples_array(k, rows)` is that
-gather behind the cap on S^k.  `tuple_index` is `tuple_indices` on one
-tuple.  A `TuplePartition` has one block layout, three read-only arrays
-built once from its block ids: `order` lists the tuple indices block by
-block, ascending within a block, and block b is its run of `sizes[b]`
-entries from `starts[b]`.  Block sizes, member lists (`block`) and the block
-order of the map sweep are all read from it.  Every tuple-cap check is
-`Field.check_cap` on the instance's field.
+gather behind the cap on S^k.  A `TuplePartition` has one block layout,
+three read-only arrays built once from its block ids: `order` lists the
+tuple indices block by block, ascending within a block, and block b is its
+run of `sizes[b]` entries from `starts[b]`.  Block sizes, member lists
+(`block`) and the block order of the map sweep are all read from it.  Every
+tuple-cap check is `Field.check_cap` on the instance's field.
 
 Every digit grid here is the radix codec of `gf_linalg`: tuple indices are
 `radix_digits` in base n, and dense tuple codes `radix_weights` in base q.
@@ -165,15 +164,6 @@ class SchemeInstance:
         pos = self.pos(codes)
         return np.where((pos >= 0).all(axis=1), pos @ radix_weights(self.n, codes.shape[1]), -1)
 
-    def tuple_index(self, pts: Sequence[int]) -> int:
-        """Index in S^k of one tuple of k point codes."""
-        codes = np.array([pts], dtype=np.int64)
-        idx = int(self.tuple_indices(codes)[0])
-        if idx < 0:
-            bad = next(c for c, p in zip(pts, self.pos(codes[0]).tolist()) if p < 0)
-            raise IndexOutOfRange(f"point code {bad} not in S")
-        return idx
-
     def span_dim(self) -> int:
         return span_dim(self.field, self.s_codes)
 
@@ -261,14 +251,6 @@ class TuplePartition:
             if (beta[self.bid] == image).all() and len(unique_sorted(beta)) == count:
                 perms.append(sigma)
         return tuple(perms)
-
-    def refines(self, other: "TuplePartition") -> bool:
-        """True if every block of self lies inside a block of other: along
-        `order`, other's id is constant on each of self's runs."""
-        if self.arity != other.arity or len(self.bid) != len(other.bid):
-            raise ArityMismatch("refinement comparison between different spaces")
-        ids = other.bid[self.order]
-        return bool(np.array_equal(ids, np.repeat(ids[self.starts], self.sizes)))
 
     def ids_as_union(self, tuple_indices):
         """Express a set of tuple indices as a set of block ids, or raise
@@ -513,12 +495,6 @@ class Scheme:
 
     # ---- fibre restriction -------------------------------------------
 
-    def built_fiber(self, pts: Sequence[int]) -> Optional["Scheme"]:
-        """The fibre at prefix pts if `fiber` has already built it, else None;
-        builds nothing."""
-        pts = tuple(pts)  # integer codes of either kind hash and compare alike
-        return self._fiber_cache.get(pts) if pts else self
-
     def fiber(self, pts: Sequence[int]) -> "Scheme":
         """Restriction to the prefix pts in S^t: a depth (m-t) scheme on S.
 
@@ -642,7 +618,7 @@ class Scheme:
         return (f"fibre sizes over block {bp} not constant "
                 f"(range {int(sw.fibre_min[t, b])}..{int(sw.fibre_max[t, b])})")
 
-    # ---- closedness operations ---------------------------------------
+    # ---- block sets ---------------------------------------------------
 
     def blockset_indices(self, k: int, bids) -> np.ndarray:
         part = self.level(k)
@@ -651,81 +627,6 @@ class Scheme:
         keep = np.zeros(part.num_blocks, dtype=bool)
         keep[bids] = True
         return np.flatnonzero(keep[part.bid])
-
-    def complement_blockset(self, k: int, bids):
-        return frozenset(range(self.level(k).num_blocks)) - frozenset(bids)
-
-    def quantifier_project(self, k: int, kp: int, bids, quant: str, t: Optional[int] = None):
-        """Project a block set at arity k+kp to arity k through a quantifier.
-
-        quant: 'exists', 'forall', or 'count_eq' (with t = required count) over
-        the last kp coordinates.  Result is returned as a block-id set at
-        arity k; by closedness it must be one, and this is checked.
-        """
-        if k + kp > self.m:
-            raise DepthExhausted(f"projection needs level {k + kp} > m={self.m}")
-        inst = self.instance
-        n = inst.n
-        idx = self.blockset_indices(k + kp, bids)
-        prefixes = idx // n ** kp
-        counts = np.bincount(prefixes, minlength=n ** k)
-        if quant == "exists":
-            keep = counts > 0
-        elif quant == "forall":
-            keep = counts == n ** kp
-        elif quant == "count_eq":
-            if t is None:
-                raise InputError("count_eq projection needs t")
-            keep = counts == t
-        else:
-            raise InputError(f"unknown quantifier {quant!r}")
-        return self.level(k).ids_as_union(np.nonzero(keep)[0])
-
-    def image_blockset(self, tau: LinMap, bids):
-        """tau(union of blocks) ∩ S^{k'}, as a block-id set at arity k'."""
-        k, kp = tau.src_arity, tau.dst_arity
-        inst = self.instance
-        idx = self.blockset_indices(k, bids)
-        if len(idx) == 0:
-            return frozenset()
-        img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(k, idx)))
-        return self.level(kp).ids_as_union(img[img >= 0])
-
-    def preimage_blockset(self, tau: LinMap, bids):
-        """tau^{-1}(union of blocks) ∩ S^k, as a block-id set at arity k, the
-        source arity of tau."""
-        k, kp = tau.src_arity, tau.dst_arity
-        inst = self.instance
-        img = inst.tuple_indices(tau.apply_batch(inst.field, inst.tuples_array(k)))
-        member = np.zeros(inst.tuple_count(kp), dtype=bool)
-        member[self.blockset_indices(kp, bids)] = True
-        hit = (img >= 0) & member[img]
-        return self.level(k).ids_as_union(np.nonzero(hit)[0])
-
-    # ---- relation profiles -------------------------------------------
-
-    def linear_relation_profile(self, k: int, b: int):
-        """Canonical basis of {c : sum c_i x_i = 0} shared by a block.
-
-        Returns (basis rows as tuple-of-tuples, constant: bool).  The axioms
-        force the relation space to be identical across the block; the flag
-        reports whether that held.
-        """
-        from .gf_linalg import nullspace_basis_mod, rref_mod
-
-        inst = self.instance
-        ell = inst.field.ell
-        profiles = set()
-        basis = None
-        for pts in inst.tuples_array(k, self.level(k).block(b)):
-            mat = inst.field.decode_batch(pts)  # (k, d)
-            null = nullspace_basis_mod(mat.T, ell)  # rows c with mat^T c = 0
-            red, piv = rref_mod(null, ell) if null.size else (null, ())
-            canon = tuple(tuple(int(x) for x in row) for row in red[: len(piv)])
-            profiles.add(canon)
-            if basis is None:
-                basis = canon
-        return basis, len(profiles) == 1
 
     # ---- JSON interchange --------------------------------------------
 

@@ -6,12 +6,24 @@ appends the inverses, admits all of them in that order and then searches
 the closure breadth-first.  It returns the same `SaturationResult` the
 streamed check returns, except that `generators` counts every forward
 generator, and it leaves the scheme's cached verdict alone.
+
+`gen_step` reads one step of a witness's JSON word back into a `GenStep`.
 """
 import numpy as np
 
 from mschemes.antisym import GenStep, SaturationResult, Witness, generator_maps
 from mschemes.gf_linalg import linmap
 from point_oracle import block_members
+
+
+def gen_step(obj):
+    """The `GenStep` of one `word` entry of `Witness.to_json`."""
+    return GenStep(
+        tuple(tuple(int(c) for c in row) for row in obj["tau"]),
+        obj["direction"],
+        (int(obj["src"]["k"]), int(obj["src"]["block"])),
+        (int(obj["dst"]["k"]), int(obj["dst"]["block"])),
+    )
 
 
 def strong_antisym_check(sch, budget):

@@ -9,21 +9,21 @@ Also the other scalar definitions the tests check the library against:
 integer tuple codes (base q, first coordinate most significant), the tuple
 of S^k at a tuple index, the scalar walks behind the case-3 pieces of the
 partial sumset loop, map composition, span membership by rank, and the
-dual vectors of a Fourier context in `itertools.product` order.
+dual vectors of a Fourier context in `itertools.product` order; and two
+maps the tests build as inputs, the projection pi_{k,i} and the swap of two
+coordinates.
 
 And the additive-energy quadruple loop, the oracle of the array count in
 `addcomb.additive_energy_oracle`, with the JSON and vector interchange of
 point sets that only the tests use; the sort-based point-set arithmetic
 that counting over [0, q) replaced in `addcomb` and `refine` (`np.unique`
 sumsets and dict histograms of the pair sums, the dict group convolution
-and the representation counts and covering number built on them); the scalar Gauss-Jordan loop, the
-oracle of the whole-row updates in `gf_linalg.rref_mod`, with the
-column-by-column null-space basis and the rank test per point that picks a
-basis of W' over W, the oracles of the rref forms in
-`gf_linalg.nullspace_basis_mod` and `constructible._extension_points`; the defining
-Fourier sum, one character value per member, the oracle of
-`FourierContext.all_coeffs`; and the breadth-first closure of subgroups, the
-oracle of the echelon-form `refine.enumerate_subspaces`.
+and the representation counts and covering number built on them); the
+scalar Gauss-Jordan loop, the oracle of the whole-row updates in
+`gf_linalg.rref_mod`; the defining Fourier sum, one character value per
+member, the oracle of `FourierContext.all_coeffs`; and the breadth-first
+closure of subgroups, the oracle of the echelon-form
+`refine.enumerate_subspaces`.
 """
 import cmath
 import itertools
@@ -33,7 +33,7 @@ import numpy as np
 
 from mschemes.addcomb import PointSet
 from mschemes.errors import CapExceeded, FieldMismatch, InputError
-from mschemes.gf_linalg import Field, linmap, rank_mod, span_basis, span_points
+from mschemes.gf_linalg import Field, linmap, rank_mod, span_points
 
 
 def add(f, a, b):
@@ -117,6 +117,19 @@ def exit_piece_walk(inst, brows, x_row):
     return sorted(inst.s_codes[int(r % n)] for r in brows if r // n == x_row)
 
 
+def projection(k, i):
+    """pi_{k,i}: (x_1..x_k) -> x_i (1-based i), built as a test input."""
+    return linmap([[1 if r == i - 1 else 0] for r in range(k)])
+
+
+def swap_map(k, i, j):
+    """The transposition of coordinates i and j (1-based) of V^k, built as
+    a test input."""
+    perm = list(range(k))
+    perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
+    return linmap([[1 if perm[c] == r else 0 for c in range(k)] for r in range(k)])
+
+
 def compose(second, first):
     """second o first, applying `first` first; coefficients are reduced mod
     ell when the map is applied."""
@@ -132,40 +145,6 @@ def in_span(f, basis, code):
         return code == 0
     aug = np.vstack([basis, f.decode_batch([code])[0]])
     return rank_mod(aug, f.ell) == basis.shape[0]
-
-
-def extension_points_loop(f, W, Wp):
-    """The points of W' that extend a basis of W to one of W', by one rank
-    test per point: each point of W', ascending, is kept when it raises the
-    rank of W and the points kept before it; the oracle of
-    `constructible._extension_points`."""
-    d = span_basis(f, Wp).shape[0] - span_basis(f, W).shape[0]
-    reps = []
-    have = list(f.decode_batch(sorted(W)))
-    for c in sorted(Wp):
-        if len(reps) == d:
-            break
-        row = f.decode_batch([c])[0]
-        if rank_mod(np.vstack(have + [row]), f.ell) > rank_mod(np.vstack(have), f.ell):
-            reps.append(c)
-            have.append(row)
-    return reps
-
-
-def nullspace_basis_loop(matrix, ell):
-    """Basis rows of {x : matrix @ x = 0 (mod ell)}, one per free column of
-    the rref, built column by column; the oracle of
-    `gf_linalg.nullspace_basis_mod`."""
-    red, pivots = rref_mod_loop(matrix, ell)
-    ncols = red.shape[1]
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = np.zeros(ncols, dtype=np.int64)
-        vec[f] = 1
-        for r, p in enumerate(pivots):
-            vec[p] = (-red[r, f]) % ell
-        basis.append(vec)
-    return np.stack(basis) if basis else np.zeros((0, ncols), dtype=np.int64)
 
 
 def rref_mod_loop(matrix, ell):
@@ -227,7 +206,7 @@ def coeff(ctx, subset, dual):
     ctx._check_dual(dual)
     sub = set(subset)
     total = 0j
-    for code in ctx.elements:
+    for code in ctx.codes.tolist():
         if code in sub:
             total += char_value(ctx, dual, code).conjugate()
     return total / ctx.order

@@ -10,15 +10,29 @@ violation strings and same generator list as the library.
 `bsg_neighbourhood_scan` is the full per-point form of the block-union
 check in `refine.bsg_extract`, which checks one point per orbit on
 group-backed schemes.
+
+`tuple_index` reads the index of one tuple off `tuple_indices`, and
+`refines` decides refinement of two partitions block by block.
 """
 import numpy as np
 
-from mschemes.addcomb import PointSet, diff_histogram
+from mschemes.addcomb import PointSet
 from mschemes.antisym import GenStep
 from mschemes.gf_linalg import enumerate_linmaps
 from mschemes.refine import _level1_union_ids
 from mschemes.scheme_core import ValidationReport, Violation
-from point_oracle import block_members
+from point_oracle import block_members, negate, sum_histogram
+
+
+def tuple_index(inst, pts):
+    """Index in S^k of one tuple of k point codes, -1 when one is not in S."""
+    return int(inst.tuple_indices(np.array([pts], dtype=np.int64))[0])
+
+
+def refines(fine, coarse):
+    """Every block of `fine` lies inside one block of `coarse`."""
+    return all(len(set(coarse.bid[rows].tolist())) == 1
+               for rows in block_members(fine.bid))
 
 
 def validate(sch, max_violations=16):
@@ -131,7 +145,7 @@ def bsg_neighbourhood_scan(sch, b, gamma):
     f = sch.field
     b_codes = sch.level1_block_set(b)
     b_ps = PointSet.from_codes(f, b_codes)
-    t_set = {z for z, c in diff_histogram(b_ps, b_ps).items()
+    t_set = {z for z, c in sum_histogram(b_ps, negate(b_ps)).items()
              if c >= gamma * len(b_codes) / 2}
     b_arr = np.array(b_codes, dtype=np.int64)
     adj = np.isin(f.sub_codes(b_arr[:, None], b_arr[None, :]), sorted(t_set))

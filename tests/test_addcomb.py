@@ -17,7 +17,6 @@ from mschemes.addcomb import (
     covering_bound,
     covering_number,
     density,
-    diff_histogram,
     difference_set,
     is_coset,
     iterated_sumset,
@@ -199,14 +198,6 @@ def test_energy_oracle_chunking_does_not_change_the_count(ell, dim, monkeypatch)
             monkeypatch.setattr(addcomb, "ORACLE_CHUNK", rows * len(a) ** 2)
             got.append(additive_energy_oracle(a))
         assert got == want, rows
-
-
-@given(subsets23)
-def test_diff_histogram_mass(a_codes):
-    a = ps(F23, a_codes)
-    d = diff_histogram(a, a)
-    assert sum(d.values()) == len(a) ** 2
-    assert d.get(F23.zero, 0) >= len(a)
 
 
 @given(subsets32)

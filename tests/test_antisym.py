@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import antisym_oracle
+import scheme_oracle
+from point_oracle import projection, swap_map
 from mschemes import instances
 from mschemes.antisym import (
     GenStep,
@@ -16,13 +18,12 @@ from mschemes.antisym import (
     depth_bounds_check,
     depth_measure,
     generator_maps,
-    halving_step,
     replay_witness,
     strong_antisym_check,
 )
 from mschemes.caps import DEFAULT_BUDGET_SATURATION
-from mschemes.errors import DepthExhausted, InputError, PreconditionUnmet
-from mschemes.gf_linalg import linmap, projection, swap_map
+from mschemes.errors import DepthExhausted, PreconditionUnmet
+from mschemes.gf_linalg import linmap
 
 
 def test_gl2_witness_is_short_and_replays(gl2_m3):
@@ -54,7 +55,7 @@ def test_frobenius_instances_antisymmetric_at_depth_2(c11_m2, c31_m2):
 def test_witness_json_roundtrip(gl2_m3):
     res = strong_antisym_check(gl2_m3)
     obj = json.loads(res.witness.to_json())
-    steps = [GenStep.from_obj(s) for s in obj["word"]]
+    steps = [antisym_oracle.gen_step(s) for s in obj["word"]]
     block = (obj["block"]["k"], obj["block"]["block"])
     assert steps == res.witness.word
     assert block == res.witness.block
@@ -111,7 +112,7 @@ def _depth_oracle(sch, b):
     """The defining greedy, one point lookup at a time: (steps, completed)
     with each step as (x, fibre block sizes, tracked size)."""
     def block_of(lvl, y):
-        return int(lvl.bid[lvl.instance.tuple_index((y,))])
+        return int(lvl.bid[scheme_oracle.tuple_index(lvl.instance, (y,))])
 
     cur, block, steps = sch, sorted(sch.level1_block_set(b)), []
     while len(block) > 1:
@@ -259,16 +260,6 @@ def test_depth_bounds_require_antisymmetry(gl2_m3, c11_m2):
     strong_antisym_check(c11_m2)
     rep = depth_bounds_check(c11_m2)
     assert rep.ok and rep.m < rep.span_dim and 2 ** rep.m <= rep.largest_block
-
-
-def test_halving_step(c11_m2):
-    block = sorted(c11_m2.level1_block_set(0))
-    assert len(block) == 11
-    fib, bp, size = halving_step(c11_m2, 0, block[0], block[1])
-    assert 1 < size <= len(block) // 2
-    assert fib.m == c11_m2.m - 1
-    with pytest.raises(InputError):
-        halving_step(c11_m2, 0, block[0], block[0])
 
 
 def test_depth_measure_partial_trace(c11_m2, c31_m2):

@@ -1,34 +1,24 @@
-"""Atom covers, constructibility certificates, and closure operations."""
+"""Atom covers, constructibility certificates and the prefix search."""
 import itertools
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import atom_oracle
-import point_oracle as oracle
 from mschemes import constructible, instances
 from mschemes.constructible import (
     Certificate,
     _atom_index,
-    _extension_points,
-    _restrict_entries,
-    _sum_decomposition,
-    boolean_difference,
-    boolean_intersect,
     decide_constructible,
-    extend_subspace,
     find_constructible_arities,
     find_constructible_prefix,
-    intersect_with_carrier,
     verify_certificate,
 )
-from mschemes.errors import (CapExceeded, DepthExhausted, IndexOutOfRange, MSchemeError,
-                             NotBlockUnion, PreconditionUnmet)
+from mschemes.errors import CapExceeded, DepthExhausted, MSchemeError
 from mschemes.gf_linalg import Field, linmap, span_points
 from mschemes.group_orbits import MatrixGroup, build_orbit_scheme, gl_group, trivial_group
-from mschemes.instances import affine_coset_scheme, gl_orbit_scheme, mul_coset_scheme
+from mschemes.instances import affine_coset_scheme, gl_orbit_scheme
 from mschemes.refine import enumerate_subspaces, find_constructible
 from mschemes.scheme_core import Scheme, SchemeInstance, TuplePartition
 
@@ -268,53 +258,6 @@ def test_verify_rejects_block_ids_outside_the_level(trivial_m3):
             trivial_m3, Certificate(1, (), [(ident, 2)], frozenset({3, bad})))
 
 
-def test_boolean_operations(trivial_m3):
-    a = decide_constructible(trivial_m3, [1, 2], 1)
-    b = decide_constructible(trivial_m3, [2, 3], 1)
-    inter = boolean_intersect(trivial_m3, a, b)
-    assert inter.points == frozenset({2}) and verify_certificate(trivial_m3, inter)
-    diff = boolean_difference(trivial_m3, a, b)
-    assert diff.points == frozenset({1}) and verify_certificate(trivial_m3, diff)
-    deep_a = type(a)(2, a.prefix, a.entries, a.points)
-    with pytest.raises(PreconditionUnmet):
-        boolean_intersect(trivial_m3, deep_a, type(b)(2, b.prefix, b.entries, b.points))
-
-
-@pytest.mark.parametrize("entry_point", ["intersect", "difference", "extend"])
-def test_certificate_entries_with_bad_block_ids_raise(trivial_m3, entry_point):
-    # level 1 of the trivial scheme on S = (1, 2, 3) has blocks 0..2; an
-    # entry (tau, -1) used to be read as block 2
-    zero = decide_constructible(trivial_m3, [0], 1)
-    run = {
-        "intersect": lambda cert: boolean_intersect(trivial_m3, cert, zero),
-        "difference": lambda cert: boolean_difference(trivial_m3, cert, zero),
-        "extend": lambda cert: extend_subspace(trivial_m3, cert, [0, 1], 1),
-    }[entry_point]
-    for b in (-1, 3):
-        with pytest.raises(IndexOutOfRange):
-            run(Certificate(1, (), [(zero.entries[0][0], b)], zero.points))
-
-
-def test_restrict_entries_splits_blocks_or_raises(trivial_m3, gl2_m3):
-    a = decide_constructible(trivial_m3, [1, 2, 3], 1)
-    # codes outside [0, q) in the kept set select nothing
-    out = _restrict_entries(trivial_m3, a, [3, 1, -1, trivial_m3.field.q + 5])
-    assert out.points == frozenset({1, 3}) and verify_certificate(trivial_m3, out)
-    assert [b for _, b in out.entries] == [0, 2]
-    # one point of the single nonzero GL(2) orbit is not a block union
-    whole = decide_constructible(gl2_m3, gl2_m3.s_codes, 1)
-    with pytest.raises(NotBlockUnion):
-        _restrict_entries(gl2_m3, whole, [1])
-
-
-def test_intersect_with_carrier(trivial_m3):
-    cert = decide_constructible(trivial_m3, [1, 3], 1)
-    ids = intersect_with_carrier(trivial_m3, cert)
-    got = {int(trivial_m3.s_codes[i])
-           for b in ids for i in trivial_m3.level(1).block(b)}
-    assert got == {1, 3}
-
-
 def test_find_constructible_prefix(gl2_m3):
     # {x} is not constructible on the base scheme, but is on the fibre at x
     hit = find_constructible_prefix(gl2_m3, [1], 1, 1)
@@ -347,7 +290,7 @@ def _built_state(sch, k, prefix_len):
     index holds (None without one)."""
     state = {}
     for x in itertools.product(sch.s_codes, repeat=prefix_len):
-        fib = sch.built_fiber(x)
+        fib = sch._fiber_cache.get(x)
         if fib is not None:
             index = fib.atom_indexes.get(k)
             state[x] = None if index is None else len(index.maps)
@@ -479,7 +422,7 @@ def test_prefix_search_builds_one_fibre_per_orbit_on_gl42():
     found = [find_constructible(sch, sorted(sub), 2, 2, 24) for sub in subspaces]
     for prefix_len in (1, 2):
         built = {x for x in itertools.product(sch.s_codes, repeat=prefix_len)
-                 if sch.built_fiber(x) is not None}
+                 if sch._fiber_cache.get(x) is not None}
         assert built <= _least_prefixes(sch, prefix_len)
     assert sum(hit is not None for hit in found) > 0
     fresh = gl_orbit_scheme(2, 4, 30)
@@ -670,89 +613,3 @@ def test_search_decides_in_stage_order_where_a_larger_arity_trips_a_cap(cap, max
             assert want[:2] == hit
         else:  # a miss reaches the stage whose arity trips the cap
             assert want is CapExceeded
-
-
-def test_extend_subspace():
-    # carrier: coset e_2 + U with U = <e_0, e_1> inside F_2^4 (marker coord 3)
-    sch = affine_coset_scheme(4, (0, 1), 2, m=12)
-    f = sch.field
-    zero_cert = decide_constructible(sch, [0], 1)
-    assert zero_cert is not None
-    # extend {0} to U itself: every basis vector is a 2-fold cone sum
-    target = sorted(int(c) for c in span_points(f, [oracle.sub(f, c, sch.s_codes[0])
-                                                    for c in sch.s_codes]))
-    prefix, cert = extend_subspace(sch, zero_cert, target, 2)
-    assert cert.points == frozenset(target)
-    assert verify_certificate(sch.fiber(prefix), cert)
-    # entries in their recorded order: per scaling vector, the blocks of B x {prefix}
-    assert prefix == (3, 7, 3, 11)
-    assert [(tuple(row[0] for row in tau.coeffs), b) for tau, b in cert.entries] == [
-        (col, b) for col in [(0, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 1, 1, 0, 0), (0, 1, 1, 1, 1)]
-        for b in (18, 274, 530, 786)]
-
-
-@st.composite
-def subspace_pairs(draw):
-    """(field, W, W') over F_ell^d, ell in {2, 3, 5}: W spanned by up to two
-    drawn points, W' by those and up to three more."""
-    ell = draw(st.sampled_from([2, 3, 5]))
-    f = Field(ell, draw(st.integers(1, {2: 4, 3: 3, 5: 2}[ell])))
-    codes = st.lists(st.integers(0, f.q - 1), max_size=3)
-    gens_w = draw(codes)[:2]
-    gens_wp = gens_w + draw(codes)
-    return (f, frozenset(span_points(f, gens_w).tolist()),
-            frozenset(span_points(f, gens_wp).tolist()))
-
-
-@given(subspace_pairs())
-@settings(max_examples=150, deadline=None)
-def test_extension_points_match_rank_loop(case):
-    f, W, Wp = case
-    got = _extension_points(f, W, Wp)
-    assert got == oracle.extension_points_loop(f, W, Wp)
-    assert all(type(c) is int for c in got)
-
-
-def _sum_layers_oracle(sch, t):
-    """Breadth-first layers of r-fold sums, r <= t, with parent pointers, by
-    the defining scalar loops."""
-    f = sch.field
-    layers = [{0: None}]
-    for _ in range(t):
-        nxt = {}
-        for val in layers[-1]:
-            for c in sch.s_codes:
-                for lam in range(f.ell):
-                    new = oracle.add(f, val, oracle.smul(f, lam, c))
-                    if new not in nxt:
-                        nxt[new] = (val, lam, c)
-        layers.append(nxt)
-    return layers
-
-
-@pytest.mark.parametrize("make", [
-    lambda: affine_coset_scheme(4, (0, 1), 2, m=12),
-    lambda: mul_coset_scheme(5, 2, 6, 0, 0, m=3),
-], ids=["coset-f2", "mulcoset-f5"])
-def test_sum_decomposition_matches_scalar_loops(make):
-    sch = make()
-    f = sch.field
-    for t in (1, 2, 3):
-        layers = _sum_layers_oracle(sch, t)
-        for target in range(f.q):
-            terms = _sum_decomposition(sch, target, t)
-            if target not in layers[t]:
-                assert terms is None
-                continue
-            expect, cur = [], target
-            for r in range(t, 0, -1):
-                cur, lam, c = layers[r][cur]
-                expect.append((lam, c))
-            assert terms == expect[::-1]
-
-
-def test_extend_subspace_preconditions(trivial_m3):
-    cert = decide_constructible(trivial_m3, [1], 1)
-    # {1} is not a subspace (missing 0)
-    with pytest.raises(Exception):
-        extend_subspace(trivial_m3, cert, [0, 1], 1)

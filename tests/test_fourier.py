@@ -88,14 +88,14 @@ def test_all_coeffs_over_several_phase_chunks(monkeypatch, chunk):
     monkeypatch.setattr(fourier, "PHASE_CHUNK", chunk)
     for ell, dim, gens in ORACLE_CONTEXTS:
         ctx = FourierContext.for_generators(Field(ell, dim), gens)
-        subset = ctx.elements[1::2] + [ell ** dim + 1]
+        subset = ctx.codes.tolist()[1::2] + [ell ** dim + 1]
         assert_equals_defining_sum(ctx, subset, ctx.all_coeffs(subset))
 
 
 def test_all_coeffs_chunks_at_the_default_bound():
     # 2^12 duals: a phase chunk holds 256 members, so 700 members take three
     ctx = ctx_for(2, 12)
-    subset = random.Random(12).sample(ctx.elements, 700)
+    subset = random.Random(12).sample(ctx.codes.tolist(), 700)
     coeffs = ctx.all_coeffs(subset)
     assert fourier.PHASE_CHUNK // ctx.order < len(subset) // 2
     for i in random.Random(5).sample(range(ctx.order), 4) + [0, ctx.order - 1]:
@@ -111,7 +111,7 @@ def test_abs_strings_are_python_abs(ell, dim, gens):
     ctx = FourierContext.for_generators(Field(ell, dim), gens)
     rng = random.Random(ell * 100 + dim)
     for _ in range(5):
-        subset = set(rng.sample(ctx.elements, rng.randrange(1, ctx.order + 1)))
+        subset = set(rng.sample(ctx.codes.tolist(), rng.randrange(1, ctx.order + 1)))
         coeffs = ctx.all_coeffs(subset)
         values = coeffs.tolist()
         rows = ctx.coeffs_csv(coeffs).splitlines()[1:]
@@ -138,7 +138,7 @@ def test_csv_abs_where_numpy_abs_rounds_apart():
 def test_kernel_matches_brute_force(ell, dim, gens):
     ctx = FourierContext.for_generators(Field(ell, dim), gens)
     for dual in oracle.dual_vectors(ctx):
-        want = [code for code in ctx.elements
+        want = [code for code in ctx.codes.tolist()
                 if sum(a * x for a, x in zip(dual, oracle.coords(ctx, code))) % ell == 0]
         assert ctx.kernel(dual) == want
 
@@ -161,8 +161,8 @@ def test_group_at_the_order_cap():
     ell, dim = 2, 16
     assert ell ** dim == CAP_GROUP_ORDER
     ctx = ctx_for(ell, dim)
-    assert ctx.order == CAP_GROUP_ORDER and ctx.elements == list(range(CAP_GROUP_ORDER))
-    subset = random.Random(16).sample(ctx.elements, 64)
+    assert ctx.order == CAP_GROUP_ORDER and ctx.codes.tolist() == list(range(CAP_GROUP_ORDER))
+    subset = random.Random(16).sample(ctx.codes.tolist(), 64)
     coeffs = ctx.all_coeffs(subset)
     assert ctx.parseval_check(subset, coeffs)[2] <= 1e-9
     assert ctx.inversion_check(subset, coeffs) <= 1e-9
@@ -190,7 +190,7 @@ def test_parseval_and_inversion(ix, data):
 def test_trivial_coeff_is_density(ix):
     ell, dim = CASES[ix]
     ctx = ctx_for(ell, dim)
-    subset = set(ctx.elements[:: 2])
+    subset = set(ctx.codes.tolist()[:: 2])
     triv = (0,) * ctx.rank
     c = oracle.coeff(ctx, subset, triv)
     assert abs(c - len(subset) / ctx.order) <= 1e-12
@@ -211,7 +211,7 @@ def test_heavy_characters_match_brute_force():
     ctx = ctx_for(2, 4)
     rng = random.Random(7)
     for _ in range(20):
-        subset = set(rng.sample(ctx.elements, rng.randrange(1, ctx.order)))
+        subset = set(rng.sample(ctx.codes.tolist(), rng.randrange(1, ctx.order)))
         eps = rng.choice([0.1, 0.25, 0.5])
         heavy = ctx.heavy_characters(ctx.all_coeffs(subset), eps)
         want = [(d, c) for d, c in ((d, oracle.coeff(ctx, subset, d))

@@ -4,6 +4,7 @@ import pytest
 
 import group_oracle as oracle
 import point_oracle
+import scheme_oracle
 from mschemes import group_orbits, instances
 from mschemes.errors import CapExceeded, IndexOutOfRange, InputError
 from mschemes.gf_linalg import Field
@@ -83,9 +84,9 @@ def test_companion_matrix_is_primitive():
 
 
 def test_semilinear_group_order():
-    f = Field(2, 3)
-    # Singer cycle (order 7) extended by Frobenius (order 3)
-    assert oracle.order(semilinear_group(f)) == 21
+    # Singer cycle (order 2^d - 1) extended by Frobenius (order d)
+    for dim, order in ((3, 21), (5, 155)):
+        assert oracle.order(semilinear_group(Field(2, dim))) == order
 
 
 def test_trivial_group_and_finest_orbits():
@@ -107,7 +108,7 @@ def test_orbit_scheme_blocks_are_orbits():
     for b in range(part.num_blocks):
         rep = point_oracle.tuple_points(inst, int(part.block(b)[0]), 2)
         orbit = {
-            inst.tuple_index(tuple(oracle.act_code(g, mat, c) for c in rep))
+            scheme_oracle.tuple_index(inst, [oracle.act_code(g, mat, c) for c in rep])
             for mat in els
         }
         assert orbit == {int(i) for i in part.block(b)}
@@ -229,11 +230,12 @@ def test_fibre_from_its_built_parent_stabilizes_one_point(name, monkeypatch):
     monkeypatch.setattr(group_orbits, "point_stabilizer", counted)
     # (a, b) before (a,): no parent is built, so the chain runs from the
     # root, with one Schreier computation in G and one in Stab(a)
-    assert cold.built_fiber((a, b)) is None and cold.built_fiber(()) is cold
+    cache = cold._fiber_cache
+    assert (a, b) not in cache
     ab_cold = cold.fiber((a, b))
-    assert len(calls) == 2 and cold.built_fiber((a,)) is None
+    assert len(calls) == 2 and (a,) not in cache
     a_fib = cold.fiber((a,))
-    assert cold.built_fiber((a,)) is a_fib and cold.built_fiber([a, b]) is ab_cold
+    assert cache[(a,)] is a_fib and cache[(a, b)] is ab_cold
     assert len(calls) == 2
     # a scheme on the same backend finds its stabilizers computed: with (a,)
     # built, (a, b) computes none, and (a, a) one, for the orbit {a} of Stab(a)

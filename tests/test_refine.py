@@ -43,7 +43,6 @@ from mschemes.refine import (
     density_reduce,
     find_constructible,
     ineq,
-    key_lemma_search,
     partial_sumset_search,
     representation_counts,
     require_ineqs,
@@ -564,18 +563,6 @@ def test_bsg_extract_rejects_generators_that_break_the_graph():
         bsg_extract(sch, 0, gamma)
 
 
-def test_key_lemma_search_cap_and_best(c11_m2):
-    res = key_lemma_search(c11_m2, 0, max_prefix_len=1)
-    assert res.best is not None and not res.capped
-    assert set(res.best.points) < set(c11_m2.level1_block_set(0))
-    capped = key_lemma_search(c11_m2, 0, max_prefix_len=1, prefix_cap=2)
-    assert capped.prefixes_tried == 2 and capped.capped
-    from mschemes.instances import trivial_scheme
-
-    with pytest.raises(PreconditionUnmet):
-        key_lemma_search(trivial_scheme(2, 2, 3), 0, 1)  # singleton block
-
-
 def test_two_case_check_depth_precondition():
     sch = gl_orbit_scheme(2, 4, 3)
     with pytest.raises(PreconditionUnmet):
@@ -629,7 +616,8 @@ def test_density_reduce_case1_search_recomputes():
     assert floor["holds"] and _le_ell_pow(n0 / K, Fraction(piece), 2, Fraction(8) ** 2)
     # the piece is a union of level-1 blocks of the fibre at the prefix
     fib = sch.fiber(res.fiber_prefix)
-    ids = {int(fib.level(1).bid[fib.instance.tuple_index((c,))]) for c in res.points}
+    ids = {int(fib.level(1).bid[scheme_oracle.tuple_index(fib.instance, (c,))])
+           for c in res.points}
     union = sorted(c for i in ids for c in fib.level1_block_set(i).tolist())
     assert union == sorted(res.points) and set(union) <= set(b.tolist())
 

@@ -1,4 +1,4 @@
-"""Partition-system core: axioms, closedness operations, serialization."""
+"""Partition-system core: axioms, fibres, block layout, serialization."""
 import itertools
 import json
 
@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import point_oracle as oracle
+import scheme_oracle
 
 from mschemes.errors import (
     CapExceeded,
-    DepthExhausted,
     IndexOutOfRange,
     InputError,
     NotBlockUnion,
 )
-from mschemes.gf_linalg import Field, linmap, projection, summation, swap_map
+from mschemes.gf_linalg import Field
 from mschemes import instances
 from mschemes.group_orbits import build_orbit_scheme, trivial_group
 from mschemes.instances import gl_orbit_scheme
@@ -32,7 +32,7 @@ def test_instance_validation():
         SchemeInstance(f, (3, 1, 2))  # unsorted
     inst = SchemeInstance(f, (1, 2, 3))
     assert inst.n == 3
-    assert oracle.tuple_points(inst, inst.tuple_index((2, 3, 1)), 3) == (2, 3, 1)
+    assert oracle.tuple_points(inst, scheme_oracle.tuple_index(inst, (2, 3, 1)), 3) == (2, 3, 1)
     assert inst.span_dim() == 2
 
 
@@ -51,14 +51,6 @@ def test_finest_scheme_validates_and_is_discrete():
         part = sch.level(k)
         assert part.num_blocks == 3 ** k
         assert part.is_discrete()
-
-
-def test_refines_is_a_partial_order(gl2_m3, trivial_m3):
-    fine = trivial_m3.level(2)
-    coarse = gl2_m3.level(2)
-    assert fine.refines(coarse)
-    assert fine.refines(fine)
-    assert not coarse.refines(fine)
 
 
 def test_json_roundtrip(gl2_m3):
@@ -80,98 +72,6 @@ def test_from_json_rejects_garbage():
     obj["levels"].append({"k": 1, "block_of": [-1, 0, 1, 2]})
     with pytest.raises(InputError, match="level 1 repeated"):
         Scheme.from_json(json.dumps(obj))
-
-
-def test_image_blockset_matches_brute_force(gl2_m3):
-    sch = gl2_m3
-    inst = sch.instance
-    f = inst.field
-    tau = summation(2)
-    for bids in [frozenset({0}), frozenset(range(sch.level(2).num_blocks))]:
-        got = sch.image_blockset(tau, bids)
-        # brute force: map every tuple of the union, collect hit level-1 blocks
-        expect = set()
-        for idx in sch.blockset_indices(2, bids):
-            pts = oracle.tuple_points(inst, int(idx), 2)
-            img = oracle.apply(f, tau, pts)
-            if img[0] in set(inst.s_codes):
-                expect.add(int(sch.level(1).bid[inst.tuple_index(img)]))
-        assert got == frozenset(expect)
-
-
-def test_preimage_blockset_matches_brute_force(gl2_m3):
-    sch = gl2_m3
-    inst = sch.instance
-    f = inst.field
-    tau = projection(2, 1)
-    bids = frozenset({0})
-    got = sch.preimage_blockset(tau, bids)
-    target = set(int(i) for i in sch.blockset_indices(1, bids))
-    expect = set()
-    for idx in range(inst.tuple_count(2)):
-        pts = oracle.tuple_points(inst, idx, 2)
-        img = oracle.apply(f, tau, pts)
-        if inst.tuple_index(img) in target:
-            expect.add(int(sch.level(2).bid[inst.tuple_index(pts)]))
-    assert got == frozenset(expect)
-
-
-def test_preimage_not_block_union_in_finest_refinement_direction():
-    # a partition too coarse for a map's preimage raises NotBlockUnion
-    f = Field(2, 2)
-    inst = SchemeInstance(f, (1, 2, 3))
-    # single-block (trivial) level partitions: preimage of one tuple's block
-    raw1 = np.zeros(3, dtype=np.int64)
-    raw2 = np.zeros(9, dtype=np.int64)
-    sch = Scheme(inst, 2, levels=[
-        TuplePartition.from_raw(inst, 1, raw1),
-        TuplePartition.from_raw(inst, 2, raw2),
-    ])
-    # swap is fine (preimage of everything is everything)
-    assert sch.preimage_blockset(swap_map(2, 1, 2), {0}) == frozenset({0})
-    # diagonal map x -> (x, x): image of the single level-1 block is a strict
-    # subset of the single level-2 block, not a block union
-    diag = linmap([[1, 1]])
-    with pytest.raises(NotBlockUnion):
-        sch.image_blockset(diag, {0})
-
-
-def test_quantifier_project(gl2_m3):
-    sch = gl2_m3
-    all2 = frozenset(range(sch.level(2).num_blocks))
-    assert sch.quantifier_project(1, 1, all2, "exists") == \
-        frozenset(range(sch.level(1).num_blocks))
-    assert sch.quantifier_project(1, 1, all2, "forall") == \
-        frozenset(range(sch.level(1).num_blocks))
-    n = sch.instance.n
-    assert sch.quantifier_project(1, 1, all2, "count_eq", t=n) == \
-        frozenset(range(sch.level(1).num_blocks))
-    assert sch.quantifier_project(1, 1, frozenset(), "exists") == frozenset()
-    with pytest.raises(DepthExhausted):
-        sch.quantifier_project(3, 1, frozenset(), "exists")
-    with pytest.raises(InputError):
-        sch.quantifier_project(1, 1, all2, "most")
-
-
-def test_complement_blockset(gl2_m3):
-    part = gl2_m3.level(2)
-    comp = gl2_m3.complement_blockset(2, {0})
-    assert comp | {0} == set(range(part.num_blocks))
-    assert 0 not in comp
-
-
-def test_linear_relation_profile_constancy(gl2_m3):
-    for b in range(gl2_m3.level(2).num_blocks):
-        basis, constant = gl2_m3.linear_relation_profile(2, b)
-        assert constant
-
-
-def test_linear_relation_profile_rejects_bad_block_ids(gl2_m3):
-    # -1 used to read the last block's profile, and 99 raised a raw IndexError
-    assert gl2_m3.level(2).num_blocks == 2
-    for b in (-1, 2, 99):
-        with pytest.raises(IndexOutOfRange):
-            gl2_m3.linear_relation_profile(2, b)
 
 
 def test_validation_catches_seeded_corruption(gl3_m2):
@@ -224,10 +124,8 @@ def test_pos_maps_codes_outside_the_field_to_minus_one(trivial_m3):
     for bad in ([-1], [4], [1, 4]):
         with pytest.raises(NotBlockUnion):
             _level1_union_ids(trivial_m3, bad)
-    lazy = gl_orbit_scheme(2, 2, 3)  # its fibres come from stabilizers, not tuple_index
+    lazy = gl_orbit_scheme(2, 2, 3)  # its fibres come from stabilizers, not tuple indices
     for bad in ((-1,), (4,)):
-        with pytest.raises(IndexOutOfRange):
-            inst.tuple_index(bad)
         for sch in (trivial_m3, lazy):
             with pytest.raises(IndexOutOfRange):
                 sch.fiber(bad)
@@ -316,29 +214,6 @@ def test_block_layout_groups_bid(label):
             assert np.array_equal(part.block(b), members)
 
 
-def _refines_oracle(fine, coarse):
-    return all(len(set(coarse.bid[rows].tolist())) == 1
-               for rows in oracle.block_members(fine.bid))
-
-
-@pytest.mark.parametrize("label", sorted(LAYOUT_BUILDERS))
-def test_refines_matches_per_block_oracle(label):
-    sch = LAYOUT_BUILDERS[label]()
-    fib = sch.fiber((sch.s_codes[0],))
-    verdicts = set()
-    for k in range(1, fib.m + 1):
-        n_k = sch.instance.tuple_count(k)
-        parts = [sch.level(k), fib.level(k),
-                 TuplePartition.from_raw(sch.instance, k, np.arange(n_k)),
-                 TuplePartition.from_raw(sch.instance, k, np.zeros(n_k, dtype=np.int64))]
-        for fine in parts:
-            for coarse in parts:
-                got = fine.refines(coarse)
-                assert got == _refines_oracle(fine, coarse)
-                verdicts.add(got)
-    assert verdicts == {True, False}
-
-
 def test_blocks_are_ascending_and_level1_block_set_reads_them(gl2_m3, singer7_m3):
     for sch in (gl2_m3, singer7_m3):
         for k in range(1, sch.m + 1):
@@ -356,7 +231,7 @@ def test_blocks_are_ascending_and_level1_block_set_reads_them(gl2_m3, singer7_m3
             assert codes.dtype == np.int64 and not codes.flags.writeable
             assert np.all(np.diff(codes) > 0)
             assert codes.tolist() == sorted(c for c in sch.s_codes
-                                            if lev1.bid[sch.instance.tuple_index((c,))] == b)
+                                            if lev1.bid[scheme_oracle.tuple_index(sch.instance, (c,))] == b)
 
 
 def test_block_ids_outside_the_level_are_rejected(trivial_m3):

@@ -1,9 +1,11 @@
 """Source checks: every name a module of `mschemes`, `scripts/` or `tests/`
 imports is used in that module; every function, class and method that
 `mschemes` defines is reached from the package's module-level code, the
-scripts or the benchmark, except those of a fixed list that only the tests
-reach; and no call to `np.unique` in `mschemes` is a plain one (without a
-`return_*` keyword), which imports `numpy.ma` on its first call, 10–14 ms."""
+scripts or the benchmark, except those of a fixed list that only the
+acceptance gate reaches, each from the test of a named criterion; every
+name a module's `__all__` lists is bound at its top level; and no call to
+`np.unique` in `mschemes` is a plain one (without a `return_*` keyword),
+which imports `numpy.ma` on its first call, 10–14 ms."""
 import ast
 import pathlib
 
@@ -11,29 +13,19 @@ import mschemes
 
 PACKAGE = pathlib.Path(mschemes.__file__).parent
 ROOT = PACKAGE.parent.parent
-TREES = [PACKAGE, ROOT / "scripts", ROOT / "perfbench", ROOT / "tests"]
+# the trees outside the package whose code counts as a caller
+PROGRAMS = [ROOT / "scripts", ROOT / "perfbench"]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-# module.name of the package definitions that only the tests reach: oracles,
-# lemma statements and closure operations no command, script or workload runs
-TEST_ONLY = {
-    "addcomb.diff_histogram",
-    "antisym.DepthBoundsReport", "antisym.depth_bounds_check", "antisym.halving_step",
-    "antisym.from_obj",
-    "constructible.intersect_with_carrier", "constructible._restrict_entries",
-    "constructible._boolean", "constructible.boolean_intersect",
-    "constructible.boolean_difference",
-    "constructible._sum_decomposition", "constructible._extension_points",
-    "constructible.extend_subspace",
-    "fourier.elements",
-    "gf_linalg.projection", "gf_linalg.swap_map", "gf_linalg.nullspace_basis_mod",
-    "group_orbits.semilinear_group",
-    "instances.signed_perm_scheme",
-    "refine.scheme_power", "refine.lift_block", "refine.two_case_check",
-    "refine.KeySearchResult", "refine.key_lemma_search",
-    "scheme_core.tuple_index", "scheme_core.refines", "scheme_core.built_fiber",
-    "scheme_core.complement_blockset", "scheme_core.quantifier_project",
-    "scheme_core.image_blockset", "scheme_core.preimage_blockset",
-    "scheme_core.linear_relation_profile",
+# module.name of each package definition that no command, script or
+# workload runs, with the number of the criterion in tests/test_acceptance.py
+# whose test reaches it
+ACCEPTANCE_ONLY = {
+    "antisym.DepthBoundsReport": 5,  # the report of the depth-bounds lemma
+    "antisym.depth_bounds_check": 5,  # m < dim<S> and 2^m <= |B|
+    "instances.signed_perm_scheme": 12,  # the hyperplane-concentrated instance
+    "refine.lift_block": 10,  # fibre blocks of the power lift to the base
+    "refine.scheme_power": 10,  # the power scheme itself
+    "refine.two_case_check": 12,  # the dichotomy on the flat instance
 }
 
 
@@ -135,21 +127,67 @@ def test_scan_finds_a_definition_only_dead_code_names():
     assert _unreached({"mod": tree}, {"live", "m"}) == [("mod", 6, "dead")]
 
 
+def _criteria(tree: ast.Module) -> dict:
+    """Criterion number -> the names its `test_criterion_NN_*` function reads."""
+    return {int(node.name.split("_")[2]): _named(node) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_criterion_")}
+
+
+def test_scan_reads_the_names_of_each_criterion():
+    tree = ast.parse("def test_criterion_03_x(s): s.f(g)\ndef test_other(): h()\n"
+                     "def test_criterion_12_y(): k()\n")
+    assert _criteria(tree) == {3: {"s", "f", "g"}, 12: {"k"}}
+
+
 def test_every_definition_is_named():
     # a test counts as no caller: a definition that only the tests reach
-    # must be listed in TEST_ONLY, and every listed one must be reached
-    # from them
-    roots = {"program": set(), "tests": set()}
-    for tree in TREES[1:]:
+    # must be listed in ACCEPTANCE_ONLY, and the test of the criterion
+    # listed for it must reach it, so no other test keeps one alive
+    program = set()
+    for tree in PROGRAMS:
         paths = sorted(tree.glob("*.py"))
         assert paths, tree
         for path in paths:
-            roots["tests" if tree.name == "tests" else "program"] |= _named(
-                ast.parse(path.read_text()))
+            program |= _named(ast.parse(path.read_text()))
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    test_only = {f"{module}.{name}" for module, _, name in _unreached(modules, roots["program"])}
-    assert test_only == TEST_ONLY
-    assert not _unreached(modules, roots["program"] | roots["tests"])
+    test_only = {f"{module}.{name}" for module, _, name in _unreached(modules, program)}
+    assert test_only == set(ACCEPTANCE_ONLY)
+    criteria = _criteria(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    for entry, number in ACCEPTANCE_ONLY.items():
+        unreached = _unreached(modules, program | criteria[number])
+        assert entry not in {f"{module}.{name}" for module, _, name in unreached}, entry
+
+
+def _undefined_exports(tree: ast.Module) -> list:
+    """The names a module's `__all__` lists that its top level does not
+    bind: `from module import *` raises on each one."""
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = [elt.value for elt in node.value.elts]
+    return [name for name in exported if name not in bound]
+
+
+def test_scan_finds_an_undefined_export():
+    tree = ast.parse("import os\nfrom x import y as z\nA, B = 1, 2\nC: int = 3\n"
+                     "def f(): pass\nclass K: pass\n"
+                     "__all__ = ['os', 'z', 'A', 'B', 'C', 'f', 'K', 'gone', 'y']\n")
+    assert _undefined_exports(tree) == ["gone", "y"]
+
+
+def test_every_export_is_defined():
+    modules = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    undefined = {path.name: found for path in modules
+                 if (found := _undefined_exports(ast.parse(path.read_text())))}
+    assert not undefined
 
 
 def _plain_unique_calls(tree: ast.Module) -> list:
